@@ -10,6 +10,8 @@ fails fast with a ConfigError.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .costas import CostasCode, generate_welch_costas
@@ -44,7 +46,12 @@ class _Tree:
             return value
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{self.context}: '{key}' must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.context}: '{key}' must be finite")
         if positive and value <= 0:
             raise ConfigError(f"{self.context}: '{key}' must be positive")
         if minimum is not None and value < minimum:
@@ -246,11 +253,9 @@ def parse_scene(data, context: str = "scene") -> EchoScene:
 
 def parse_dopplers(tree: _Tree) -> np.ndarray:
     """Doppler grid: explicit list, or a symmetric span with a count."""
-    explicit = tree.take("dopplers_hz", default=None)
+    explicit = _float_list(tree, "dopplers_hz", default=None)
     if explicit is not None:
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError(f"{tree.context}: 'dopplers_hz' must be a nonempty list")
-        return np.array([float(v) for v in explicit])
+        return np.array(explicit)
     span = tree.take_number("doppler_span_hz", positive=True)
     count = tree.take_int("num_dopplers", minimum=1)
     return np.linspace(-span / 2.0, span / 2.0, count)

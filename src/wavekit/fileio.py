@@ -20,6 +20,11 @@ from scipy.io import wavfile
 
 from .errors import OutputError
 
+# mkstemp creates files with mode 0600; artifacts get the mode open() would
+# give them.  The umask can only be read by setting it, so read it once here.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -29,6 +34,7 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
+            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
-from .signal import DB_FLOOR, SampledSignal, Spectrum, _next_pow2, spectrum, to_db
+from .signal import (DB_FLOOR, SampledSignal, Spectrum, _next_pow2, p99_bandwidth,
+                     spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,19 @@ def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Lags k run from -(len(b)-1) to len(a)-1 and a delayed copy of b
     inside a produces a peak at positive k equal to the delay.
     """
-    na, nb = a.size, b.size
-    nfft = _next_pow2(na + nb)
-    fa = np.fft.fft(a, nfft)
-    fb = np.fft.fft(b, nfft)
-    y = np.fft.ifft(fa * np.conj(fb))
-    return np.concatenate([y[nfft - (nb - 1):], y[:na]])
+    nfft = _next_pow2(a.size + b.size)
+    cross = np.fft.fft(a, nfft) * np.conj(np.fft.fft(b, nfft))
+    return _xcorr_from_spectrum(cross, a.size, b.size)
+
+
+def _xcorr_from_spectrum(cross: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """Inverse FFT of a cross spectrum, reordered onto lags -(nb-1)..na-1.
+
+    The transform length must be at least na + nb - 1 so the circular
+    correlation does not wrap.
+    """
+    y = np.fft.ifft(cross)
+    return np.concatenate([y[y.size - (nb - 1):], y[:na]])
 
 
 def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse:
@@ -243,31 +251,19 @@ def inband_energy_fraction(spec: Spectrum, bandwidth_hz: float) -> float:
 
 def rms_bandwidth(spec: Spectrum) -> float:
     """Centroid-removed RMS bandwidth sqrt(int (f-f0)^2 |S|^2 df / int |S|^2 df)."""
-    power = spec.magnitude**2
-    total = power.sum()
-    if total == 0.0:
-        raise InvalidInputError("spectrum has zero energy")
-    centroid = float((spec.freqs_hz * power).sum() / total)
-    return float(np.sqrt(((spec.freqs_hz - centroid) ** 2 * power).sum() / total))
+    return _rms_width(spec.freqs_hz, spec.magnitude**2)
 
 
-def p99_bandwidth(spec: Spectrum, fraction: float = 0.99) -> float:
-    """Width of the central band holding `fraction` of the spectral energy.
+def _rms_width(freqs: np.ndarray, power: np.ndarray) -> float:
+    """Centroid-removed RMS width of a power density sampled on freqs.
 
-    The band edges are the (1-fraction)/2 and 1-(1-fraction)/2 energy
-    quantiles of |S|^2, linearly interpolated between bins.
+    The moments are ratios, so power may carry any constant scale.
     """
-    if not 0.0 < fraction < 1.0:
-        raise InvalidInputError("fraction must lie in (0, 1)")
-    power = spec.magnitude**2
     total = power.sum()
     if total == 0.0:
         raise InvalidInputError("spectrum has zero energy")
-    cum = np.cumsum(power) / total
-    tail = (1.0 - fraction) / 2.0
-    f_lo = float(np.interp(tail, cum, spec.freqs_hz))
-    f_hi = float(np.interp(1.0 - tail, cum, spec.freqs_hz))
-    return f_hi - f_lo
+    centroid = float((freqs * power).sum() / total)
+    return float(np.sqrt(((freqs - centroid) ** 2 * power).sum() / total))
 
 
 def _parabolic_refine(mags: np.ndarray, idx: int) -> float:

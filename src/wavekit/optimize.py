@@ -17,19 +17,26 @@ returns the best design found so far with converged=False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 from scipy.signal.windows import taylor as _taylor_window
 
 from .errors import InvalidInputError
-from .metrics import RegionSpec
+from .metrics import RegionSpec, _rms_width, _xcorr_from_spectrum
 from .signal import _next_pow2
-from .waveforms import MtsfmParameters
+from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
 _OBJECTIVES = ("isl", "psl")
 _METHODS = ("nelder_mead", "gradient_descent", "lbfgs")
 _PSL_SHARPNESS = 50.0
+_GD_INITIAL_STEP = 0.5
+_GD_SHRINK = 0.5
+_GD_GROW = 1.3
+_GD_ARMIJO_C = 1e-4
+_GD_FD_STEP = 1e-4
+_GD_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -106,24 +113,19 @@ class OptimizationResult:
 class _Workspace:
     """Precomputed synthesis/analysis machinery for one problem geometry.
 
-    Caches the trig basis, FFT plan sizes, region mask, and frequency
-    grid so a single objective evaluation costs two FFTs.
+    Caches the harmonic basis, FFT size, region mask, and frequency
+    grid so a single objective evaluation costs one FFT pair: the
+    forward transform of the samples feeds both the autocorrelation and
+    the RMS bandwidth.
     """
 
     def __init__(self, num_harmonics: int, duration_s: float, sample_rate_hz: float,
                  region: RegionSpec):
-        n = int(round(sample_rate_hz * duration_s))
-        if n < 2:
-            raise InvalidInputError("problem geometry gives fewer than 2 samples")
+        n, self.duration_s, t = _sample_grid(duration_s, sample_rate_hz)
         self.num_samples = n
         self.sample_rate_hz = sample_rate_hz
-        self.duration_s = n / sample_rate_hz
         self.num_harmonics = num_harmonics
-        t = (np.arange(n) + 0.5) / sample_rate_hz
-        k = np.arange(1, num_harmonics + 1)
-        arg = 2.0 * np.pi * np.outer(t, k) / self.duration_s
-        self.cos_basis = np.cos(arg)
-        self.sin_basis = np.sin(arg)
+        self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
         self.nfft = _next_pow2(2 * n)
         lags = np.arange(-(n - 1), n) / sample_rate_hz
         self.region_mask = region.mask(lags)
@@ -131,29 +133,18 @@ class _Workspace:
             raise InvalidInputError("region contains no lag samples")
         self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))
 
-    def synth(self, x: np.ndarray) -> np.ndarray:
+    def transform(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Zero-padded FFT of the samples of coefficients x, and their RMS bandwidth."""
         k = self.num_harmonics
         phase = self.cos_basis @ x[:k] + self.sin_basis @ x[k:]
-        return np.exp(1j * phase) / np.sqrt(self.num_samples)
-
-    def autocorr_mag(self, samples: np.ndarray) -> np.ndarray:
-        """|R| on lags -(N-1)..N-1, normalized so |R(0)| = 1."""
-        n = self.num_samples
-        f = np.fft.fft(samples, self.nfft)
-        r = np.fft.ifft(f * np.conj(f))
-        r = np.concatenate([r[self.nfft - (n - 1):], r[:n]])
-        mag = np.abs(r)
-        return mag / mag[n - 1]
-
-    def rms_bandwidth(self, samples: np.ndarray) -> float:
-        power = np.abs(np.fft.fftshift(np.fft.fft(samples, self.nfft))) ** 2
-        total = power.sum()
-        centroid = (self.freqs * power).sum() / total
-        return float(np.sqrt(((self.freqs - centroid) ** 2 * power).sum() / total))
+        spec = np.fft.fft(_unit_modulus(phase), self.nfft)
+        return spec, _rms_width(self.freqs, np.abs(np.fft.fftshift(spec)) ** 2)
 
     def objective(self, x: np.ndarray, problem: OptimizationProblem) -> float:
-        samples = self.synth(x)
-        mag = self.autocorr_mag(samples)[self.region_mask]
+        spec, bw = self.transform(x)
+        n = self.num_samples
+        mag = np.abs(_xcorr_from_spectrum(spec * np.conj(spec), n, n))
+        mag = (mag / mag[n - 1])[self.region_mask]
         if problem.objective == "isl":
             metric = float(np.sum(mag**2)) / self.sample_rate_hz
         else:
@@ -161,29 +152,18 @@ class _Workspace:
             metric = peak + float(
                 np.log(np.sum(np.exp(_PSL_SHARPNESS * (mag - peak))))
             ) / _PSL_SHARPNESS
-        bw = self.rms_bandwidth(samples)
         target = problem.bandwidth_target_hz
         excess = max(0.0, abs(bw - target) / target - problem.bandwidth_tolerance)
         return metric + problem.penalty_weight * excess * excess
 
 
-_workspace_cache: dict = {}
+# Bounded so a long-lived process that meets many geometries does not grow.
+_workspace = lru_cache(maxsize=8)(_Workspace)
 
 
 def _get_workspace(problem: OptimizationProblem) -> _Workspace:
-    key = (
-        problem.initial.num_harmonics,
-        float(problem.initial.duration_s),
-        float(problem.sample_rate_hz),
-        float(problem.region.inner_delay_s),
-        float(problem.region.outer_delay_s),
-    )
-    ws = _workspace_cache.get(key)
-    if ws is None:
-        ws = _Workspace(problem.initial.num_harmonics, problem.initial.duration_s,
-                        problem.sample_rate_hz, problem.region)
-        _workspace_cache[key] = ws
-    return ws
+    return _workspace(problem.initial.num_harmonics, float(problem.initial.duration_s),
+                      float(problem.sample_rate_hz), problem.region)
 
 
 def params_to_vector(params: MtsfmParameters) -> np.ndarray:
@@ -254,7 +234,7 @@ def _finish(counted: _CountedObjective, problem: OptimizationProblem,
         x_best = params_to_vector(problem.initial)
         counted.best_f = ws.objective(x_best, problem)
         counted.trace.append((0, float(counted.best_f)))
-    bw = ws.rms_bandwidth(ws.synth(x_best))
+    _, bw = ws.transform(x_best)
     feasible = (abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
                 <= problem.bandwidth_tolerance + 1e-6)
     initial_f = counted.trace[0][1]
@@ -313,35 +293,23 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
     if step <= 0:
         raise InvalidInputError("step must be positive")
     ws = _get_workspace(problem)
-    x = params_to_vector(params)
+    return _central_differences(lambda v: ws.objective(v, problem),
+                                params_to_vector(params), step)
+
+
+def _central_differences(func, x: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of func at x, two calls per coordinate."""
     grad = np.empty(x.size)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        grad[i] = (ws.objective(xp, problem) - ws.objective(xm, problem)) / (2.0 * step)
+        grad[i] = (func(xp) - func(xm)) / (2.0 * step)
     return grad
 
 
-def _counted_gradient(counted: _CountedObjective, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (counted(xp) - counted(xm)) / (2.0 * step)
-    return grad
-
-
-def minimize_gradient_descent(problem: OptimizationProblem,
-                              initial_step: float = 0.5,
-                              shrink: float = 0.5,
-                              grow: float = 1.3,
-                              armijo_c: float = 1e-4,
-                              fd_step: float = 1e-4,
-                              max_backtracks: int = 30) -> OptimizationResult:
+def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResult:
     """Steepest descent with Armijo backtracking line search.
 
     Gradients come from counted central differences, so each iteration
@@ -354,27 +322,27 @@ def minimize_gradient_descent(problem: OptimizationProblem,
     ws = _get_workspace(problem)
     counted = _CountedObjective(ws, problem)
     x = params_to_vector(problem.initial)
-    step = initial_step
+    step = _GD_INITIAL_STEP
     converged = False
     try:
         f = counted(x)
         while True:
-            grad = _counted_gradient(counted, x, fd_step)
+            grad = _central_differences(counted, x, _GD_FD_STEP)
             gnorm_sq = float(grad @ grad)
             if np.sqrt(gnorm_sq) < 1e-10:
                 converged = True
                 break
             alpha = step
             accepted = False
-            for _ in range(max_backtracks):
+            for _ in range(_GD_MAX_BACKTRACKS):
                 trial = x - alpha * grad
                 f_trial = counted(trial)
-                if f_trial <= f - armijo_c * alpha * gnorm_sq:
+                if f_trial <= f - _GD_ARMIJO_C * alpha * gnorm_sq:
                     x, f = trial, f_trial
-                    step = alpha * grow
+                    step = alpha * _GD_GROW
                     accepted = True
                     break
-                alpha *= shrink
+                alpha *= _GD_SHRINK
             if not accepted:
                 converged = True  # no descent step representable: stationary
                 break
@@ -441,9 +409,7 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     the harmonic basis.  Starting here instead of at a plain linear
     sweep lands the sidelobe optimizer in a far better basin.
     """
-    n = int(round(sample_rate_hz * duration_s))
-    duration = n / sample_rate_hz
-    t = (np.arange(n) + 0.5) / sample_rate_hz
+    n, duration, t = _sample_grid(duration_s, sample_rate_hz)
     m = 8192
     window = _taylor_window(m, nbar=nbar, sll=sidelobe_db, norm=False).astype(float)
     cum = np.cumsum(window)
@@ -451,9 +417,8 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     f_grid = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, m)
     f_of_t = np.interp(t, cum * duration, f_grid)
     phase = 2.0 * np.pi * np.cumsum(f_of_t) / sample_rate_hz
-    k = np.arange(1, num_harmonics + 1)
-    arg = 2.0 * np.pi * np.outer(t, k) / duration
-    alpha = (2.0 / n) * (np.cos(arg).T @ phase)
-    beta = (2.0 / n) * (np.sin(arg).T @ phase)
+    cos, sin = _harmonic_basis(t, num_harmonics, duration)
+    alpha = (2.0 / n) * (cos.T @ phase)
+    beta = (2.0 / n) * (sin.T @ phase)
     return MtsfmParameters(num_harmonics=num_harmonics, alpha=alpha, beta=beta,
                            duration_s=duration)

@@ -161,6 +161,25 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     return Spectrum(freqs_hz=freqs, magnitude=mag, total_energy=signal.energy())
 
 
+def p99_bandwidth(spec: Spectrum, fraction: float = 0.99) -> float:
+    """Width of the central band holding `fraction` of the spectral energy.
+
+    The band edges are the (1-fraction)/2 and 1-(1-fraction)/2 energy
+    quantiles of |S|^2, linearly interpolated between bins.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise InvalidInputError("fraction must lie in (0, 1)")
+    power = spec.magnitude**2
+    total = power.sum()
+    if total == 0.0:
+        raise InvalidInputError("spectrum has zero energy")
+    cum = np.cumsum(power) / total
+    tail = (1.0 - fraction) / 2.0
+    f_lo = float(np.interp(tail, cum, spec.freqs_hz))
+    f_hi = float(np.interp(1.0 - tail, cum, spec.freqs_hz))
+    return f_hi - f_lo
+
+
 def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spectrogram:
     """Hann-windowed short-time spectrogram, dB relative to the global peak.
 
@@ -201,21 +220,6 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
     )
 
 
-def _occupied_bandwidth(signal: SampledSignal, fraction: float = 0.99) -> float:
-    """Width of the central band holding `fraction` of the signal energy."""
-    spec = spectrum(signal, zero_pad_factor=1)
-    power = spec.magnitude**2
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    cum = np.cumsum(power) / total
-    lo = (1.0 - fraction) / 2.0
-    i_lo = int(np.searchsorted(cum, lo))
-    i_hi = int(np.searchsorted(cum, 1.0 - lo))
-    i_hi = min(i_hi, spec.freqs_hz.size - 1)
-    return float(spec.freqs_hz[i_hi] - spec.freqs_hz[i_lo])
-
-
 def to_passband(signal: SampledSignal) -> np.ndarray:
     """Convert a baseband signal to a real passband sample sequence.
 
@@ -224,12 +228,12 @@ def to_passband(signal: SampledSignal) -> np.ndarray:
     baseband samples.
 
     Raises:
-        InvalidInputError: if the carrier plus half the occupied
-            bandwidth exceeds the Nyquist frequency.
+        InvalidInputError: if the carrier plus half the 99% energy
+            bandwidth (see `p99_bandwidth`) exceeds the Nyquist frequency.
     """
     fc = signal.center_freq_hz
     if fc > 0:
-        occupied = _occupied_bandwidth(signal)
+        occupied = p99_bandwidth(spectrum(signal, zero_pad_factor=1))
         if fc + occupied / 2.0 >= signal.sample_rate_hz / 2.0:
             raise InvalidInputError(
                 f"carrier {fc} Hz + half occupied bandwidth {occupied / 2:.1f} Hz "

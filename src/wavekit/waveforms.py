@@ -17,6 +17,8 @@ from .costas import CostasCode
 from .errors import InvalidInputError
 from .signal import SampledSignal
 
+_SWEEP_POINTS = 4096
+
 
 def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1):
     """Snapped sample count, duration, and midpoint time grid.
@@ -44,12 +46,22 @@ def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1)
     return n, duration, t
 
 
+def _harmonic_basis(t: np.ndarray, num_harmonics: int, duration_s: float):
+    """cos and sin of 2*pi*k*t/T for k = 1..K, one row per time, one column per k."""
+    k = np.arange(1, num_harmonics + 1)
+    arg = 2.0 * np.pi * np.outer(np.asarray(t, dtype=float), k) / duration_s
+    return np.cos(arg), np.sin(arg)
+
+
+def _unit_modulus(phase: np.ndarray) -> np.ndarray:
+    """Unit-energy constant-amplitude samples exp(j*phase)/sqrt(N)."""
+    return np.exp(1j * phase) / np.sqrt(phase.size)
+
+
 def _unit_fm(phase: np.ndarray, sample_rate_hz: float, duration_s: float,
              center_freq_hz: float = 0.0) -> SampledSignal:
     """Wrap a phase function into a unit-energy constant-amplitude signal."""
-    n = phase.size
-    samples = np.exp(1j * phase) / np.sqrt(n)
-    return SampledSignal(samples=samples, sample_rate_hz=sample_rate_hz,
+    return SampledSignal(samples=_unit_modulus(phase), sample_rate_hz=sample_rate_hz,
                          center_freq_hz=center_freq_hz, duration_s=duration_s)
 
 
@@ -92,9 +104,8 @@ class MtsfmParameters:
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         """Evaluate phi(t) on an arbitrary time grid."""
-        k = np.arange(1, self.num_harmonics + 1)
-        arg = 2.0 * np.pi * np.outer(np.asarray(t, dtype=float), k) / self.duration_s
-        return np.cos(arg) @ self.alpha + np.sin(arg) @ self.beta
+        cos, sin = _harmonic_basis(t, self.num_harmonics, self.duration_s)
+        return cos @ self.alpha + sin @ self.beta
 
 
 def instantaneous_frequency(params: MtsfmParameters, t_grid) -> np.ndarray:
@@ -117,13 +128,13 @@ def instantaneous_frequency(params: MtsfmParameters, t_grid) -> np.ndarray:
         raise InvalidInputError("t_grid values must lie in [0, T)")
     period = params.duration_s
     k = np.arange(1, params.num_harmonics + 1)
-    arg = 2.0 * np.pi * np.outer(t, k) / period
-    return (-np.sin(arg) * (k / period)) @ params.alpha + (np.cos(arg) * (k / period)) @ params.beta
+    cos, sin = _harmonic_basis(t, params.num_harmonics, period)
+    return (-sin * (k / period)) @ params.alpha + (cos * (k / period)) @ params.beta
 
 
-def swept_bandwidth(params: MtsfmParameters, num_eval: int = 4096) -> float:
-    """Swept bandwidth B = 2 * max_t |f(t)| (peak frequency excursion)."""
-    t = np.arange(num_eval) * (params.duration_s / num_eval)
+def swept_bandwidth(params: MtsfmParameters) -> float:
+    """Swept bandwidth B = 2 * max |f(t)| over _SWEEP_POINTS even times in [0, T)."""
+    t = np.arange(_SWEEP_POINTS) * (params.duration_s / _SWEEP_POINTS)
     return 2.0 * float(np.max(np.abs(instantaneous_frequency(params, t))))
 
 
@@ -261,10 +272,7 @@ def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float,
     if bandwidth_hz is not None and abs(bandwidth_hz - band) > 1e-3 * band:
         raise InvalidInputError(f"P4 bandwidth is fixed at N/T = {band} Hz by N and T")
     n, duration, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)
-    chip_len = n // num_chips
-    idx = np.arange(1, num_chips + 1, dtype=float)
-    chip_phase = np.pi * (idx - 1) ** 2 / num_chips - np.pi * (idx - 1)
-    phase = np.repeat(chip_phase, chip_len)
+    phase = np.repeat(p4_chip_phases(num_chips), n // num_chips)
     return _unit_fm(phase, sample_rate_hz, duration)
 
 
@@ -292,8 +300,7 @@ def synth_geometric_comb(num_tones: int, ratio: float, bandwidth_hz: float,
         raise InvalidInputError("geometric comb requires ratio > 1")
     if bandwidth_hz <= 0:
         raise InvalidInputError("bandwidth_hz must be positive")
-    f_min = bandwidth_hz / (ratio ** (num_tones - 1) - 1.0)
-    freqs = f_min * ratio ** np.arange(num_tones)
+    freqs = comb_tone_frequencies(num_tones, ratio, bandwidth_hz)
     if freqs[-1] >= sample_rate_hz / 2.0:
         raise InvalidInputError("comb tones exceed the Nyquist frequency")
     _, duration, t = _sample_grid(duration_s, sample_rate_hz)

@@ -1,7 +1,9 @@
 """End-to-end CLI runs: temp configs in, CSV/JSON/WAV artifacts out."""
 
 import json
+import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -72,6 +74,15 @@ def test_synth_writes_csv_json_and_wav(tmp_path):
     assert rate == 1000
     assert data.dtype == np.float32
     assert data.shape == (1000,)
+
+
+def test_artifacts_get_the_umask_file_mode(tmp_path):
+    cfg = _config(tmp_path, CW_SYNTH)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE((out / "waveform.csv").stat().st_mode) == 0o666 & ~umask
 
 
 def test_synth_format_filter_limits_outputs(tmp_path):
@@ -225,6 +236,18 @@ def test_simulate_rejects_empty_doppler_list(tmp_path):
                  str(tmp_path / "out")]) == 2
 
 
+def test_simulate_rejects_non_numeric_doppler_list(tmp_path, capsys):
+    cfg = _config(tmp_path, {
+        "command": "simulate",
+        "waveform": {"kind": "lfm", "bandwidth_hz": 64.0, "duration_s": 1.0},
+        "scene": {"benchmark_bandwidth_hz": 64.0},
+        "dopplers_hz": [0.0, "fast"],
+    })
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "'dopplers_hz' must contain numbers" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- compare
 
 def test_compare_bundle(tmp_path):
@@ -285,6 +308,19 @@ def test_unknown_waveform_kind_exits_2(tmp_path):
     cfg = _config(tmp_path, {"command": "synth",
                              "waveform": {"kind": "zap", "duration_s": 1.0}})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("waveform, key", [
+    ({"kind": "cw", "duration_s": float("inf")}, "duration_s"),
+    ({"kind": "lfm", "bandwidth_hz": float("nan"), "duration_s": 1.0}, "bandwidth_hz"),
+    ({"kind": "cw", "duration_s": 10**400}, "duration_s"),
+], ids=["infinite_duration", "nan_bandwidth", "integer_beyond_float_range"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, waveform, key):
+    cfg = _config(tmp_path, {"command": "synth", "waveform": waveform})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_command_mismatch_exits_2(tmp_path):

@@ -184,6 +184,14 @@ def test_objective_negation_invariances():
         assert evaluate_objective(flipped, problem) == pytest.approx(f, abs=1e-9)
 
 
+def test_workspace_cache_is_bounded():
+    cache = wk.optimize._workspace
+    for fs in 64.0 + np.arange(12):
+        problem = dataclasses.replace(_tiny_problem(), sample_rate_hz=fs)
+        evaluate_objective(problem.initial, problem)
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize < 12
+
+
 def test_objective_rejects_harmonic_mismatch():
     problem = _tiny_problem()
     other = MtsfmParameters(num_harmonics=3, alpha=np.zeros(3),

@@ -135,3 +135,12 @@ def test_to_passband_rejects_carrier_beyond_nyquist():
     sig = wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=112.0)
     with pytest.raises(InvalidInputError):
         wk.to_passband(sig)
+
+
+def test_to_passband_guard_edge_is_half_the_p99_bandwidth_below_nyquist():
+    """The guard uses the interpolated 99% width, so its edge is not on a bin."""
+    width = wk.p99_bandwidth(wk.spectrum(wk.synth_lfm(64.0, 1.0, 256.0), 1))
+    edge = 128.0 - width / 2.0
+    wk.to_passband(wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=edge - 0.1))
+    with pytest.raises(InvalidInputError):
+        wk.to_passband(wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=edge + 0.1))
