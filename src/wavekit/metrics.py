@@ -118,10 +118,13 @@ def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear correlation y[k] = sum_n a[n] * conj(b[n-k]).
 
     Lags k run from -(len(b)-1) to len(a)-1 and a delayed copy of b
-    inside a produces a peak at positive k equal to the delay.
+    inside a produces a peak at positive k equal to the delay.  When b
+    is a, its transform is taken once and reused.
     """
     nfft = _next_pow2(a.size + b.size)
-    cross = np.fft.fft(a, nfft) * np.conj(np.fft.fft(b, nfft))
+    fa = np.fft.fft(a, nfft)
+    fb = fa if b is a else np.fft.fft(b, nfft)
+    cross = fa * np.conj(fb)
     return _xcorr_from_spectrum(cross, a.size, b.size)
 
 

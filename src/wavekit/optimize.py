@@ -8,10 +8,13 @@ amplitude by construction, so the search never leaves the feasible
 amplitude class.
 
 Three minimizers share one evaluation contract: a seeded Nelder-Mead
-simplex, a steepest-descent/backtracking scheme built on central finite
-differences, and an L-BFGS quasi-Newton refinement.  Every objective
-evaluation is counted against the problem budget; exhausting the budget
-returns the best design found so far with converged=False.
+simplex, a steepest-descent/backtracking scheme, and an L-BFGS
+quasi-Newton refinement.  The two gradient methods use the analytic
+gradient, computed in the same call as the objective value (the
+chain rule through s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin
+basis).  Every call is counted against the problem budget, and an
+objective-plus-gradient call counts as one evaluation; exhausting the
+budget returns the best design found so far with converged=False.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ _GD_INITIAL_STEP = 0.5
 _GD_SHRINK = 0.5
 _GD_GROW = 1.3
 _GD_ARMIJO_C = 1e-4
-_GD_FD_STEP = 1e-4
 _GD_MAX_BACKTRACKS = 30
 
 
@@ -90,6 +92,11 @@ class OptimizationResult:
     objective (10*log10 for ISL, 20*log10 for the PSL soft-max); the
     trace holds (evaluation index, objective value) pairs at each
     best-so-far improvement, so it is nonincreasing by construction.
+    stop_reason says why the search ended: "budget" (evaluations
+    exhausted), "tolerance" (the change in f or in the simplex fell
+    below the minimizer's tolerance), "stationary" (the gradient
+    vanished) or "line_search" (no step along the search direction
+    reduced f).
     """
 
     final: MtsfmParameters
@@ -98,6 +105,7 @@ class OptimizationResult:
     trace: tuple
     converged: bool
     evaluations_used: int
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return {
@@ -105,6 +113,7 @@ class OptimizationResult:
             "final_objective_db": self.final_objective_db,
             "converged": self.converged,
             "evaluations_used": self.evaluations_used,
+            "stop_reason": self.stop_reason,
             "num_harmonics": self.final.num_harmonics,
             "duration_s": self.final.duration_s,
         }
@@ -116,7 +125,8 @@ class _Workspace:
     Caches the harmonic basis, FFT size, region mask, and frequency
     grid so a single objective evaluation costs one FFT pair: the
     forward transform of the samples feeds both the autocorrelation and
-    the RMS bandwidth.
+    the RMS bandwidth.  The analytic gradient adds one more FFT pair and
+    two N x K products to that same evaluation.
     """
 
     def __init__(self, num_harmonics: int, duration_s: float, sample_rate_hz: float,
@@ -127,34 +137,73 @@ class _Workspace:
         self.num_harmonics = num_harmonics
         self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
         self.nfft = _next_pow2(2 * n)
-        lags = np.arange(-(n - 1), n) / sample_rate_hz
-        self.region_mask = region.mask(lags)
+        lags = np.arange(-(n - 1), n)
+        self.region_mask = region.mask(lags / sample_rate_hz)
         if not np.any(self.region_mask):
             raise InvalidInputError("region contains no lag samples")
+        # Where each region lag sits in the circular (unshifted) FFT order.
+        self.region_bins = lags[self.region_mask] % self.nfft
         self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))
 
-    def transform(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Zero-padded FFT of the samples of coefficients x, and their RMS bandwidth."""
+    def _forward(self, x: np.ndarray, problem: OptimizationProblem):
+        """Objective value of coefficients x and the intermediates its gradient reuses."""
         k = self.num_harmonics
-        phase = self.cos_basis @ x[:k] + self.sin_basis @ x[k:]
-        spec = np.fft.fft(_unit_modulus(phase), self.nfft)
-        return spec, _rms_width(self.freqs, np.abs(np.fft.fftshift(spec)) ** 2)
-
-    def objective(self, x: np.ndarray, problem: OptimizationProblem) -> float:
-        spec, bw = self.transform(x)
+        samples = _unit_modulus(self.cos_basis @ x[:k] + self.sin_basis @ x[k:])
+        spec = np.fft.fft(samples, self.nfft)
+        power = np.abs(np.fft.fftshift(spec)) ** 2
+        bw = _rms_width(self.freqs, power)
         n = self.num_samples
-        mag = np.abs(_xcorr_from_spectrum(spec * np.conj(spec), n, n))
+        corr = _xcorr_from_spectrum(spec * np.conj(spec), n, n)
+        mag = np.abs(corr)
         mag = (mag / mag[n - 1])[self.region_mask]
         if problem.objective == "isl":
             metric = float(np.sum(mag**2)) / self.sample_rate_hz
+            dmetric = 2.0 * mag / self.sample_rate_hz
         else:
             peak = mag.max()
-            metric = peak + float(
-                np.log(np.sum(np.exp(_PSL_SHARPNESS * (mag - peak))))
-            ) / _PSL_SHARPNESS
+            soft = np.exp(_PSL_SHARPNESS * (mag - peak))
+            total = np.sum(soft)
+            metric = peak + float(np.log(total)) / _PSL_SHARPNESS
+            dmetric = soft / total
         target = problem.bandwidth_target_hz
         excess = max(0.0, abs(bw - target) / target - problem.bandwidth_tolerance)
-        return metric + problem.penalty_weight * excess * excess
+        value = metric + problem.penalty_weight * excess * excess
+        return value, bw, (samples, spec, power, corr, dmetric, excess)
+
+    def objective(self, x: np.ndarray, problem: OptimizationProblem) -> float:
+        return self._forward(x, problem)[0]
+
+    def objective_and_gradient(self, x: np.ndarray, problem: OptimizationProblem):
+        """Objective value (bitwise equal to objective) and its analytic gradient.
+
+        The objective is a function of the power spectrum P = |S|^2 of the
+        samples s[n] = exp(j phi[n])/sqrt(N).  Its derivative h = df/dP
+        gathers the region metric, carried back from the lag domain by one
+        FFT, and the bandwidth penalty.  Then df/dphi[n] = 2 Im(conj(s[n])
+        * ifft(S * M h)[n]) with M the FFT length, and the chain rule
+        through phi = C alpha + S beta projects it onto the coefficients.
+        """
+        value, bw, (samples, spec, power, corr, dmetric, excess) = self._forward(x, problem)
+        n, m = self.num_samples, self.nfft
+        # 2 df/d conj(R[k]) on the region, R normalized by its lag-0 value,
+        # which unit-modulus synthesis holds fixed.
+        region = corr[self.region_mask]
+        radius = np.abs(region)
+        lag_weight = np.zeros(m, dtype=complex)
+        lag_weight[self.region_bins] = np.divide(
+            dmetric * region, radius * abs(corr[n - 1]),
+            out=np.zeros_like(region), where=radius > 0)
+        spec_weight = np.fft.fft(lag_weight).real
+        if excess > 0.0:
+            # d penalty/dB = 2 w excess sign(B - target) / target, and
+            # dB/dP = ((f - centroid)^2 - B^2) / (2 B sum P) on the shifted grid.
+            target = problem.bandwidth_target_hz
+            total = power.sum()
+            centroid = (self.freqs * power).sum() / total
+            scale = problem.penalty_weight * excess * np.sign(bw - target) / (target * bw * total)
+            spec_weight += np.fft.ifftshift(m * scale * ((self.freqs - centroid) ** 2 - bw * bw))
+        dphase = 2.0 * np.imag(np.conj(samples) * np.fft.ifft(spec * spec_weight)[:n])
+        return value, np.concatenate([self.cos_basis.T @ dphase, self.sin_basis.T @ dphase])
 
 
 # Bounded so a long-lived process that meets many geometries does not grow.
@@ -198,7 +247,12 @@ class _BudgetExhausted(Exception):
 
 
 class _CountedObjective:
-    """Counts evaluations, tracks best-so-far, and enforces the budget."""
+    """Counts evaluations, tracks best-so-far, and enforces the budget.
+
+    Calling it returns the objective value; value_and_gradient returns
+    the value and its analytic gradient.  Either counts as one
+    evaluation, and the budget is checked before anything is computed.
+    """
 
     def __init__(self, ws: _Workspace, problem: OptimizationProblem):
         self.ws = ws
@@ -209,10 +263,20 @@ class _CountedObjective:
         self.trace: list[tuple[int, float]] = []
 
     def __call__(self, x: np.ndarray) -> float:
+        self._spend()
+        return self._track(x, self.ws.objective(np.asarray(x, dtype=float), self.problem))
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        self._spend()
+        f, grad = self.ws.objective_and_gradient(np.asarray(x, dtype=float), self.problem)
+        return self._track(x, f), grad
+
+    def _spend(self) -> None:
         if self.count >= self.problem.budget:
             raise _BudgetExhausted()
         self.count += 1
-        f = self.ws.objective(np.asarray(x, dtype=float), self.problem)
+
+    def _track(self, x: np.ndarray, f: float) -> float:
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=float, copy=True)
@@ -227,14 +291,14 @@ def objective_db(value: float, objective: str) -> float:
 
 
 def _finish(counted: _CountedObjective, problem: OptimizationProblem,
-            converged_hint: bool) -> OptimizationResult:
+            converged_hint: bool, stop_reason: str) -> OptimizationResult:
     ws = counted.ws
     x_best = counted.best_x
     if x_best is None:
         x_best = params_to_vector(problem.initial)
         counted.best_f = ws.objective(x_best, problem)
         counted.trace.append((0, float(counted.best_f)))
-    _, bw = ws.transform(x_best)
+    _, bw, _ = ws._forward(x_best, problem)
     feasible = (abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
                 <= problem.bandwidth_tolerance + 1e-6)
     initial_f = counted.trace[0][1]
@@ -245,6 +309,7 @@ def _finish(counted: _CountedObjective, problem: OptimizationProblem,
         trace=tuple(counted.trace),
         converged=bool(converged_hint and feasible),
         evaluations_used=counted.count,
+        stop_reason=stop_reason,
     )
 
 
@@ -255,6 +320,8 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     small seeded jitter, so reruns with the same seed reproduce the
     trace exactly.  Stops when the simplex diameter falls below 1e-8 or
     the budget is exhausted (converged=False, best design returned).
+    The stop reason is "tolerance" on scipy's success flag and "budget"
+    otherwise.
     """
     ws = _get_workspace(problem)
     counted = _CountedObjective(ws, problem)
@@ -284,38 +351,40 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
         success = bool(res.success)
     except _BudgetExhausted:
         success = False
-    return _finish(counted, problem, success)
+    return _finish(counted, problem, success, "tolerance" if success else "budget")
 
 
 def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationProblem,
                                step: float) -> np.ndarray:
-    """Central-difference gradient of evaluate_objective per coefficient."""
+    """Central-difference gradient of evaluate_objective per coefficient.
+
+    Two objective calls per coefficient.  The minimizers use the analytic
+    gradient instead; this is the oracle it is tested against.
+    """
     if step <= 0:
         raise InvalidInputError("step must be positive")
     ws = _get_workspace(problem)
-    return _central_differences(lambda v: ws.objective(v, problem),
-                                params_to_vector(params), step)
-
-
-def _central_differences(func, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient of func at x, two calls per coordinate."""
+    x = params_to_vector(params)
     grad = np.empty(x.size)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        grad[i] = (func(xp) - func(xm)) / (2.0 * step)
+        grad[i] = (ws.objective(xp, problem) - ws.objective(xm, problem)) / (2.0 * step)
     return grad
 
 
 def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResult:
     """Steepest descent with Armijo backtracking line search.
 
-    Gradients come from counted central differences, so each iteration
-    costs 4K+line-search evaluations against the budget.  The line
+    Every line-search trial is an objective-plus-gradient call, so an
+    accepted trial already carries the next gradient and each iteration
+    costs only its line-search evaluations against the budget.  The line
     search only ever accepts improvements, so the best-so-far trace is
-    monotone by construction.
+    monotone by construction.  Stops "stationary" when the gradient norm
+    falls below 1e-10 and "line_search" when no backtracked step
+    satisfies the Armijo condition; both count as converged.
     """
     if problem.budget < 2:
         raise InvalidInputError("gradient descent needs budget >= 2")
@@ -323,54 +392,60 @@ def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResul
     counted = _CountedObjective(ws, problem)
     x = params_to_vector(problem.initial)
     step = _GD_INITIAL_STEP
-    converged = False
     try:
-        f = counted(x)
+        f, grad = counted.value_and_gradient(x)
         while True:
-            grad = _central_differences(counted, x, _GD_FD_STEP)
             gnorm_sq = float(grad @ grad)
             if np.sqrt(gnorm_sq) < 1e-10:
-                converged = True
+                stop_reason = "stationary"
                 break
             alpha = step
-            accepted = False
             for _ in range(_GD_MAX_BACKTRACKS):
                 trial = x - alpha * grad
-                f_trial = counted(trial)
+                f_trial, grad_trial = counted.value_and_gradient(trial)
                 if f_trial <= f - _GD_ARMIJO_C * alpha * gnorm_sq:
-                    x, f = trial, f_trial
+                    x, f, grad = trial, f_trial, grad_trial
                     step = alpha * _GD_GROW
-                    accepted = True
                     break
                 alpha *= _GD_SHRINK
-            if not accepted:
-                converged = True  # no descent step representable: stationary
+            else:
+                stop_reason = "line_search"  # no descent step representable
                 break
     except _BudgetExhausted:
-        converged = False
-    return _finish(counted, problem, converged)
+        stop_reason = "budget"
+    return _finish(counted, problem, stop_reason != "budget", stop_reason)
+
+
+def _lbfgs_stop_reason(res) -> str:
+    """Map L-BFGS-B's termination status and message onto a stop reason."""
+    if res.status == 0:
+        return "stationary" if "PROJECTED GRADIENT" in res.message else "tolerance"
+    if res.status == 1:
+        return "budget"  # scipy's own iteration/evaluation limits
+    return "line_search"  # ABNORMAL/WARNING: the line search made no progress
 
 
 def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
-    """L-BFGS quasi-Newton refinement (finite-difference gradients).
+    """L-BFGS quasi-Newton refinement on the analytic gradient.
 
     An extension beyond the two baseline minimizers: markedly faster on
-    the ill-conditioned TBP-256 design problems.  Same evaluation
-    budget, determinism, and result contract.
+    the ill-conditioned TBP-256 design problems.  Each function-and-
+    gradient call scipy makes is one evaluation of the budget.  Same
+    determinism and result contract as the other minimizers; the stop
+    reason comes from L-BFGS-B's termination message.
     """
     ws = _get_workspace(problem)
     counted = _CountedObjective(ws, problem)
     x0 = params_to_vector(problem.initial)
-    success = False
     try:
         res = _scipy_minimize(
-            counted, x0, method="L-BFGS-B",
+            counted.value_and_gradient, x0, jac=True, method="L-BFGS-B",
             options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": 1e-12},
         )
-        success = bool(res.success)
+        success, stop_reason = bool(res.success), _lbfgs_stop_reason(res)
     except _BudgetExhausted:
-        success = False
-    return _finish(counted, problem, success)
+        success, stop_reason = False, "budget"
+    return _finish(counted, problem, success, stop_reason)
 
 
 def optimize_waveform(problem: OptimizationProblem,

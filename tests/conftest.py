@@ -26,8 +26,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def tbp256():
     """The TBP-256 sidelobe-optimized MTSFM design (K=32, ISL objective).
 
-    Tapered-NLFM start refined by L-BFGS under the full 20k evaluation
-    budget; takes a few seconds, so it runs once per session.
+    Tapered-NLFM start refined by L-BFGS on the analytic gradient under
+    a 20k evaluation budget.  It stops by its own tolerance test after
+    about 530 evaluations (about a second); it runs once per session.
     """
     bandwidth, duration, fs = 256.0, 1.0, 2048.0
     region = wk.default_region(bandwidth, duration)

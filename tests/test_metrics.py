@@ -5,6 +5,7 @@ import pytest
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
+from wavekit.metrics import _linear_xcorr
 
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
                      direct_xcorr_mag, spectral_moment_rms)
@@ -59,6 +60,20 @@ def test_cross_correlation_of_signal_with_itself_is_autocorrelation():
     b = wk.autocorrelation(sig)
     np.testing.assert_allclose(a.magnitude_db, b.magnitude_db, atol=0)
     np.testing.assert_allclose(a.lags_s, b.lags_s, atol=0)
+
+
+def test_autocorrelation_takes_one_forward_transform(monkeypatch):
+    """Reusing the transform of a for b is bitwise the two-transform result."""
+    s = wk.synth_hfm(40.0, 80.0, 1.0, 512.0).samples
+    assert np.array_equal(_linear_xcorr(s, s), _linear_xcorr(s, s.copy()))
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+    sig = wk.synth_lfm(64.0, 1.0, 512.0)
+    wk.autocorrelation(sig)
+    assert len(calls) == 1
+    wk.metrics_report(sig, 64.0)
+    assert len(calls) == 1 + 2
 
 
 def test_cross_correlation_reversal_symmetry():

@@ -9,10 +9,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
-from wavekit.optimize import (OptimizationProblem, default_initial_parameters,
+from wavekit.optimize import (OptimizationProblem, _get_workspace,
+                              default_initial_parameters,
                               evaluate_objective, finite_difference_gradient,
                               minimize_gradient_descent, minimize_lbfgs,
                               minimize_nelder_mead, nlfm_initial_parameters,
@@ -255,12 +258,63 @@ def test_gradient_step_refinement_consistency():
     np.testing.assert_allclose(g4, g5, atol=1e-9)
 
 
+def _analytic_gradient(params, problem):
+    return _get_workspace(problem).objective_and_gradient(
+        params_to_vector(params), problem)
+
+
+# Finite differences at step 1e-5 carry O(h^2) truncation error, which the
+# PSL soft-max (sharpness 50) makes larger, and an absolute round-off floor
+# of about eps * f / h.
+_GRADIENT_RTOL = {"isl": 1e-6, "psl": 1e-5}
+_GRADIENT_ATOL = 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(objective=st.sampled_from(("isl", "psl")), penalty=st.booleans(),
+       coefficients=st.integers(1, 3).flatmap(lambda k: st.lists(
+           st.floats(-6.0, 6.0, allow_nan=False), min_size=2 * k, max_size=2 * k)))
+def test_analytic_gradient_matches_finite_differences(objective, penalty, coefficients):
+    params = vector_to_params(np.array(coefficients), 1.0)
+    bw = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(params, 256.0), 2))
+    # Tolerance 0.1 either side of the candidate's own bandwidth leaves the
+    # penalty off; twice that bandwidth as target switches it on.
+    problem = dataclasses.replace(
+        _tiny_problem(objective=objective, tolerance=0.1,
+                      target=2.0 * bw if penalty else bw), initial=params)
+    value, grad = _analytic_gradient(params, problem)
+    assert value == evaluate_objective(params, problem)
+    excess = abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz - 0.1
+    assert (excess > 0) == penalty
+    expected = finite_difference_gradient(params, problem, 1e-5)
+    assert np.linalg.norm(grad - expected) <= (
+        _GRADIENT_RTOL[objective] * np.linalg.norm(expected) + _GRADIENT_ATOL)
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+@pytest.mark.parametrize("target_scale", [1.0, 1.5])
+def test_analytic_gradient_on_the_tbp256_start(objective, target_scale):
+    """K = 32 at N = 2048, penalty off (scale 1) and on (scale 1.5)."""
+    initial = nlfm_initial_parameters(256.0, 1.0, 32, 2048.0)
+    target = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(initial, 2048.0), 2))
+    problem = OptimizationProblem(
+        initial=initial, region=wk.default_region(256.0, 1.0), objective=objective,
+        bandwidth_target_hz=target_scale * target, bandwidth_tolerance=0.1,
+        penalty_weight=1.0, budget=100, seed=0, sample_rate_hz=2048.0)
+    value, grad = _analytic_gradient(initial, problem)
+    assert value == evaluate_objective(initial, problem)
+    expected = finite_difference_gradient(initial, problem, 1e-5)
+    assert np.linalg.norm(grad - expected) <= (
+        _GRADIENT_RTOL[objective] * np.linalg.norm(expected))
+
+
 def test_gradient_vanishes_at_symmetric_origin():
     """f(x) = f(-x), so all-zero coefficients are a stationary point."""
     problem = _tiny_problem()
     zero = MtsfmParameters(num_harmonics=2, alpha=np.zeros(2),
                            beta=np.zeros(2), duration_s=1.0)
     assert np.abs(finite_difference_gradient(zero, problem, 1e-4)).max() < 1e-9
+    assert np.abs(_analytic_gradient(zero, problem)[1]).max() < 1e-12
 
 
 # ------------------------------------------------------------ search methods
@@ -308,6 +362,30 @@ def test_budget_exhaustion_reports_not_converged():
     result = minimize_nelder_mead(_tiny_problem(budget=50))
     assert not result.converged
     assert result.evaluations_used == 50
+    assert result.stop_reason == "budget"
+
+
+@pytest.mark.parametrize("method", ["gradient_descent", "lbfgs"])
+def test_gradient_methods_count_one_evaluation_per_gradient_call(method):
+    result = optimize_waveform(_tiny_problem(budget=10), method=method)
+    assert not result.converged
+    assert result.evaluations_used == 10
+    assert result.stop_reason == "budget"
+
+
+def test_tbp256_fixture_stops_on_tolerance(tbp256):
+    result = tbp256["result"]
+    assert result.stop_reason == "tolerance"
+    assert result.converged
+    assert result.evaluations_used < tbp256["problem"].budget
+
+
+def test_gradient_descent_stops_stationary_at_symmetric_origin():
+    zero = MtsfmParameters(num_harmonics=2, alpha=np.zeros(2),
+                           beta=np.zeros(2), duration_s=1.0)
+    result = minimize_gradient_descent(dataclasses.replace(_tiny_problem(), initial=zero))
+    assert result.stop_reason == "stationary"
+    assert result.evaluations_used == 1
 
 
 def test_nelder_mead_rejects_budget_below_simplex():
@@ -396,7 +474,7 @@ def test_result_to_dict_keys():
     result = minimize_nelder_mead(_tiny_problem(budget=600))
     d = result.to_dict()
     assert set(d) == {"initial_objective_db", "final_objective_db",
-                      "converged", "evaluations_used", "num_harmonics",
-                      "duration_s"}
+                      "converged", "evaluations_used", "stop_reason",
+                      "num_harmonics", "duration_s"}
     assert d["num_harmonics"] == 2
     assert d["duration_s"] == 1.0
