@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (_Tree, load_config, parse_dopplers, parse_region,
+from .config import (_float_list, _Tree, load_config, parse_dopplers, parse_region,
                      parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import write_csv, write_json, write_wav
@@ -26,8 +26,7 @@ from .optimize import (OptimizationProblem, default_initial_parameters,
                        optimize_waveform)
 from .scene import mf_bank, resolvability_report, simulate_returns
 from .signal import SampledSignal, spectrogram, spectrum, to_db, to_passband
-from .waveforms import (MtsfmParameters, WaveformSpec, swept_bandwidth,
-                        synth_mtsfm, synth_waveform)
+from .waveforms import MtsfmParameters, WaveformSpec, synth_mtsfm, synth_waveform
 
 _FORMATS = ("csv", "json", "wav")
 
@@ -72,32 +71,23 @@ def _default_window(num_samples: int) -> int:
     return max(2, min(window, num_samples))
 
 
-def _parse_analysis_options(tree: _Tree, spec: WaveformSpec):
+def _parse_analysis_options(tree: _Tree, duration_s: float):
+    """Analysis-bundle options; an empty tree gives the defaults."""
     zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
-    sg = tree.take_subtree("spectrogram", default=None)
-    if sg is None:
-        window_len, overlap = None, 0.75
-    else:
-        window_len = sg.take_int("window_len_samples", default=None, minimum=2)
-        overlap = sg.take_number("overlap", default=0.75, minimum=0.0)
-        sg.finish()
-    af = tree.take_subtree("ambiguity", default=None)
-    if af is None:
-        af_opts = {"max_delay_s": spec.duration_s / 2.0,
-                   "max_doppler_hz": 10.0 / spec.duration_s,
-                   "num_delays": 129, "num_dopplers": 129}
-    else:
-        af_opts = {
-            "max_delay_s": af.take_number("max_delay_s",
-                                          default=spec.duration_s / 2.0,
-                                          positive=True),
-            "max_doppler_hz": af.take_number("max_doppler_hz",
-                                             default=10.0 / spec.duration_s,
-                                             positive=True),
-            "num_delays": af.take_int("num_delays", default=129, minimum=2),
-            "num_dopplers": af.take_int("num_dopplers", default=129, minimum=2),
-        }
-        af.finish()
+    sg = tree.take_subtree("spectrogram", default=None) or _Tree({}, "spectrogram")
+    window_len = sg.take_int("window_len_samples", default=None, minimum=2)
+    overlap = sg.take_number("overlap", default=0.75, minimum=0.0)
+    sg.finish()
+    af = tree.take_subtree("ambiguity", default=None) or _Tree({}, "ambiguity")
+    af_opts = {
+        "max_delay_s": af.take_number("max_delay_s", default=duration_s / 2.0,
+                                      positive=True),
+        "max_doppler_hz": af.take_number("max_doppler_hz", default=10.0 / duration_s,
+                                         positive=True),
+        "num_delays": af.take_int("num_delays", default=129, minimum=2),
+        "num_dopplers": af.take_int("num_dopplers", default=129, minimum=2),
+    }
+    af.finish()
     return zpf, window_len, overlap, af_opts
 
 
@@ -167,7 +157,7 @@ def cmd_analyze(tree: _Tree, args) -> None:
     fs = resolve_sample_rate(spec, tree.take_number("sample_rate_hz", default=None,
                                                     positive=True))
     region_data = tree.take("region", default=None)
-    zpf, window_len, overlap, af_opts = _parse_analysis_options(tree, spec)
+    zpf, window_len, overlap, af_opts = _parse_analysis_options(tree, spec.duration_s)
     tree.finish()
     signal = synth_waveform(spec, fs)
     region = parse_region(region_data, spec.bandwidth_hz, signal.duration_s)
@@ -187,13 +177,11 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
                                        nbar=nbar)
     if isinstance(initial, dict):
         itree = _Tree(initial, "problem.initial")
-        alpha = itree.take("alpha")
-        beta = itree.take("beta")
+        alpha = _float_list(itree, "alpha")
+        beta = _float_list(itree, "beta")
         itree.finish()
-        params = MtsfmParameters(num_harmonics=len(alpha),
-                                 alpha=np.array(alpha, dtype=float),
-                                 beta=np.array(beta, dtype=float),
-                                 duration_s=duration_s)
+        params = MtsfmParameters(num_harmonics=len(alpha), alpha=np.array(alpha),
+                                 beta=np.array(beta), duration_s=duration_s)
         if params.num_harmonics != num_harmonics:
             raise ConfigError("problem.initial: coefficient count differs from num_harmonics")
         return params
@@ -245,9 +233,7 @@ def cmd_optimize(tree: _Tree, args) -> None:
         raise ConfigError(f"problem: {exc}") from exc
 
     after = synth_mtsfm(result.final, fs)
-    zpf, window_len, overlap, af_opts = 4, None, 0.75, {
-        "max_delay_s": duration / 2.0, "max_doppler_hz": 10.0 / duration,
-        "num_delays": 129, "num_dopplers": 129}
+    zpf, window_len, overlap, af_opts = _parse_analysis_options(_Tree({}, "problem"), duration)
     if "json" in formats:
         write_json(_path(out_dir, "coefficients.json"), {
             "num_harmonics": result.final.num_harmonics,

@@ -88,7 +88,7 @@ def _float_list(tree: _Tree, key: str, default=_MISSING):
         raise ConfigError(f"{tree.context}: '{key}' must be a nonempty list")
     try:
         return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
 
 
@@ -126,9 +126,9 @@ def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
 def _parse_costas_code(tree: _Tree) -> CostasCode:
     explicit = tree.take("code", default=None)
     if explicit is not None:
-        if not isinstance(explicit, list):
-            raise ConfigError(f"{tree.context}: 'code' must be a list")
-        return CostasCode(sequence=tuple(int(v) for v in explicit))
+        if not isinstance(explicit, list) or any(type(v) is not int for v in explicit):
+            raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
+        return CostasCode(sequence=tuple(explicit))
     prime = tree.take_int("prime", minimum=2)
     generator = tree.take_int("generator", minimum=1)
     return generate_welch_costas(prime, generator)
@@ -152,12 +152,7 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
             duration = tree.take_number("duration_s", positive=True)
             spec = WaveformSpec(kind=kind, bandwidth_hz=2.0 / duration,
                                 duration_s=duration, center_freq_hz=center)
-        elif kind == "lfm":
-            duration = tree.take_number("duration_s", positive=True)
-            spec = WaveformSpec(kind=kind,
-                                bandwidth_hz=tree.take_number("bandwidth_hz", positive=True),
-                                duration_s=duration, center_freq_hz=center)
-        elif kind == "hfm":
+        elif kind in ("lfm", "hfm"):
             duration = tree.take_number("duration_s", positive=True)
             spec = WaveformSpec(kind=kind,
                                 bandwidth_hz=tree.take_number("bandwidth_hz", positive=True),

@@ -122,8 +122,6 @@ def generate_welch_costas(p: int, g: int) -> CostasCode:
     Raises:
         InvalidInputError: if p is not prime or g is not a primitive root.
     """
-    if not is_prime(p):
-        raise InvalidInputError(f"{p} is not prime")
     if not is_primitive_root(g, p):
         raise InvalidInputError(f"{g} is not a primitive root mod {p}")
     seq = tuple(pow(g, i, p) for i in range(1, p))

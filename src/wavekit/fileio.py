@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import OutputError
+from .errors import ConfigError, OutputError
 
 # mkstemp creates files with mode 0600; artifacts get the mode open() would
 # give them.  The umask can only be read by setting it, so read it once here.
@@ -81,9 +81,11 @@ def write_wav(path: str, samples, sample_rate_hz: float) -> None:
 
 
 def read_json(path: str) -> dict:
-    """Load a JSON document, mapping I/O failures to OutputError."""
+    """Load a JSON document: OutputError if unreadable, ConfigError if malformed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise OutputError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc

@@ -138,6 +138,23 @@ def _xcorr_from_spectrum(cross: np.ndarray, na: int, nb: int) -> np.ndarray:
     return np.concatenate([y[y.size - (nb - 1):], y[:na]])
 
 
+def _doppler_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray,
+                  dopplers: np.ndarray) -> np.ndarray:
+    """Rows |_linear_xcorr(a, b * e^{j 2 pi nu t})|, one per nu in dopplers.
+
+    a is transformed once and each row takes one FFT pair.  Rows are
+    looped, not batched into a 2-D FFT: a Doppler-count x FFT-length
+    complex temporary runs to about 100 MB for long pulses.
+    """
+    nfft = _next_pow2(a.size + b.size)
+    fa = np.fft.fft(a, nfft)
+    rows = np.empty((dopplers.size, a.size + b.size - 1))
+    for i, nu in enumerate(dopplers):
+        fb = np.fft.fft(b * np.exp(2j * np.pi * nu * t), nfft)
+        rows[i] = np.abs(_xcorr_from_spectrum(fa * np.conj(fb), a.size, b.size))
+    return rows
+
+
 def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse:
     """Cross-correlation magnitude of two signals, normalized by sqrt(Ea*Eb).
 
@@ -169,6 +186,10 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     symmetric about zero and always include zero (odd grid sizes are
     enforced), so the surface can be peak-normalized at (0,0).
 
+    Each Doppler column is read, delay-mirrored, off a `_doppler_rows`
+    row: the correlation of s against s e^{-j2 pi nu t} has magnitude
+    |chi(-tau, nu)|.  Rows are looped one Doppler at a time by FFT.
+
     Args:
         signal: unit-energy waveform.
         max_delay_s: delay extent (<= T).
@@ -187,18 +208,11 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     s = signal.samples
     n = s.size
     fs = signal.sample_rate_hz
-    t = signal.time_grid()
     max_lag = min(n - 1, int(round(max_delay_s * fs)))
     lag_idx = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
     dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
-    lag_products = np.zeros((lag_idx.size, n), dtype=np.complex128)
-    for row, k in enumerate(lag_idx):
-        if k >= 0:
-            lag_products[row, : n - k] = s[: n - k] * np.conj(s[k:])
-        else:
-            lag_products[row, -k:] = s[-k:] * np.conj(s[: n + k])
-    basis = np.exp(2j * np.pi * np.outer(t, dopplers))
-    surface = np.abs(lag_products @ basis)
+    rows = _doppler_rows(s, s, signal.time_grid(), -dopplers)
+    surface = rows[:, (n - 1) - lag_idx].T
     i0 = int(np.where(lag_idx == 0)[0][0])
     j0 = int(np.argmin(np.abs(dopplers)))
     surface /= surface[i0, j0]
@@ -307,6 +321,10 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     center_freq_hz), which is the physically correct sonar model and the
     one under which hyperbolic FM retains its peak.
 
+    Narrowband rows are `_doppler_rows` of s against s e^{-j2 pi nu t},
+    equal in magnitude to the echo against s at every lag.  Wideband
+    echoes are time-scaled, not shifted, so each is correlated in turn.
+
     Args:
         signal: unit-energy waveform.
         dopplers_hz: Doppler shifts nu to evaluate.
@@ -321,15 +339,16 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
         raise InvalidInputError("wideband mode requires a positive center_freq_hz")
     s = signal.samples
     fs = signal.sample_rate_hz
-    t = signal.time_grid()
     energy = signal.energy()
+    dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
+    if mode == "narrowband":
+        rows = _doppler_rows(s, s, signal.time_grid(), -dopplers)
+    else:
+        rows = (np.abs(_linear_xcorr(
+                    _scaled_replica(signal, 1.0 + nu / signal.center_freq_hz), s))
+                for nu in dopplers)
     points = []
-    for nu in np.atleast_1d(np.asarray(dopplers_hz, dtype=float)):
-        if mode == "narrowband":
-            echo = s * np.exp(2j * np.pi * nu * t)
-        else:
-            echo = _scaled_replica(signal, 1.0 + nu / signal.center_freq_hz)
-        y = np.abs(_linear_xcorr(echo, s))
+    for nu, y in zip(dopplers, rows):
         idx = int(np.argmax(y))
         loss = float(to_db(y[idx] / energy))
         shift = (idx - (s.size - 1) + _parabolic_refine(y, idx)) / fs

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import _linear_xcorr, _scaled_replica
+from .metrics import _doppler_rows, _scaled_replica
 from .signal import DB_FLOOR, SampledSignal, to_db
 
 
@@ -153,6 +153,8 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
 
     Row nu is |correlation of received against s(t) e^{j 2 pi nu t}|;
     the assembled map is normalized to its global peak and stored in dB.
+    Rows come from `metrics._doppler_rows`: one transform of the received
+    series, then one FFT pair per row, looped to bound memory.
     """
     dopplers = np.asarray(dopplers_hz, dtype=float)
     if dopplers.ndim != 1 or dopplers.size == 0:
@@ -161,13 +163,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
         raise InvalidInputError("doppler grid must be finite")
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
-    t = waveform.time_grid()
     lags = np.arange(-(waveform.num_samples - 1),
                      received.num_samples) / received.sample_rate_hz
-    rows = np.empty((dopplers.size, lags.size))
-    for i, nu in enumerate(dopplers):
-        replica = waveform.samples * np.exp(2j * np.pi * nu * t)
-        rows[i] = np.abs(_linear_xcorr(received.samples, replica))
+    rows = _doppler_rows(received.samples, waveform.samples, waveform.time_grid(), dopplers)
     peak = rows.max()
     if peak <= 0:
         raise InvalidInputError("received signal is identically zero")

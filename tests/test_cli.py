@@ -323,6 +323,55 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, waveform, key):
     assert "Traceback" not in err
 
 
+_BAD_UTF8 = b'{"command": "synth", "waveform": {"kind": "cw", "duration_s": 1.0}, "x": "\xff"}'
+_FROM_COEFFICIENTS = {"command": "synth",
+                      "waveform": {"kind": "mtsfm", "coefficients_file": "coefficients.json"}}
+
+
+def _costas_code(code):
+    return {"command": "synth",
+            "waveform": {"kind": "costas_fsk", "duration_s": 1.0, "code": code}}
+
+
+def _initial(alpha):
+    return {"command": "optimize",
+            "problem": {"num_harmonics": 1, "duration_s": 1.0, "bandwidth_hz": 16.0,
+                        "sample_rate_hz": 128.0, "budget": 1,
+                        "initial": {"alpha": alpha, "beta": [0.0]}}}
+
+
+@pytest.mark.parametrize("config, coefficients", [
+    (b'{"command": "synth", "waveform": {"kind": "cw",', None),
+    (_BAD_UTF8, None),
+    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": [0.2], "duration_s": 1.0, "x": "\xfe"}'),
+    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": '),
+    (_costas_code(["a", 2]), None),
+    (_costas_code([2.9, 1.2]), None),
+    (_costas_code([True, 2]), None),
+    (_initial("xy"), None),
+    (_initial(3), None),
+    (_initial([10**400]), None),
+], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
+        "truncated_coefficients", "costas_code_string", "costas_code_float",
+        "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
+        "initial_alpha_beyond_float_range"])
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients):
+    monkeypatch.chdir(tmp_path)
+    if coefficients is not None:
+        (tmp_path / "coefficients.json").write_bytes(coefficients)
+    path = tmp_path / "config.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+        command = "synth"
+    else:
+        path.write_text(json.dumps(config))
+        command = config["command"]
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_command_mismatch_exits_2(tmp_path):
     cfg = _config(tmp_path, CW_SYNTH)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

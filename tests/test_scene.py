@@ -8,7 +8,7 @@ from wavekit.errors import InvalidInputError
 from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
 
-from oracles import superposed_echo_mag
+from oracles import direct_xcorr_mag, superposed_echo_mag
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,32 @@ def test_mf_map_is_scale_invariant(lfm):
     a = mf_bank(rx, lfm, [0.0, 5.0])
     b = mf_bank(scaled, lfm, [0.0, 5.0])
     np.testing.assert_allclose(a.magnitude_db, b.magnitude_db, atol=1e-10)
+
+
+def test_mf_bank_rows_match_direct_sums(lfm):
+    """Rows at negative, zero and off-bin Dopplers against per-lag sums."""
+    scene = EchoScene(echoes=(Echo(30.0 / 512.0, -3.0, 0.0),
+                              Echo(90.0 / 512.0, 2.5, -6.0)))
+    rx = simulate_returns(lfm, scene, seed=0)
+    dopplers = [-7.3, -3.0, 0.0, 0.37, 2.5]
+    rd = mf_bank(rx, lfm, dopplers)
+    t = lfm.time_grid()
+    expected = np.array([direct_xcorr_mag(rx.samples, lfm.samples * np.exp(2j * np.pi * nu * t))
+                         for nu in dopplers])
+    expected /= expected.max()
+    # Stored maps are floored at -120 dB, i.e. 1e-6 linear.
+    np.testing.assert_allclose(10.0 ** (rd.magnitude_db / 20.0),
+                               np.maximum(expected, 1e-6), atol=1e-9)
+
+
+def test_mf_bank_transforms_the_received_series_once(lfm, monkeypatch):
+    """A D-row bank takes D + 1 forward FFTs: one per replica, one shared."""
+    rx = simulate_returns(lfm, _single(delay_s=0.1), seed=0)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+    mf_bank(rx, lfm, np.linspace(-5.0, 5.0, 7))
+    assert len(calls) == 7 + 1
 
 
 def test_mf_bank_validation(lfm):
