@@ -66,6 +66,18 @@ def _metrics_doc(signal: SampledSignal, bandwidth_hz: float, region,
     return doc
 
 
+def _take_waveform(tree: _Tree, context: str = "waveform", default_fs=None) -> tuple:
+    """(spec, sample rate) from a tree's 'waveform' and 'sample_rate_hz' keys."""
+    spec = parse_waveform(tree.take("waveform"), context)
+    return spec, resolve_sample_rate(spec, tree.take_number(
+        "sample_rate_hz", default=default_fs, positive=True))
+
+
+def _grid_columns(outer, inner, values) -> tuple:
+    """(outer, inner, value) columns of a len(outer) x len(inner) grid, outer-major."""
+    return np.repeat(outer, len(inner)), np.tile(inner, len(outer)), np.ravel(values)
+
+
 def _default_window(num_samples: int) -> int:
     window = min(256, max(16, num_samples // 8))
     return max(2, min(window, num_samples))
@@ -103,9 +115,7 @@ def _write_analysis_bundle(out_dir: str, formats, signal: SampledSignal,
         wlen = window_len if window_len is not None else _default_window(signal.num_samples)
         gram = spectrogram(signal, wlen, overlap)
         write_csv(_path(out_dir, "spectrogram.csv"), ("t_s", "f_hz", "db"),
-                  ((t, f, gram.magnitude_db[i, j])
-                   for i, t in enumerate(gram.times_s)
-                   for j, f in enumerate(gram.freqs_hz)))
+                  zip(*_grid_columns(gram.times_s, gram.freqs_hz, gram.magnitude_db)))
 
         ac = autocorrelation(signal)
         write_csv(_path(out_dir, "autocorrelation.csv"), ("lag_s", "db"),
@@ -114,11 +124,9 @@ def _write_analysis_bundle(out_dir: str, formats, signal: SampledSignal,
         af = ambiguity_function(signal, af_opts["max_delay_s"],
                                 af_opts["max_doppler_hz"],
                                 af_opts["num_delays"], af_opts["num_dopplers"])
-        af_db = to_db(af.magnitude)
+        nu, tau, db = _grid_columns(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T)
         write_csv(_path(out_dir, "ambiguity.csv"), ("tau_s", "nu_hz", "db"),
-                  ((tau, nu, af_db[i, j])
-                   for j, nu in enumerate(af.dopplers_hz)
-                   for i, tau in enumerate(af.delays_s)))
+                  zip(tau, nu, db))
     if "json" in formats:
         write_json(_path(out_dir, "metrics.json"),
                    _metrics_doc(signal, bandwidth_hz, region, zpf))
@@ -126,9 +134,7 @@ def _write_analysis_bundle(out_dir: str, formats, signal: SampledSignal,
 
 def cmd_synth(tree: _Tree, args) -> None:
     out_dir, formats = _resolve_run_options(tree, args)
-    spec = parse_waveform(tree.take("waveform"))
-    fs = resolve_sample_rate(spec, tree.take_number("sample_rate_hz", default=None,
-                                                    positive=True))
+    spec, fs = _take_waveform(tree)
     region_data = tree.take("region", default=None)
     zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
     carrier = tree.take_number("wav_carrier_hz", default=None, positive=True)
@@ -136,10 +142,9 @@ def cmd_synth(tree: _Tree, args) -> None:
     signal = synth_waveform(spec, fs)
     region = parse_region(region_data, spec.bandwidth_hz, signal.duration_s)
     if "csv" in formats:
-        t = signal.time_grid()
         write_csv(_path(out_dir, "waveform.csv"), ("index", "t_s", "re", "im"),
-                  ((i, t[i], signal.samples[i].real, signal.samples[i].imag)
-                   for i in range(signal.num_samples)))
+                  zip(range(signal.num_samples), signal.time_grid(),
+                      signal.samples.real, signal.samples.imag))
     if "json" in formats:
         write_json(_path(out_dir, "metrics.json"),
                    _metrics_doc(signal, spec.bandwidth_hz, region, zpf))
@@ -153,9 +158,7 @@ def cmd_synth(tree: _Tree, args) -> None:
 
 def cmd_analyze(tree: _Tree, args) -> None:
     out_dir, formats = _resolve_run_options(tree, args)
-    spec = parse_waveform(tree.take("waveform"))
-    fs = resolve_sample_rate(spec, tree.take_number("sample_rate_hz", default=None,
-                                                    positive=True))
+    spec, fs = _take_waveform(tree)
     region_data = tree.take("region", default=None)
     zpf, window_len, overlap, af_opts = _parse_analysis_options(tree, spec.duration_s)
     tree.finish()
@@ -266,9 +269,7 @@ def cmd_optimize(tree: _Tree, args) -> None:
 
 def cmd_simulate(tree: _Tree, args) -> None:
     out_dir, formats = _resolve_run_options(tree, args)
-    spec = parse_waveform(tree.take("waveform"))
-    fs = resolve_sample_rate(spec, tree.take_number("sample_rate_hz", default=None,
-                                                    positive=True))
+    spec, fs = _take_waveform(tree)
     scene = parse_scene(tree.take("scene"))
     dopplers = parse_dopplers(tree)
     margin = tree.take_number("margin_db", default=6.0, positive=True)
@@ -282,13 +283,11 @@ def cmd_simulate(tree: _Tree, args) -> None:
     rd = mf_bank(received, signal, dopplers)
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)
     if "csv" in formats:
+        nu, tau, db = _grid_columns(rd.dopplers_hz, rd.delays_s, rd.magnitude_db)
         write_csv(_path(out_dir, "range_doppler.csv"), ("tau_s", "nu_hz", "db"),
-                  ((tau, nu, rd.magnitude_db[i, j])
-                   for i, nu in enumerate(rd.dopplers_hz)
-                   for j, tau in enumerate(rd.delays_s)))
-        cut = rd.zero_doppler_cut()
+                  zip(tau, nu, db))
         write_csv(_path(out_dir, "zero_doppler_cut.csv"), ("lag_s", "db"),
-                  zip(rd.delays_s, cut))
+                  zip(rd.delays_s, rd.zero_doppler_cut()))
     if "json" in formats:
         write_json(_path(out_dir, "resolvability.json"), {
             "bandwidth_hz": spec.bandwidth_hz,
@@ -317,10 +316,7 @@ def cmd_compare(tree: _Tree, args) -> None:
     for i, entry in enumerate(entries):
         etree = _Tree(entry, f"waveforms[{i}]")
         name = etree.take("name")
-        spec = parse_waveform(etree.take("waveform"), f"waveforms[{i}].waveform")
-        fs = resolve_sample_rate(spec, etree.take_number("sample_rate_hz",
-                                                         default=common_fs,
-                                                         positive=True))
+        spec, fs = _take_waveform(etree, f"waveforms[{i}].waveform", common_fs)
         etree.finish()
         parsed.append((str(name), spec, fs))
     rates = {fs for _, _, fs in parsed}

@@ -86,9 +86,11 @@ def _float_list(tree: _Tree, key: str, default=_MISSING):
         return value
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{tree.context}: '{key}' must be a nonempty list")
+    if any(type(v) not in (int, float) for v in value):
+        raise ConfigError(f"{tree.context}: '{key}' must contain numbers")
     try:
         return [float(v) for v in value]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
 
 

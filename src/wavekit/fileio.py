@@ -1,8 +1,9 @@
 """Atomic, byte-stable result serialization: CSV, JSON, and WAV.
 
-CSV files carry a single header row, LF line endings, and fixed
-6-decimal float formatting so seeded reruns are byte-identical across
-platforms.  JSON is written with sorted keys and full float precision.
+CSV files carry a single header row and LF line endings.  Each column
+prints by the numpy dtype its cells promote to: integers %d, floats at
+6 decimals (%.6f), anything else as str(), so reruns are byte-identical.
+JSON is written with sorted keys and full float precision.
 WAV export is 32-bit IEEE float mono (format tag 3), sidestepping
 quantization decisions.  All writes go through a temp file plus rename
 so readers never observe a partial file.
@@ -14,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import chain, islice
 
 import numpy as np
 from scipy.io import wavfile
@@ -24,6 +26,8 @@ from .errors import ConfigError, OutputError
 # give them.  The umask can only be read by setting it, so read it once here.
 _UMASK = os.umask(0)
 os.umask(_UMASK)
+_BLOCK_ROWS = 8192  # CSV rows per %-format pass; bounds a long table's memory
+_CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.6f"}  # by numpy dtype kind, else %s
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -44,21 +48,19 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def format_cell(value) -> str:
-    """One CSV cell: integers verbatim, floats at fixed 6 decimals."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.6f}"
-    return str(value)
-
-
 def write_csv(path: str, header, rows) -> None:
-    """Write one header row plus formatted data rows, LF-terminated."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """Write one header row plus data rows, LF-terminated, by one % over a
+    repeated row template per _BLOCK_ROWS rows.  A column prints by the numpy
+    dtype its cells in the block promote to: integer kinds %d (exact at any
+    size), float kinds %.6f, anything else (bools, strings) %s."""
+    rows = iter(rows)
+    parts = [(",".join(header) + "\n").encode("utf-8")]
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        kinds = (np.result_type(*set(map(type, col))).kind for col in zip(*block))
+        row_format = ",".join(_CELL_FORMATS.get(k, "%s") for k in kinds) + "\n"
+        cells = tuple(chain.from_iterable(block))
+        parts.append((row_format * len(block) % cells).encode("utf-8"))
+    _atomic_write_bytes(path, b"".join(parts))
 
 
 def write_json(path: str, obj) -> None:

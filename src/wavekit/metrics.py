@@ -139,19 +139,21 @@ def _xcorr_from_spectrum(cross: np.ndarray, na: int, nb: int) -> np.ndarray:
 
 
 def _doppler_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray,
-                  dopplers: np.ndarray) -> np.ndarray:
-    """Rows |_linear_xcorr(a, b * e^{j 2 pi nu t})|, one per nu in dopplers.
+                  dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
 
-    a is transformed once and each row takes one FFT pair.  Rows are
-    looped, not batched into a 2-D FFT: a Doppler-count x FFT-length
-    complex temporary runs to about 100 MB for long pulses.
+    Lags lie in -(len(b)-1)..len(a)-1.  a is transformed once and each
+    row takes one FFT pair.  Rows are looped, not batched into a 2-D FFT:
+    a Doppler-count x FFT-length complex temporary runs to about 100 MB
+    for long pulses.
     """
     nfft = _next_pow2(a.size + b.size)
     fa = np.fft.fft(a, nfft)
-    rows = np.empty((dopplers.size, a.size + b.size - 1))
+    idx = lags % nfft  # lag k of the circular correlation sits at index k mod nfft
+    rows = np.empty((dopplers.size, idx.size))
     for i, nu in enumerate(dopplers):
         fb = np.fft.fft(b * np.exp(2j * np.pi * nu * t), nfft)
-        rows[i] = np.abs(_xcorr_from_spectrum(fa * np.conj(fb), a.size, b.size))
+        rows[i] = np.abs(np.fft.ifft(fa * np.conj(fb))[idx])
     return rows
 
 
@@ -186,9 +188,9 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     symmetric about zero and always include zero (odd grid sizes are
     enforced), so the surface can be peak-normalized at (0,0).
 
-    Each Doppler column is read, delay-mirrored, off a `_doppler_rows`
-    row: the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows are looped one Doppler at a time by FFT.
+    Each Doppler column is a `_doppler_rows` row at the mirrored lags:
+    the correlation of s against s e^{-j2 pi nu t} has magnitude
+    |chi(-tau, nu)|.  Rows are looped by FFT and keep only these lags.
 
     Args:
         signal: unit-energy waveform.
@@ -206,13 +208,11 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     num_delays += (num_delays + 1) % 2
     num_dopplers += (num_dopplers + 1) % 2
     s = signal.samples
-    n = s.size
     fs = signal.sample_rate_hz
-    max_lag = min(n - 1, int(round(max_delay_s * fs)))
+    max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
     lag_idx = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
     dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
-    rows = _doppler_rows(s, s, signal.time_grid(), -dopplers)
-    surface = rows[:, (n - 1) - lag_idx].T
+    surface = _doppler_rows(s, s, signal.time_grid(), -dopplers, -lag_idx).T
     i0 = int(np.where(lag_idx == 0)[0][0])
     j0 = int(np.argmin(np.abs(dopplers)))
     surface /= surface[i0, j0]
@@ -342,7 +342,8 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     energy = signal.energy()
     dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
     if mode == "narrowband":
-        rows = _doppler_rows(s, s, signal.time_grid(), -dopplers)
+        rows = _doppler_rows(s, s, signal.time_grid(), -dopplers,
+                             np.arange(1 - s.size, s.size))
     else:
         rows = (np.abs(_linear_xcorr(
                     _scaled_replica(signal, 1.0 + nu / signal.center_freq_hz), s))

@@ -163,14 +163,14 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
         raise InvalidInputError("doppler grid must be finite")
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
-    lags = np.arange(-(waveform.num_samples - 1),
-                     received.num_samples) / received.sample_rate_hz
-    rows = _doppler_rows(received.samples, waveform.samples, waveform.time_grid(), dopplers)
+    lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
+    rows = _doppler_rows(received.samples, waveform.samples, waveform.time_grid(),
+                         dopplers, lags)
     peak = rows.max()
     if peak <= 0:
         raise InvalidInputError("received signal is identically zero")
-    return RangeDopplerMap(delays_s=lags, dopplers_hz=dopplers,
-                           magnitude_db=to_db(rows / peak))
+    return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
+                           dopplers_hz=dopplers, magnitude_db=to_db(rows / peak))
 
 
 def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,

@@ -340,22 +340,42 @@ def _initial(alpha):
                         "initial": {"alpha": alpha, "beta": [0.0]}}}
 
 
-@pytest.mark.parametrize("config, coefficients", [
-    (b'{"command": "synth", "waveform": {"kind": "cw",', None),
-    (_BAD_UTF8, None),
-    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": [0.2], "duration_s": 1.0, "x": "\xfe"}'),
-    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": '),
-    (_costas_code(["a", 2]), None),
-    (_costas_code([2.9, 1.2]), None),
-    (_costas_code([True, 2]), None),
-    (_initial("xy"), None),
-    (_initial(3), None),
-    (_initial([10**400]), None),
+def _dopplers(dopplers):
+    return {"command": "simulate", "sample_rate_hz": 128.0,
+            "waveform": {"kind": "lfm", "bandwidth_hz": 16.0, "duration_s": 1.0},
+            "scene": {"benchmark_bandwidth_hz": 16.0}, "dopplers_hz": dopplers}
+
+
+def _inline_mtsfm(beta):
+    return {"command": "synth",
+            "waveform": {"kind": "mtsfm", "duration_s": 1.0, "alpha": [0.1], "beta": beta}}
+
+
+@pytest.mark.parametrize("config, coefficients, key", [
+    (b'{"command": "synth", "waveform": {"kind": "cw",', None, None),
+    (_BAD_UTF8, None, None),
+    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": [0.2], "duration_s": 1.0, "x": "\xfe"}',
+     None),
+    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": ', None),
+    (_costas_code(["a", 2]), None, "code"),
+    (_costas_code([2.9, 1.2]), None, "code"),
+    (_costas_code([True, 2]), None, "code"),
+    (_initial("xy"), None, "alpha"),
+    (_initial(3), None, "alpha"),
+    (_initial([10**400]), None, "alpha"),
+    (_initial([True]), None, "alpha"),
+    (_initial(["0.5"]), None, "alpha"),
+    (_dopplers(["2.5", True]), None, "dopplers_hz"),
+    (_dopplers([0.0, True]), None, "dopplers_hz"),
+    (_inline_mtsfm(["2"]), None, "beta"),
+    (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": [false], "duration_s": 1.0}', "beta"),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
-        "initial_alpha_beyond_float_range"])
-def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients):
+        "initial_alpha_beyond_float_range", "initial_alpha_bool",
+        "initial_alpha_string_entry", "dopplers_string_and_bool", "dopplers_bool",
+        "inline_beta_string", "coefficients_beta_bool"])
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
         (tmp_path / "coefficients.json").write_bytes(coefficients)
@@ -369,6 +389,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coeffic
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert key is None or f"'{key}'" in err
     assert "Traceback" not in err
 
 

@@ -1,0 +1,55 @@
+"""CSV serialization: exact bytes of `fileio.write_csv`."""
+
+import numpy as np
+import pytest
+
+from wavekit import fileio
+from wavekit.fileio import write_csv
+
+# %.6f of 1e300: every integer digit of the double nearest 1e300.
+_E300 = ("1000000000000000052504760255204420248704468581108159154915854115511802457"
+         "9889081957863713750804478640437044438328838781769425232353604305756447921"
+         "8478670698284838720092657580373783023379478809005936895323497079994508111"
+         "9038967640880074652742780142494579258788820056842838115669472196386865459"
+         "400540160.000000")
+
+
+def _written(tmp_path, header, rows) -> str:
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, rows)
+    return path.read_bytes().decode("utf-8")
+
+
+def test_write_csv_golden_bytes(tmp_path, monkeypatch):
+    """Each column keeps its type's format across block boundaries (3-row blocks)."""
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", 3)
+    index = list(range(7))
+    names = ["lfm", "p4", "costas", "a b", "", "x", "-1"]
+    values = np.array([-0.0, np.nan, 1e300, 0.5e-6, 1.5e-6, 2.5e-6, -1234.5678915])
+    flags = [True, False, np.True_, np.False_, True, False, True]
+    expected = ("index,name,value,flag\n"
+                "0,lfm,-0.000000,True\n"
+                "1,p4,nan,False\n"
+                f"2,costas,{_E300},True\n"
+                "3,a b,0.000000,False\n"
+                "4,,0.000002,True\n"
+                "5,x,0.000003,False\n"
+                "6,-1,-1234.567892,True\n")
+    assert _written(tmp_path, ("index", "name", "value", "flag"),
+                    zip(index, names, values, flags)) == expected
+
+
+def test_write_csv_header_only(tmp_path):
+    assert _written(tmp_path, ("a", "b"), []) == "a,b\n"
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_write_csv_full_blocks(tmp_path, extra):
+    """Integer columns (numpy or Python, beyond 64 bits too) print in full."""
+    n = 2 * fileio._BLOCK_ROWS + extra
+    big = [2**70 + i for i in range(n)]
+    lines = _written(tmp_path, ("i", "big", "q"),
+                     zip(np.arange(n), big, np.arange(n) / 8.0)).splitlines()
+    assert len(lines) == n + 1
+    assert lines[1] == "0,1180591620717411303424,0.000000"
+    assert lines[-1] == f"{n - 1},{2**70 + n - 1},{(n - 1) / 8.0:.6f}"

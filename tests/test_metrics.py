@@ -1,5 +1,7 @@
 """Correlation, ambiguity, and scalar metric checks against direct oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,32 @@ def test_ambiguity_matches_direct_evaluation():
     expected /= expected[np.flatnonzero(lag_indices == 0)[0],
                          np.argmin(np.abs(af.dopplers_hz))]
     np.testing.assert_allclose(af.magnitude, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("num_delays, num_dopplers", [(65, 33), (2, 2), (1024, 9)])
+def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
+    """Columns kept by the lag window are bitwise those of full correlation rows."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    af = wk.ambiguity_function(sig, 1.0, 20.0, num_delays, num_dopplers)
+    s, t = sig.samples, sig.time_grid()
+    lags = np.round(af.delays_s * 512.0).astype(int)
+    full = np.array([np.abs(_linear_xcorr(s, s * np.exp(-2j * np.pi * nu * t)))
+                     for nu in af.dopplers_hz])
+    expected = full[:, (s.size - 1) - lags].T
+    expected /= expected[np.flatnonzero(lags == 0)[0], np.argmin(np.abs(af.dopplers_hz))]
+    assert np.array_equal(af.magnitude, expected)
+
+
+def test_ambiguity_memory_is_bounded_by_the_surface():
+    """257 x 257 at N = 8192: the surface is 0.5 MB; all 2N-1 lags per row are 34 MB."""
+    sig = wk.synth_lfm(1024.0, 1.0, 8192.0)
+    tracemalloc.start()
+    try:
+        wk.ambiguity_function(sig, 0.5, 10.0, 257, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_ambiguity_validation():

@@ -5,6 +5,7 @@ import pytest
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
+from wavekit.metrics import _linear_xcorr
 from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
 
@@ -205,6 +206,18 @@ def test_mf_bank_rows_match_direct_sums(lfm):
     # Stored maps are floored at -120 dB, i.e. 1e-6 linear.
     np.testing.assert_allclose(10.0 ** (rd.magnitude_db / 20.0),
                                np.maximum(expected, 1e-6), atol=1e-9)
+
+
+def test_mf_bank_equals_the_full_row_result(lfm):
+    """Rows are bitwise the full FFT correlations of the received series."""
+    rx = simulate_returns(lfm, EchoScene(echoes=(Echo(30.0 / 512.0, -3.0, 0.0),
+                                                  Echo(90.0 / 512.0, 2.5, -6.0))), seed=0)
+    dopplers = [-7.3, 0.0, 2.5]
+    t = lfm.time_grid()
+    rows = np.array([np.abs(_linear_xcorr(rx.samples, lfm.samples * np.exp(2j * np.pi * nu * t)))
+                     for nu in dopplers])
+    rd = mf_bank(rx, lfm, dopplers)
+    assert np.array_equal(rd.magnitude_db, wk.to_db(rows / rows.max()))
 
 
 def test_mf_bank_transforms_the_received_series_once(lfm, monkeypatch):

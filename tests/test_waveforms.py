@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
@@ -223,3 +225,55 @@ def test_waveform_spec_validation():
                         num_chips=8, center_freq_hz=10.0)  # baseband only
     spec = wk.WaveformSpec(kind="lfm", bandwidth_hz=64.0, duration_s=2.0)
     assert spec.time_bandwidth_product == pytest.approx(128.0)
+
+
+# ------------------------------------------------------------------ properties
+
+_FS = 1024.0
+_T = st.floats(0.25, 2.0)
+_COEFFICIENTS = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.floats(-6.0, 6.0, allow_nan=False), min_size=2 * k, max_size=2 * k))
+
+
+def _mtsfm(coefficients, duration):
+    k = len(coefficients) // 2
+    return wk.synth_mtsfm(wk.MtsfmParameters(k, np.array(coefficients[:k]),
+                                             np.array(coefficients[k:]), duration), _FS)
+
+
+# One strategy per synth_* function, over parameters each accepts at fs = 1024 Hz:
+# CW and the FM families, which have constant modulus, then the comb, which has not.
+_CONSTANT_MODULUS = (
+    st.builds(lambda t: wk.synth_cw(t, _FS), _T),
+    st.builds(lambda b, t: wk.synth_lfm(b, t, _FS), st.floats(1.0, 256.0), _T),
+    st.builds(lambda f, span, down, t: wk.synth_hfm(f + span * down, f + span * (not down),
+                                                    t, _FS),
+              st.floats(4.0, 128.0), st.floats(1.0, 128.0), st.booleans(), _T),
+    st.builds(lambda code, t: wk.synth_costas_fsk(wk.generate_welch_costas(*code), t, _FS),
+              st.sampled_from([(5, 2), (5, 3), (7, 3), (7, 5)]), _T),
+    st.builds(lambda n, t: wk.synth_p4(n, t, _FS), st.integers(2, 64), _T),
+    st.builds(_mtsfm, _COEFFICIENTS, _T),
+)
+_COMB = st.builds(lambda m, r, b, t: wk.synth_geometric_comb(m, r, b, t, _FS),
+                  st.integers(2, 6), st.floats(1.5, 3.0), st.floats(1.0, 16.0), _T)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sig=st.one_of(*_CONSTANT_MODULUS, _COMB))
+def test_every_synth_has_unit_energy(sig):
+    assert sig.energy() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sig=st.one_of(*_CONSTANT_MODULUS))
+def test_fm_families_have_constant_modulus(sig):
+    np.testing.assert_allclose(np.abs(sig.samples) * np.sqrt(sig.num_samples), 1.0,
+                               atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sig=st.one_of(*_CONSTANT_MODULUS, _COMB))
+def test_autocorrelation_magnitude_is_symmetric_in_lag(sig):
+    """R(-tau) = conj R(tau) for any signal, so |R| is symmetric in lag."""
+    mag = wk.autocorrelation(sig).magnitude_linear()
+    np.testing.assert_allclose(mag, mag[::-1], atol=1e-10)
