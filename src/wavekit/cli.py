@@ -316,9 +316,12 @@ def cmd_compare(tree: _Tree, args) -> None:
     for i, entry in enumerate(entries):
         etree = _Tree(entry, f"waveforms[{i}]")
         name = etree.take("name")
+        if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
+            raise ConfigError(f"waveforms[{i}]: 'name' must be a nonempty string "
+                              "without ',', '\"', CR or LF")
         spec, fs = _take_waveform(etree, f"waveforms[{i}].waveform", common_fs)
         etree.finish()
-        parsed.append((str(name), spec, fs))
+        parsed.append((name, spec, fs))
     rates = {fs for _, _, fs in parsed}
     if len(rates) != 1:
         raise InvalidInputError("compare requires a single common sample rate; "

@@ -5,20 +5,22 @@ prints by the numpy dtype its cells promote to: integers %d, floats at
 6 decimals (%.6f), anything else as str(), so reruns are byte-identical.
 JSON is written with sorted keys and full float precision.
 WAV export is 32-bit IEEE float mono (format tag 3), sidestepping
-quantization decisions.  All writes go through a temp file plus rename
-so readers never observe a partial file.
+quantization decisions.  Its header is packed by hand with `struct`, in
+the layout scipy's wavfile writer uses for float data (an 18-byte fmt
+chunk and a fact chunk), so the bytes match scipy's without importing
+it.  All writes go through a temp file plus rename so readers never
+observe a partial file.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import struct
 import tempfile
 from itertools import chain, islice
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigError, OutputError
 
@@ -28,6 +30,7 @@ _UMASK = os.umask(0)
 os.umask(_UMASK)
 _BLOCK_ROWS = 8192  # CSV rows per %-format pass; bounds a long table's memory
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.6f"}  # by numpy dtype kind, else %s
+_WAV_HEADER_BYTES = 58  # RIFF + 18-byte fmt + fact + data chunk headers
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -76,10 +79,22 @@ def write_wav(path: str, samples, sample_rate_hz: float) -> None:
     series first (see `wavekit.signal.to_passband`).  WAV sample rates
     are integral, so the stored rate is round(sample_rate_hz).
     """
-    buf = io.BytesIO()
-    wavfile.write(buf, int(round(sample_rate_hz)),
-                  np.asarray(samples, dtype=np.float32))
-    _atomic_write_bytes(path, buf.getvalue())
+    data = np.asarray(samples, dtype="<f4")
+    header = _wav_header(data.nbytes, int(round(sample_rate_hz)))
+    _atomic_write_bytes(path, header + data.tobytes())
+
+
+def _wav_header(data_bytes: int, rate: int) -> bytes:
+    """RIFF header of a float32 mono WAV holding data_bytes of samples."""
+    riff_size = _WAV_HEADER_BYTES - 8 + data_bytes
+    if riff_size > 0xFFFFFFFF:
+        raise OutputError(f"WAV data of {data_bytes} bytes exceeds the 4 GiB RIFF limit")
+    try:
+        return struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF", riff_size, b"WAVE",
+                           b"fmt ", 18, 3, 1, rate, rate * 4, 4, 32, 0,
+                           b"fact", 4, data_bytes // 4, b"data", data_bytes)
+    except struct.error as exc:
+        raise OutputError(f"WAV sample rate {rate} Hz does not fit the header") from exc
 
 
 def read_json(path: str) -> dict:

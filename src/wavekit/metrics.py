@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
 from .signal import (DB_FLOOR, SampledSignal, Spectrum, _next_pow2, p99_bandwidth,
@@ -300,6 +299,8 @@ def _scaled_replica(signal: SampledSignal, eta: float) -> np.ndarray:
     This is the complex-baseband form of physically time-compressing the
     passband waveform by eta, used by the wideband Doppler model.
     """
+    from scipy.interpolate import CubicSpline
+
     t = signal.time_grid()
     spline_re = CubicSpline(t, signal.samples.real)
     spline_im = CubicSpline(t, signal.samples.imag)

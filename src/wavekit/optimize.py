@@ -15,6 +15,12 @@ chain rule through s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin
 basis).  Every call is counted against the problem budget, and an
 objective-plus-gradient call counts as one evaluation; exhausting the
 budget returns the best design found so far with converged=False.
+
+The tapered NLFM start shapes its spectrum with a Taylor window,
+evaluated here in numpy by the closed form of Carrara, Goodman and
+Majewski (1995, as cited by scipy's `taylor` window), bitwise equal to
+scipy's.  scipy itself is imported only by the two minimizers that
+call scipy.optimize.minimize.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
-from scipy.signal.windows import taylor as _taylor_window
 
 from .errors import InvalidInputError
 from .metrics import RegionSpec, _rms_width, _xcorr_from_spectrum
@@ -323,6 +327,8 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     The stop reason is "tolerance" on scipy's success flag and "budget"
     otherwise.
     """
+    from scipy.optimize import minimize
+
     ws = _get_workspace(problem)
     counted = _CountedObjective(ws, problem)
     x0 = params_to_vector(problem.initial)
@@ -337,7 +343,7 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
         simplex[i + 1] += 0.01 * steps[i] * rng.standard_normal(dim)
     success = False
     try:
-        res = _scipy_minimize(
+        res = minimize(
             counted, x0, method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
@@ -434,11 +440,13 @@ def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     determinism and result contract as the other minimizers; the stop
     reason comes from L-BFGS-B's termination message.
     """
+    from scipy.optimize import minimize
+
     ws = _get_workspace(problem)
     counted = _CountedObjective(ws, problem)
     x0 = params_to_vector(problem.initial)
     try:
-        res = _scipy_minimize(
+        res = minimize(
             counted.value_and_gradient, x0, jac=True, method="L-BFGS-B",
             options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": 1e-12},
         )
@@ -473,6 +481,26 @@ def default_initial_parameters(bandwidth_hz: float, duration_s: float,
     return vector_to_params(x, duration_s)
 
 
+def _taylor_window(m: int, nbar: int, sll: float) -> np.ndarray:
+    """Symmetric, unnormalized m-point Taylor window, -sll dB sidelobes.
+
+    Every floating-point operation is scipy's `taylor`, in scipy's order, so
+    the window is bitwise equal to taylor(m, nbar, sll, norm=False); the
+    NLFM start, and every design traced from it, depend on those bits.
+    """
+    # A 0-d array, as in scipy, so each ** 2 takes numpy's array path (a
+    # multiply) as scipy's does, not a scalar pow().
+    a2 = (np.arccosh(np.asarray(10 ** (sll / 20))) / np.pi) ** 2
+    s2 = nbar**2 / (a2 + (nbar - 0.5) ** 2)
+    ma = np.arange(1, nbar, dtype=np.float64)
+    m2 = ma * ma
+    fm = np.array([(-1) ** i * np.prod(1 - m2[i] / s2 / (a2 + (ma - 0.5) ** 2))
+                   / (2 * np.prod(1 - m2[i] / m2[:i]) * np.prod(1 - m2[i] / m2[i + 1:]))
+                   for i in range(nbar - 1)])
+    n = np.arange(m, dtype=np.float64)
+    return 1 + 2 * np.matmul(fm, np.cos(2 * np.pi * ma[:, np.newaxis] * (n - m / 2.0 + 0.5) / m))
+
+
 def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
                             num_harmonics: int, sample_rate_hz: float,
                             sidelobe_db: float = 45.0, nbar: int = 10) -> MtsfmParameters:
@@ -486,7 +514,7 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     """
     n, duration, t = _sample_grid(duration_s, sample_rate_hz)
     m = 8192
-    window = _taylor_window(m, nbar=nbar, sll=sidelobe_db, norm=False).astype(float)
+    window = _taylor_window(m, nbar, sidelobe_db)
     cum = np.cumsum(window)
     cum /= cum[-1]
     f_grid = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, m)

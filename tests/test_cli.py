@@ -346,6 +346,12 @@ def _dopplers(dopplers):
             "scene": {"benchmark_bandwidth_hz": 16.0}, "dopplers_hz": dopplers}
 
 
+def _compare_name(name):
+    cw = {"kind": "cw", "duration_s": 1.0}
+    return {"command": "compare", "sample_rate_hz": 128.0,
+            "waveforms": [{"name": "a", "waveform": cw}, {"name": name, "waveform": cw}]}
+
+
 def _inline_mtsfm(beta):
     return {"command": "synth",
             "waveform": {"kind": "mtsfm", "duration_s": 1.0, "alpha": [0.1], "beta": beta}}
@@ -369,12 +375,17 @@ def _inline_mtsfm(beta):
     (_dopplers([0.0, True]), None, "dopplers_hz"),
     (_inline_mtsfm(["2"]), None, "beta"),
     (_FROM_COEFFICIENTS, b'{"alpha": [0.1], "beta": [false], "duration_s": 1.0}', "beta"),
+    (_compare_name("lfm,x"), None, "name"),
+    (_compare_name("lfm\nx"), None, "name"),
+    (_compare_name(7), None, "name"),
+    (_compare_name(None), None, "name"),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
         "initial_alpha_beyond_float_range", "initial_alpha_bool",
         "initial_alpha_string_entry", "dopplers_string_and_bool", "dopplers_bool",
-        "inline_beta_string", "coefficients_beta_bool"])
+        "inline_beta_string", "coefficients_beta_bool", "compare_name_comma",
+        "compare_name_newline", "compare_name_number", "compare_name_null"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -409,6 +420,16 @@ def test_unwritable_output_directory_exits_3(tmp_path):
     cfg = _config(tmp_path, CW_SYNTH)
     assert main(["synth", "--config", cfg,
                  "--out", str(blocker / "nested")]) == 3
+
+
+def test_wav_rate_beyond_the_header_exits_3(tmp_path, capsys):
+    cfg = _config(tmp_path, {"command": "synth", "sample_rate_hz": 2e9,
+                             "waveform": {"kind": "cw", "duration_s": 1e-6}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--format", "wav"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample rate" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_format_exits_2(tmp_path):

@@ -1,10 +1,14 @@
-"""CSV serialization: exact bytes of `fileio.write_csv`."""
+"""Serialization: exact bytes of `fileio.write_csv` and `fileio.write_wav`."""
+
+import io
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from wavekit import fileio
-from wavekit.fileio import write_csv
+from wavekit.errors import OutputError
+from wavekit.fileio import write_csv, write_wav
 
 # %.6f of 1e300: every integer digit of the double nearest 1e300.
 _E300 = ("1000000000000000052504760255204420248704468581108159154915854115511802457"
@@ -53,3 +57,23 @@ def test_write_csv_full_blocks(tmp_path, extra):
     assert len(lines) == n + 1
     assert lines[1] == "0,1180591620717411303424,0.000000"
     assert lines[-1] == f"{n - 1},{2**70 + n - 1},{(n - 1) / 8.0:.6f}"
+
+
+@pytest.mark.parametrize("num_samples", [1, 2, 5, 2048])
+@pytest.mark.parametrize("rate", [2048, 44100, 2047.6])
+def test_write_wav_matches_scipy_bytes(tmp_path, num_samples, rate):
+    samples = np.random.default_rng(num_samples).standard_normal(num_samples)
+    expected = io.BytesIO()
+    wavfile.write(expected, int(round(rate)), samples.astype(np.float32))
+    path = tmp_path / "t.wav"
+    write_wav(str(path), samples, rate)
+    assert path.read_bytes() == expected.getvalue()
+
+
+def test_wav_header_rejects_data_beyond_the_riff_size():
+    """Checked on the header alone: no 4 GiB sample buffer is allocated."""
+    limit = 0xFFFFFFFF - (fileio._WAV_HEADER_BYTES - 8)
+    assert len(fileio._wav_header(limit, 2048)) == fileio._WAV_HEADER_BYTES
+    with pytest.raises(OutputError, match="RIFF"):
+        fileio._wav_header(limit + 4, 2048)
+

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavekit as wk
+from wavekit import optimize
 from wavekit.errors import InvalidInputError
-from wavekit.optimize import (OptimizationProblem, _get_workspace,
+from wavekit.optimize import (OptimizationProblem, _get_workspace, _taylor_window,
                               default_initial_parameters,
                               evaluate_objective, finite_difference_gradient,
                               minimize_gradient_descent, minimize_lbfgs,
@@ -468,6 +469,26 @@ def test_nlfm_initial_parameters_shape_the_sidelobes():
             synth_mtsfm(default_initial_parameters(256.0, 1.0, 32, seed=99),
                         2048.0)), region)
     assert nlfm_psl < default_psl - 10.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 100, 511, 512, 1024, 2048, 4096, 8192, 8193])
+def test_taylor_window_is_bitwise_scipy(m):
+    from scipy.signal.windows import taylor
+    for nbar in (2, 4, 10, 20):
+        for sll in (20, 30, 45, 60, 100):
+            expected = taylor(m, nbar=nbar, sll=sll, norm=False).astype(float)
+            assert np.array_equal(_taylor_window(m, nbar, sll), expected), (nbar, sll)
+
+
+@pytest.mark.parametrize("k, sll, nbar", [(32, 45.0, 10), (8, 30.0, 4), (64, 60.0, 20)])
+def test_nlfm_start_is_bitwise_the_scipy_window_start(monkeypatch, k, sll, nbar):
+    from scipy.signal.windows import taylor
+    ours = nlfm_initial_parameters(256.0, 1.0, k, 2048.0, sidelobe_db=sll, nbar=nbar)
+    monkeypatch.setattr(optimize, "_taylor_window",
+                        lambda m, nbar, sll: taylor(m, nbar=nbar, sll=sll, norm=False))
+    theirs = nlfm_initial_parameters(256.0, 1.0, k, 2048.0, sidelobe_db=sll, nbar=nbar)
+    assert np.array_equal(ours.alpha, theirs.alpha)
+    assert np.array_equal(ours.beta, theirs.beta)
 
 
 def test_result_to_dict_keys():
