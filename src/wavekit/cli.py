@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (_float_list, _Tree, load_config, parse_dopplers, parse_region,
+from .config import (_take_coefficients, _Tree, load_config, parse_dopplers, parse_region,
                      parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import write_csv, write_json, write_wav
@@ -36,15 +36,25 @@ def _resolve_run_options(tree: _Tree, args) -> tuple:
     out_dir = tree.take("output_dir", default=".")
     if args.out is not None:
         out_dir = args.out
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"{tree.context}: 'output_dir' must be a string")
     formats = tree.take("formats", default=["csv", "json"])
     if args.format is not None:
         formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    if not isinstance(formats, list) or not formats:
-        raise ConfigError("formats must be a nonempty list")
-    bad = [f for f in formats if f not in _FORMATS]
-    if bad:
-        raise ConfigError(f"unknown output formats: {', '.join(bad)}")
+    if not isinstance(formats, list) or not formats or any(f not in _FORMATS for f in formats):
+        raise ConfigError(f"{tree.context}: 'formats' must be a nonempty list drawn from "
+                          f"{', '.join(_FORMATS)}; got {formats!r}")
     return out_dir, frozenset(formats)
+
+
+def _take_seed(tree: _Tree, args) -> int:
+    """The run seed: --seed if given, else the tree's 'seed' (default 0)."""
+    seed = tree.take_int("seed", default=0)
+    if args.seed is not None:
+        seed = args.seed
+    if seed < 0:
+        raise ConfigError(f"{tree.context}: 'seed' (or --seed) must be >= 0")
+    return seed
 
 
 def _path(out_dir: str, name: str) -> str:
@@ -180,13 +190,8 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
                                        nbar=nbar)
     if isinstance(initial, dict):
         itree = _Tree(initial, "problem.initial")
-        alpha = _float_list(itree, "alpha")
-        beta = _float_list(itree, "beta")
+        params = _take_coefficients(itree, duration_s, num_harmonics)
         itree.finish()
-        params = MtsfmParameters(num_harmonics=len(alpha), alpha=np.array(alpha),
-                                 beta=np.array(beta), duration_s=duration_s)
-        if params.num_harmonics != num_harmonics:
-            raise ConfigError("problem.initial: coefficient count differs from num_harmonics")
         return params
     raise ConfigError("problem.initial must be 'default', 'nlfm', or {alpha, beta}")
 
@@ -204,12 +209,12 @@ def cmd_optimize(tree: _Tree, args) -> None:
     objective = prob.take("objective", default="isl")
     region_data = prob.take("region", default=None)
     target = prob.take("bandwidth_target_hz", default="initial_rms")
+    if target != "initial_rms":
+        target = prob.check_number("bandwidth_target_hz", target, positive=True)
     tolerance = prob.take_number("bandwidth_tolerance", default=0.1, positive=True)
     weight = prob.take_number("penalty_weight", default=1.0, positive=True)
     budget = prob.take_int("budget", minimum=1)
-    seed = prob.take_int("seed", default=0)
-    if args.seed is not None:
-        seed = args.seed
+    seed = _take_seed(prob, args)
     method = prob.take("method", default="nelder_mead")
     initial_spec = prob.take("initial", default="default")
     sidelobe_db = prob.take_number("nlfm_sidelobe_db", default=45.0, positive=True)
@@ -224,12 +229,10 @@ def cmd_optimize(tree: _Tree, args) -> None:
         # next_pow2(2N) matches the optimizer's internal FFT grid exactly
         target = metrics_report(before, bandwidth, region=region,
                                 zero_pad_factor=2).rms_bandwidth_hz
-    elif isinstance(target, bool) or not isinstance(target, (int, float)) or target <= 0:
-        raise ConfigError("problem.bandwidth_target_hz must be positive or 'initial_rms'")
     try:
         problem = OptimizationProblem(
             initial=initial, region=region, objective=objective,
-            bandwidth_target_hz=float(target), bandwidth_tolerance=tolerance,
+            bandwidth_target_hz=target, bandwidth_tolerance=tolerance,
             penalty_weight=weight, budget=budget, seed=seed, sample_rate_hz=fs)
         result = optimize_waveform(problem, method=method)
     except InvalidInputError as exc:
@@ -251,7 +254,7 @@ def cmd_optimize(tree: _Tree, args) -> None:
             "seed": seed,
             "budget": budget,
             "sample_rate_hz": fs,
-            "bandwidth_target_hz": float(target),
+            "bandwidth_target_hz": target,
             "bandwidth_tolerance": tolerance,
             "penalty_weight": weight,
             "region_inner_delay_s": region.inner_delay_s,
@@ -273,9 +276,7 @@ def cmd_simulate(tree: _Tree, args) -> None:
     scene = parse_scene(tree.take("scene"))
     dopplers = parse_dopplers(tree)
     margin = tree.take_number("margin_db", default=6.0, positive=True)
-    seed = tree.take_int("seed", default=0)
-    if args.seed is not None:
-        seed = args.seed
+    seed = _take_seed(tree, args)
     window = tree.take_number("window_s", default=None, positive=True)
     tree.finish()
     signal = synth_waveform(spec, fs)

@@ -44,6 +44,10 @@ class _Tree:
         value = self.take(key, default)
         if value is default and default is not _MISSING:
             return value
+        return self.check_number(key, value, minimum, positive)
+
+    def check_number(self, key: str, value, minimum=None, positive=False) -> float:
+        """value, read under key, as a finite float: take_number's rule."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{self.context}: '{key}' must be a number")
         try:
@@ -94,18 +98,28 @@ def _float_list(tree: _Tree, key: str, default=_MISSING):
         raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
 
 
+def _take_coefficients(tree: _Tree, duration_s: float, num_harmonics=None) -> MtsfmParameters:
+    """MTSFM design from a tree's 'alpha' and 'beta' lists; errors name the tree.
+
+    Both lists must hold num_harmonics values (by default, alpha's length).
+    """
+    alpha = _float_list(tree, "alpha")
+    beta = _float_list(tree, "beta")
+    k = len(alpha) if num_harmonics is None else num_harmonics
+    try:
+        return MtsfmParameters(num_harmonics=k, alpha=alpha, beta=beta, duration_s=duration_s)
+    except InvalidInputError as exc:
+        raise ConfigError(f"{tree.context}: {exc}") from exc
+
+
 def load_mtsfm_coefficients(path: str) -> MtsfmParameters:
     """Read an MTSFM coefficients JSON (as written by the optimize command)."""
     doc = _Tree(read_json(path), f"coefficients file {path}")
-    alpha = _float_list(doc, "alpha")
-    beta = _float_list(doc, "beta")
     duration = doc.take_number("duration_s", positive=True)
-    k = doc.take_int("num_harmonics", default=len(alpha), minimum=1)
+    k = doc.take_int("num_harmonics", default=None, minimum=1)
+    params = _take_coefficients(doc, duration, k)
     doc.finish()
-    if k != len(alpha) or len(alpha) != len(beta):
-        raise ConfigError(f"coefficients file {path}: alpha/beta/num_harmonics disagree")
-    return MtsfmParameters(num_harmonics=k, alpha=np.array(alpha),
-                           beta=np.array(beta), duration_s=duration)
+    return params
 
 
 def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
@@ -117,12 +131,7 @@ def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
         return params
     if duration_s is None:
         raise ConfigError(f"{tree.context}: duration_s required without coefficients_file")
-    alpha = _float_list(tree, "alpha")
-    beta = _float_list(tree, "beta")
-    if len(alpha) != len(beta):
-        raise ConfigError(f"{tree.context}: alpha and beta lengths differ")
-    return MtsfmParameters(num_harmonics=len(alpha), alpha=np.array(alpha),
-                           beta=np.array(beta), duration_s=duration_s)
+    return _take_coefficients(tree, duration_s)
 
 
 def _parse_costas_code(tree: _Tree) -> CostasCode:

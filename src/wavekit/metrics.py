@@ -123,18 +123,8 @@ def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nfft = _next_pow2(a.size + b.size)
     fa = np.fft.fft(a, nfft)
     fb = fa if b is a else np.fft.fft(b, nfft)
-    cross = fa * np.conj(fb)
-    return _xcorr_from_spectrum(cross, a.size, b.size)
-
-
-def _xcorr_from_spectrum(cross: np.ndarray, na: int, nb: int) -> np.ndarray:
-    """Inverse FFT of a cross spectrum, reordered onto lags -(nb-1)..na-1.
-
-    The transform length must be at least na + nb - 1 so the circular
-    correlation does not wrap.
-    """
-    y = np.fft.ifft(cross)
-    return np.concatenate([y[y.size - (nb - 1):], y[:na]])
+    y = np.fft.ifft(fa * np.conj(fb))
+    return np.concatenate([y[nfft - (b.size - 1):], y[:a.size]])
 
 
 def _doppler_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray,

@@ -7,14 +7,17 @@ RMS bandwidth near a target.  All candidate waveforms are constant
 amplitude by construction, so the search never leaves the feasible
 amplitude class.
 
-Three minimizers share one evaluation contract: a seeded Nelder-Mead
+Three minimizers run under one search contract: a seeded Nelder-Mead
 simplex, a steepest-descent/backtracking scheme, and an L-BFGS
-quasi-Newton refinement.  The two gradient methods use the analytic
-gradient, computed in the same call as the objective value (the
-chain rule through s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin
-basis).  Every call is counted against the problem budget, and an
-objective-plus-gradient call counts as one evaluation; exhausting the
-budget returns the best design found so far with converged=False.
+quasi-Newton refinement.  Each supplies only its search loop.  The
+contract counts every objective or objective-plus-gradient call as one
+evaluation, checks the budget before computing anything, keeps the
+best-so-far design and its trace, and assembles the result; exhausting
+the budget returns the best design found so far with converged=False
+and stop_reason "budget".  The two gradient methods use the analytic
+gradient, computed in the same call as the objective value (the chain
+rule through s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin basis).  The
+objective reads only the region lags and lag 0 of the autocorrelation.
 
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
@@ -31,12 +34,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import RegionSpec, _rms_width, _xcorr_from_spectrum
+from .metrics import RegionSpec, _rms_width
 from .signal import _next_pow2
 from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
 _OBJECTIVES = ("isl", "psl")
-_METHODS = ("nelder_mead", "gradient_descent", "lbfgs")
 _PSL_SHARPNESS = 50.0
 _GD_INITIAL_STEP = 0.5
 _GD_SHRINK = 0.5
@@ -74,16 +76,18 @@ class OptimizationProblem:
     def __post_init__(self):
         if self.objective not in _OBJECTIVES:
             raise InvalidInputError(f"objective must be one of {_OBJECTIVES}")
-        if self.bandwidth_target_hz <= 0:
-            raise InvalidInputError("bandwidth_target_hz must be positive")
+        if not 0.0 < self.bandwidth_target_hz < np.inf:
+            raise InvalidInputError("bandwidth_target_hz must be positive and finite")
         if not 0.0 < self.bandwidth_tolerance < 0.5:
             raise InvalidInputError("bandwidth_tolerance must lie in (0, 0.5)")
-        if self.penalty_weight <= 0:
-            raise InvalidInputError("penalty_weight must be positive")
+        if not 0.0 < self.penalty_weight < np.inf:
+            raise InvalidInputError("penalty_weight must be positive and finite")
         if self.budget < 1:
             raise InvalidInputError("budget must be >= 1")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise InvalidInputError("sample_rate_hz must be positive and finite")
         if self.region.outer_delay_s > self.initial.duration_s:
             raise InvalidInputError("region outer delay exceeds the waveform duration")
 
@@ -126,7 +130,7 @@ class OptimizationResult:
 class _Workspace:
     """Precomputed synthesis/analysis machinery for one problem geometry.
 
-    Caches the harmonic basis, FFT size, region mask, and frequency
+    Caches the harmonic basis, FFT size, region lag bins and frequency
     grid so a single objective evaluation costs one FFT pair: the
     forward transform of the samples feeds both the autocorrelation and
     the RMS bandwidth.  The analytic gradient adds one more FFT pair and
@@ -142,24 +146,23 @@ class _Workspace:
         self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
         self.nfft = _next_pow2(2 * n)
         lags = np.arange(-(n - 1), n)
-        self.region_mask = region.mask(lags / sample_rate_hz)
-        if not np.any(self.region_mask):
+        in_region = region.mask(lags / sample_rate_hz)
+        if not np.any(in_region):
             raise InvalidInputError("region contains no lag samples")
         # Where each region lag sits in the circular (unshifted) FFT order.
-        self.region_bins = lags[self.region_mask] % self.nfft
+        self.region_bins = lags[in_region] % self.nfft
         self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))
 
     def _forward(self, x: np.ndarray, problem: OptimizationProblem):
-        """Objective value of coefficients x and the intermediates its gradient reuses."""
+        """Objective value of x (region lags and lag 0 only) and what its gradient reuses."""
         k = self.num_harmonics
         samples = _unit_modulus(self.cos_basis @ x[:k] + self.sin_basis @ x[k:])
         spec = np.fft.fft(samples, self.nfft)
         power = np.abs(np.fft.fftshift(spec)) ** 2
         bw = _rms_width(self.freqs, power)
-        n = self.num_samples
-        corr = _xcorr_from_spectrum(spec * np.conj(spec), n, n)
-        mag = np.abs(corr)
-        mag = (mag / mag[n - 1])[self.region_mask]
+        circular = np.fft.ifft(spec * np.conj(spec))
+        region, lag0 = circular[self.region_bins], circular[0]
+        mag = np.abs(region) / np.abs(lag0)
         if problem.objective == "isl":
             metric = float(np.sum(mag**2)) / self.sample_rate_hz
             dmetric = 2.0 * mag / self.sample_rate_hz
@@ -172,13 +175,10 @@ class _Workspace:
         target = problem.bandwidth_target_hz
         excess = max(0.0, abs(bw - target) / target - problem.bandwidth_tolerance)
         value = metric + problem.penalty_weight * excess * excess
-        return value, bw, (samples, spec, power, corr, dmetric, excess)
-
-    def objective(self, x: np.ndarray, problem: OptimizationProblem) -> float:
-        return self._forward(x, problem)[0]
+        return value, bw, (samples, spec, power, region, lag0, dmetric, excess)
 
     def objective_and_gradient(self, x: np.ndarray, problem: OptimizationProblem):
-        """Objective value (bitwise equal to objective) and its analytic gradient.
+        """Objective value (bitwise equal to _forward's) and its analytic gradient.
 
         The objective is a function of the power spectrum P = |S|^2 of the
         samples s[n] = exp(j phi[n])/sqrt(N).  Its derivative h = df/dP
@@ -187,15 +187,15 @@ class _Workspace:
         * ifft(S * M h)[n]) with M the FFT length, and the chain rule
         through phi = C alpha + S beta projects it onto the coefficients.
         """
-        value, bw, (samples, spec, power, corr, dmetric, excess) = self._forward(x, problem)
+        value, bw, (samples, spec, power, region, lag0, dmetric, excess) = self._forward(
+            x, problem)
         n, m = self.num_samples, self.nfft
         # 2 df/d conj(R[k]) on the region, R normalized by its lag-0 value,
         # which unit-modulus synthesis holds fixed.
-        region = corr[self.region_mask]
         radius = np.abs(region)
         lag_weight = np.zeros(m, dtype=complex)
         lag_weight[self.region_bins] = np.divide(
-            dmetric * region, radius * abs(corr[n - 1]),
+            dmetric * region, radius * abs(lag0),
             out=np.zeros_like(region), where=radius > 0)
         spec_weight = np.fft.fft(lag_weight).real
         if excess > 0.0:
@@ -242,33 +242,34 @@ def evaluate_objective(params: MtsfmParameters, problem: OptimizationProblem) ->
     """
     if params.num_harmonics != problem.initial.num_harmonics:
         raise InvalidInputError("params harmonic count differs from the problem's")
-    ws = _get_workspace(problem)
-    return ws.objective(params_to_vector(params), problem)
+    return _get_workspace(problem)._forward(params_to_vector(params), problem)[0]
 
 
 class _BudgetExhausted(Exception):
     pass
 
 
-class _CountedObjective:
-    """Counts evaluations, tracks best-so-far, and enforces the budget.
+class _Search:
+    """One minimizer run: workspace, start x0, budget, best-so-far trace, result.
 
-    Calling it returns the objective value; value_and_gradient returns
-    the value and its analytic gradient.  Either counts as one
-    evaluation, and the budget is checked before anything is computed.
+    value and value_and_gradient each count one evaluation, checked
+    against the budget before anything is computed.  run(loop) calls the
+    minimizer's loop for (converged, stop_reason); an exhausted budget
+    ends it with (False, "budget").
     """
 
-    def __init__(self, ws: _Workspace, problem: OptimizationProblem):
-        self.ws = ws
+    def __init__(self, problem: OptimizationProblem):
         self.problem = problem
+        self.ws = _get_workspace(problem)
+        self.x0 = params_to_vector(problem.initial)
         self.count = 0
         self.best_f = np.inf
         self.best_x = None
         self.trace: list[tuple[int, float]] = []
 
-    def __call__(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray) -> float:
         self._spend()
-        return self._track(x, self.ws.objective(np.asarray(x, dtype=float), self.problem))
+        return self._track(x, self.ws._forward(np.asarray(x, dtype=float), self.problem)[0])
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         self._spend()
@@ -287,34 +288,34 @@ class _CountedObjective:
             self.trace.append((self.count, float(f)))
         return f
 
+    def run(self, loop) -> OptimizationResult:
+        try:
+            converged, stop_reason = loop()
+        except _BudgetExhausted:
+            converged, stop_reason = False, "budget"
+        problem, ws = self.problem, self.ws
+        if self.best_x is None:
+            self.best_x = self.x0
+            self.best_f = ws._forward(self.x0, problem)[0]
+            self.trace.append((0, float(self.best_f)))
+        _, bw, _ = ws._forward(self.best_x, problem)
+        feasible = (abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
+                    <= problem.bandwidth_tolerance + 1e-6)
+        return OptimizationResult(
+            final=vector_to_params(self.best_x, ws.duration_s),
+            initial_objective_db=objective_db(self.trace[0][1], problem.objective),
+            final_objective_db=objective_db(self.best_f, problem.objective),
+            trace=tuple(self.trace),
+            converged=bool(converged and feasible),
+            evaluations_used=self.count,
+            stop_reason=stop_reason,
+        )
+
 
 def objective_db(value: float, objective: str) -> float:
     """dB form of an objective value: 10log10 for ISL, 20log10 for PSL."""
     scale = 10.0 if objective == "isl" else 20.0
     return float(scale * np.log10(max(value, 1e-30)))
-
-
-def _finish(counted: _CountedObjective, problem: OptimizationProblem,
-            converged_hint: bool, stop_reason: str) -> OptimizationResult:
-    ws = counted.ws
-    x_best = counted.best_x
-    if x_best is None:
-        x_best = params_to_vector(problem.initial)
-        counted.best_f = ws.objective(x_best, problem)
-        counted.trace.append((0, float(counted.best_f)))
-    _, bw, _ = ws._forward(x_best, problem)
-    feasible = (abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
-                <= problem.bandwidth_tolerance + 1e-6)
-    initial_f = counted.trace[0][1]
-    return OptimizationResult(
-        final=vector_to_params(x_best, ws.duration_s),
-        initial_objective_db=objective_db(initial_f, problem.objective),
-        final_objective_db=objective_db(counted.best_f, problem.objective),
-        trace=tuple(counted.trace),
-        converged=bool(converged_hint and feasible),
-        evaluations_used=counted.count,
-        stop_reason=stop_reason,
-    )
 
 
 def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
@@ -329,9 +330,8 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     """
     from scipy.optimize import minimize
 
-    ws = _get_workspace(problem)
-    counted = _CountedObjective(ws, problem)
-    x0 = params_to_vector(problem.initial)
+    search = _Search(problem)
+    x0 = search.x0
     dim = x0.size
     if problem.budget < dim + 1:
         raise InvalidInputError("Nelder-Mead needs budget >= dimension + 1")
@@ -341,10 +341,10 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     for i in range(dim):
         simplex[i + 1, i] += steps[i]
         simplex[i + 1] += 0.01 * steps[i] * rng.standard_normal(dim)
-    success = False
-    try:
+
+    def simplex_search():
         res = minimize(
-            counted, x0, method="Nelder-Mead",
+            search.value, x0, method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
                 "xatol": 1e-8,
@@ -354,10 +354,9 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
                 "adaptive": True,
             },
         )
-        success = bool(res.success)
-    except _BudgetExhausted:
-        success = False
-    return _finish(counted, problem, success, "tolerance" if success else "budget")
+        return bool(res.success), "tolerance" if res.success else "budget"
+
+    return search.run(simplex_search)
 
 
 def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationProblem,
@@ -377,7 +376,7 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        grad[i] = (ws.objective(xp, problem) - ws.objective(xm, problem)) / (2.0 * step)
+        grad[i] = (ws._forward(xp, problem)[0] - ws._forward(xm, problem)[0]) / (2.0 * step)
     return grad
 
 
@@ -394,32 +393,28 @@ def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResul
     """
     if problem.budget < 2:
         raise InvalidInputError("gradient descent needs budget >= 2")
-    ws = _get_workspace(problem)
-    counted = _CountedObjective(ws, problem)
-    x = params_to_vector(problem.initial)
-    step = _GD_INITIAL_STEP
-    try:
-        f, grad = counted.value_and_gradient(x)
+    search = _Search(problem)
+
+    def descend():
+        x, step = search.x0, _GD_INITIAL_STEP
+        f, grad = search.value_and_gradient(x)
         while True:
             gnorm_sq = float(grad @ grad)
             if np.sqrt(gnorm_sq) < 1e-10:
-                stop_reason = "stationary"
-                break
+                return True, "stationary"
             alpha = step
             for _ in range(_GD_MAX_BACKTRACKS):
                 trial = x - alpha * grad
-                f_trial, grad_trial = counted.value_and_gradient(trial)
+                f_trial, grad_trial = search.value_and_gradient(trial)
                 if f_trial <= f - _GD_ARMIJO_C * alpha * gnorm_sq:
                     x, f, grad = trial, f_trial, grad_trial
                     step = alpha * _GD_GROW
                     break
                 alpha *= _GD_SHRINK
             else:
-                stop_reason = "line_search"  # no descent step representable
-                break
-    except _BudgetExhausted:
-        stop_reason = "budget"
-    return _finish(counted, problem, stop_reason != "budget", stop_reason)
+                return True, "line_search"  # no descent step representable
+
+    return search.run(descend)
 
 
 def _lbfgs_stop_reason(res) -> str:
@@ -442,30 +437,31 @@ def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     """
     from scipy.optimize import minimize
 
-    ws = _get_workspace(problem)
-    counted = _CountedObjective(ws, problem)
-    x0 = params_to_vector(problem.initial)
-    try:
+    search = _Search(problem)
+
+    def quasi_newton():
         res = minimize(
-            counted.value_and_gradient, x0, jac=True, method="L-BFGS-B",
+            search.value_and_gradient, search.x0, jac=True, method="L-BFGS-B",
             options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": 1e-12},
         )
-        success, stop_reason = bool(res.success), _lbfgs_stop_reason(res)
-    except _BudgetExhausted:
-        success, stop_reason = False, "budget"
-    return _finish(counted, problem, success, stop_reason)
+        return bool(res.success), _lbfgs_stop_reason(res)
+
+    return search.run(quasi_newton)
+
+
+_MINIMIZERS = {
+    "nelder_mead": minimize_nelder_mead,
+    "gradient_descent": minimize_gradient_descent,
+    "lbfgs": minimize_lbfgs,
+}
 
 
 def optimize_waveform(problem: OptimizationProblem,
                       method: str = "nelder_mead") -> OptimizationResult:
     """Dispatch to one of the minimizers by name."""
-    if method == "nelder_mead":
-        return minimize_nelder_mead(problem)
-    if method == "gradient_descent":
-        return minimize_gradient_descent(problem)
-    if method == "lbfgs":
-        return minimize_lbfgs(problem)
-    raise InvalidInputError(f"method must be one of {_METHODS}")
+    if not isinstance(method, str) or method not in _MINIMIZERS:
+        raise InvalidInputError(f"method must be one of {tuple(_MINIMIZERS)}")
+    return _MINIMIZERS[method](problem)
 
 
 def default_initial_parameters(bandwidth_hz: float, duration_s: float,

@@ -62,7 +62,7 @@ class SampledSignal:
     duration_s: float = field(default=0.0)
 
     def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        samples = np.array(self.samples, dtype=np.complex128)  # copied, not aliased
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidInputError("signal must be a 1-D array of at least 2 samples")
         if not np.all(np.isfinite(samples.view(np.float64))):

@@ -94,7 +94,7 @@ class MtsfmParameters:
         if self.duration_s <= 0:
             raise InvalidInputError("duration_s must be positive")
         for name in ("alpha", "beta"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # copied, not aliased
             if arr.shape != (self.num_harmonics,):
                 raise InvalidInputError(f"{name} must have length num_harmonics")
             if not np.all(np.isfinite(arr)):

@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 from scipy.io import wavfile
 
+import wavekit as wk
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
 
@@ -144,6 +145,10 @@ OPT_CONFIG = {"command": "optimize",
                           "budget": 300, "seed": 1}}
 
 
+def _problem(**keys):
+    return {"command": "optimize", "problem": {**OPT_CONFIG["problem"], **keys}}
+
+
 def test_optimize_bundle_and_round_trip(tmp_path):
     cfg = _config(tmp_path, OPT_CONFIG)
     out = tmp_path / "out"
@@ -194,6 +199,38 @@ def test_optimize_rerun_is_byte_identical_and_seed_changes_it(tmp_path):
                  "--seed", "5"]) == 0
     assert (out_a / "trace.csv").read_bytes() != (out_c / "trace.csv").read_bytes()
     assert json.loads((out_c / "optimize_result.json").read_text())["seed"] == 5
+
+
+_START = {"alpha": [0.0, 0.3, 0.0, 0.0], "beta": [16.0, 0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("keys", [
+    {"method": "lbfgs"},
+    {"method": "gradient_descent"},
+    {"objective": "psl"},
+    {"bandwidth_target_hz": 20.0},
+    {"initial": _START},
+], ids=["lbfgs", "gradient_descent", "psl", "numeric_bandwidth_target", "initial_dict"])
+def test_optimize_key_reaches_the_minimizer(tmp_path, keys):
+    cfg = _config(tmp_path, _problem(**keys))
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads((out / "optimize_result.json").read_text())
+    for key in ("method", "objective", "bandwidth_target_hz"):
+        assert doc[key] == keys.get(key, doc[key])
+    if "initial" in keys:
+        initial = wk.MtsfmParameters(4, _START["alpha"], _START["beta"], 1.0)
+    else:
+        initial = wk.default_initial_parameters(64.0, 1.0, 4, seed=1)
+    problem = wk.OptimizationProblem(
+        initial=initial, region=wk.default_region(64.0, 1.0), objective=doc["objective"],
+        bandwidth_target_hz=doc["bandwidth_target_hz"], bandwidth_tolerance=0.1,
+        penalty_weight=1.0, budget=300, seed=1, sample_rate_hz=512.0)
+    result = wk.optimize_waveform(problem, doc["method"])
+    assert doc["initial_objective_db"] == result.initial_objective_db
+    assert doc["final_objective_db"] == result.final_objective_db
+    assert doc["evaluations_used"] == result.evaluations_used
+    assert doc["stop_reason"] == result.stop_reason
 
 
 # -------------------------------------------------------------------- simulate
@@ -297,6 +334,65 @@ def test_compare_rejects_mixed_sample_rates(tmp_path):
                  str(tmp_path / "out")]) == 2
 
 
+# ------------------------------------------------------- keys with valid values
+
+def _read(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    if path.suffix == ".csv":
+        return _csv(path)[1]
+    return wavfile.read(path)[1]
+
+
+def _peak_hz(data, rate):
+    return float(np.argmax(np.abs(np.fft.rfft(data)))) * rate / data.size
+
+
+_SIM64 = {"command": "simulate", "sample_rate_hz": 512.0,
+          "waveform": {"kind": "lfm", "bandwidth_hz": 64.0, "duration_s": 1.0},
+          "scene": {"benchmark_bandwidth_hz": 64.0}}
+_COMPARE64 = {"command": "compare", "sample_rate_hz": 512.0, "waveforms": [
+    {"name": kind, "waveform": {"kind": kind, "bandwidth_hz": 64.0, "duration_s": 1.0,
+                                "center_freq_hz": 128.0}} for kind in ("lfm", "hfm")]}
+
+
+def _synth(waveform, **keys):
+    return {"command": "synth", "sample_rate_hz": 1000.0, "waveform": waveform, **keys}
+
+
+@pytest.mark.parametrize("config, flags, artifact, read, expected", [
+    (_synth({"kind": "costas_fsk", "duration_s": 1.0, "code": [1, 3, 4, 2, 5]}), [],
+     "metrics.json", lambda m: m["bandwidth_hz"], 25.0),
+    (_synth({"kind": "costas_fsk", "duration_s": 1.0, "prime": 7, "generator": 3}), [],
+     "metrics.json", lambda m: m["bandwidth_hz"], 36.0),
+    (_synth({"kind": "geometric_comb", "duration_s": 1.0, "bandwidth_hz": 48.0,
+             "num_tones": 4, "tone_ratio": 1.5}), [],
+     "metrics.json", lambda m: (m["bandwidth_hz"], m["tbp"]), (48.0, 48.0)),
+    (_synth({"kind": "cw", "duration_s": 1.0}, wav_carrier_hz=100.0), ["--format", "wav"],
+     "waveform.wav", lambda w: _peak_hz(w, 1000.0), 100.0),
+    ({**_SIM64, "doppler_span_hz": 8.0, "num_dopplers": 5}, [],
+     "range_doppler.csv", lambda rows: sorted({float(r[1]) for r in rows}),
+     [-4.0, -2.0, 0.0, 2.0, 4.0]),
+    ({**_SIM64, "dopplers_hz": [0.0], "window_s": 2.0}, [],
+     "zero_doppler_cut.csv", len, 2 * 512 + 512 - 1),
+    ({**_SIM64, "dopplers_hz": [0.0],
+      "scene": {"benchmark_bandwidth_hz": 64.0, "first_delay_s": 0.25}}, [],
+     "resolvability.json", lambda d: d["echoes"][0]["delay_s"], 0.25),
+    ({**_COMPARE64, "doppler_mode": "wideband"}, [],
+     "comparison.json", lambda d: d["entries"][1]["doppler_loss_db"]
+     > d["entries"][0]["doppler_loss_db"] + 3.0, True),
+    ({**_COMPARE64, "inband_bandwidth_hz": 32.0}, [],
+     "comparison.json", lambda d: 0.4 < d["entries"][0]["inband_energy_fraction"] < 0.6, True),
+], ids=["costas_code", "costas_prime_generator", "geometric_comb", "wav_carrier_hz",
+        "doppler_span_and_count", "window_s", "first_delay_s", "wideband_doppler_mode",
+        "inband_bandwidth_hz"])
+def test_config_key_takes_effect(tmp_path, config, flags, artifact, read, expected):
+    out = tmp_path / "out"
+    assert main([config["command"], "--config", _config(tmp_path, config),
+                 "--out", str(out), *flags]) == 0
+    assert read(_read(out / artifact)) == expected
+
+
 # ------------------------------------------------------------------ exit codes
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -379,13 +475,23 @@ def _inline_mtsfm(beta):
     (_compare_name("lfm\nx"), None, "name"),
     (_compare_name(7), None, "name"),
     (_compare_name(None), None, "name"),
+    (_problem(seed=-1), None, "seed"),
+    ({**_dopplers([0.0]), "seed": -1}, None, "seed"),
+    ({**CW_SYNTH, "formats": [1]}, None, "formats"),
+    ({**CW_SYNTH, "formats": ["csv", ["json"]]}, None, "formats"),
+    (_problem(bandwidth_target_hz=float("inf")), None, "bandwidth_target_hz"),
+    (_problem(bandwidth_target_hz=float("nan")), None, "bandwidth_target_hz"),
+    (_problem(method=["lbfgs"]), None, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
         "initial_alpha_beyond_float_range", "initial_alpha_bool",
         "initial_alpha_string_entry", "dopplers_string_and_bool", "dopplers_bool",
         "inline_beta_string", "coefficients_beta_bool", "compare_name_comma",
-        "compare_name_newline", "compare_name_number", "compare_name_null"])
+        "compare_name_newline", "compare_name_number", "compare_name_null",
+        "optimize_negative_seed", "noiseless_simulate_negative_seed", "formats_number",
+        "formats_nested_list", "infinite_bandwidth_target", "nan_bandwidth_target",
+        "method_list"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -402,6 +508,30 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coeffic
     assert err.startswith("error: ")
     assert key is None or f"'{key}'" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, flags, key", [
+    (OPT_CONFIG, ["--out", "o", "--seed", "-2"], "seed"),
+    ({**_dopplers([0.0]), "scene": {"echoes": [{"delay_s": 0.1, "level_db": 0.0}],
+                                    "noise_level_db": -30.0}},
+     ["--out", "o", "--seed", "-2"], "seed"),
+    ({**CW_SYNTH, "output_dir": 5}, [], "output_dir"),
+], ids=["optimize_seed_flag", "noisy_simulate_seed_flag", "output_dir_number"])
+def test_malformed_run_option_exits_2(tmp_path, capsys, monkeypatch, config, flags, key):
+    monkeypatch.chdir(tmp_path)
+    path = _config(tmp_path, config)
+    assert main([config["command"], "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_problem_initial_length_mismatch_names_the_subtree(tmp_path, capsys):
+    cfg = _config(tmp_path, _problem(initial={"alpha": [0.0] * 4, "beta": [0.0] * 3}))
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "problem.initial: beta must have length num_harmonics" in capsys.readouterr().err
 
 
 def test_command_mismatch_exits_2(tmp_path):

@@ -226,6 +226,24 @@ def test_problem_validation():
             OptimizationProblem(**{**good, **bad})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth_target_hz", np.inf), ("bandwidth_target_hz", np.nan),
+    ("penalty_weight", np.inf), ("penalty_weight", np.nan),
+    ("sample_rate_hz", np.inf), ("sample_rate_hz", np.nan), ("seed", -1),
+])
+def test_problem_rejects_non_finite_values_and_negative_seeds(field, value):
+    problem = _tiny_problem()
+    with pytest.raises(InvalidInputError, match=field):
+        dataclasses.replace(problem, **{field: value})
+
+
+def test_vector_to_params_copies_the_vector():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    params = vector_to_params(x, 1.0)
+    x[0] = 99.0
+    assert params.alpha[0] == 1.0
+
+
 # ------------------------------------------------------------------ gradient
 
 def test_gradient_requires_positive_step():

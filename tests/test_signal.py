@@ -48,6 +48,14 @@ def test_samples_are_immutable():
         sig.samples[0] = 0.0
 
 
+def test_signal_copies_its_samples():
+    caller = np.ones(8, dtype=complex)
+    sig = wk.SampledSignal(samples=caller[:4], sample_rate_hz=4.0)
+    caller[0] = 5.0
+    assert sig.energy() == 4.0
+    assert caller.flags.writeable
+
+
 def test_to_db_floor():
     db = wk.to_db(np.array([1.0, 1e-3, 0.0]))
     assert db[0] == pytest.approx(0.0, abs=1e-12)
