@@ -258,12 +258,18 @@ def parse_scene(data, context: str = "scene") -> EchoScene:
 
 
 def parse_dopplers(tree: _Tree) -> np.ndarray:
-    """Doppler grid: explicit list, or a symmetric span with a count."""
+    """Doppler grid: explicit list, or a symmetric span with a count.
+
+    A span grid is `count` evenly spaced rows from -span/2 to span/2; a
+    count of 1 is the single row at the centre of the span, 0 Hz.
+    """
     explicit = _float_list(tree, "dopplers_hz", default=None)
     if explicit is not None:
         return np.array(explicit)
     span = tree.take_number("doppler_span_hz", positive=True)
     count = tree.take_int("num_dopplers", minimum=1)
+    if count == 1:
+        return np.zeros(1)
     return np.linspace(-span / 2.0, span / 2.0, count)
 
 

@@ -113,14 +113,30 @@ class DopplerTolerancePoint:
     peak_shift_s: float
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length pocketfft transforms at
+    nearly power-of-two speed per point."""
+    best = _next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * _next_pow2(-(-n // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear correlation y[k] = sum_n a[n] * conj(b[n-k]).
 
     Lags k run from -(len(b)-1) to len(a)-1 and a delayed copy of b
     inside a produces a peak at positive k equal to the delay.  When b
-    is a, its transform is taken once and reused.
+    is a, its transform is taken once and reused.  The circular
+    correlation is taken at `_fft_length(len(a) + len(b) - 1)`, the
+    shortest length at which no lag aliases onto another.
     """
-    nfft = _next_pow2(a.size + b.size)
+    nfft = _fft_length(a.size + b.size - 1)
     fa = np.fft.fft(a, nfft)
     fb = fa if b is a else np.fft.fft(b, nfft)
     y = np.fft.ifft(fa * np.conj(fb))
@@ -131,12 +147,20 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray,
                   dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
 
-    Lags lie in -(len(b)-1)..len(a)-1.  a is transformed once and each
-    row takes one FFT pair.  Rows are looped, not batched into a 2-D FFT:
-    a Doppler-count x FFT-length complex temporary runs to about 100 MB
-    for long pulses.
+    Lags lie in -(len(b)-1)..len(a)-1.  Circular lag k also holds the
+    linear lags k +/- nfft, which fall outside that range, and so hold
+    nothing, for every requested k once nfft >= len(a) - min(lags) and
+    nfft >= max(lags) + len(b).  The transform takes the `_fft_length` of
+    that bound, so a narrow lag window gets a short transform and the
+    full lag range gets `_linear_xcorr`'s length.  (An input longer than
+    nfft is cut by the FFT only past the samples those lags reach.)
+
+    a is transformed once and each row takes one FFT pair.  Rows are
+    looped, not batched into a 2-D FFT: a Doppler-count x FFT-length
+    complex temporary runs to about 55 MB for the 201-row bank of a
+    long pulse (N = 8192, 16875 points).
     """
-    nfft = _next_pow2(a.size + b.size)
+    nfft = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
     fa = np.fft.fft(a, nfft)
     idx = lags % nfft  # lag k of the circular correlation sits at index k mod nfft
     rows = np.empty((dopplers.size, idx.size))
@@ -179,7 +203,9 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
 
     Each Doppler column is a `_doppler_rows` row at the mirrored lags:
     the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows are looped by FFT and keep only these lags.
+    |chi(-tau, nu)|.  Rows are looped by FFT and keep only these lags,
+    and the transform length follows the delay window: N + max_delay*fs
+    points, rounded up to a 5-smooth length, not 2N.
 
     Args:
         signal: unit-energy waveform.
@@ -283,23 +309,29 @@ def _parabolic_refine(mags: np.ndarray, idx: int) -> float:
     return float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
 
 
-def _scaled_replica(signal: SampledSignal, eta: float) -> np.ndarray:
-    """Time-scaled echo sqrt(eta) * s(eta t) * e^{j 2 pi fc (eta-1) t} at baseband.
+def _time_scaler(signal: SampledSignal):
+    """eta -> time-scaled echo sqrt(eta) * s(eta t) * e^{j 2 pi fc (eta-1) t} at baseband.
 
     This is the complex-baseband form of physically time-compressing the
-    passband waveform by eta, used by the wideband Doppler model.
+    passband waveform by eta, used by the wideband Doppler model.  The
+    two cubic splines through the samples are built once here and shared
+    by every eta.
     """
     from scipy.interpolate import CubicSpline
 
     t = signal.time_grid()
     spline_re = CubicSpline(t, signal.samples.real)
     spline_im = CubicSpline(t, signal.samples.imag)
-    ts = eta * t
-    inside = (ts >= t[0]) & (ts <= t[-1])
-    scaled = np.zeros(signal.num_samples, dtype=np.complex128)
-    scaled[inside] = spline_re(ts[inside]) + 1j * spline_im(ts[inside])
-    carrier = np.exp(2j * np.pi * signal.center_freq_hz * (eta - 1.0) * t)
-    return np.sqrt(eta) * scaled * carrier
+
+    def replica(eta: float) -> np.ndarray:
+        ts = eta * t
+        inside = (ts >= t[0]) & (ts <= t[-1])
+        scaled = np.zeros(signal.num_samples, dtype=np.complex128)
+        scaled[inside] = spline_re(ts[inside]) + 1j * spline_im(ts[inside])
+        carrier = np.exp(2j * np.pi * signal.center_freq_hz * (eta - 1.0) * t)
+        return np.sqrt(eta) * scaled * carrier
+
+    return replica
 
 
 def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
@@ -336,8 +368,8 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
         rows = _doppler_rows(s, s, signal.time_grid(), -dopplers,
                              np.arange(1 - s.size, s.size))
     else:
-        rows = (np.abs(_linear_xcorr(
-                    _scaled_replica(signal, 1.0 + nu / signal.center_freq_hz), s))
+        replica = _time_scaler(signal)
+        rows = (np.abs(_linear_xcorr(replica(1.0 + nu / signal.center_freq_hz), s))
                 for nu in dopplers)
     points = []
     for nu, y in zip(dopplers, rows):

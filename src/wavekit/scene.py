@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import _doppler_rows, _scaled_replica
+from .metrics import _doppler_rows, _time_scaler
 from .signal import DB_FLOOR, SampledSignal, to_db
 
 
@@ -130,11 +130,13 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
             raise InvalidInputError("echo delay plus pulse length exceeds the window")
     t = (np.arange(n_win) + 0.5) / fs
     received = np.zeros(n_win, dtype=np.complex128)
+    scaler = None
     for echo, shift in zip(scene.echoes, shifts):
         if echo.time_scale == 1.0:
             replica = waveform.samples
         else:
-            replica = _scaled_replica(waveform, echo.time_scale)
+            scaler = scaler or _time_scaler(waveform)
+            replica = scaler(echo.time_scale)
         amp = 10.0 ** (echo.level_db / 20.0)
         segment = slice(shift, shift + n_pulse)
         received[segment] += amp * replica * np.exp(2j * np.pi * echo.doppler_hz * t[segment])

@@ -373,6 +373,8 @@ def _synth(waveform, **keys):
     ({**_SIM64, "doppler_span_hz": 8.0, "num_dopplers": 5}, [],
      "range_doppler.csv", lambda rows: sorted({float(r[1]) for r in rows}),
      [-4.0, -2.0, 0.0, 2.0, 4.0]),
+    ({**_SIM64, "doppler_span_hz": 8.0, "num_dopplers": 1}, [],
+     "range_doppler.csv", lambda rows: sorted({r[1] for r in rows}), ["0.000000"]),
     ({**_SIM64, "dopplers_hz": [0.0], "window_s": 2.0}, [],
      "zero_doppler_cut.csv", len, 2 * 512 + 512 - 1),
     ({**_SIM64, "dopplers_hz": [0.0],
@@ -384,8 +386,8 @@ def _synth(waveform, **keys):
     ({**_COMPARE64, "inband_bandwidth_hz": 32.0}, [],
      "comparison.json", lambda d: 0.4 < d["entries"][0]["inband_energy_fraction"] < 0.6, True),
 ], ids=["costas_code", "costas_prime_generator", "geometric_comb", "wav_carrier_hz",
-        "doppler_span_and_count", "window_s", "first_delay_s", "wideband_doppler_mode",
-        "inband_bandwidth_hz"])
+        "doppler_span_and_count", "doppler_count_one", "window_s", "first_delay_s",
+        "wideband_doppler_mode", "inband_bandwidth_hz"])
 def test_config_key_takes_effect(tmp_path, config, flags, artifact, read, expected):
     out = tmp_path / "out"
     assert main([config["command"], "--config", _config(tmp_path, config),

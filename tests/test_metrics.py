@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import wavekit as wk
+import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _linear_xcorr
+from wavekit.metrics import _doppler_rows, _fft_length, _linear_xcorr
 
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
-                     direct_xcorr_mag, spectral_moment_rms)
+                     direct_corr_at_lag, direct_xcorr_mag, spectral_moment_rms)
 
 
 def _tone(freq_hz, fs=512.0, duration_s=1.0):
@@ -54,6 +56,51 @@ def test_fft_correlator_matches_direct_sums():
     # Stored responses are floored at -120 dB, i.e. 1e-6 linear.
     np.testing.assert_allclose(resp.magnitude_linear(),
                                np.maximum(expected, 1e-6), atol=1e-9)
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    """Against a scan of the integers for those with no prime factor above 5."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    n_max = 10_000
+    smooth_numbers = [m for m in range(1, 2 * n_max) if smooth(m)]
+    nxt = iter(smooth_numbers)
+    candidate = next(nxt)
+    for n in range(1, n_max + 1):
+        while candidate < n:
+            candidate = next(nxt)
+        assert _fft_length(n) == candidate, n
+
+
+def test_correlation_at_a_tight_5_smooth_length():
+    """600 + 481 - 1 = 1080 = 2^3 3^3 5: the transform has no spare point."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    b = rng.standard_normal(481) + 1j * rng.standard_normal(481)
+    assert _fft_length(a.size + b.size - 1) == a.size + b.size - 1
+    np.testing.assert_allclose(np.abs(_linear_xcorr(a, b)), direct_xcorr_mag(a, b),
+                               atol=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi", [(-480, 599), (-480, -300), (-7, 7), (150, 170),
+                                    (590, 599)],
+                         ids=["full", "negative", "around_zero", "positive", "last"])
+def test_doppler_rows_match_direct_sums_on_any_lag_window(lo, hi):
+    """The transform is only as long as the window needs, for any window."""
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    b = rng.standard_normal(481) + 1j * rng.standard_normal(481)
+    t = (np.arange(b.size) + 0.5) / 100.0
+    dopplers = np.array([-3.1, 0.0, 2.0])
+    lags = np.arange(lo, hi + 1)
+    expected = np.array([[abs(direct_corr_at_lag(a, b * np.exp(2j * np.pi * nu * t), k))
+                          for k in lags] for nu in dopplers])
+    np.testing.assert_allclose(_doppler_rows(a, b, t, dopplers, lags), expected,
+                               atol=1e-9)
 
 
 def test_cross_correlation_of_signal_with_itself_is_autocorrelation():
@@ -173,6 +220,21 @@ def test_ambiguity_matches_direct_evaluation():
     lag_indices = np.round(af.delays_s * 64.0).astype(int)
     expected = direct_ambiguity_mag(sig.samples, 64.0, lag_indices,
                                     af.dopplers_hz)
+    expected /= expected[np.flatnonzero(lag_indices == 0)[0],
+                         np.argmin(np.abs(af.dopplers_hz))]
+    np.testing.assert_allclose(af.magnitude, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("max_delay_s", [0.5, 0.25, 1.0 / 512.0],
+                         ids=["half", "quarter", "one_sample"])
+def test_windowed_ambiguity_matches_direct_evaluation(max_delay_s):
+    """N + max_lag is 768 and 640 (5-smooth, so the transform has no spare
+    point) at T/2 and T/4, and 513 (taken at 540) at one sample."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    af = wk.ambiguity_function(sig, max_delay_s, 20.0, 129, 33)
+    lag_indices = np.round(af.delays_s * 512.0).astype(int)
+    assert lag_indices.max() == round(max_delay_s * 512.0)
+    expected = direct_ambiguity_mag(sig.samples, 512.0, lag_indices, af.dopplers_hz)
     expected /= expected[np.flatnonzero(lag_indices == 0)[0],
                          np.argmin(np.abs(af.dopplers_hz))]
     np.testing.assert_allclose(af.magnitude, expected, atol=1e-9)
@@ -343,6 +405,23 @@ def test_doppler_curve_matches_brute_force():
         shifted = sig.samples * np.exp(2j * np.pi * pt.doppler_hz * t)
         brute = direct_xcorr_mag(shifted, sig.samples).max() / sig.energy()
         assert pt.peak_loss_db == pytest.approx(20.0 * np.log10(brute), abs=1e-9)
+
+
+def test_wideband_curve_builds_the_splines_once(monkeypatch):
+    """Two splines per curve, and points bitwise those of a rebuild per Doppler."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    dopplers = np.linspace(-8.0, 8.0, 7)
+    built = []
+    spline = scipy.interpolate.CubicSpline
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline",
+                        lambda *a, **k: built.append(1) or spline(*a, **k))
+    curve = wk.doppler_tolerance_curve(sig, dopplers, mode="wideband")
+    assert len(built) == 2
+    scaler = wk_metrics._time_scaler
+    monkeypatch.setattr(wk_metrics, "_time_scaler",
+                        lambda signal: lambda eta: scaler(signal)(eta))
+    assert wk.doppler_tolerance_curve(sig, dopplers, mode="wideband") == curve
+    assert len(built) == 2 + 2 * dopplers.size
 
 
 def test_doppler_curve_is_symmetric_for_cw():

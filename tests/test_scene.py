@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
@@ -127,6 +128,18 @@ def test_time_scale_compresses_the_echo():
                                atol=1e-12)
 
 
+def test_time_scaled_echoes_share_one_pair_of_splines(lfm, monkeypatch):
+    built = []
+    spline = scipy.interpolate.CubicSpline
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline",
+                        lambda *a, **k: built.append(1) or spline(*a, **k))
+    scene = EchoScene(echoes=(Echo(0.0, 0.0, 0.0, time_scale=1.01),
+                              Echo(0.2, 0.0, -6.0),
+                              Echo(0.4, 0.0, -6.0, time_scale=0.99)))
+    simulate_returns(lfm, scene, seed=0)
+    assert len(built) == 2
+
+
 def test_echo_and_scene_validation():
     with pytest.raises(InvalidInputError):
         Echo(-0.1, 0.0, 0.0)
@@ -204,6 +217,26 @@ def test_mf_bank_rows_match_direct_sums(lfm):
                          for nu in dopplers])
     expected /= expected.max()
     # Stored maps are floored at -120 dB, i.e. 1e-6 linear.
+    np.testing.assert_allclose(10.0 ** (rd.magnitude_db / 20.0),
+                               np.maximum(expected, 1e-6), atol=1e-9)
+
+
+def test_mf_bank_matches_direct_sums_at_a_tight_5_smooth_length(lfm):
+    """614 received + 512 replica - 1 = 1125 = 3^2 5^3: no spare transform point.
+
+    The second echo fills the window to its last sample, so an aliased
+    end lag would pick up a nonzero product.
+    """
+    scene = EchoScene(echoes=(Echo(30.0 / 512.0, -3.0, 0.0),
+                              Echo(102.0 / 512.0, 2.5, -6.0)))
+    rx = simulate_returns(lfm, scene, seed=0, window_s=614.0 / 512.0)
+    assert rx.num_samples + lfm.num_samples - 1 == 1125
+    dopplers = [-3.0, 0.0, 2.5]
+    rd = mf_bank(rx, lfm, dopplers)
+    t = lfm.time_grid()
+    expected = np.array([direct_xcorr_mag(rx.samples, lfm.samples * np.exp(2j * np.pi * nu * t))
+                         for nu in dopplers])
+    expected /= expected.max()
     np.testing.assert_allclose(10.0 ** (rd.magnitude_db / 20.0),
                                np.maximum(expected, 1e-6), atol=1e-9)
 
