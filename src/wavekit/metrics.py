@@ -9,6 +9,7 @@ of a range response plot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,10 @@ class DopplerTolerancePoint:
     peak_shift_s: float
 
 
+# Complex points per block of Doppler rows in `_doppler_rows`.
+_BLOCK_POINTS = 1 << 15
+
+
 def _fft_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n, a length pocketfft transforms at
     nearly power-of-two speed per point."""
@@ -143,30 +148,64 @@ def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([y[nfft - (b.size - 1):], y[:a.size]])
 
 
-def _doppler_rows(a: np.ndarray, b: np.ndarray, t: np.ndarray,
+def _phase_ramps(dopplers: np.ndarray, n: int, fs: float) -> np.ndarray:
+    """e^{j 2 pi nu t_k} on the midpoint grid t_k = (k + 1/2)/fs, k < n, one row per nu.
+
+    With k = h*m + l and m = ceil(sqrt(n)), the ramp factors as
+    e^{j 2 pi nu h m/fs} * e^{j 2 pi nu (l + 1/2)/fs}: two tables of about
+    sqrt(n) exponentials per nu and one outer product, truncated to n
+    points, in place of n complex exponentials.  The product is as
+    accurate as np.exp of the whole phase, whose argument rounding grows
+    with t just as the large-h table's does.
+    """
+    m = math.isqrt(n - 1) + 1
+    w = (2j * np.pi / fs) * dopplers[:, None]
+    hi = np.exp(w * (m * np.arange(-(-n // m))))
+    lo = np.exp(w * (np.arange(m) + 0.5))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(dopplers.size, -1)[:, :n]
+
+
+def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
                   dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
 
-    Lags lie in -(len(b)-1)..len(a)-1.  Circular lag k also holds the
-    linear lags k +/- nfft, which fall outside that range, and so hold
-    nothing, for every requested k once nfft >= len(a) - min(lags) and
-    nfft >= max(lags) + len(b).  The transform takes the `_fft_length` of
-    that bound, so a narrow lag window gets a short transform and the
-    full lag range gets `_linear_xcorr`'s length.  (An input longer than
-    nfft is cut by the FFT only past the samples those lags reach.)
+    t is the midpoint grid (k + 1/2)/fs of b, the grid of every
+    SampledSignal.  Lags lie in -(len(b)-1)..len(a)-1.  Circular lag k
+    also holds the linear lags k +/- nfft, which fall outside that range,
+    and so hold nothing, for every requested k once
+    nfft >= len(a) - min(lags) and nfft >= max(lags) + len(b).  The
+    transform takes the `_fft_length` of that bound, so a narrow lag
+    window gets a short transform and the full lag range gets
+    `_linear_xcorr`'s length.  (An input longer than nfft is cut by the
+    FFT only past the samples those lags reach.)
 
-    a is transformed once and each row takes one FFT pair.  Rows are
-    looped, not batched into a 2-D FFT: a Doppler-count x FFT-length
-    complex temporary runs to about 55 MB for the 201-row bank of a
-    long pulse (N = 8192, 16875 points).
+    a is transformed once.  Rows go in blocks of _BLOCK_POINTS // nfft
+    (at least one): each block builds its `_phase_ramps`, takes one
+    forward and one inverse FFT along its rows, and writes the kept lags
+    straight into the output.  A block holds at most the ramps and two
+    transforms of _BLOCK_POINTS points each (0.5 MB) at once, however
+    many rows there are: a 257 x 257 T/2 surface at N = 8192 peaks near
+    1.8 MB under tracemalloc, 0.5 MB of it the surface, where one 2-D
+    transform of all rows would take about 55 MB for the 201-row bank of
+    a long pulse (N = 8192, 16875 points).  Each row is bitwise the
+    one-row result at its nu.
     """
     nfft = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
     fa = np.fft.fft(a, nfft)
     idx = lags % nfft  # lag k of the circular correlation sits at index k mod nfft
     rows = np.empty((dopplers.size, idx.size))
-    for i, nu in enumerate(dopplers):
-        fb = np.fft.fft(b * np.exp(2j * np.pi * nu * t), nfft)
-        rows[i] = np.abs(np.fft.ifft(fa * np.conj(fb))[idx])
+    step = max(1, _BLOCK_POINTS // nfft)
+    for start in range(0, dopplers.size, step):
+        block = slice(start, start + step)
+        # Operands in _linear_xcorr's order: an FMA complex product is not
+        # bitwise commutative.
+        replicas = _phase_ramps(dopplers[block], b.size, fs)
+        np.multiply(b, replicas, out=replicas)
+        spectra = np.fft.fft(replicas, nfft, axis=1)
+        del replicas
+        np.conjugate(spectra, out=spectra)
+        np.multiply(fa, spectra, out=spectra)
+        np.abs(np.fft.ifft(spectra, axis=1)[:, idx], out=rows[block])
     return rows
 
 
@@ -203,9 +242,12 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
 
     Each Doppler column is a `_doppler_rows` row at the mirrored lags:
     the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows are looped by FFT and keep only these lags,
-    and the transform length follows the delay window: N + max_delay*fs
-    points, rounded up to a 5-smooth length, not 2N.
+    |chi(-tau, nu)|.  Rows go through the FFT in blocks of a few rows,
+    each with its phase ramps built from two small exponential tables,
+    and keep only these lags; a block's temporaries stay near 1 MB and
+    the surface is the only full-size array.  The transform length
+    follows the delay window: N + max_delay*fs points, rounded up to a
+    5-smooth length, not 2N.
 
     Args:
         signal: unit-energy waveform.
@@ -227,7 +269,7 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
     lag_idx = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
     dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
-    surface = _doppler_rows(s, s, signal.time_grid(), -dopplers, -lag_idx).T
+    surface = _doppler_rows(s, s, fs, -dopplers, -lag_idx).T
     i0 = int(np.where(lag_idx == 0)[0][0])
     j0 = int(np.argmin(np.abs(dopplers)))
     surface /= surface[i0, j0]
@@ -365,7 +407,7 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     energy = signal.energy()
     dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
     if mode == "narrowband":
-        rows = _doppler_rows(s, s, signal.time_grid(), -dopplers,
+        rows = _doppler_rows(s, s, fs, -dopplers,
                              np.arange(1 - s.size, s.size))
     else:
         replica = _time_scaler(signal)

@@ -10,7 +10,10 @@ sidelobe floor contributed by the others.
 "Stand clear" is two conditions on the echo's nearest-Doppler row.
 Its peak must exceed the median of the surrounding sidelobe ring by
 margin_db, and it must not read more than 20*log10(1 + 10^(-margin_db/20))
-above the echo's true level (+3.53 dB at the default 6 dB).  If the
+above the echo's true level (+3.53 dB at the default 6 dB).  Levels are
+read against the map's reference, the level at which a 0 dB echo peaks
+on a tuned row, not against the map's peak, so a strongest echo that
+straddles two Doppler rows does not lift every other reading.  If the
 other echoes' sidelobes at the echo's delay lie at least margin_db
 below it, they can raise its peak by no more than that factor; a
 reading above the bound therefore means the peak is mostly the others'
@@ -82,11 +85,17 @@ class EchoScene:
 
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    """Peak-normalized dB map, one row per Doppler-tuned matched filter."""
+    """Peak-normalized dB map, one row per Doppler-tuned matched filter.
+
+    reference_db is the map level of a 0 dB echo on a tuned row: the
+    replica energy over the map's peak, in dB.  The default 0 dB takes
+    the peak itself as that level.
+    """
 
     delays_s: np.ndarray
     dopplers_hz: np.ndarray
     magnitude_db: np.ndarray = field(repr=False)
+    reference_db: float = 0.0
 
     def __post_init__(self):
         delays = np.asarray(self.delays_s, dtype=float)
@@ -96,6 +105,9 @@ class RangeDopplerMap:
             raise InvalidInputError("magnitude_db must be (num_dopplers, num_delays)")
         if abs(mag.max()) > 1e-9:
             raise InvalidInputError("map must be peak-normalized (global max 0 dB)")
+        if not np.isfinite(self.reference_db):
+            raise InvalidInputError("reference_db must be finite")
+        object.__setattr__(self, "reference_db", float(self.reference_db))
         for name, arr in (("delays_s", delays), ("dopplers_hz", dopplers),
                           ("magnitude_db", mag)):
             if not np.all(np.isfinite(arr)):
@@ -155,8 +167,11 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
 
     Row nu is |correlation of received against s(t) e^{j 2 pi nu t}|;
     the assembled map is normalized to its global peak and stored in dB.
-    Rows come from `metrics._doppler_rows`: one transform of the received
-    series, then one FFT pair per row, looped to bound memory.
+    A 0 dB echo on a tuned row peaks at the replica energy, so the map's
+    reference_db is that energy over the peak.  Rows come from
+    `metrics._doppler_rows`: one transform of the received series, then
+    blocks of rows, each with one batched FFT pair and phase ramps built
+    from two small exponential tables.
     """
     dopplers = np.asarray(dopplers_hz, dtype=float)
     if dopplers.ndim != 1 or dopplers.size == 0:
@@ -166,13 +181,15 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
     lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
-    rows = _doppler_rows(received.samples, waveform.samples, waveform.time_grid(),
+    rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)
     peak = rows.max()
     if peak <= 0:
         raise InvalidInputError("received signal is identically zero")
+    rows /= peak
     return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
-                           dopplers_hz=dopplers, magnitude_db=to_db(rows / peak))
+                           dopplers_hz=dopplers, magnitude_db=to_db(rows),
+                           reference_db=to_db(waveform.energy() / peak))
 
 
 def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
@@ -192,10 +209,11 @@ def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
     sufficient: interference that partly cancels the echo can still let
     a buried echo through.  On the benchmark scene, the TBP-256 LFM's
     -40 dB echo lies under -38.4 dB of the others' sidelobes yet reads
-    -37.6 dB, inside the bound, and is reported detected.  Readings are
-    relative to the map's peak, so the bound also assumes the strongest
-    echo lands on a tuned Doppler row: its own straddle loss would lift
-    every other reading by the same amount.
+    -37.6 dB, inside the bound, and is reported detected.
+    measured_level_db is the peak read against rd_map.reference_db, the
+    level of a 0 dB echo on a tuned row, so it needs no echo to land on
+    a tuned row: the strongest echo's straddle loss lowers only its own
+    reading.  The ring test compares map levels and needs no reference.
     Returns one dict per echo, in scene order, with keys delay_s,
     doppler_hz, level_db, detected, measured_level_db, position_error_s.
     """
@@ -226,13 +244,18 @@ def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
         for d in all_delays:
             ring &= np.abs(lags - d) > mainlobe
         floor_db = float(np.median(row[ring])) if np.any(ring) else DB_FLOOR
-        measured = float(row[peak_idx]) if peak_idx is not None else DB_FLOOR
-        error = float(abs(lags[peak_idx] - echo.delay_s)) if peak_idx is not None else float("nan")
+        if peak_idx is None:
+            reading = measured = DB_FLOOR
+            error = float("nan")
+        else:
+            reading = float(row[peak_idx])
+            measured = reading - rd_map.reference_db
+            error = float(abs(lags[peak_idx] - echo.delay_s))
         report.append({
             "delay_s": float(echo.delay_s),
             "doppler_hz": float(echo.doppler_hz),
             "level_db": float(echo.level_db),
-            "detected": bool(has_peak and measured >= floor_db + margin_db
+            "detected": bool(has_peak and reading >= floor_db + margin_db
                              and measured <= echo.level_db + max_lift_db),
             "measured_level_db": measured,
             "position_error_s": error,

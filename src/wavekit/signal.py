@@ -41,7 +41,12 @@ def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
         20*log10(magnitude) clamped to [floor_db, inf).
     """
     floor_lin = 10.0 ** (floor_db / 20.0)
-    return 20.0 * np.log10(np.maximum(np.asarray(magnitude, dtype=float), floor_lin))
+    db = np.maximum(np.asarray(magnitude, dtype=float), floor_lin)
+    if db.ndim == 0:  # np.maximum returns a scalar, which has no buffer to reuse
+        return 20.0 * np.log10(db)
+    np.log10(db, out=db)
+    db *= 20.0
+    return db
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Correlation, ambiguity, and scalar metric checks against direct oracles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.interpolate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _doppler_rows, _fft_length, _linear_xcorr
+from wavekit.metrics import _doppler_rows, _fft_length, _linear_xcorr, _phase_ramps
 
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
                      direct_corr_at_lag, direct_xcorr_mag, spectral_moment_rms)
@@ -99,8 +102,89 @@ def test_doppler_rows_match_direct_sums_on_any_lag_window(lo, hi):
     lags = np.arange(lo, hi + 1)
     expected = np.array([[abs(direct_corr_at_lag(a, b * np.exp(2j * np.pi * nu * t), k))
                           for k in lags] for nu in dopplers])
-    np.testing.assert_allclose(_doppler_rows(a, b, t, dopplers, lags), expected,
+    np.testing.assert_allclose(_doppler_rows(a, b, 100.0, dopplers, lags), expected,
                                atol=1e-9)
+
+
+_SMOOTH_LENGTHS = [n for n in range(2, 700) if _fft_length(n) == n]
+
+
+@st.composite
+def _row_problems(draw):
+    """Random series and lag windows, some at a tight 5-smooth length."""
+    nb = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        total = draw(st.sampled_from([n for n in _SMOOTH_LENGTHS if n >= nb]))
+        na = total - nb + 1
+    else:
+        na = draw(st.integers(1, 400))
+    lo, hi = -(nb - 1), na - 1
+    kind = draw(st.sampled_from(["full", "negative", "positive", "single"]))
+    if kind == "negative" and lo < 0:
+        hi = draw(st.integers(lo, -1))
+    elif kind == "positive" and hi > 0:
+        lo = draw(st.integers(0, hi))
+    elif kind == "single":
+        lo = hi = draw(st.integers(lo, hi))
+    fs = draw(st.sampled_from([1.0, 64.0, 1000.0]))
+    nus = draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=9))
+    return na, nb, np.arange(lo, hi + 1), fs, fs * np.array(nus)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_row_problems(), seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([1, 1500, 1 << 15]))
+def test_blocked_doppler_rows_match_direct_sums(problem, seed, budget):
+    """Blocks of one row, of a few rows and of every row agree with per-lag sums
+    for non-uniform and negative Dopplers up to |nu| = fs/2."""
+    na, nb, lags, fs, dopplers = problem
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+    b = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+    t = (np.arange(nb) + 0.5) / fs
+    expected = np.array([[abs(direct_corr_at_lag(a, b * np.exp(2j * np.pi * nu * t), k))
+                          for k in lags] for nu in dopplers])
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", budget):
+        rows = _doppler_rows(a, b, fs, dopplers, lags)
+    np.testing.assert_allclose(rows, expected, atol=1e-9)
+
+
+def test_doppler_rows_are_bitwise_the_one_row_result():
+    """Each row of a multi-block bank at N = 8192 is the row computed alone."""
+    sig = wk.synth_lfm(1024.0, 1.0, 8192.0)
+    scene = wk.EchoScene(echoes=(wk.Echo(0.01, 3.0, 0.0), wk.Echo(0.02, -1.5, -6.0)))
+    rx = wk.simulate_returns(sig, scene, seed=0).samples
+    lags = np.arange(-100, 101)
+    step = wk_metrics._BLOCK_POINTS // _fft_length(rx.size + 100)
+    dopplers = np.array([-4096.0, -7.3, -3.0, -1.5, 0.0, 0.37, 1.0, 3.0, 11.0, 4095.5])
+    assert step >= 2 and dopplers.size > 2 * step  # at least 3 blocks, some of several rows
+    rows = _doppler_rows(rx, sig.samples, 8192.0, dopplers, lags)
+    for nu, row in zip(dopplers, rows):
+        assert np.array_equal(row, _doppler_rows(rx, sig.samples, 8192.0,
+                                                 np.array([nu]), lags)[0]), nu
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="longdouble is plain float64 here")
+@pytest.mark.parametrize("n, fs, max_doppler", [(8192, 8192.0, 10.0), (65536, 1.0, 0.5)],
+                         ids=["long_pulse", "half_rate"])
+def test_phase_ramps_are_as_accurate_as_exp(n, fs, max_doppler):
+    """The factored ramp's error against an extended-precision reference is
+    at most that of np.exp of the full phase, plus 1e-15."""
+    dopplers = np.array([-max_doppler, -0.37 * max_doppler, 0.013 * max_doppler,
+                         max_doppler / 3.0, max_doppler])
+    t = (np.arange(n) + 0.5) / fs
+    pi = 4.0 * np.arctan(np.longdouble(1.0))
+    k = np.arange(n).astype(np.longdouble)
+    for nu, ramp in zip(dopplers, _phase_ramps(dopplers, n, fs)):
+        phase = 2.0 * pi * np.longdouble(nu) * (k + np.longdouble(0.5)) / np.longdouble(fs)
+        ref_re, ref_im = np.cos(phase), np.sin(phase)
+        direct = np.exp(2j * np.pi * nu * t)
+        err_ramp = np.hypot((ramp.real - ref_re).astype(float),
+                            (ramp.imag - ref_im).astype(float)).max()
+        err_exp = np.hypot((direct.real - ref_re).astype(float),
+                           (direct.imag - ref_im).astype(float)).max()
+        assert err_ramp <= err_exp + 1e-15, (nu, err_ramp, err_exp)
 
 
 def test_cross_correlation_of_signal_with_itself_is_autocorrelation():
@@ -245,10 +329,10 @@ def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
     """Columns kept by the lag window are bitwise those of full correlation rows."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     af = wk.ambiguity_function(sig, 1.0, 20.0, num_delays, num_dopplers)
-    s, t = sig.samples, sig.time_grid()
+    s = sig.samples
     lags = np.round(af.delays_s * 512.0).astype(int)
-    full = np.array([np.abs(_linear_xcorr(s, s * np.exp(-2j * np.pi * nu * t)))
-                     for nu in af.dopplers_hz])
+    full = np.array([np.abs(_linear_xcorr(s, s * ramp))
+                     for ramp in _phase_ramps(-af.dopplers_hz, s.size, 512.0)])
     expected = full[:, (s.size - 1) - lags].T
     expected /= expected[np.flatnonzero(lags == 0)[0], np.argmin(np.abs(af.dopplers_hz))]
     assert np.array_equal(af.magnitude, expected)

@@ -6,7 +6,7 @@ import scipy.interpolate
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _linear_xcorr
+from wavekit.metrics import _linear_xcorr, _phase_ramps
 from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
 
@@ -165,6 +165,9 @@ def test_range_doppler_map_validation():
     with pytest.raises(InvalidInputError):
         RangeDopplerMap(delays_s=delays, dopplers_hz=np.array([0.0]),
                         magnitude_db=np.array([[-1.0, -2.0]]))  # max != 0
+    with pytest.raises(InvalidInputError):
+        RangeDopplerMap(delays_s=delays, dopplers_hz=np.array([0.0]),
+                        magnitude_db=np.array([[0.0, -2.0]]), reference_db=np.nan)
 
 
 # ------------------------------------------------------------------- mf_bank
@@ -246,21 +249,26 @@ def test_mf_bank_equals_the_full_row_result(lfm):
     rx = simulate_returns(lfm, EchoScene(echoes=(Echo(30.0 / 512.0, -3.0, 0.0),
                                                   Echo(90.0 / 512.0, 2.5, -6.0))), seed=0)
     dopplers = [-7.3, 0.0, 2.5]
-    t = lfm.time_grid()
-    rows = np.array([np.abs(_linear_xcorr(rx.samples, lfm.samples * np.exp(2j * np.pi * nu * t)))
-                     for nu in dopplers])
+    rows = np.array([np.abs(_linear_xcorr(rx.samples, lfm.samples * ramp))
+                     for ramp in _phase_ramps(np.array(dopplers), lfm.num_samples, 512.0)])
     rd = mf_bank(rx, lfm, dopplers)
     assert np.array_equal(rd.magnitude_db, wk.to_db(rows / rows.max()))
 
 
 def test_mf_bank_transforms_the_received_series_once(lfm, monkeypatch):
-    """A D-row bank takes D + 1 forward FFTs: one per replica, one shared."""
+    """A D-row bank forward-transforms D + 1 rows: one per replica, one shared."""
     rx = simulate_returns(lfm, _single(delay_s=0.1), seed=0)
-    calls = []
+    rows = []
     fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+
+    def counting_fft(x, *args, **kwargs):
+        x = np.asarray(x)
+        rows.append(x.size // x.shape[kwargs.get("axis", -1)])
+        return fft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
     mf_bank(rx, lfm, np.linspace(-5.0, 5.0, 7))
-    assert len(calls) == 7 + 1
+    assert sum(rows) == 7 + 1
 
 
 def test_mf_bank_validation(lfm):
@@ -303,6 +311,36 @@ def test_noise_masked_echo_is_reported_undetected(lfm):
     report = resolvability_report(mf_bank(rx, lfm, [0.0]), scene, 64.0)
     assert report[0]["detected"] is True
     assert report[1]["detected"] is False
+
+
+def test_mf_bank_reference_is_the_replica_energy_over_the_peak(lfm):
+    """A 0 dB echo on a tuned row reads 0 dB against the map's reference."""
+    rx = simulate_returns(lfm, _single(delay_s=0.2, doppler_hz=2.0), seed=0)
+    scaled = wk.SampledSignal(samples=0.5 * rx.samples, sample_rate_hz=512.0)
+    rd = mf_bank(scaled, lfm, [0.0, 2.0])
+    peak = max(direct_xcorr_mag(scaled.samples,
+                                lfm.samples * np.exp(2j * np.pi * 2.0 * lfm.time_grid())))
+    assert rd.reference_db == pytest.approx(20.0 * np.log10(lfm.energy() / peak), abs=1e-9)
+    assert rd.magnitude_db[1].max() - rd.reference_db == pytest.approx(20.0 * np.log10(0.5),
+                                                                        abs=1e-9)
+
+
+def test_straddled_strongest_echo_does_not_lift_the_others():
+    """P4-256: the 0 dB echo sits between the 0 and 1 Hz rows and loses about
+    4 dB to straddle; the -20 dB echo on the 0 Hz row still reads its own
+    level, not 4 dB above it, and is detected."""
+    p4 = wk.synth_p4(256, 1.0, 2048.0)
+    fs = p4.sample_rate_hz
+    scene = EchoScene(echoes=(Echo(0.1, 0.5, 0.0), Echo(0.6, 0.0, -20.0)))
+    rd = mf_bank(simulate_returns(p4, scene, seed=0), p4, [0.0, 1.0])
+    strong, weak = resolvability_report(rd, scene, 256.0)
+    assert strong["detected"] is True
+    assert strong["measured_level_db"] < -3.0  # its own straddle loss
+    alone_db = 20.0 * np.log10(superposed_echo_mag(
+        p4.samples, fs, [0.6], [-20.0], [int(round(0.6 * fs))])[0])
+    assert alone_db == pytest.approx(-20.0, abs=1e-9)
+    assert weak["detected"] is True, weak
+    assert abs(weak["measured_level_db"] - alone_db) <= 0.25, weak
 
 
 def test_resolvability_validation(lfm):

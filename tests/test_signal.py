@@ -5,6 +5,7 @@ import pytest
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
+from wavekit.signal import DB_FLOOR
 
 from oracles import dirichlet_magnitude
 
@@ -152,3 +153,17 @@ def test_to_passband_guard_edge_is_half_the_p99_bandwidth_below_nyquist():
     wk.to_passband(wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=edge - 0.1))
     with pytest.raises(InvalidInputError):
         wk.to_passband(wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=edge + 0.1))
+
+
+def test_to_db_matches_the_plain_formula_and_leaves_its_input():
+    """Bitwise 20*log10(maximum(x, floor)) on arrays, scalars and 0-d arrays."""
+    floor = 10.0 ** (DB_FLOOR / 20.0)
+    x = np.array([[0.0, 1e-9, 3e-7], [0.5, 1.0, 2.5]])
+    kept = x.copy()
+    assert np.array_equal(wk.to_db(x), 20.0 * np.log10(np.maximum(x, floor)))
+    assert np.array_equal(x, kept)
+    assert np.array_equal(wk.to_db(x, -40.0), 20.0 * np.log10(np.maximum(x, 0.01)))
+    for value in (0.25, np.float64(0.25), np.array(0.25), 0.0, np.array(0.0)):
+        db = wk.to_db(value)
+        assert type(db) is np.float64
+        assert db == 20.0 * np.log10(np.maximum(np.asarray(value, dtype=float), floor))
