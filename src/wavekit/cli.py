@@ -2,8 +2,10 @@
 
 Each run is driven by one JSON config document (see `wavekit.config`);
 the --out, --seed, and --format flags override the corresponding config
-fields.  Exit codes: 0 success (including non-converged optimizations,
-which are reported, not fatal), 2 config/validation error, 3 I/O error.
+fields.  A run reads its config, computes its artifacts (a dict keyed by
+file name), then writes them, so a run that exits 2 writes nothing.
+Exit codes: 0 success (including non-converged optimizations, which are
+reported, not fatal), 2 config/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (_take_coefficients, _Tree, load_config, parse_dopplers, parse_region,
-                     parse_scene, parse_waveform, resolve_sample_rate)
+from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
+                     parse_region, parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import write_csv, write_json, write_wav
-from .metrics import (ambiguity_function, autocorrelation,
-                      doppler_tolerance_curve, metrics_report)
+from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
+                      metrics_report, rms_bandwidth)
 from .optimize import (OptimizationProblem, default_initial_parameters,
                        nlfm_initial_parameters, objective_db,
                        optimize_waveform)
 from .scene import mf_bank, resolvability_report, simulate_returns
 from .signal import SampledSignal, spectrogram, spectrum, to_db, to_passband
-from .waveforms import MtsfmParameters, WaveformSpec, synth_mtsfm, synth_waveform
+from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
 
 _FORMATS = ("csv", "json", "wav")
 
@@ -57,10 +59,6 @@ def _take_seed(tree: _Tree, args) -> int:
     return seed
 
 
-def _path(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, name)
-
-
 def _metrics_doc(signal: SampledSignal, bandwidth_hz: float, region,
                  zero_pad_factor: int) -> dict:
     report = metrics_report(signal, bandwidth_hz, region=region,
@@ -79,7 +77,7 @@ def _metrics_doc(signal: SampledSignal, bandwidth_hz: float, region,
 def _take_waveform(tree: _Tree, context: str = "waveform", default_fs=None) -> tuple:
     """(spec, sample rate) from a tree's 'waveform' and 'sample_rate_hz' keys."""
     spec = parse_waveform(tree.take("waveform"), context)
-    return spec, resolve_sample_rate(spec, tree.take_number(
+    return spec, resolve_sample_rate(spec.bandwidth_hz, spec.duration_s, tree.take_number(
         "sample_rate_hz", default=default_fs, positive=True))
 
 
@@ -96,11 +94,11 @@ def _default_window(num_samples: int) -> int:
 def _parse_analysis_options(tree: _Tree, duration_s: float):
     """Analysis-bundle options; an empty tree gives the defaults."""
     zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
-    sg = tree.take_subtree("spectrogram", default=None) or _Tree({}, "spectrogram")
+    sg = tree.take_subtree("spectrogram", optional=True)
     window_len = sg.take_int("window_len_samples", default=None, minimum=2)
     overlap = sg.take_number("overlap", default=0.75, minimum=0.0)
     sg.finish()
-    af = tree.take_subtree("ambiguity", default=None) or _Tree({}, "ambiguity")
+    af = tree.take_subtree("ambiguity", optional=True)
     af_opts = {
         "max_delay_s": af.take_number("max_delay_s", default=duration_s / 2.0,
                                       positive=True),
@@ -113,37 +111,29 @@ def _parse_analysis_options(tree: _Tree, duration_s: float):
     return zpf, window_len, overlap, af_opts
 
 
-def _write_analysis_bundle(out_dir: str, formats, signal: SampledSignal,
-                           bandwidth_hz: float, region, zpf: int,
-                           window_len, overlap: float, af_opts: dict) -> None:
-    if "csv" in formats:
-        spec = spectrum(signal, zpf)
-        db = to_db(spec.magnitude / spec.magnitude.max())
-        write_csv(_path(out_dir, "spectrum.csv"), ("f_hz", "db"),
-                  zip(spec.freqs_hz, db))
-
-        wlen = window_len if window_len is not None else _default_window(signal.num_samples)
-        gram = spectrogram(signal, wlen, overlap)
-        write_csv(_path(out_dir, "spectrogram.csv"), ("t_s", "f_hz", "db"),
-                  zip(*_grid_columns(gram.times_s, gram.freqs_hz, gram.magnitude_db)))
-
-        ac = autocorrelation(signal)
-        write_csv(_path(out_dir, "autocorrelation.csv"), ("lag_s", "db"),
-                  zip(ac.lags_s, ac.magnitude_db))
-
-        af = ambiguity_function(signal, af_opts["max_delay_s"],
-                                af_opts["max_doppler_hz"],
-                                af_opts["num_delays"], af_opts["num_dopplers"])
-        nu, tau, db = _grid_columns(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T)
-        write_csv(_path(out_dir, "ambiguity.csv"), ("tau_s", "nu_hz", "db"),
-                  zip(tau, nu, db))
-    if "json" in formats:
-        write_json(_path(out_dir, "metrics.json"),
-                   _metrics_doc(signal, bandwidth_hz, region, zpf))
+def _analysis_csvs(formats, signal: SampledSignal, zpf: int, window_len,
+                   overlap: float, af_opts: dict) -> dict:
+    """The analysis bundle's CSV artifacts; the caller adds its metrics.json."""
+    if "csv" not in formats:
+        return {}
+    spec = spectrum(signal, zpf)
+    wlen = window_len if window_len is not None else _default_window(signal.num_samples)
+    gram = spectrogram(signal, wlen, overlap)
+    ac = autocorrelation(signal)
+    af = ambiguity_function(signal, **af_opts)
+    nu, tau, af_db = _grid_columns(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T)
+    return {
+        "spectrum.csv": (("f_hz", "db"),
+                         zip(spec.freqs_hz, to_db(spec.magnitude / spec.magnitude.max()))),
+        "spectrogram.csv": (("t_s", "f_hz", "db"),
+                            zip(*_grid_columns(gram.times_s, gram.freqs_hz,
+                                               gram.magnitude_db))),
+        "autocorrelation.csv": (("lag_s", "db"), zip(ac.lags_s, ac.magnitude_db)),
+        "ambiguity.csv": (("tau_s", "nu_hz", "db"), zip(tau, nu, af_db)),
+    }
 
 
-def cmd_synth(tree: _Tree, args) -> None:
-    out_dir, formats = _resolve_run_options(tree, args)
+def cmd_synth(tree: _Tree, args, formats) -> dict:
     spec, fs = _take_waveform(tree)
     region_data = tree.take("region", default=None)
     zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
@@ -151,31 +141,33 @@ def cmd_synth(tree: _Tree, args) -> None:
     tree.finish()
     signal = synth_waveform(spec, fs)
     region = parse_region(region_data, spec.bandwidth_hz, signal.duration_s)
+    artifacts = {}
     if "csv" in formats:
-        write_csv(_path(out_dir, "waveform.csv"), ("index", "t_s", "re", "im"),
-                  zip(range(signal.num_samples), signal.time_grid(),
-                      signal.samples.real, signal.samples.imag))
+        artifacts["waveform.csv"] = (("index", "t_s", "re", "im"),
+                                     zip(range(signal.num_samples), signal.time_grid(),
+                                         signal.samples.real, signal.samples.imag))
     if "json" in formats:
-        write_json(_path(out_dir, "metrics.json"),
-                   _metrics_doc(signal, spec.bandwidth_hz, region, zpf))
+        artifacts["metrics.json"] = _metrics_doc(signal, spec.bandwidth_hz, region, zpf)
     if "wav" in formats:
         pb_signal = signal
         if signal.center_freq_hz <= 0:
             fc = carrier if carrier is not None else fs / 4.0
             pb_signal = replace(signal, center_freq_hz=fc)
-        write_wav(_path(out_dir, "waveform.wav"), to_passband(pb_signal), fs)
+        artifacts["waveform.wav"] = (to_passband(pb_signal), fs)
+    return artifacts
 
 
-def cmd_analyze(tree: _Tree, args) -> None:
-    out_dir, formats = _resolve_run_options(tree, args)
+def cmd_analyze(tree: _Tree, args, formats) -> dict:
     spec, fs = _take_waveform(tree)
     region_data = tree.take("region", default=None)
     zpf, window_len, overlap, af_opts = _parse_analysis_options(tree, spec.duration_s)
     tree.finish()
     signal = synth_waveform(spec, fs)
     region = parse_region(region_data, spec.bandwidth_hz, signal.duration_s)
-    _write_analysis_bundle(out_dir, formats, signal, spec.bandwidth_hz, region,
-                           zpf, window_len, overlap, af_opts)
+    artifacts = _analysis_csvs(formats, signal, zpf, window_len, overlap, af_opts)
+    if "json" in formats:
+        artifacts["metrics.json"] = _metrics_doc(signal, spec.bandwidth_hz, region, zpf)
+    return artifacts
 
 
 def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
@@ -196,16 +188,14 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
     raise ConfigError("problem.initial must be 'default', 'nlfm', or {alpha, beta}")
 
 
-def cmd_optimize(tree: _Tree, args) -> None:
-    out_dir, formats = _resolve_run_options(tree, args)
+def cmd_optimize(tree: _Tree, args, formats) -> dict:
     prob = tree.take_subtree("problem")
     tree.finish()
     num_harmonics = prob.take_int("num_harmonics", default=32, minimum=1)
     duration = prob.take_number("duration_s", positive=True)
     bandwidth = prob.take_number("bandwidth_hz", positive=True)
-    fs = resolve_sample_rate(
-        WaveformSpec(kind="lfm", bandwidth_hz=bandwidth, duration_s=duration),
-        prob.take_number("sample_rate_hz", default=None, positive=True))
+    fs = resolve_sample_rate(bandwidth, duration, prob.take_number(
+        "sample_rate_hz", default=None, positive=True))
     objective = prob.take("objective", default="isl")
     region_data = prob.take("region", default=None)
     target = prob.take("bandwidth_target_hz", default="initial_rms")
@@ -227,26 +217,24 @@ def cmd_optimize(tree: _Tree, args) -> None:
     before = synth_mtsfm(initial, fs)
     if target == "initial_rms":
         # next_pow2(2N) matches the optimizer's internal FFT grid exactly
-        target = metrics_report(before, bandwidth, region=region,
-                                zero_pad_factor=2).rms_bandwidth_hz
-    try:
+        target = rms_bandwidth(spectrum(before, 2))
+    with _as_config_error("problem"):
         problem = OptimizationProblem(
             initial=initial, region=region, objective=objective,
             bandwidth_target_hz=target, bandwidth_tolerance=tolerance,
             penalty_weight=weight, budget=budget, seed=seed, sample_rate_hz=fs)
         result = optimize_waveform(problem, method=method)
-    except InvalidInputError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
 
     after = synth_mtsfm(result.final, fs)
     zpf, window_len, overlap, af_opts = _parse_analysis_options(_Tree({}, "problem"), duration)
+    artifacts = {}
     if "json" in formats:
-        write_json(_path(out_dir, "coefficients.json"), {
+        artifacts["coefficients.json"] = {
             "num_harmonics": result.final.num_harmonics,
             "duration_s": result.final.duration_s,
             "alpha": list(result.final.alpha),
             "beta": list(result.final.beta),
-        })
+        }
         doc = result.to_dict()
         doc.update({
             "method": method,
@@ -262,16 +250,18 @@ def cmd_optimize(tree: _Tree, args) -> None:
             "before_metrics": _metrics_doc(before, bandwidth, region, zpf),
             "after_metrics": _metrics_doc(after, bandwidth, region, zpf),
         })
-        write_json(_path(out_dir, "optimize_result.json"), doc)
+        artifacts["optimize_result.json"] = doc
     if "csv" in formats:
-        write_csv(_path(out_dir, "trace.csv"), ("evaluation", "objective_db"),
-                  ((idx, objective_db(val, objective)) for idx, val in result.trace))
-    _write_analysis_bundle(out_dir, formats, after, bandwidth, region, zpf,
-                           window_len, overlap, af_opts)
+        artifacts["trace.csv"] = (("evaluation", "objective_db"),
+                                  ((idx, objective_db(val, objective))
+                                   for idx, val in result.trace))
+    artifacts.update(_analysis_csvs(formats, after, zpf, window_len, overlap, af_opts))
+    if "json" in formats:
+        artifacts["metrics.json"] = artifacts["optimize_result.json"]["after_metrics"]
+    return artifacts
 
 
-def cmd_simulate(tree: _Tree, args) -> None:
-    out_dir, formats = _resolve_run_options(tree, args)
+def cmd_simulate(tree: _Tree, args, formats) -> dict:
     spec, fs = _take_waveform(tree)
     scene = parse_scene(tree.take("scene"))
     dopplers = parse_dopplers(tree)
@@ -283,24 +273,24 @@ def cmd_simulate(tree: _Tree, args) -> None:
     received = simulate_returns(signal, scene, seed, window_s=window)
     rd = mf_bank(received, signal, dopplers)
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)
+    artifacts = {}
     if "csv" in formats:
         nu, tau, db = _grid_columns(rd.dopplers_hz, rd.delays_s, rd.magnitude_db)
-        write_csv(_path(out_dir, "range_doppler.csv"), ("tau_s", "nu_hz", "db"),
-                  zip(tau, nu, db))
-        write_csv(_path(out_dir, "zero_doppler_cut.csv"), ("lag_s", "db"),
-                  zip(rd.delays_s, rd.zero_doppler_cut()))
+        artifacts["range_doppler.csv"] = (("tau_s", "nu_hz", "db"), zip(tau, nu, db))
+        artifacts["zero_doppler_cut.csv"] = (("lag_s", "db"),
+                                             zip(rd.delays_s, rd.zero_doppler_cut()))
     if "json" in formats:
-        write_json(_path(out_dir, "resolvability.json"), {
+        artifacts["resolvability.json"] = {
             "bandwidth_hz": spec.bandwidth_hz,
             "margin_db": margin,
             "seed": seed,
             "all_detected": all(e["detected"] for e in report),
             "echoes": report,
-        })
+        }
+    return artifacts
 
 
-def cmd_compare(tree: _Tree, args) -> None:
-    out_dir, formats = _resolve_run_options(tree, args)
+def cmd_compare(tree: _Tree, args, formats) -> dict:
     entries = tree.take("waveforms")
     if not isinstance(entries, list) or len(entries) < 2:
         raise ConfigError("compare needs a 'waveforms' list with >= 2 entries")
@@ -360,21 +350,22 @@ def cmd_compare(tree: _Tree, args) -> None:
             },
         })
         docs.append(doc)
+    artifacts = {}
     if "csv" in formats:
-        write_csv(_path(out_dir, "comparison.csv"),
-                  ("name", "psl_db", "isl_db", "rms_bandwidth_hz",
-                   "p99_bandwidth_hz", "inband_energy_fraction",
-                   "doppler_loss_db"), rows)
-        write_csv(_path(out_dir, "doppler_curves.csv"),
-                  ("name", "doppler_hz", "loss_db", "peak_shift_s"), curve_rows)
+        artifacts["comparison.csv"] = (("name", "psl_db", "isl_db", "rms_bandwidth_hz",
+                                        "p99_bandwidth_hz", "inband_energy_fraction",
+                                        "doppler_loss_db"), rows)
+        artifacts["doppler_curves.csv"] = (("name", "doppler_hz", "loss_db", "peak_shift_s"),
+                                           curve_rows)
     if "json" in formats:
-        write_json(_path(out_dir, "comparison.json"), {
+        artifacts["comparison.json"] = {
             "doppler_mode": mode,
             "doppler_eval_hz": float(dopplers[eval_idx]),
             "region_inner_delay_s": region.inner_delay_s,
             "region_outer_delay_s": region.outer_delay_s,
             "entries": docs,
-        })
+        }
+    return artifacts
 
 
 _COMMANDS = {
@@ -406,7 +397,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tree = load_config(args.config, args.cmd)
-        _COMMANDS[args.cmd](tree, args)
+        out_dir, formats = _resolve_run_options(tree, args)
+        # {file name: CSV (header, rows), JSON document or WAV (samples, rate)}
+        for name, content in _COMMANDS[args.cmd](tree, args, formats).items():
+            path = os.path.join(out_dir, name)
+            if name.endswith(".csv"):
+                write_csv(path, *content)
+            elif name.endswith(".json"):
+                write_json(path, content)
+            else:
+                write_wav(path, *content)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,13 +4,15 @@ Each document carries a "command" discriminator plus parameter trees
 mirroring the domain types (waveform spec, region, optimization
 problem, echo scene).  Parsing is strict — unknown keys are rejected —
 and every tree is validated against the same invariants as the
-underlying types before any computation starts, so a bad config always
-fails fast with a ConfigError.
+underlying types.  The CLI reads the whole config and computes every
+artifact before it writes one, so a run that exits with a ConfigError
+writes nothing.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,6 +26,15 @@ from .waveforms import MtsfmParameters, WaveformSpec, swept_bandwidth
 _MISSING = object()
 
 
+@contextmanager
+def _as_config_error(context: str):
+    """Re-raise a domain type's InvalidInputError as a ConfigError naming context."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 class _Tree:
     """Strict view over one config subtree: every key must be consumed."""
 
@@ -33,18 +44,20 @@ class _Tree:
         self._data = dict(data)
         self.context = context
 
-    def take(self, key: str, default=_MISSING):
-        if key in self._data:
-            return self._data.pop(key)
-        if default is _MISSING:
-            raise ConfigError(f"{self.context}: missing required key '{key}'")
-        return default
+    def take(self, key: str, default=_MISSING, check=None):
+        """Pop key's value, or default if absent (no default: key required).
+        check(value) converts a value that is present and is not the default
+        object itself, so an explicit null under a None default is the default."""
+        if key not in self._data:
+            if default is _MISSING:
+                raise ConfigError(f"{self.context}: missing required key '{key}'")
+            return default
+        value = self._data.pop(key)
+        return value if check is None or value is default else check(value)
 
     def take_number(self, key: str, default=_MISSING, minimum=None, positive=False):
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
-        return self.check_number(key, value, minimum, positive)
+        return self.take(key, default,
+                         lambda value: self.check_number(key, value, minimum, positive))
 
     def check_number(self, key: str, value, minimum=None, positive=False) -> float:
         """value, read under key, as a finite float: take_number's rule."""
@@ -63,20 +76,18 @@ class _Tree:
         return value
 
     def take_int(self, key: str, default=_MISSING, minimum=None):
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
+        def check(value):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{self.context}: '{key}' must be an integer")
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"{self.context}: '{key}' must be >= {minimum}")
             return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self.context}: '{key}' must be an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.context}: '{key}' must be >= {minimum}")
-        return value
+        return self.take(key, default, check)
 
-    def take_subtree(self, key: str, default=_MISSING):
-        value = self.take(key, default)
-        if value is default and default is not _MISSING:
-            return value
-        return _Tree(value, f"{self.context}.{key}")
+    def take_subtree(self, key: str, optional: bool = False):
+        """The subtree under key; an optional one, absent or null, reads as empty."""
+        value = self.take(key, None if optional else _MISSING)
+        return _Tree({} if optional and value is None else value, f"{self.context}.{key}")
 
     def finish(self):
         if self._data:
@@ -85,17 +96,16 @@ class _Tree:
 
 
 def _float_list(tree: _Tree, key: str, default=_MISSING):
-    value = tree.take(key, default)
-    if value is default and default is not _MISSING:
-        return value
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{tree.context}: '{key}' must be a nonempty list")
-    if any(type(v) not in (int, float) for v in value):
-        raise ConfigError(f"{tree.context}: '{key}' must contain numbers")
-    try:
-        return [float(v) for v in value]
-    except OverflowError as exc:
-        raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
+    def check(value):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{tree.context}: '{key}' must be a nonempty list")
+        if any(type(v) not in (int, float) for v in value):
+            raise ConfigError(f"{tree.context}: '{key}' must contain numbers")
+        try:
+            return [float(v) for v in value]
+        except OverflowError as exc:
+            raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
+    return tree.take(key, default, check)
 
 
 def _take_coefficients(tree: _Tree, duration_s: float, num_harmonics=None) -> MtsfmParameters:
@@ -106,10 +116,8 @@ def _take_coefficients(tree: _Tree, duration_s: float, num_harmonics=None) -> Mt
     alpha = _float_list(tree, "alpha")
     beta = _float_list(tree, "beta")
     k = len(alpha) if num_harmonics is None else num_harmonics
-    try:
+    with _as_config_error(tree.context):
         return MtsfmParameters(num_harmonics=k, alpha=alpha, beta=beta, duration_s=duration_s)
-    except InvalidInputError as exc:
-        raise ConfigError(f"{tree.context}: {exc}") from exc
 
 
 def load_mtsfm_coefficients(path: str) -> MtsfmParameters:
@@ -152,13 +160,13 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     rest: 2/T for CW (Rayleigh width), N^2/T for Costas FSK, N/T for
     P4, and the swept bandwidth 2*max|f(t)| for MTSFM.
     """
-    tree = data if isinstance(data, _Tree) else _Tree(data, context)
+    tree = _Tree(data, context)
     kind = tree.take("kind")
     if not isinstance(kind, str):
         raise ConfigError(f"{tree.context}: 'kind' must be a string")
     kind = kind.lower()
     center = tree.take_number("center_freq_hz", default=0.0)
-    try:
+    with _as_config_error(tree.context):
         if kind == "cw":
             duration = tree.take_number("duration_s", positive=True)
             spec = WaveformSpec(kind=kind, bandwidth_hz=2.0 / duration,
@@ -195,19 +203,17 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
                                 center_freq_hz=center)
         else:
             raise ConfigError(f"{tree.context}: unknown waveform kind '{kind}'")
-    except InvalidInputError as exc:
-        raise ConfigError(f"{tree.context}: {exc}") from exc
     tree.finish()
     return spec
 
 
-def resolve_sample_rate(spec: WaveformSpec, explicit) -> float:
+def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit) -> float:
     """Explicit rate if given, else 8x the design bandwidth (with a floor
     guaranteeing at least 256 samples) — comfortably above the 4x
     synthesis minimum."""
     if explicit is not None:
         return float(explicit)
-    return max(8.0 * spec.bandwidth_hz, 256.0 / spec.duration_s)
+    return max(8.0 * bandwidth_hz, 256.0 / duration_s)
 
 
 def parse_region(data, bandwidth_hz: float, duration_s: float,
@@ -215,19 +221,17 @@ def parse_region(data, bandwidth_hz: float, duration_s: float,
     """Region subtree, or the default sidelobe region for (B, T) if None."""
     if data is None:
         return default_region(bandwidth_hz, duration_s)
-    tree = data if isinstance(data, _Tree) else _Tree(data, context)
+    tree = _Tree(data, context)
     inner = tree.take_number("inner_delay_s", minimum=0.0)
     outer = tree.take_number("outer_delay_s", positive=True)
     tree.finish()
-    try:
+    with _as_config_error(tree.context):
         return RegionSpec(inner_delay_s=inner, outer_delay_s=outer)
-    except InvalidInputError as exc:
-        raise ConfigError(f"{tree.context}: {exc}") from exc
 
 
 def parse_scene(data, context: str = "scene") -> EchoScene:
     """Echo-scene subtree: explicit echo list or the six-echo benchmark."""
-    tree = data if isinstance(data, _Tree) else _Tree(data, context)
+    tree = _Tree(data, context)
     bench_bw = tree.take_number("benchmark_bandwidth_hz", default=None, positive=True)
     if bench_bw is not None:
         first = tree.take_number("first_delay_s", default=None, minimum=0.0)
@@ -241,20 +245,16 @@ def parse_scene(data, context: str = "scene") -> EchoScene:
     echoes = []
     for i, entry in enumerate(echo_list):
         etree = _Tree(entry, f"{context}.echoes[{i}]")
-        try:
+        with _as_config_error(etree.context):
             echoes.append(Echo(
                 delay_s=etree.take_number("delay_s", minimum=0.0),
                 doppler_hz=etree.take_number("doppler_hz", default=0.0),
                 level_db=etree.take_number("level_db"),
                 time_scale=etree.take_number("time_scale", default=1.0, positive=True),
             ))
-        except InvalidInputError as exc:
-            raise ConfigError(f"{etree.context}: {exc}") from exc
         etree.finish()
-    try:
+    with _as_config_error(context):
         return EchoScene(echoes=tuple(echoes), noise_level_db=noise)
-    except InvalidInputError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def parse_dopplers(tree: _Tree) -> np.ndarray:

@@ -17,17 +17,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ConfigError, OutputError
 
-# mkstemp creates files with mode 0600; artifacts get the mode open() would
-# give them.  The umask can only be read by setting it, so read it once here.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
 _BLOCK_ROWS = 8192  # CSV rows per %-format pass; bounds a long table's memory
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.6f"}  # by numpy dtype kind, else %s
 _WAV_HEADER_BYTES = 58  # RIFF + 18-byte fmt + fact + data chunk headers
@@ -37,11 +32,12 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wavekit-")
+        # Mode 0666 less the live umask, as open() gives; O_EXCL never reuses a file.
+        tmp = os.path.join(directory, f".wavekit-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -27,6 +27,8 @@ class RegionSpec:
     outer_delay_s: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.inner_delay_s) and math.isfinite(self.outer_delay_s)):
+            raise InvalidInputError("region delays must be finite")
         if self.inner_delay_s < 0:
             raise InvalidInputError("inner_delay_s must be nonnegative")
         if self.outer_delay_s <= self.inner_delay_s:

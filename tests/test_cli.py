@@ -14,6 +14,7 @@ from referencing import Registry, Resource
 from scipy.io import wavfile
 
 import wavekit as wk
+import wavekit.cli as wk_cli
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
 
@@ -199,6 +200,35 @@ def test_optimize_rerun_is_byte_identical_and_seed_changes_it(tmp_path):
                  "--seed", "5"]) == 0
     assert (out_a / "trace.csv").read_bytes() != (out_c / "trace.csv").read_bytes()
     assert json.loads((out_c / "optimize_result.json").read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("formats, reports", [("csv,json", 2), ("csv", 0)])
+def test_optimize_computes_each_signal_metrics_once(tmp_path, monkeypatch, formats, reports):
+    """The initial design's report serves before_metrics; the final one's serves
+    after_metrics and metrics.json; the bandwidth target needs no report."""
+    calls = []
+
+    def counting_report(signal, *args, **kwargs):
+        calls.append(signal.samples[:4].tobytes())
+        return wk.metrics_report(signal, *args, **kwargs)
+
+    monkeypatch.setattr(wk_cli, "metrics_report", counting_report)
+    cfg = _config(tmp_path, OPT_CONFIG)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--format", formats]) == 0
+    assert len(calls) == len(set(calls)) == reports
+    if reports:
+        doc = json.loads((out / "optimize_result.json").read_text())
+        assert json.loads((out / "metrics.json").read_text()) == doc["after_metrics"]
+
+
+@pytest.mark.parametrize("keys", [{}, {"bandwidth_target_hz": 20.0}],
+                         ids=["initial_rms_target", "numeric_target"])
+def test_optimize_region_without_lags_names_the_problem(tmp_path, capsys, keys):
+    cfg = _config(tmp_path, _problem(sample_rate_hz=2048.0, region=_NO_LAG, **keys))
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: problem: region contains no lag samples\n"
+    assert not (tmp_path / "o").exists()
 
 
 _START = {"alpha": [0.0, 0.3, 0.0, 0.0], "beta": [16.0, 0.0, 0.0, 0.0]}
@@ -395,6 +425,23 @@ def test_config_key_takes_effect(tmp_path, config, flags, artifact, read, expect
     assert read(_read(out / artifact)) == expected
 
 
+def test_null_optional_keys_read_as_defaults(tmp_path):
+    """An explicit null where a key defaults to None, or an optional subtree is
+    null, gives the same artifacts as leaving the key out."""
+    base = {"command": "analyze", "waveform": {"kind": "cw", "duration_s": 1.0},
+            "sample_rate_hz": 256.0}
+    nulls = {**base, "region": None, "spectrogram": None, "ambiguity": None}
+    outs = []
+    for i, doc in enumerate([base, nulls]):
+        outs.append(tmp_path / f"out{i}")
+        assert main(["analyze", "--config", _config(tmp_path, doc, f"c{i}.json"),
+                     "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 # ------------------------------------------------------------------ exit codes
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -455,6 +502,15 @@ def _inline_mtsfm(beta):
             "waveform": {"kind": "mtsfm", "duration_s": 1.0, "alpha": [0.1], "beta": beta}}
 
 
+def _late(command, **keys):
+    """A config whose error shows only after the run has computed an artifact."""
+    return {"command": command, "sample_rate_hz": 2048.0,
+            "waveform": {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}, **keys}
+
+
+_NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags at 2048 Hz
+
+
 @pytest.mark.parametrize("config, coefficients, key", [
     (b'{"command": "synth", "waveform": {"kind": "cw",', None, None),
     (_BAD_UTF8, None, None),
@@ -484,6 +540,12 @@ def _inline_mtsfm(beta):
     (_problem(bandwidth_target_hz=float("inf")), None, "bandwidth_target_hz"),
     (_problem(bandwidth_target_hz=float("nan")), None, "bandwidth_target_hz"),
     (_problem(method=["lbfgs"]), None, None),
+    (_late("synth", region=_NO_LAG), None, None),
+    (_late("analyze", region=_NO_LAG), None, None),
+    (_late("analyze", ambiguity={"max_delay_s": 1.5}), None, None),
+    (_late("analyze", spectrogram={"overlap": 1.0}), None, None),
+    (_late("analyze", spectrogram={"window_len_samples": 4096}), None, None),
+    (_late("synth", wav_carrier_hz=1000.0, formats=["csv", "json", "wav"]), None, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -493,7 +555,9 @@ def _inline_mtsfm(beta):
         "compare_name_newline", "compare_name_number", "compare_name_null",
         "optimize_negative_seed", "noiseless_simulate_negative_seed", "formats_number",
         "formats_nested_list", "infinite_bandwidth_target", "nan_bandwidth_target",
-        "method_list"])
+        "method_list", "synth_region_without_lags", "analyze_region_without_lags",
+        "ambiguity_delay_beyond_duration", "spectrogram_full_overlap",
+        "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:

@@ -1,6 +1,8 @@
 """Serialization: exact bytes of `fileio.write_csv` and `fileio.write_wav`."""
 
 import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.io import wavfile
 
 from wavekit import fileio
 from wavekit.errors import OutputError
-from wavekit.fileio import write_csv, write_wav
+from wavekit.fileio import write_csv, write_json, write_wav
 
 # %.6f of 1e300: every integer digit of the double nearest 1e300.
 _E300 = ("1000000000000000052504760255204420248704468581108159154915854115511802457"
@@ -41,6 +43,18 @@ def test_write_csv_golden_bytes(tmp_path, monkeypatch):
                 "6,-1,-1234.567892,True\n")
     assert _written(tmp_path, ("index", "name", "value", "flag"),
                     zip(index, names, values, flags)) == expected
+
+
+@pytest.mark.parametrize("umask", [0o077, 0o027, 0o002], ids=["077", "027", "002"])
+def test_file_mode_follows_the_umask_at_write_time(tmp_path, umask):
+    """Set after import, as a process that tightens its umask late would."""
+    previous = os.umask(umask)
+    try:
+        write_json(str(tmp_path / "t.json"), {"a": 1})
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "t.json").stat().st_mode) == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["t.json"]  # no temp file left behind
 
 
 def test_write_csv_header_only(tmp_path):
