@@ -21,7 +21,7 @@ from .errors import ConfigError, InvalidInputError
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
 from .scene import Echo, EchoScene, benchmark_scene
-from .waveforms import MtsfmParameters, WaveformSpec, swept_bandwidth
+from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
 _MISSING = object()
 
@@ -167,42 +167,31 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     kind = kind.lower()
     center = tree.take_number("center_freq_hz", default=0.0)
     with _as_config_error(tree.context):
-        if kind == "cw":
-            duration = tree.take_number("duration_s", positive=True)
-            spec = WaveformSpec(kind=kind, bandwidth_hz=2.0 / duration,
-                                duration_s=duration, center_freq_hz=center)
-        elif kind in ("lfm", "hfm"):
-            duration = tree.take_number("duration_s", positive=True)
-            spec = WaveformSpec(kind=kind,
-                                bandwidth_hz=tree.take_number("bandwidth_hz", positive=True),
-                                duration_s=duration, center_freq_hz=center)
-        elif kind == "costas_fsk":
-            duration = tree.take_number("duration_s", positive=True)
-            code = _parse_costas_code(tree)
-            spec = WaveformSpec(kind=kind, bandwidth_hz=len(code) ** 2 / duration,
-                                duration_s=duration, costas=code, center_freq_hz=center)
-        elif kind == "p4":
-            duration = tree.take_number("duration_s", positive=True)
-            chips = tree.take_int("num_chips", minimum=2)
-            spec = WaveformSpec(kind=kind, bandwidth_hz=chips / duration,
-                                duration_s=duration, num_chips=chips,
-                                center_freq_hz=center)
-        elif kind == "geometric_comb":
-            duration = tree.take_number("duration_s", positive=True)
-            spec = WaveformSpec(kind=kind,
-                                bandwidth_hz=tree.take_number("bandwidth_hz", positive=True),
-                                duration_s=duration,
-                                num_tones=tree.take_int("num_tones", minimum=2),
-                                tone_ratio=tree.take_number("tone_ratio"),
-                                center_freq_hz=center)
-        elif kind == "mtsfm":
-            duration = tree.take_number("duration_s", default=None)
-            params = _parse_mtsfm(tree, duration)
-            spec = WaveformSpec(kind=kind, bandwidth_hz=swept_bandwidth(params),
-                                duration_s=params.duration_s, mtsfm=params,
-                                center_freq_hz=center)
-        else:
+        if kind not in _KINDS:
             raise ConfigError(f"{tree.context}: unknown waveform kind '{kind}'")
+        if kind == "mtsfm":
+            duration = tree.take_number("duration_s", default=None)
+        else:
+            duration = tree.take_number("duration_s", positive=True)
+        fields = {}
+        if kind in ("lfm", "hfm", "geometric_comb"):
+            fields["bandwidth_hz"] = tree.take_number("bandwidth_hz", positive=True)
+        if kind == "cw":
+            fields["bandwidth_hz"] = 2.0 / duration
+        elif kind == "costas_fsk":
+            fields["costas"] = code = _parse_costas_code(tree)
+            fields["bandwidth_hz"] = len(code) ** 2 / duration
+        elif kind == "p4":
+            fields["num_chips"] = chips = tree.take_int("num_chips", minimum=2)
+            fields["bandwidth_hz"] = chips / duration
+        elif kind == "geometric_comb":
+            fields["num_tones"] = tree.take_int("num_tones", minimum=2)
+            fields["tone_ratio"] = tree.take_number("tone_ratio")
+        elif kind == "mtsfm":
+            fields["mtsfm"] = params = _parse_mtsfm(tree, duration)
+            fields["bandwidth_hz"] = swept_bandwidth(params)
+            duration = params.duration_s
+        spec = WaveformSpec(kind=kind, duration_s=duration, center_freq_hz=center, **fields)
     tree.finish()
     return spec
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal import (DB_FLOOR, SampledSignal, Spectrum, _next_pow2, p99_bandwidth,
-                     spectrum, to_db)
+from .signal import (DB_FLOOR, SampledSignal, Spectrum, _freeze_field, _next_pow2,
+                     _total_power, p99_bandwidth, spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,14 @@ class RegionSpec:
         return (a >= self.inner_delay_s) & (a <= self.outer_delay_s)
 
 
+def _region_mask(region: RegionSpec, lags_s: np.ndarray) -> np.ndarray:
+    """region.mask(lags_s), which must select at least one lag."""
+    mask = region.mask(lags_s)
+    if not np.any(mask):
+        raise InvalidInputError("region contains no lag samples")
+    return mask
+
+
 @dataclass(frozen=True)
 class CorrelationResponse:
     """Correlation magnitude versus delay.
@@ -52,10 +60,8 @@ class CorrelationResponse:
     magnitude_db: np.ndarray
 
     def __post_init__(self):
-        for name in ("lags_s", "magnitude_db"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_field(self, "lags_s")
+        _freeze_field(self, "magnitude_db")
         if self.lags_s.shape != self.magnitude_db.shape:
             raise InvalidInputError("lag/magnitude length mismatch")
 
@@ -76,6 +82,8 @@ class AmbiguitySurface:
     magnitude: np.ndarray
 
     def __post_init__(self):
+        for name in ("delays_s", "dopplers_hz", "magnitude"):
+            _freeze_field(self, name)
         if self.magnitude.shape != (self.delays_s.size, self.dopplers_hz.size):
             raise InvalidInputError("ambiguity matrix does not match axis lengths")
 
@@ -285,9 +293,7 @@ def psl_region(resp: CorrelationResponse, region: RegionSpec) -> float:
     Raises:
         InvalidInputError: if the region holds no lag samples.
     """
-    mask = region.mask(resp.lags_s)
-    if not np.any(mask):
-        raise InvalidInputError("region contains no lag samples")
+    mask = _region_mask(region, resp.lags_s)
     return float(resp.magnitude_db[mask].max())
 
 
@@ -298,9 +304,7 @@ def isl_region(resp: CorrelationResponse, region: RegionSpec) -> float:
     the dimensioned sidelobe energy of the region in dB.  Results are
     floored at -120 dB.
     """
-    mask = region.mask(resp.lags_s)
-    if not np.any(mask):
-        raise InvalidInputError("region contains no lag samples")
+    mask = _region_mask(region, resp.lags_s)
     mag = resp.magnitude_linear()[mask]
     total = float(np.sum(mag**2) * resp.lag_step_s)
     return float(max(10.0 * np.log10(max(total, 1e-30)), DB_FLOOR))
@@ -318,9 +322,7 @@ def inband_energy_fraction(spec: Spectrum, bandwidth_hz: float) -> float:
     if bandwidth_hz >= span:
         raise InvalidInputError("bandwidth_hz must be below the sampled span")
     power = spec.magnitude**2
-    total = power.sum()
-    if total == 0.0:
-        raise InvalidInputError("spectrum has zero energy")
+    total = _total_power(power)
     mask = np.abs(spec.freqs_hz) <= bandwidth_hz / 2.0
     return float(power[mask].sum() / total)
 
@@ -335,9 +337,7 @@ def _rms_width(freqs: np.ndarray, power: np.ndarray) -> float:
 
     The moments are ratios, so power may carry any constant scale.
     """
-    total = power.sum()
-    if total == 0.0:
-        raise InvalidInputError("spectrum has zero energy")
+    total = _total_power(power)
     centroid = float((freqs * power).sum() / total)
     return float(np.sqrt(((freqs - centroid) ** 2 * power).sum() / total))
 

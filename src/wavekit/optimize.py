@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .metrics import RegionSpec, _rms_width
+from .metrics import RegionSpec, _region_mask, _rms_width
 from .signal import _next_pow2
 from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
@@ -146,9 +146,7 @@ class _Workspace:
         self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
         self.nfft = _next_pow2(2 * n)
         lags = np.arange(-(n - 1), n)
-        in_region = region.mask(lags / sample_rate_hz)
-        if not np.any(in_region):
-            raise InvalidInputError("region contains no lag samples")
+        in_region = _region_mask(region, lags / sample_rate_hz)
         # Where each region lag sits in the circular (unshifted) FFT order.
         self.region_bins = lags[in_region] % self.nfft
         self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))

@@ -49,6 +49,14 @@ def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
     return db
 
 
+def _freeze_field(obj, name: str, dtype=float) -> np.ndarray:
+    """Set obj.name to a read-only dtype copy, so the caller's array cannot change obj."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled complex baseband signal.
@@ -67,7 +75,7 @@ class SampledSignal:
     duration_s: float = field(default=0.0)
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.complex128)  # copied, not aliased
+        samples = _freeze_field(self, "samples", np.complex128)
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidInputError("signal must be a 1-D array of at least 2 samples")
         if not np.all(np.isfinite(samples.view(np.float64))):
@@ -84,8 +92,6 @@ class SampledSignal:
                 "duration_s inconsistent with sample count: "
                 f"round({self.sample_rate_hz} * {duration}) != {samples.size}"
             )
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "duration_s", duration)
 
     @property
@@ -114,10 +120,8 @@ class Spectrum:
     total_energy: float
 
     def __post_init__(self):
-        for name in ("freqs_hz", "magnitude"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_field(self, "freqs_hz")
+        _freeze_field(self, "magnitude")
         if self.freqs_hz.shape != self.magnitude.shape:
             raise InvalidInputError("spectrum axis/magnitude length mismatch")
         if np.any(self.magnitude < 0):
@@ -139,6 +143,8 @@ class Spectrogram:
     overlap_fraction: float
 
     def __post_init__(self):
+        for name in ("times_s", "freqs_hz", "magnitude_db"):
+            _freeze_field(self, name)
         if self.magnitude_db.shape != (self.times_s.size, self.freqs_hz.size):
             raise InvalidInputError("spectrogram matrix does not match axis lengths")
 
@@ -166,6 +172,14 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     return Spectrum(freqs_hz=freqs, magnitude=mag, total_energy=signal.energy())
 
 
+def _total_power(power: np.ndarray) -> float:
+    """power.sum(), which must be nonzero: a spectrum's total energy."""
+    total = power.sum()
+    if total == 0.0:
+        raise InvalidInputError("spectrum has zero energy")
+    return total
+
+
 def p99_bandwidth(spec: Spectrum, fraction: float = 0.99) -> float:
     """Width of the central band holding `fraction` of the spectral energy.
 
@@ -175,9 +189,7 @@ def p99_bandwidth(spec: Spectrum, fraction: float = 0.99) -> float:
     if not 0.0 < fraction < 1.0:
         raise InvalidInputError("fraction must lie in (0, 1)")
     power = spec.magnitude**2
-    total = power.sum()
-    if total == 0.0:
-        raise InvalidInputError("spectrum has zero energy")
+    total = _total_power(power)
     cum = np.cumsum(power) / total
     tail = (1.0 - fraction) / 2.0
     f_lo = float(np.interp(tail, cum, spec.freqs_hz))

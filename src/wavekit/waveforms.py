@@ -15,7 +15,7 @@ import numpy as np
 
 from .costas import CostasCode
 from .errors import InvalidInputError
-from .signal import SampledSignal
+from .signal import SampledSignal, _freeze_field
 
 _SWEEP_POINTS = 4096
 
@@ -94,13 +94,11 @@ class MtsfmParameters:
         if self.duration_s <= 0:
             raise InvalidInputError("duration_s must be positive")
         for name in ("alpha", "beta"):
-            arr = np.array(getattr(self, name), dtype=float)  # copied, not aliased
+            arr = _freeze_field(self, name)
             if arr.shape != (self.num_harmonics,):
                 raise InvalidInputError(f"{name} must have length num_harmonics")
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError(f"{name} must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         """Evaluate phi(t) on an arbitrary time grid."""
@@ -217,8 +215,8 @@ def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
     return _unit_fm(phase, sample_rate_hz, duration, center_freq_hz=fc)
 
 
-def synth_costas_fsk(code: CostasCode, duration_s: float, sample_rate_hz: float,
-                     bandwidth_hz: float | None = None) -> SampledSignal:
+def synth_costas_fsk(code: CostasCode, duration_s: float,
+                     sample_rate_hz: float) -> SampledSignal:
     """Costas frequency-hopped waveform: N equal chips, one per code entry.
 
     Chip i (zero-based) lasts T/N seconds at baseband frequency
@@ -230,16 +228,9 @@ def synth_costas_fsk(code: CostasCode, duration_s: float, sample_rate_hz: float,
         code: Costas firing sequence.
         duration_s: total duration T; snapped so chips divide evenly.
         sample_rate_hz: sampling rate; must be >= 4B.
-        bandwidth_hz: optional design-bandwidth cross-check; must equal
-            N^2/T within 0.1% when provided.
     """
     n_chips = len(code)
-    df = n_chips / duration_s
-    band = n_chips * df
-    if bandwidth_hz is not None and abs(bandwidth_hz - band) > 1e-3 * band:
-        raise InvalidInputError(
-            f"Costas bandwidth is fixed at N^2/T = {band} Hz by N and T")
-    if sample_rate_hz < 4.0 * band:
+    if sample_rate_hz < 4.0 * n_chips * (n_chips / duration_s):
         raise InvalidInputError("Costas FSK requires fs >= 4B")
     n, duration, t = _sample_grid(duration_s, sample_rate_hz, multiple_of=n_chips)
     df = n_chips / duration
@@ -253,8 +244,7 @@ def synth_costas_fsk(code: CostasCode, duration_s: float, sample_rate_hz: float,
     return _unit_fm(phase, sample_rate_hz, duration)
 
 
-def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float,
-             bandwidth_hz: float | None = None) -> SampledSignal:
+def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float) -> SampledSignal:
     """P4 polyphase-coded waveform: N chips with phase pi(n-1)^2/N - pi(n-1).
 
     All chips share center frequency 0; the nominal bandwidth is the
@@ -264,13 +254,9 @@ def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float,
         num_chips: N >= 2.
         duration_s: total duration T.
         sample_rate_hz: sampling rate.
-        bandwidth_hz: optional cross-check against the chip rate N/T.
     """
     if num_chips < 2:
         raise InvalidInputError("P4 requires at least 2 chips")
-    band = num_chips / duration_s
-    if bandwidth_hz is not None and abs(bandwidth_hz - band) > 1e-3 * band:
-        raise InvalidInputError(f"P4 bandwidth is fixed at N/T = {band} Hz by N and T")
     n, duration, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)
     phase = np.repeat(p4_chip_phases(num_chips), n // num_chips)
     return _unit_fm(phase, sample_rate_hz, duration)
@@ -329,6 +315,10 @@ class WaveformSpec:
     Kind-specific fields: mtsfm (MTSFM), costas (CostasFSK), num_chips
     (P4), num_tones/tone_ratio (GeometricComb), center_freq_hz (HFM
     sweep center; must exceed B/2 so the sweep stays positive).
+
+    The spec owns every rule that needs no sample rate (Costas and P4
+    bandwidths fixed at N^2/T and N/T, num_tones >= 2, tone_ratio > 1);
+    fs >= 4B and comb tones below Nyquist stay with the synth functions.
     """
 
     kind: str
@@ -351,13 +341,23 @@ class WaveformSpec:
                 raise InvalidInputError("mtsfm kind requires MtsfmParameters")
             if abs(self.mtsfm.duration_s - self.duration_s) > 1e-9:
                 raise InvalidInputError("mtsfm duration disagrees with spec duration")
-        if self.kind == "costas_fsk" and self.costas is None:
-            raise InvalidInputError("costas_fsk kind requires a CostasCode")
-        if self.kind == "p4" and (self.num_chips is None or self.num_chips < 2):
-            raise InvalidInputError("p4 kind requires num_chips >= 2")
-        if self.kind == "geometric_comb" and (self.num_tones is None
-                                              or self.tone_ratio is None):
-            raise InvalidInputError("geometric_comb kind requires num_tones and tone_ratio")
+        if self.kind == "costas_fsk":
+            if self.costas is None:
+                raise InvalidInputError("costas_fsk kind requires a CostasCode")
+            band = len(self.costas) * (len(self.costas) / self.duration_s)
+            if abs(self.bandwidth_hz - band) > 1e-3 * band:
+                raise InvalidInputError(
+                    f"Costas bandwidth is fixed at N^2/T = {band} Hz by N and T")
+        if self.kind == "p4":
+            if self.num_chips is None or self.num_chips < 2:
+                raise InvalidInputError("p4 kind requires num_chips >= 2")
+            band = self.num_chips / self.duration_s
+            if abs(self.bandwidth_hz - band) > 1e-3 * band:
+                raise InvalidInputError(f"P4 bandwidth is fixed at N/T = {band} Hz by N and T")
+        if self.kind == "geometric_comb" and (self.num_tones is None or self.tone_ratio is None
+                                              or self.num_tones < 2 or self.tone_ratio <= 1.0):
+            raise InvalidInputError(
+                "geometric_comb kind requires num_tones >= 2 and tone_ratio > 1")
         if self.kind == "hfm" and self.center_freq_hz <= self.bandwidth_hz / 2.0:
             raise InvalidInputError("hfm requires center_freq_hz > bandwidth_hz / 2")
         if self.kind in ("costas_fsk", "p4", "geometric_comb") and self.center_freq_hz != 0.0:
@@ -381,11 +381,9 @@ def synth_waveform(spec: WaveformSpec, sample_rate_hz: float) -> SampledSignal:
         f2 = spec.center_freq_hz + spec.bandwidth_hz / 2.0
         return synth_hfm(f1, f2, spec.duration_s, sample_rate_hz)
     if spec.kind == "costas_fsk":
-        return synth_costas_fsk(spec.costas, spec.duration_s, sample_rate_hz,
-                                bandwidth_hz=spec.bandwidth_hz)
+        return synth_costas_fsk(spec.costas, spec.duration_s, sample_rate_hz)
     if spec.kind == "p4":
-        return synth_p4(spec.num_chips, spec.duration_s, sample_rate_hz,
-                        bandwidth_hz=spec.bandwidth_hz)
+        return synth_p4(spec.num_chips, spec.duration_s, sample_rate_hz)
     if spec.kind == "geometric_comb":
         return synth_geometric_comb(spec.num_tones, spec.tone_ratio,
                                     spec.bandwidth_hz, spec.duration_s,

@@ -455,6 +455,18 @@ def test_unknown_waveform_kind_exits_2(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_comb_tone_ratio_below_one_is_a_waveform_error(tmp_path, capsys):
+    cfg = _config(tmp_path, {"command": "synth",
+                             "waveform": {"kind": "geometric_comb", "bandwidth_hz": 38.0,
+                                          "duration_s": 1.0, "num_tones": 4,
+                                          "tone_ratio": 0.5}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: waveform: ") and "tone_ratio" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("waveform, key", [
     ({"kind": "cw", "duration_s": float("inf")}, "duration_s"),
     ({"kind": "lfm", "bandwidth_hz": float("nan"), "duration_s": 1.0}, "bandwidth_hz"),
@@ -650,3 +662,29 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "waveform.csv").exists()
     assert (out / "metrics.json").exists()
+
+
+def _readme_configs():
+    """The run configs of README's jsonc block, with their // lines stripped."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    text = "\n".join(line for line in block.splitlines()
+                     if not line.lstrip().startswith("//")).strip()
+    decoder, docs = json.JSONDecoder(), []
+    while text:
+        doc, end = decoder.raw_decode(text)
+        docs.append(doc)
+        text = text[end:].strip()
+    return docs
+
+
+def test_readme_configs_run(tmp_path, monkeypatch):
+    docs = _readme_configs()
+    assert sorted(d["command"] for d in docs) == sorted(
+        ["synth", "analyze", "optimize", "simulate", "compare"])
+    # simulate's coefficients_file names the coefficients.json that optimize writes.
+    docs.sort(key=lambda d: d["command"] != "optimize")
+    monkeypatch.chdir(tmp_path)
+    for doc in docs:
+        path = _config(tmp_path, doc, f"{doc['command']}.json")
+        assert main([doc["command"], "--config", path]) == 0, doc["command"]

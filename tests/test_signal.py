@@ -57,6 +57,30 @@ def test_signal_copies_its_samples():
     assert caller.flags.writeable
 
 
+@pytest.mark.parametrize("build, names", [
+    (lambda a, b, c: wk.Spectrum(freqs_hz=a, magnitude=b, total_energy=1.0),
+     ("freqs_hz", "magnitude")),
+    (lambda a, b, c: wk.CorrelationResponse(lags_s=a, magnitude_db=b),
+     ("lags_s", "magnitude_db")),
+    (lambda a, b, c: wk.AmbiguitySurface(delays_s=a, dopplers_hz=b, magnitude=c),
+     ("delays_s", "dopplers_hz", "magnitude")),
+    (lambda a, b, c: wk.Spectrogram(times_s=a, freqs_hz=b, magnitude_db=c,
+                                    window_len_samples=4, overlap_fraction=0.5),
+     ("times_s", "freqs_hz", "magnitude_db")),
+    (lambda a, b, c: wk.MtsfmParameters(num_harmonics=3, alpha=a, beta=b, duration_s=1.0),
+     ("alpha", "beta")),
+], ids=["spectrum", "correlation", "ambiguity", "spectrogram", "mtsfm"])
+def test_result_types_copy_their_arrays(build, names):
+    arrays = [np.arange(3.0), np.arange(3.0) + 1.0, np.ones((3, 3))]
+    obj = build(*arrays)
+    for name, caller in zip(names, arrays):
+        field = getattr(obj, name)
+        assert caller.flags.writeable and not field.flags.writeable
+        before = field.copy()
+        caller[...] = -7.0
+        np.testing.assert_array_equal(getattr(obj, name), before)
+
+
 def test_to_db_floor():
     db = wk.to_db(np.array([1.0, 1e-3, 0.0]))
     assert db[0] == pytest.approx(0.0, abs=1e-12)

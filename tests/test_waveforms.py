@@ -96,9 +96,9 @@ def test_costas_chip_frequencies():
 
 def test_costas_bandwidth_cross_check():
     code = wk.generate_welch_costas(5, 2)
-    wk.synth_costas_fsk(code, 1.0, 512.0, bandwidth_hz=16.0)
+    wk.WaveformSpec(kind="costas_fsk", bandwidth_hz=16.0, duration_s=1.0, costas=code)
     with pytest.raises(InvalidInputError):
-        wk.synth_costas_fsk(code, 1.0, 512.0, bandwidth_hz=20.0)
+        wk.WaveformSpec(kind="costas_fsk", bandwidth_hz=20.0, duration_s=1.0, costas=code)
     with pytest.raises(InvalidInputError):
         wk.synth_costas_fsk(code, 1.0, 32.0)  # fs < 4B
 
@@ -119,7 +119,7 @@ def test_p4_validation():
     with pytest.raises(InvalidInputError):
         wk.synth_p4(1, 1.0, 64.0)
     with pytest.raises(InvalidInputError):
-        wk.synth_p4(4, 1.0, 64.0, bandwidth_hz=5.0)
+        wk.WaveformSpec(kind="p4", bandwidth_hz=5.0, duration_s=1.0, num_chips=4)
 
 
 def test_geometric_comb_tone_placement():
@@ -223,6 +223,10 @@ def test_waveform_spec_validation():
     with pytest.raises(InvalidInputError):
         wk.WaveformSpec(kind="p4", bandwidth_hz=8.0, duration_s=1.0,
                         num_chips=8, center_freq_hz=10.0)  # baseband only
+    for num_tones, ratio in [(4, 1.0), (4, 0.5), (1, 1.5)]:
+        with pytest.raises(InvalidInputError, match="num_tones >= 2 and tone_ratio > 1"):
+            wk.WaveformSpec(kind="geometric_comb", bandwidth_hz=38.0, duration_s=1.0,
+                            num_tones=num_tones, tone_ratio=ratio)
     spec = wk.WaveformSpec(kind="lfm", bandwidth_hz=64.0, duration_s=2.0)
     assert spec.time_bandwidth_product == pytest.approx(128.0)
 
