@@ -1,9 +1,10 @@
 """Command-line front end: synth, analyze, optimize, simulate, compare.
 
 Each run is driven by one JSON config document (see `wavekit.config`);
-the --out, --seed, and --format flags override the corresponding config
-fields.  A run reads its config, computes its artifacts (a dict keyed by
-file name), then writes them, so a run that exits 2 writes nothing.
+the --out, --format and (optimize, simulate) --seed flags override the
+corresponding config fields.  A run reads its config, computes its
+artifacts (a dict keyed by file name), then writes them, so a run that
+exits 2 writes nothing.
 Exit codes: 0 success (including non-converged optimizations, which are
 reported, not fatal), 2 config/validation error, 3 I/O error.
 """
@@ -326,23 +327,17 @@ def cmd_compare(tree: _Tree, args, formats) -> dict:
     eval_hz = fraction * ref_bandwidth
     eval_idx = int(np.argmin(np.abs(dopplers - eval_hz)))
 
-    rows, curve_rows, docs = [], [], []
+    docs = []
     for name, spec, fs in parsed:
         signal = synth_waveform(spec, fs)
         report = metrics_report(signal, inband_bw or spec.bandwidth_hz,
                                 region=region, zero_pad_factor=zpf)
         curve = doppler_tolerance_curve(signal, dopplers, mode=mode)
-        loss = curve[eval_idx].peak_loss_db
-        rows.append((name, report.psl_db, report.isl_db,
-                     report.rms_bandwidth_hz, report.p99_bandwidth_hz,
-                     report.inband_energy_fraction, loss))
-        curve_rows.extend((name, p.doppler_hz, p.peak_loss_db, p.peak_shift_s)
-                          for p in curve)
         doc = report.to_dict()
         doc.update({
             "name": name,
             "bandwidth_hz": spec.bandwidth_hz,
-            "doppler_loss_db": loss,
+            "doppler_loss_db": curve[eval_idx].peak_loss_db,
             "doppler_curve": {
                 "dopplers_hz": [p.doppler_hz for p in curve],
                 "loss_db": [p.peak_loss_db for p in curve],
@@ -352,11 +347,13 @@ def cmd_compare(tree: _Tree, args, formats) -> dict:
         docs.append(doc)
     artifacts = {}
     if "csv" in formats:
-        artifacts["comparison.csv"] = (("name", "psl_db", "isl_db", "rms_bandwidth_hz",
-                                        "p99_bandwidth_hz", "inband_energy_fraction",
-                                        "doppler_loss_db"), rows)
-        artifacts["doppler_curves.csv"] = (("name", "doppler_hz", "loss_db", "peak_shift_s"),
-                                           curve_rows)
+        columns = ("name", "psl_db", "isl_db", "rms_bandwidth_hz", "p99_bandwidth_hz",
+                   "inband_energy_fraction", "doppler_loss_db")
+        artifacts["comparison.csv"] = (columns, ([doc[c] for c in columns] for doc in docs))
+        artifacts["doppler_curves.csv"] = (
+            ("name", "doppler_hz", "loss_db", "peak_shift_s"),
+            ((doc["name"], *point) for doc in docs
+             for point in zip(*doc["doppler_curve"].values())))  # nu, loss, shift
     if "json" in formats:
         artifacts["comparison.json"] = {
             "doppler_mode": mode,
@@ -387,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if name in ("optimize", "simulate"):  # the commands that draw random numbers
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--format", default=None,
                        help="comma-separated subset of csv,json,wav")
     return parser

@@ -133,6 +133,8 @@ def load_mtsfm_coefficients(path: str) -> MtsfmParameters:
 def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
     coeff_file = tree.take("coefficients_file", default=None)
     if coeff_file is not None:
+        if not isinstance(coeff_file, str):
+            raise ConfigError(f"{tree.context}: 'coefficients_file' must be a string")
         params = load_mtsfm_coefficients(coeff_file)
         if duration_s is not None and abs(params.duration_s - duration_s) > 1e-9:
             raise ConfigError(f"{tree.context}: duration_s disagrees with coefficients file")
@@ -205,12 +207,11 @@ def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit) -> flo
     return max(8.0 * bandwidth_hz, 256.0 / duration_s)
 
 
-def parse_region(data, bandwidth_hz: float, duration_s: float,
-                 context: str = "region") -> RegionSpec:
+def parse_region(data, bandwidth_hz: float, duration_s: float) -> RegionSpec:
     """Region subtree, or the default sidelobe region for (B, T) if None."""
     if data is None:
         return default_region(bandwidth_hz, duration_s)
-    tree = _Tree(data, context)
+    tree = _Tree(data, "region")
     inner = tree.take_number("inner_delay_s", minimum=0.0)
     outer = tree.take_number("outer_delay_s", positive=True)
     tree.finish()
@@ -218,9 +219,9 @@ def parse_region(data, bandwidth_hz: float, duration_s: float,
         return RegionSpec(inner_delay_s=inner, outer_delay_s=outer)
 
 
-def parse_scene(data, context: str = "scene") -> EchoScene:
+def parse_scene(data) -> EchoScene:
     """Echo-scene subtree: explicit echo list or the six-echo benchmark."""
-    tree = _Tree(data, context)
+    tree = _Tree(data, "scene")
     bench_bw = tree.take_number("benchmark_bandwidth_hz", default=None, positive=True)
     if bench_bw is not None:
         first = tree.take_number("first_delay_s", default=None, minimum=0.0)
@@ -230,10 +231,10 @@ def parse_scene(data, context: str = "scene") -> EchoScene:
     noise = tree.take_number("noise_level_db", default=None)
     tree.finish()
     if not isinstance(echo_list, list) or not echo_list:
-        raise ConfigError(f"{context}: 'echoes' must be a nonempty list")
+        raise ConfigError(f"{tree.context}: 'echoes' must be a nonempty list")
     echoes = []
     for i, entry in enumerate(echo_list):
-        etree = _Tree(entry, f"{context}.echoes[{i}]")
+        etree = _Tree(entry, f"{tree.context}.echoes[{i}]")
         with _as_config_error(etree.context):
             echoes.append(Echo(
                 delay_s=etree.take_number("delay_s", minimum=0.0),
@@ -242,7 +243,7 @@ def parse_scene(data, context: str = "scene") -> EchoScene:
                 time_scale=etree.take_number("time_scale", default=1.0, positive=True),
             ))
         etree.finish()
-    with _as_config_error(context):
+    with _as_config_error(tree.context):
         return EchoScene(echoes=tuple(echoes), noise_level_db=noise)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal import (DB_FLOOR, SampledSignal, Spectrum, _freeze_field, _next_pow2,
+from .signal import (DB_FLOOR, SampledSignal, Spectrum, _freeze_grid, _next_pow2,
                      _total_power, p99_bandwidth, spectrum, to_db)
 
 
@@ -60,10 +60,7 @@ class CorrelationResponse:
     magnitude_db: np.ndarray
 
     def __post_init__(self):
-        _freeze_field(self, "lags_s")
-        _freeze_field(self, "magnitude_db")
-        if self.lags_s.shape != self.magnitude_db.shape:
-            raise InvalidInputError("lag/magnitude length mismatch")
+        _freeze_grid(self, "magnitude_db", ("lags_s",), "lag/magnitude length mismatch")
 
     @property
     def lag_step_s(self) -> float:
@@ -82,10 +79,8 @@ class AmbiguitySurface:
     magnitude: np.ndarray
 
     def __post_init__(self):
-        for name in ("delays_s", "dopplers_hz", "magnitude"):
-            _freeze_field(self, name)
-        if self.magnitude.shape != (self.delays_s.size, self.dopplers_hz.size):
-            raise InvalidInputError("ambiguity matrix does not match axis lengths")
+        _freeze_grid(self, "magnitude", ("delays_s", "dopplers_hz"),
+                     "ambiguity matrix does not match axis lengths")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .metrics import _doppler_rows, _time_scaler
-from .signal import DB_FLOOR, SampledSignal, to_db
+from .signal import DB_FLOOR, SampledSignal, _freeze_grid, to_db
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class RangeDopplerMap:
 
     reference_db is the map level of a 0 dB echo on a tuned row: the
     replica energy over the map's peak, in dB.  The default 0 dB takes
-    the peak itself as that level.
+    the peak itself as that level.  The map keeps read-only copies of its
+    arrays, so a later write to the caller's arrays does not change it.
     """
 
     delays_s: np.ndarray
@@ -98,22 +99,16 @@ class RangeDopplerMap:
     reference_db: float = 0.0
 
     def __post_init__(self):
-        delays = np.asarray(self.delays_s, dtype=float)
-        dopplers = np.asarray(self.dopplers_hz, dtype=float)
-        mag = np.asarray(self.magnitude_db, dtype=float)
-        if mag.shape != (dopplers.size, delays.size):
-            raise InvalidInputError("magnitude_db must be (num_dopplers, num_delays)")
+        mag = _freeze_grid(self, "magnitude_db", ("dopplers_hz", "delays_s"),
+                           "magnitude_db must be (num_dopplers, num_delays)")
         if abs(mag.max()) > 1e-9:
             raise InvalidInputError("map must be peak-normalized (global max 0 dB)")
         if not np.isfinite(self.reference_db):
             raise InvalidInputError("reference_db must be finite")
         object.__setattr__(self, "reference_db", float(self.reference_db))
-        for name, arr in (("delays_s", delays), ("dopplers_hz", dopplers),
-                          ("magnitude_db", mag)):
-            if not np.all(np.isfinite(arr)):
+        for name in ("delays_s", "dopplers_hz", "magnitude_db"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def zero_doppler_cut(self) -> np.ndarray:
         """The row tuned nearest to zero Doppler."""
@@ -187,8 +182,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     if peak <= 0:
         raise InvalidInputError("received signal is identically zero")
     rows /= peak
+    rows = to_db(rows)  # linear rows go before the map copies: two full-size maps at most
     return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
-                           dopplers_hz=dopplers, magnitude_db=to_db(rows),
+                           dopplers_hz=dopplers, magnitude_db=rows,
                            reference_db=to_db(waveform.energy() / peak))
 
 

@@ -57,6 +57,17 @@ def _freeze_field(obj, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _freeze_grid(obj, values: str, axes: tuple, message: str) -> np.ndarray:
+    """Freeze obj's axis fields, then its values field (see `_freeze_field`), and
+    return the values.  The grid rule: every axis is 1-D and the values' shape is
+    the tuple of the axis lengths, in order; else InvalidInputError(message)."""
+    frozen = [_freeze_field(obj, name) for name in axes]
+    grid = _freeze_field(obj, values)
+    if any(axis.ndim != 1 for axis in frozen) or grid.shape != tuple(a.size for a in frozen):
+        raise InvalidInputError(message)
+    return grid
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled complex baseband signal.
@@ -120,11 +131,9 @@ class Spectrum:
     total_energy: float
 
     def __post_init__(self):
-        _freeze_field(self, "freqs_hz")
-        _freeze_field(self, "magnitude")
-        if self.freqs_hz.shape != self.magnitude.shape:
-            raise InvalidInputError("spectrum axis/magnitude length mismatch")
-        if np.any(self.magnitude < 0):
+        magnitude = _freeze_grid(self, "magnitude", ("freqs_hz",),
+                                 "spectrum axis/magnitude length mismatch")
+        if np.any(magnitude < 0):
             raise InvalidInputError("spectrum magnitude must be nonnegative")
 
     @property
@@ -143,10 +152,8 @@ class Spectrogram:
     overlap_fraction: float
 
     def __post_init__(self):
-        for name in ("times_s", "freqs_hz", "magnitude_db"):
-            _freeze_field(self, name)
-        if self.magnitude_db.shape != (self.times_s.size, self.freqs_hz.size):
-            raise InvalidInputError("spectrogram matrix does not match axis lengths")
+        _freeze_grid(self, "magnitude_db", ("times_s", "freqs_hz"),
+                     "spectrogram matrix does not match axis lengths")
 
 
 def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:

@@ -4,10 +4,23 @@ The expensive sidelobe-optimization run is computed once per session and
 shared by the optimizer regression tests and the acceptance suite.
 """
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 import wavekit as wk
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """os.environ with src/ first on PYTHONPATH, so a child interpreter
+    imports this checkout's wavekit, as the suite does."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
 
 # One-line verdicts appended by the acceptance tests and echoed after
 # the run summary, so each numbered criterion's outcome is readable in

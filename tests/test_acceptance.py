@@ -309,7 +309,7 @@ def test_criterion_8_seeded_runs_are_byte_identical(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "wavekit.cli", cmd,
                  "--config", str(cfg), "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=conftest.child_env())
             assert proc.returncode == 0, proc.stderr
         names = sorted(p.name for p in dirs[0].iterdir())
         assert names == sorted(p.name for p in dirs[1].iterdir())

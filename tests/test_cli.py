@@ -18,6 +18,8 @@ import wavekit.cli as wk_cli
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
 
+from conftest import child_env
+
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
@@ -481,8 +483,13 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, waveform, key):
 
 
 _BAD_UTF8 = b'{"command": "synth", "waveform": {"kind": "cw", "duration_s": 1.0}, "x": "\xff"}'
-_FROM_COEFFICIENTS = {"command": "synth",
-                      "waveform": {"kind": "mtsfm", "coefficients_file": "coefficients.json"}}
+
+
+def _coefficients_file(value):
+    return {"command": "synth", "waveform": {"kind": "mtsfm", "coefficients_file": value}}
+
+
+_FROM_COEFFICIENTS = _coefficients_file("coefficients.json")
 
 
 def _costas_code(code):
@@ -558,6 +565,9 @@ _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags
     (_late("analyze", spectrogram={"overlap": 1.0}), None, None),
     (_late("analyze", spectrogram={"window_len_samples": 4096}), None, None),
     (_late("synth", wav_carrier_hz=1000.0, formats=["csv", "json", "wav"]), None, None),
+    (_coefficients_file(["coefficients.json"]), None, "coefficients_file"),
+    (_coefficients_file({}), None, "coefficients_file"),
+    (_coefficients_file(2.5), None, "coefficients_file"),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -569,7 +579,8 @@ _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags
         "formats_nested_list", "infinite_bandwidth_target", "nan_bandwidth_target",
         "method_list", "synth_region_without_lags", "analyze_region_without_lags",
         "ambiguity_delay_beyond_duration", "spectrogram_full_overlap",
-        "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist"])
+        "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist",
+        "coefficients_file_list", "coefficients_file_object", "coefficients_file_number"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -604,6 +615,30 @@ def test_malformed_run_option_exits_2(tmp_path, capsys, monkeypatch, config, fla
     assert err.startswith("error: ") and f"'{key}'" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("value", [True, 0], ids=["true", "zero"])
+def test_coefficients_file_descriptor_number_exits_2(tmp_path, value):
+    """open() takes an int (or bool) as a file descriptor; the reader must
+    reject it first.  A child process, so that no descriptor of the test
+    process can be read or closed."""
+    cfg = _config(tmp_path, _coefficients_file(value))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavekit.cli", "synth", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL, env=child_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "'coefficients_file'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "compare"])
+def test_seed_flag_only_on_seeded_commands(tmp_path, command):
+    """Only optimize and simulate draw random numbers; elsewhere --seed is an error."""
+    cfg = _config(tmp_path, {"command": command})
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", cfg, "--seed", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_problem_initial_length_mismatch_names_the_subtree(tmp_path, capsys):
@@ -658,7 +693,7 @@ def test_module_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "wavekit.cli", "synth", "--config", cfg,
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert (out / "waveform.csv").exists()
     assert (out / "metrics.json").exists()

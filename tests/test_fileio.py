@@ -57,6 +57,15 @@ def test_file_mode_follows_the_umask_at_write_time(tmp_path, umask):
     assert os.listdir(tmp_path) == ["t.json"]  # no temp file left behind
 
 
+def test_failed_rename_removes_the_temp_file(tmp_path):
+    """The target is a directory, so os.replace fails after the temp file is written."""
+    (tmp_path / "t.json").mkdir()
+    with pytest.raises(OutputError, match="cannot write"):
+        write_json(str(tmp_path / "t.json"), {"a": 1})
+    assert os.listdir(tmp_path) == ["t.json"]
+    assert os.listdir(tmp_path / "t.json") == []
+
+
 def test_write_csv_header_only(tmp_path):
     assert _written(tmp_path, ("a", "b"), []) == "a,b\n"
 

@@ -5,12 +5,10 @@ scipy loaded already.  The child prints the scipy modules it ended with.
 """
 
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 LFM = {"kind": "lfm", "bandwidth_hz": 16.0, "duration_s": 1.0}
 CLI_RUNS = [
@@ -34,10 +32,8 @@ def _scipy_modules_after(code: str) -> set:
     script = code + ("\nimport json, sys\n"
                      "print(json.dumps(sorted(m for m in sys.modules"
                      " if m.split('.')[0] == 'scipy')))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 

@@ -1,7 +1,5 @@
 """Correlation, ambiguity, and scalar metric checks against direct oracles."""
 
-import os
-import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -17,6 +15,7 @@ import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
 from wavekit.metrics import _doppler_rows, _fft_length, _linear_xcorr, _phase_ramps
 
+from conftest import child_env
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
                      direct_corr_at_lag, direct_xcorr_mag, spectral_moment_rms)
 
@@ -357,10 +356,8 @@ def test_ambiguity_memory_is_bounded_by_the_surface():
     Measured in a fresh interpreter, where the first FFT also loads numpy.fft
     under the tracer, as it does for a caller that has not used np.fft yet.
     """
-    src = str(pathlib.Path(wk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _AMBIGUITY_PEAK], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+                          text=True, env=child_env(), check=True)
     assert int(proc.stdout) < 4e6
 
 

@@ -6,6 +6,7 @@ just exercised.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -397,6 +398,18 @@ def test_tbp256_fixture_stops_on_tolerance(tbp256):
     assert result.stop_reason == "tolerance"
     assert result.converged
     assert result.evaluations_used < tbp256["problem"].budget
+
+
+@pytest.mark.parametrize("status, message, reason", [
+    (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", "stationary"),
+    (0, "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", "tolerance"),
+    (1, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT", "budget"),
+    (2, "ABNORMAL_TERMINATION_IN_LNSRCH", "line_search"),
+])
+def test_lbfgs_stop_reason(status, message, reason):
+    """L-BFGS-B's status and message, on stand-in results, map to each stop reason."""
+    res = types.SimpleNamespace(status=status, message=message)
+    assert optimize._lbfgs_stop_reason(res) == reason
 
 
 def test_gradient_descent_stops_stationary_at_symmetric_origin():

@@ -1,5 +1,8 @@
 """Echo-scene synthesis, matched-filter bank, and resolvability checks."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -10,6 +13,7 @@ from wavekit.metrics import _linear_xcorr, _phase_ramps
 from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
 
+from conftest import child_env
 from oracles import direct_xcorr_mag, superposed_echo_mag
 
 
@@ -171,6 +175,31 @@ def test_range_doppler_map_validation():
 
 
 # ------------------------------------------------------------------- mf_bank
+
+_MF_BANK_PEAK = """
+import tracemalloc
+import numpy as np
+import wavekit as wk
+sig = wk.synth_lfm(256.0, 1.0, 2048.0)
+rx = wk.simulate_returns(sig, wk.benchmark_scene(256.0), 0, window_s=2.0)
+grid = np.linspace(-50.0, 50.0, 201)
+wk.mf_bank(rx, sig, grid[:2])
+tracemalloc.start()
+rd = wk.mf_bank(rx, sig, grid)
+print(tracemalloc.get_traced_memory()[1] / rd.magnitude_db.nbytes)
+"""
+
+
+def test_mf_bank_holds_at_most_two_maps():
+    """201 rows at N = 2048 (a 9.9 MB map): the dB rows and the map's own copy.
+
+    Linear rows still alive when the map copies would make three maps
+    (3.14x); releasing them first reads 2.14x.  A small warm-up call loads
+    numpy.fft before the tracer starts.  Measured in a fresh interpreter.
+    """
+    proc = subprocess.run([sys.executable, "-c", _MF_BANK_PEAK], capture_output=True,
+                          text=True, env=child_env(), check=True)
+    assert float(proc.stdout) <= 2.5
 
 def test_mf_identity_row_is_the_autocorrelation(lfm):
     rx = simulate_returns(lfm, _single(), seed=0)

@@ -1,5 +1,7 @@
 """Sampled-signal container, dB conversion, and spectral transforms."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,12 @@ def test_signal_copies_its_samples():
     assert caller.flags.writeable
 
 
+def _peak_at_0db(values):
+    """values shifted in place to a 0 dB peak: the same array, now a valid map."""
+    values -= values.max()
+    return values
+
+
 @pytest.mark.parametrize("build, names", [
     (lambda a, b, c: wk.Spectrum(freqs_hz=a, magnitude=b, total_energy=1.0),
      ("freqs_hz", "magnitude")),
@@ -69,7 +77,10 @@ def test_signal_copies_its_samples():
      ("times_s", "freqs_hz", "magnitude_db")),
     (lambda a, b, c: wk.MtsfmParameters(num_harmonics=3, alpha=a, beta=b, duration_s=1.0),
      ("alpha", "beta")),
-], ids=["spectrum", "correlation", "ambiguity", "spectrogram", "mtsfm"])
+    (lambda a, b, c: wk.RangeDopplerMap(delays_s=a, dopplers_hz=b,
+                                        magnitude_db=_peak_at_0db(c)),
+     ("delays_s", "dopplers_hz", "magnitude_db")),
+], ids=["spectrum", "correlation", "ambiguity", "spectrogram", "mtsfm", "range_doppler"])
 def test_result_types_copy_their_arrays(build, names):
     arrays = [np.arange(3.0), np.arange(3.0) + 1.0, np.ones((3, 3))]
     obj = build(*arrays)
@@ -79,6 +90,42 @@ def test_result_types_copy_their_arrays(build, names):
         before = field.copy()
         caller[...] = -7.0
         np.testing.assert_array_equal(getattr(obj, name), before)
+
+
+# Each grid-shaped result type with its own shape message, built from
+# (axis 0, axis 1, values); the one-axis types ignore axis 1.
+_GRID_TYPES = [
+    pytest.param(lambda a, b, v: wk.Spectrum(freqs_hz=a, magnitude=v, total_energy=1.0),
+                 "spectrum axis/magnitude length mismatch", 1, id="spectrum"),
+    pytest.param(lambda a, b, v: wk.CorrelationResponse(lags_s=a, magnitude_db=v),
+                 "lag/magnitude length mismatch", 1, id="correlation"),
+    pytest.param(lambda a, b, v: wk.AmbiguitySurface(delays_s=a, dopplers_hz=b, magnitude=v),
+                 "ambiguity matrix does not match axis lengths", 2, id="ambiguity"),
+    pytest.param(lambda a, b, v: wk.Spectrogram(times_s=a, freqs_hz=b, magnitude_db=v,
+                                                window_len_samples=4, overlap_fraction=0.5),
+                 "spectrogram matrix does not match axis lengths", 2, id="spectrogram"),
+    pytest.param(lambda a, b, v: wk.RangeDopplerMap(dopplers_hz=a, delays_s=b,
+                                                    magnitude_db=v),
+                 re.escape("magnitude_db must be (num_dopplers, num_delays)"), 2,
+                 id="range_doppler"),
+]
+
+
+@pytest.mark.parametrize("build, message, num_axes", _GRID_TYPES)
+def test_grid_types_reject_a_2d_axis(build, message, num_axes):
+    """A 2 x 2 first axis fails, though the values match its shape (one-axis
+    types) or its size of 4 (two-axis types)."""
+    axis = np.zeros((2, 2))
+    values = np.zeros((4, 3) if num_axes == 2 else (2, 2))
+    with pytest.raises(InvalidInputError, match=message):
+        build(axis, np.arange(3.0), values)
+
+
+@pytest.mark.parametrize("build, message, num_axes", _GRID_TYPES)
+def test_grid_types_reject_mismatched_values(build, message, num_axes):
+    values = np.zeros((4, 2) if num_axes == 2 else 3)
+    with pytest.raises(InvalidInputError, match=message):
+        build(np.arange(4.0), np.arange(3.0), values)
 
 
 def test_to_db_floor():
