@@ -115,9 +115,10 @@ def _take_coefficients(tree: _Tree, duration_s: float, num_harmonics=None) -> Mt
     """
     alpha = _float_list(tree, "alpha")
     beta = _float_list(tree, "beta")
-    k = len(alpha) if num_harmonics is None else num_harmonics
+    if num_harmonics is not None and len(alpha) != num_harmonics:
+        raise ConfigError(f"{tree.context}: alpha must have length num_harmonics")
     with _as_config_error(tree.context):
-        return MtsfmParameters(num_harmonics=k, alpha=alpha, beta=beta, duration_s=duration_s)
+        return MtsfmParameters(alpha=alpha, beta=beta, duration_s=duration_s)
 
 
 def load_mtsfm_coefficients(path: str) -> MtsfmParameters:

@@ -10,7 +10,7 @@ of a range response plot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,14 +95,7 @@ class MetricsReport:
     p99_bandwidth_hz: float
 
     def to_dict(self) -> dict:
-        return {
-            "psl_db": self.psl_db,
-            "isl_db": self.isl_db,
-            "inband_energy_fraction": self.inband_energy_fraction,
-            "rms_bandwidth_hz": self.rms_bandwidth_hz,
-            "tbp": self.tbp,
-            "p99_bandwidth_hz": self.p99_bandwidth_hz,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -189,11 +182,13 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     forward and one inverse FFT along its rows, and writes the kept lags
     straight into the output.  A block holds at most the ramps and two
     transforms of _BLOCK_POINTS points each (0.5 MB) at once, however
-    many rows there are: a 257 x 257 T/2 surface at N = 8192 peaks near
-    1.8 MB under tracemalloc, 0.5 MB of it the surface, where one 2-D
-    transform of all rows would take about 55 MB for the 201-row bank of
-    a long pulse (N = 8192, 16875 points).  Each row is bitwise the
-    one-row result at its nu.
+    many rows there are: a 257 x 257 T/2 surface at N = 8192 peaks under
+    tracemalloc near 1.8 MB when an earlier call has run in the process,
+    and near 2.9 MB on the first call in a fresh one, which also loads
+    numpy.fft; 0.5 MB of either is the surface.  One 2-D transform of all
+    rows would take about 55 MB for the 201-row bank of a long pulse
+    (N = 8192, 16875 points).  Each row is bitwise the one-row result at
+    its nu.
     """
     nfft = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
     fa = np.fft.fft(a, nfft)

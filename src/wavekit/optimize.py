@@ -226,8 +226,7 @@ def vector_to_params(x: np.ndarray, duration_s: float) -> MtsfmParameters:
     """Inverse of params_to_vector."""
     x = np.asarray(x, dtype=float)
     k = x.size // 2
-    return MtsfmParameters(num_harmonics=k, alpha=x[:k], beta=x[k:],
-                           duration_s=duration_s)
+    return MtsfmParameters(alpha=x[:k], beta=x[k:], duration_s=duration_s)
 
 
 def evaluate_objective(params: MtsfmParameters, problem: OptimizationProblem) -> float:
@@ -517,5 +516,4 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     cos, sin = _harmonic_basis(t, num_harmonics, duration)
     alpha = (2.0 / n) * (cos.T @ phase)
     beta = (2.0 / n) * (sin.T @ phase)
-    return MtsfmParameters(num_harmonics=num_harmonics, alpha=alpha, beta=beta,
-                           duration_s=duration)
+    return MtsfmParameters(alpha=alpha, beta=beta, duration_s=duration)

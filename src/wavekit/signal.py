@@ -13,7 +13,7 @@ corresponding continuous integrals (energies, correlations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,11 +60,15 @@ def _freeze_field(obj, name: str, dtype=float) -> np.ndarray:
 def _freeze_grid(obj, values: str, axes: tuple, message: str) -> np.ndarray:
     """Freeze obj's axis fields, then its values field (see `_freeze_field`), and
     return the values.  The grid rule: every axis is 1-D and the values' shape is
-    the tuple of the axis lengths, in order; else InvalidInputError(message)."""
+    the tuple of the axis lengths, in order; else InvalidInputError(message).
+    Then every axis must be nonempty; else InvalidInputError naming the axis."""
     frozen = [_freeze_field(obj, name) for name in axes]
     grid = _freeze_field(obj, values)
     if any(axis.ndim != 1 for axis in frozen) or grid.shape != tuple(a.size for a in frozen):
         raise InvalidInputError(message)
+    for name, axis in zip(axes, frozen):
+        if axis.size == 0:
+            raise InvalidInputError(f"{name} must not be empty")
     return grid
 
 
@@ -77,13 +81,13 @@ class SampledSignal:
         sample_rate_hz: sampling rate fs.
         center_freq_hz: carrier frequency, used only for passband
             conversion and wideband (time-scale) Doppler models.
-        duration_s: signal duration; always equals len(samples)/fs.
+
+    The duration is not stored: `duration_s` derives it as len(samples)/fs.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
     center_freq_hz: float = 0.0
-    duration_s: float = field(default=0.0)
 
     def __post_init__(self):
         samples = _freeze_field(self, "samples", np.complex128)
@@ -95,19 +99,15 @@ class SampledSignal:
             raise InvalidInputError("sample_rate_hz must be positive")
         if self.center_freq_hz < 0:
             raise InvalidInputError("center_freq_hz must be nonnegative")
-        duration = self.duration_s
-        if duration == 0.0:
-            duration = samples.size / self.sample_rate_hz
-        if round(self.sample_rate_hz * duration) != samples.size:
-            raise InvalidInputError(
-                "duration_s inconsistent with sample count: "
-                f"round({self.sample_rate_hz} * {duration}) != {samples.size}"
-            )
-        object.__setattr__(self, "duration_s", duration)
 
     @property
     def num_samples(self) -> int:
         return self.samples.size
+
+    @property
+    def duration_s(self) -> float:
+        """Signal duration N/fs."""
+        return self.samples.size / self.sample_rate_hz
 
     def time_grid(self) -> np.ndarray:
         """Midpoint sample times t[n] = (n + 1/2)/fs."""
@@ -128,7 +128,6 @@ class Spectrum:
 
     freqs_hz: np.ndarray
     magnitude: np.ndarray
-    total_energy: float
 
     def __post_init__(self):
         magnitude = _freeze_grid(self, "magnitude", ("freqs_hz",),
@@ -148,8 +147,6 @@ class Spectrogram:
     times_s: np.ndarray
     freqs_hz: np.ndarray
     magnitude_db: np.ndarray
-    window_len_samples: int
-    overlap_fraction: float
 
     def __post_init__(self):
         _freeze_grid(self, "magnitude_db", ("times_s", "freqs_hz"),
@@ -176,7 +173,7 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     nfft = _next_pow2(int(zero_pad_factor) * signal.num_samples)
     mag = np.abs(np.fft.fftshift(np.fft.fft(signal.samples, nfft))) / np.sqrt(fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
-    return Spectrum(freqs_hz=freqs, magnitude=mag, total_energy=signal.energy())
+    return Spectrum(freqs_hz=freqs, magnitude=mag)
 
 
 def _total_power(power: np.ndarray) -> float:
@@ -235,13 +232,7 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
     db = to_db(mag / peak)
     times = (starts + window_len / 2.0) / fs
     freqs = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / fs))
-    return Spectrogram(
-        times_s=times,
-        freqs_hz=freqs,
-        magnitude_db=db,
-        window_len_samples=int(window_len),
-        overlap_fraction=float(overlap),
-    )
+    return Spectrogram(times_s=times, freqs_hz=freqs, magnitude_db=db)
 
 
 def to_passband(signal: SampledSignal) -> np.ndarray:

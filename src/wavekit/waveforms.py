@@ -2,8 +2,8 @@
 
 Every FM-class waveform here has constant amplitude 1/sqrt(T) in
 continuous time, unit energy, and is sampled on the midpoint grid (see
-`wavekit.signal`).  Sample counts are N = round(fs*T) and the stored
-duration is snapped to N/fs so the unit-energy and constant-amplitude
+`wavekit.signal`).  Sample counts are N = round(fs*T), so a signal's
+duration is snapped to N/fs and the unit-energy and constant-amplitude
 invariants hold exactly.
 """
 
@@ -58,11 +58,11 @@ def _unit_modulus(phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(phase.size)
 
 
-def _unit_fm(phase: np.ndarray, sample_rate_hz: float, duration_s: float,
+def _unit_fm(phase: np.ndarray, sample_rate_hz: float,
              center_freq_hz: float = 0.0) -> SampledSignal:
     """Wrap a phase function into a unit-energy constant-amplitude signal."""
     return SampledSignal(samples=_unit_modulus(phase), sample_rate_hz=sample_rate_hz,
-                         center_freq_hz=center_freq_hz, duration_s=duration_s)
+                         center_freq_hz=center_freq_hz)
 
 
 @dataclass(frozen=True)
@@ -77,28 +77,35 @@ class MtsfmParameters:
     are the adaptive design coefficients of the waveform.
 
     Attributes:
-        num_harmonics: K >= 1.
-        alpha: K cosine-harmonic indices.
-        beta: K sine-harmonic indices.
+        alpha: K cosine-harmonic indices, a nonempty 1-D array.
+        beta: K sine-harmonic indices, the same length as alpha.
         duration_s: waveform duration T (one modulation period).
+
+    K is not stored: `num_harmonics` derives it as len(alpha).
     """
 
-    num_harmonics: int
     alpha: np.ndarray
     beta: np.ndarray
     duration_s: float
 
     def __post_init__(self):
-        if self.num_harmonics < 1:
-            raise InvalidInputError("num_harmonics must be >= 1")
         if self.duration_s <= 0:
             raise InvalidInputError("duration_s must be positive")
-        for name in ("alpha", "beta"):
-            arr = _freeze_field(self, name)
-            if arr.shape != (self.num_harmonics,):
-                raise InvalidInputError(f"{name} must have length num_harmonics")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError(f"{name} must be finite")
+        alpha = _freeze_field(self, "alpha")
+        if alpha.ndim != 1 or alpha.size == 0:
+            raise InvalidInputError("alpha must be a nonempty 1-D array")
+        if not np.all(np.isfinite(alpha)):
+            raise InvalidInputError("alpha must be finite")
+        beta = _freeze_field(self, "beta")
+        if beta.shape != alpha.shape:
+            raise InvalidInputError("beta must have length num_harmonics")
+        if not np.all(np.isfinite(beta)):
+            raise InvalidInputError("beta must be finite")
+
+    @property
+    def num_harmonics(self) -> int:
+        """K, the number of harmonics."""
+        return self.alpha.size
 
     def phase(self, t: np.ndarray) -> np.ndarray:
         """Evaluate phi(t) on an arbitrary time grid."""
@@ -147,19 +154,17 @@ def synth_mtsfm(params: MtsfmParameters, sample_rate_hz: float,
     """
     n, duration, t = _sample_grid(params.duration_s, sample_rate_hz)
     if abs(duration - params.duration_s) > 1e-12 * params.duration_s:
-        params = MtsfmParameters(num_harmonics=params.num_harmonics,
-                                 alpha=params.alpha, beta=params.beta,
-                                 duration_s=duration)
-    return _unit_fm(params.phase(t), sample_rate_hz, duration, center_freq_hz)
+        params = MtsfmParameters(alpha=params.alpha, beta=params.beta, duration_s=duration)
+    return _unit_fm(params.phase(t), sample_rate_hz, center_freq_hz)
 
 
 def synth_cw(duration_s: float, sample_rate_hz: float,
              center_freq_hz: float = 0.0) -> SampledSignal:
     """Continuous-wave pulse: constant 1/sqrt(T), unit energy."""
-    n, duration, _ = _sample_grid(duration_s, sample_rate_hz)
+    n, _, _ = _sample_grid(duration_s, sample_rate_hz)
     samples = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
     return SampledSignal(samples=samples, sample_rate_hz=sample_rate_hz,
-                         center_freq_hz=center_freq_hz, duration_s=duration)
+                         center_freq_hz=center_freq_hz)
 
 
 def synth_lfm(bandwidth_hz: float, duration_s: float, sample_rate_hz: float,
@@ -182,7 +187,7 @@ def synth_lfm(bandwidth_hz: float, duration_s: float, sample_rate_hz: float,
     _, duration, t = _sample_grid(duration_s, sample_rate_hz)
     rate = bandwidth_hz / duration
     phase = 2.0 * np.pi * (-0.5 * bandwidth_hz * t + 0.5 * rate * t * t)
-    return _unit_fm(phase, sample_rate_hz, duration, center_freq_hz)
+    return _unit_fm(phase, sample_rate_hz, center_freq_hz)
 
 
 def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
@@ -212,7 +217,7 @@ def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
         raise InvalidInputError("HFM sweep is singular within [0, T)")
     fc = 0.5 * (f1_hz + f2_hz)
     phase = -2.0 * np.pi * (f1_hz / beta) * np.log(denom) - 2.0 * np.pi * fc * t
-    return _unit_fm(phase, sample_rate_hz, duration, center_freq_hz=fc)
+    return _unit_fm(phase, sample_rate_hz, center_freq_hz=fc)
 
 
 def synth_costas_fsk(code: CostasCode, duration_s: float,
@@ -241,7 +246,7 @@ def synth_costas_fsk(code: CostasCode, duration_s: float,
         freq = (value - (n_chips + 1) / 2.0) * df
         sl = slice(i * chip_len, (i + 1) * chip_len)
         phase[sl] = 2.0 * np.pi * freq * (t[sl] - i * t_chip)
-    return _unit_fm(phase, sample_rate_hz, duration)
+    return _unit_fm(phase, sample_rate_hz)
 
 
 def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float) -> SampledSignal:
@@ -257,9 +262,9 @@ def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float) -> Sample
     """
     if num_chips < 2:
         raise InvalidInputError("P4 requires at least 2 chips")
-    n, duration, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)
+    n, _, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)
     phase = np.repeat(p4_chip_phases(num_chips), n // num_chips)
-    return _unit_fm(phase, sample_rate_hz, duration)
+    return _unit_fm(phase, sample_rate_hz)
 
 
 def p4_chip_phases(num_chips: int) -> np.ndarray:
@@ -289,11 +294,10 @@ def synth_geometric_comb(num_tones: int, ratio: float, bandwidth_hz: float,
     freqs = comb_tone_frequencies(num_tones, ratio, bandwidth_hz)
     if freqs[-1] >= sample_rate_hz / 2.0:
         raise InvalidInputError("comb tones exceed the Nyquist frequency")
-    _, duration, t = _sample_grid(duration_s, sample_rate_hz)
+    _, _, t = _sample_grid(duration_s, sample_rate_hz)
     samples = np.exp(2j * np.pi * np.outer(t, freqs)).sum(axis=1)
     samples /= np.linalg.norm(samples)
-    return SampledSignal(samples=samples, sample_rate_hz=sample_rate_hz,
-                         duration_s=duration)
+    return SampledSignal(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
 def comb_tone_frequencies(num_tones: int, ratio: float, bandwidth_hz: float) -> np.ndarray:

@@ -112,8 +112,7 @@ def test_criterion_4_single_tone_bessel_lines():
     """K=1 sinusoidal FM: spectral line n carries |J_n(beta)|."""
     worst = 0.0
     for beta in (0.5, 2.0):
-        params = wk.MtsfmParameters(num_harmonics=1, alpha=np.zeros(1),
-                                    beta=np.array([beta]), duration_s=1.0)
+        params = wk.MtsfmParameters(alpha=np.zeros(1), beta=np.array([beta]), duration_s=1.0)
         sig = wk.synth_mtsfm(params, 256.0)
         lines = np.abs(np.fft.fft(sig.samples)) / np.sqrt(sig.num_samples)
         for n in range(-10, 11):

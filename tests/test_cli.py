@@ -21,6 +21,7 @@ from wavekit.config import load_mtsfm_coefficients
 from conftest import child_env
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _validator(schema_name):
@@ -159,6 +160,10 @@ def test_optimize_bundle_and_round_trip(tmp_path):
 
     params = load_mtsfm_coefficients(str(out / "coefficients.json"))
     assert params.num_harmonics == 4
+    # coefficients.json holds K as a JSON integer, so the property must be a Python int.
+    assert type(params.num_harmonics) is int
+    written = json.loads((out / "coefficients.json").read_text())["num_harmonics"]
+    assert type(written) is int and written == 4
     assert params.duration_s == 1.0
 
     doc = json.loads((out / "optimize_result.json").read_text())
@@ -251,7 +256,7 @@ def test_optimize_key_reaches_the_minimizer(tmp_path, keys):
     for key in ("method", "objective", "bandwidth_target_hz"):
         assert doc[key] == keys.get(key, doc[key])
     if "initial" in keys:
-        initial = wk.MtsfmParameters(4, _START["alpha"], _START["beta"], 1.0)
+        initial = wk.MtsfmParameters(_START["alpha"], _START["beta"], 1.0)
     else:
         initial = wk.default_initial_parameters(64.0, 1.0, 4, seed=1)
     problem = wk.OptimizationProblem(
@@ -529,6 +534,12 @@ def _late(command, **keys):
 
 _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags at 2048 Hz
 
+# alpha's length disagrees with an external K: problem.num_harmonics, or a
+# coefficients file's num_harmonics key.
+_INITIAL_ALPHA_SHORT = _problem(initial={"alpha": [0.0] * 3, "beta": [0.0] * 4})
+_COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2], '
+                            b'"duration_s": 1.0}')
+
 
 @pytest.mark.parametrize("config, coefficients, key", [
     (b'{"command": "synth", "waveform": {"kind": "cw",', None, None),
@@ -568,6 +579,8 @@ _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags
     (_coefficients_file(["coefficients.json"]), None, "coefficients_file"),
     (_coefficients_file({}), None, "coefficients_file"),
     (_coefficients_file(2.5), None, "coefficients_file"),
+    (_INITIAL_ALPHA_SHORT, None, None),
+    (_FROM_COEFFICIENTS, _COEFFICIENTS_K_MISMATCH, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -580,7 +593,8 @@ _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags
         "method_list", "synth_region_without_lags", "analyze_region_without_lags",
         "ambiguity_delay_beyond_duration", "spectrogram_full_overlap",
         "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist",
-        "coefficients_file_list", "coefficients_file_object", "coefficients_file_number"])
+        "coefficients_file_list", "coefficients_file_object", "coefficients_file_number",
+        "initial_alpha_length", "coefficients_num_harmonics_mismatch"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -647,6 +661,21 @@ def test_problem_initial_length_mismatch_names_the_subtree(tmp_path, capsys):
     assert "problem.initial: beta must have length num_harmonics" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, coefficients, context", [
+    (_INITIAL_ALPHA_SHORT, None, "problem.initial"),
+    (_FROM_COEFFICIENTS, _COEFFICIENTS_K_MISMATCH, "coefficients file coefficients.json"),
+], ids=["initial", "coefficients_file"])
+def test_alpha_length_mismatch_names_the_subtree(tmp_path, capsys, monkeypatch, config,
+                                                 coefficients, context):
+    monkeypatch.chdir(tmp_path)
+    if coefficients is not None:
+        (tmp_path / "coefficients.json").write_bytes(coefficients)
+    cfg = _config(tmp_path, config)
+    assert main([config["command"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {context}: alpha must have length num_harmonics\n"
+
+
 def test_command_mismatch_exits_2(tmp_path):
     cfg = _config(tmp_path, CW_SYNTH)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -701,8 +730,7 @@ def test_module_entry_point_runs(tmp_path):
 
 def _readme_configs():
     """The run configs of README's jsonc block, with their // lines stripped."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    block = README.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
     text = "\n".join(line for line in block.splitlines()
                      if not line.lstrip().startswith("//")).strip()
     decoder, docs = json.JSONDecoder(), []
@@ -711,6 +739,14 @@ def _readme_configs():
         docs.append(doc)
         text = text[end:].strip()
     return docs
+
+
+def test_readme_python_block_runs(tmp_path):
+    """README's library quick start, run as written in a fresh interpreter."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_configs_run(tmp_path, monkeypatch):

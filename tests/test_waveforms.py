@@ -1,5 +1,7 @@
 """Waveform bank synthesis: conventions, phase laws, and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ FM_SYNTHS = {
                                              1.0, fs),
     "p4": lambda fs: wk.synth_p4(8, 1.0, fs),
     "mtsfm": lambda fs: wk.synth_mtsfm(
-        wk.MtsfmParameters(num_harmonics=2, alpha=np.array([0.3, -0.1]),
+        wk.MtsfmParameters(alpha=np.array([0.3, -0.1]),
                            beta=np.array([12.0, 1.5]), duration_s=1.0), fs),
 }
 
@@ -147,8 +149,7 @@ def test_geometric_comb_validation():
 
 
 def test_mtsfm_phase_matches_parameter_series():
-    params = wk.MtsfmParameters(num_harmonics=3,
-                                alpha=np.array([0.5, 0.0, -0.2]),
+    params = wk.MtsfmParameters(alpha=np.array([0.5, 0.0, -0.2]),
                                 beta=np.array([8.0, 1.0, 0.3]),
                                 duration_s=1.0)
     sig = wk.synth_mtsfm(params, 256.0)
@@ -158,18 +159,17 @@ def test_mtsfm_phase_matches_parameter_series():
 
 def test_mtsfm_parameter_validation():
     with pytest.raises(InvalidInputError):
-        wk.MtsfmParameters(num_harmonics=0, alpha=np.array([]),
-                           beta=np.array([]), duration_s=1.0)
+        wk.MtsfmParameters(alpha=np.array([]), beta=np.array([]), duration_s=1.0)
+    with pytest.raises(InvalidInputError, match="alpha must be a nonempty 1-D array"):
+        wk.MtsfmParameters(alpha=np.zeros((1, 2)), beta=np.zeros((1, 2)), duration_s=1.0)
     with pytest.raises(InvalidInputError):
-        wk.MtsfmParameters(num_harmonics=2, alpha=np.array([1.0]),
-                           beta=np.array([1.0, 2.0]), duration_s=1.0)
+        wk.MtsfmParameters(alpha=np.array([1.0]), beta=np.array([1.0, 2.0]), duration_s=1.0)
     with pytest.raises(InvalidInputError):
-        wk.MtsfmParameters(num_harmonics=1, alpha=np.array([np.inf]),
-                           beta=np.array([0.0]), duration_s=1.0)
+        wk.MtsfmParameters(alpha=np.array([np.inf]), beta=np.array([0.0]), duration_s=1.0)
 
 
 def test_swept_bandwidth_matches_fine_grid():
-    params = wk.MtsfmParameters(num_harmonics=2, alpha=np.array([0.4, 0.1]),
+    params = wk.MtsfmParameters(alpha=np.array([0.4, 0.1]),
                                 beta=np.array([20.0, -3.0]), duration_s=1.0)
     t = np.linspace(0.0, 1.0, 100000, endpoint=False)
     expected = 2.0 * np.max(np.abs(wk.instantaneous_frequency(params, t)))
@@ -177,8 +177,7 @@ def test_swept_bandwidth_matches_fine_grid():
 
 
 def test_instantaneous_frequency_rejects_out_of_range_times():
-    params = wk.MtsfmParameters(num_harmonics=1, alpha=np.array([0.0]),
-                                beta=np.array([1.0]), duration_s=1.0)
+    params = wk.MtsfmParameters(alpha=np.array([0.0]), beta=np.array([1.0]), duration_s=1.0)
     with pytest.raises(InvalidInputError):
         wk.instantaneous_frequency(params, np.array([1.0]))
 
@@ -241,7 +240,7 @@ _COEFFICIENTS = st.integers(1, 4).flatmap(lambda k: st.lists(
 
 def _mtsfm(coefficients, duration):
     k = len(coefficients) // 2
-    return wk.synth_mtsfm(wk.MtsfmParameters(k, np.array(coefficients[:k]),
+    return wk.synth_mtsfm(wk.MtsfmParameters(np.array(coefficients[:k]),
                                              np.array(coefficients[k:]), duration), _FS)
 
 
@@ -266,6 +265,14 @@ _COMB = st.builds(lambda m, r, b, t: wk.synth_geometric_comb(m, r, b, t, _FS),
 @given(sig=st.one_of(*_CONSTANT_MODULUS, _COMB))
 def test_every_synth_has_unit_energy(sig):
     assert sig.energy() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sig=st.one_of(*_CONSTANT_MODULUS, _COMB), carrier=st.floats(0.0, 100.0))
+def test_every_synth_derives_its_duration(sig, carrier):
+    """duration_s is N/fs bitwise, on the synthesized signal and on a replaced copy."""
+    for s in (sig, dataclasses.replace(sig, center_freq_hz=carrier)):
+        assert s.duration_s == s.num_samples / s.sample_rate_hz
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
