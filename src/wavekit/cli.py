@@ -21,7 +21,7 @@ import numpy as np
 from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
                      parse_region, parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
-from .fileio import write_csv, write_json, write_wav
+from .fileio import write_csv_columns, write_json, write_wav
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
                       metrics_report, rms_bandwidth)
 from .optimize import (OptimizationProblem, default_initial_parameters,
@@ -125,12 +125,11 @@ def _analysis_csvs(formats, signal: SampledSignal, zpf: int, window_len,
     nu, tau, af_db = _grid_columns(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T)
     return {
         "spectrum.csv": (("f_hz", "db"),
-                         zip(spec.freqs_hz, to_db(spec.magnitude / spec.magnitude.max()))),
+                         (spec.freqs_hz, to_db(spec.magnitude / spec.magnitude.max()))),
         "spectrogram.csv": (("t_s", "f_hz", "db"),
-                            zip(*_grid_columns(gram.times_s, gram.freqs_hz,
-                                               gram.magnitude_db))),
-        "autocorrelation.csv": (("lag_s", "db"), zip(ac.lags_s, ac.magnitude_db)),
-        "ambiguity.csv": (("tau_s", "nu_hz", "db"), zip(tau, nu, af_db)),
+                            _grid_columns(gram.times_s, gram.freqs_hz, gram.magnitude_db)),
+        "autocorrelation.csv": (("lag_s", "db"), (ac.lags_s, ac.magnitude_db)),
+        "ambiguity.csv": (("tau_s", "nu_hz", "db"), (tau, nu, af_db)),
     }
 
 
@@ -145,8 +144,8 @@ def cmd_synth(tree: _Tree, args, formats) -> dict:
     artifacts = {}
     if "csv" in formats:
         artifacts["waveform.csv"] = (("index", "t_s", "re", "im"),
-                                     zip(range(signal.num_samples), signal.time_grid(),
-                                         signal.samples.real, signal.samples.imag))
+                                     (range(signal.num_samples), signal.time_grid(),
+                                      signal.samples.real, signal.samples.imag))
     if "json" in formats:
         artifacts["metrics.json"] = _metrics_doc(signal, spec.bandwidth_hz, region, zpf)
     if "wav" in formats:
@@ -254,8 +253,8 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
         artifacts["optimize_result.json"] = doc
     if "csv" in formats:
         artifacts["trace.csv"] = (("evaluation", "objective_db"),
-                                  ((idx, objective_db(val, objective))
-                                   for idx, val in result.trace))
+                                  ([idx for idx, _ in result.trace],
+                                   [objective_db(val, objective) for _, val in result.trace]))
     artifacts.update(_analysis_csvs(formats, after, zpf, window_len, overlap, af_opts))
     if "json" in formats:
         artifacts["metrics.json"] = artifacts["optimize_result.json"]["after_metrics"]
@@ -277,9 +276,9 @@ def cmd_simulate(tree: _Tree, args, formats) -> dict:
     artifacts = {}
     if "csv" in formats:
         nu, tau, db = _grid_columns(rd.dopplers_hz, rd.delays_s, rd.magnitude_db)
-        artifacts["range_doppler.csv"] = (("tau_s", "nu_hz", "db"), zip(tau, nu, db))
+        artifacts["range_doppler.csv"] = (("tau_s", "nu_hz", "db"), (tau, nu, db))
         artifacts["zero_doppler_cut.csv"] = (("lag_s", "db"),
-                                             zip(rd.delays_s, rd.zero_doppler_cut()))
+                                             (rd.delays_s, rd.zero_doppler_cut()))
     if "json" in formats:
         artifacts["resolvability.json"] = {
             "bandwidth_hz": spec.bandwidth_hz,
@@ -347,13 +346,14 @@ def cmd_compare(tree: _Tree, args, formats) -> dict:
         docs.append(doc)
     artifacts = {}
     if "csv" in formats:
-        columns = ("name", "psl_db", "isl_db", "rms_bandwidth_hz", "p99_bandwidth_hz",
-                   "inband_energy_fraction", "doppler_loss_db")
-        artifacts["comparison.csv"] = (columns, ([doc[c] for c in columns] for doc in docs))
+        keys = ("name", "psl_db", "isl_db", "rms_bandwidth_hz", "p99_bandwidth_hz",
+                "inband_energy_fraction", "doppler_loss_db")
+        artifacts["comparison.csv"] = (keys, tuple([doc[k] for doc in docs] for k in keys))
+        curve_columns = ("dopplers_hz", "loss_db", "peak_shift_s")
         artifacts["doppler_curves.csv"] = (
             ("name", "doppler_hz", "loss_db", "peak_shift_s"),
-            ((doc["name"], *point) for doc in docs
-             for point in zip(*doc["doppler_curve"].values())))  # nu, loss, shift
+            ([doc["name"] for doc in docs for _ in doc["doppler_curve"]["dopplers_hz"]],
+             *([v for doc in docs for v in doc["doppler_curve"][key]] for key in curve_columns)))
     if "json" in formats:
         artifacts["comparison.json"] = {
             "doppler_mode": mode,
@@ -396,11 +396,11 @@ def main(argv=None) -> int:
     try:
         tree = load_config(args.config, args.cmd)
         out_dir, formats = _resolve_run_options(tree, args)
-        # {file name: CSV (header, rows), JSON document or WAV (samples, rate)}
+        # {file name: CSV (header, columns), JSON document or WAV (samples, rate)}
         for name, content in _COMMANDS[args.cmd](tree, args, formats).items():
             path = os.path.join(out_dir, name)
             if name.endswith(".csv"):
-                write_csv(path, *content)
+                write_csv_columns(path, *content)
             elif name.endswith(".json"):
                 write_json(path, content)
             else:

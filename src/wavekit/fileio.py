@@ -3,6 +3,12 @@
 CSV files carry a single header row and LF line endings.  Each column
 prints by the numpy dtype its cells promote to: integers %d, floats at
 6 decimals (%.6f), anything else as str(), so reruns are byte-identical.
+Rows are formatted in blocks of _BLOCK_ROWS.  A block whose every column
+holds float64 cells, all finite and below 2**33 in magnitude, is
+formatted by numpy: an exact round-half-even of x * 10**6, then digit
+groups looked up in small tables.  Its bytes are those of `'%.6f' % x`.
+Every other block (NaN, infinities, larger values, integer, bool or text
+columns) is formatted by one % pass over a repeated row template.
 JSON is written with sorted keys and full float precision.
 WAV export is 32-bit IEEE float mono (format tag 3), sidestepping
 quantization decisions.  Its header is packed by hand with `struct`, in
@@ -17,14 +23,19 @@ from __future__ import annotations
 import json
 import os
 import struct
+from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
 
 from .errors import ConfigError, OutputError
 
-_BLOCK_ROWS = 8192  # CSV rows per %-format pass; bounds a long table's memory
+_BLOCK_ROWS = 8192  # CSV rows per formatting pass; bounds a long table's memory
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.6f"}  # by numpy dtype kind, else %s
+_FLOAT_TYPES = {float, np.float64}
+# |x| * 10**6 stays below 2**53, so every scaled cell is an exact float64 integer.
+_FIXED_LIMIT = 2.0**33
+_LEAD, _INNER, _BLANK, _POINT, _LAST = 0, 2000, 3000, 3001, 4001  # offsets into _pieces()
 _WAV_HEADER_BYTES = 58  # RIFF + 18-byte fmt + fact + data chunk headers
 
 
@@ -48,18 +59,119 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write one header row plus data rows, LF-terminated, by one % over a
-    repeated row template per _BLOCK_ROWS rows.  A column prints by the numpy
-    dtype its cells in the block promote to: integer kinds %d (exact at any
-    size), float kinds %.6f, anything else (bools, strings) %s."""
+    """Write one header row plus data rows, LF-terminated.
+
+    Each block of _BLOCK_ROWS rows is transposed and formatted as
+    `write_csv_columns` formats its columns, so both give the same bytes.
+    """
     rows = iter(rows)
-    parts = [(",".join(header) + "\n").encode("utf-8")]
+    blocks = []
     while block := list(islice(rows, _BLOCK_ROWS)):
-        kinds = (np.result_type(*set(map(type, col))).kind for col in zip(*block))
-        row_format = ",".join(_CELL_FORMATS.get(k, "%s") for k in kinds) + "\n"
-        cells = tuple(chain.from_iterable(block))
-        parts.append((row_format * len(block) % cells).encode("utf-8"))
-    _atomic_write_bytes(path, b"".join(parts))
+        blocks.append(_csv_block(list(zip(*block))))
+    _write_csv_blocks(path, header, blocks)
+
+
+def write_csv_columns(path: str, header, columns) -> None:
+    """Write one header row plus the rows of equal-length columns, LF-terminated.
+
+    A column is any sliceable sequence (an array, list or range).  It prints
+    by the numpy dtype its cells in a block promote to: integer kinds %d
+    (exact at any size), float kinds %.6f, anything else (bools, strings) %s.
+    """
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    num_rows = lengths.pop() if lengths else 0
+    _write_csv_blocks(path, header, (
+        _csv_block([col[start:start + _BLOCK_ROWS] for col in columns])
+        for start in range(0, num_rows, _BLOCK_ROWS)))
+
+
+def _write_csv_blocks(path: str, header, blocks) -> None:
+    head = (",".join(header) + "\n").encode("utf-8")
+    _atomic_write_bytes(path, b"".join(chain([head], blocks)))
+
+
+def _csv_block(columns) -> bytes:
+    """The CSV lines of one block of equal-length columns."""
+    floats = [_float64_cells(col) for col in columns]
+    if all(x is not None and (np.abs(x) < _FIXED_LIMIT).all() for x in floats):
+        return _fixed6_block(floats)
+    kinds = (np.result_type(*set(map(type, col))).kind for col in columns)
+    row_format = ",".join(_CELL_FORMATS.get(k, "%s") for k in kinds) + "\n"
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    return (row_format * len(columns[0]) % cells).encode("utf-8")
+
+
+def _float64_cells(col):
+    """col as a float64 array if every cell is a float64, else None."""
+    if isinstance(col, np.ndarray):
+        return col if col.dtype == np.float64 else None
+    return np.array(col, dtype=np.float64) if set(map(type, col)) <= _FLOAT_TYPES else None
+
+
+def _fixed6_block(columns) -> bytes:
+    """'%.6f' CSV lines of float64 columns, every cell finite and below _FIXED_LIMIT.
+
+    Each cell is assembled from 4-byte pieces: its integer digits in groups
+    of three, highest first, then ".ddd", then "ddd" and the separator.
+    The pieces' padding spaces are stripped from the finished block.
+    """
+    fields = []
+    for j, x in enumerate(columns):
+        whole, frac = np.divmod(np.abs(_round_scaled(x)).astype(np.int64), 10**6)
+        lead = _LEAD + 1000 * np.signbit(x)  # x's sign: -0.0 and -1e-9 print "-0.000000"
+        groups = (len(str(int(whole.max()))) + 2) // 3  # of the widest cell
+        top = sum(whole >= 1000**g for g in range(1, groups))  # each cell's leading group
+        for g in reversed(range(groups)):
+            digits = whole // 1000**g % 1000
+            fields.append(np.where(g < top, _INNER + digits,
+                                   np.where(g == top, lead + digits, _BLANK)))
+        high, low = np.divmod(frac, 1000)
+        fields += [_POINT + high, _LAST + 1000 * (j == len(columns) - 1) + low]
+    return _pieces()[np.stack(fields, axis=1)].tobytes().translate(None, b" ")
+
+
+def _round_scaled(x: np.ndarray) -> np.ndarray:
+    """x * 10**6 rounded half to even, exactly, as integral float64s.
+
+    The product's double p rounds the same way unless p is itself a
+    half-integer.  Below 2**52 every half-integer is a double, so rounding
+    to the nearest double never carries a value across one; from 2**52 up
+    p is an integer, and the half-even rounding.  A half-integer p rounds
+    toward x * 10**6, or to even if the two are equal.  The sign of
+    x * 10**6 - p is exact: Veltkamp's split gives x = high + low with
+    26-bit halves, so each half times 10**6 (14 significant bits) is exact,
+    and high * 10**6 - p is exact by Sterbenz's lemma.
+    """
+    scaled = x * 1e6
+    rounded = np.rint(scaled)
+    half = np.flatnonzero(np.abs(scaled - rounded) == 0.5)
+    if half.size:
+        xh, ph = x[half], scaled[half]
+        split = xh * 134217729.0  # 2**27 + 1
+        high = split - (split - xh)
+        residual = (high * 1e6 - ph) + (xh - high) * 1e6
+        rounded[half] = np.where(residual == 0, rounded[half], ph + 0.5 * np.sign(residual))
+    return rounded
+
+
+@lru_cache(maxsize=1)
+def _pieces() -> np.ndarray:
+    """The 4-byte pieces of a '%.6f' cell as read-only uint32, built on first use.
+
+    At _LEAD + 1000 * sign + v: v right-aligned, after a "-" if sign is 1
+    (a cell's leading integer group).  At _INNER + v: v zero-filled (a lower
+    group).  _BLANK: a group above the leading one.  At _POINT + v: ".ddd".
+    At _LAST + 1000 * last + v: "ddd" then "," or, in a row's last column, LF.
+    """
+    text = ([f"{v:>4}" for v in range(1000)] + [f"{'-' + str(v):>4}" for v in range(1000)]
+            + [f" {v:03d}" for v in range(1000)] + ["    "]
+            + [f".{v:03d}" for v in range(1000)]
+            + [f"{v:03d}," for v in range(1000)] + [f"{v:03d}\n" for v in range(1000)])
+    table = np.array(text, dtype="S4").view(np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 def write_json(path: str, obj) -> None:

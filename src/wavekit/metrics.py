@@ -64,6 +64,8 @@ class CorrelationResponse:
 
     @property
     def lag_step_s(self) -> float:
+        if self.lags_s.size < 2:
+            raise InvalidInputError("lags_s has one point, so no spacing")
         return float(self.lags_s[1] - self.lags_s[0])
 
     def magnitude_linear(self) -> np.ndarray:

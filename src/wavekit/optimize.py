@@ -8,22 +8,23 @@ amplitude by construction, so the search never leaves the feasible
 amplitude class.
 
 Three minimizers run under one search contract: a seeded Nelder-Mead
-simplex, a steepest-descent/backtracking scheme, and an L-BFGS
-quasi-Newton refinement.  Each supplies only its search loop.  The
-contract counts every objective or objective-plus-gradient call as one
-evaluation, checks the budget before computing anything, keeps the
-best-so-far design and its trace, and assembles the result; exhausting
-the budget returns the best design found so far with converged=False
-and stop_reason "budget".  The two gradient methods use the analytic
-gradient, computed in the same call as the objective value (the chain
-rule through s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin basis).  The
-objective reads only the region lags and lag 0 of the autocorrelation.
+simplex (scipy's adaptive variant, ported to numpy), a steepest-descent/
+backtracking scheme, and an L-BFGS quasi-Newton refinement.  Each
+supplies only its search loop.  The contract counts every objective or
+objective-plus-gradient call as one evaluation, checks the budget before
+computing anything, keeps the best-so-far design and its trace, and
+assembles the result; exhausting the budget returns the best design
+found so far with converged=False and stop_reason "budget".  The two
+gradient methods use the analytic gradient, computed in the same call as
+the objective value (the chain rule through s[n] = exp(j phi[n])/sqrt(N)
+onto the cos/sin basis).  The objective reads only the region lags and
+lag 0 of the autocorrelation.
 
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
 Majewski (1995, as cited by scipy's `taylor` window), bitwise equal to
-scipy's.  scipy itself is imported only by the two minimizers that
-call scipy.optimize.minimize.
+scipy's.  scipy itself is imported only by L-BFGS, which calls
+scipy.optimize.minimize.
 """
 
 from __future__ import annotations
@@ -320,40 +321,101 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
 
     The initial simplex is the starting point plus per-axis steps with a
     small seeded jitter, so reruns with the same seed reproduce the
-    trace exactly.  Stops when the simplex diameter falls below 1e-8 or
-    the budget is exhausted (converged=False, best design returned).
-    The stop reason is "tolerance" on scipy's success flag and "budget"
-    otherwise.
+    trace exactly.  The search is scipy's adaptive Nelder-Mead, ported to
+    numpy (see `_nelder_mead`).  It stops with stop_reason "tolerance"
+    (converged) when the simplex spans at most 1e-8 in every coordinate
+    and 1e-12 in f, and "budget" (converged=False, best design returned)
+    when the evaluations run out first.
     """
-    from scipy.optimize import minimize
-
     search = _Search(problem)
-    x0 = search.x0
-    dim = x0.size
-    if problem.budget < dim + 1:
+    if problem.budget < search.x0.size + 1:
         raise InvalidInputError("Nelder-Mead needs budget >= dimension + 1")
-    rng = np.random.default_rng(problem.seed)
+    simplex = _initial_simplex(search.x0, problem.seed)
+
+    def simplex_search():
+        _nelder_mead(search.value, simplex, xatol=1e-8, fatol=1e-12)
+        return True, "tolerance"
+
+    return search.run(simplex_search)
+
+
+def _initial_simplex(x0: np.ndarray, seed: int) -> np.ndarray:
+    """x0, then x0 stepped along each axis in turn, each step jittered by the seed."""
+    dim = x0.size
+    rng = np.random.default_rng(seed)
     steps = np.maximum(0.05 * np.abs(x0), 0.1)
     simplex = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
         simplex[i + 1, i] += steps[i]
         simplex[i + 1] += 0.01 * steps[i] * rng.standard_normal(dim)
+    return simplex
 
-    def simplex_search():
-        res = minimize(
-            search.value, x0, method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "maxiter": 10**9,
-                "maxfev": 10**9,
-                "adaptive": True,
-            },
-        )
-        return bool(res.success), "tolerance" if res.success else "budget"
 
-    return search.run(simplex_search)
+def _nelder_mead(func, initial_simplex: np.ndarray, xatol: float, fatol: float) -> None:
+    """Adaptive Nelder-Mead on func from an (N+1, N) simplex.
+
+    Operation for operation scipy 1.17.1's `_minimize_neldermead` with
+    adaptive=True and no bounds, evaluation limit or callback: the Gao-Han
+    coefficients, the same vertex updates and argsort/take ordering, and a
+    copy of each vertex passed to func.  So it makes the same calls as
+    scipy.optimize.minimize(method="Nelder-Mead") does, bit for bit.  It
+    returns once the simplex is within xatol and fatol of its best vertex,
+    tested before each iteration; func ends it otherwise by raising.
+    """
+    sim = np.array(initial_simplex, dtype=np.float64)
+    n = sim.shape[1]
+    dim = float(n)
+    rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+
+    def f(x):
+        return func(np.copy(x))
+
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    # scipy sorts twice here; an unstable argsort can reorder equal values.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while not (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
 
 
 def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationProblem,

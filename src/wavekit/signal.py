@@ -95,8 +95,8 @@ class SampledSignal:
             raise InvalidInputError("signal must be a 1-D array of at least 2 samples")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise InvalidInputError("signal samples must all be finite")
-        if self.sample_rate_hz <= 0:
-            raise InvalidInputError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise InvalidInputError("sample_rate_hz must be positive and finite")
         if self.center_freq_hz < 0:
             raise InvalidInputError("center_freq_hz must be nonnegative")
 
@@ -137,6 +137,8 @@ class Spectrum:
 
     @property
     def df_hz(self) -> float:
+        if self.freqs_hz.size < 2:
+            raise InvalidInputError("freqs_hz has one point, so no spacing")
         return float(self.freqs_hz[1] - self.freqs_hz[0])
 
 

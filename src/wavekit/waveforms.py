@@ -32,10 +32,10 @@ def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1)
     Returns:
         (n, duration, t) with n samples, duration = n/fs, midpoint grid t.
     """
-    if duration_s <= 0:
-        raise InvalidInputError("duration_s must be positive")
-    if sample_rate_hz <= 0:
-        raise InvalidInputError("sample_rate_hz must be positive")
+    if not 0 < duration_s < np.inf:
+        raise InvalidInputError("duration_s must be positive and finite")
+    if not 0 < sample_rate_hz < np.inf:
+        raise InvalidInputError("sample_rate_hz must be positive and finite")
     n = int(round(sample_rate_hz * duration_s))
     if multiple_of > 1:
         n = multiple_of * max(1, int(round(n / multiple_of)))
@@ -89,8 +89,8 @@ class MtsfmParameters:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise InvalidInputError("duration_s must be positive")
+        if not 0 < self.duration_s < np.inf:
+            raise InvalidInputError("duration_s must be positive and finite")
         alpha = _freeze_field(self, "alpha")
         if alpha.ndim != 1 or alpha.size == 0:
             raise InvalidInputError("alpha must be a nonempty 1-D array")

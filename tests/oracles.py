@@ -161,3 +161,19 @@ def superposed_echo_mag(samples, sample_rate_hz, delays_s, levels_db, lags):
         abs(sum(a * direct_corr_at_lag(samples, samples, m - k)
                 for a, k in zip(amps, shifts)))
         for m in lags])
+
+
+def percent_csv(header, columns) -> bytes:
+    """A CSV file of equal-length columns, formatted one cell at a time:
+    integers %d, floats %.6f, anything else (bools, strings) str()."""
+    def cell(value):
+        if isinstance(value, (bool, np.bool_)):
+            return str(value)
+        if isinstance(value, (int, np.integer)):
+            return "%d" % value
+        if isinstance(value, (float, np.floating)):
+            return "%.6f" % value
+        return str(value)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines).encode("utf-8")

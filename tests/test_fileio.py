@@ -1,16 +1,28 @@
-"""Serialization: exact bytes of `fileio.write_csv` and `fileio.write_wav`."""
+"""Serialization: exact bytes of the CSV writers and `fileio.write_wav`.
+
+The CSV writers are checked against `oracles.percent_csv`, which formats
+one cell at a time with %, on fuzzed columns and on every CSV artifact
+the five CLI commands write.
+"""
 
 import io
+import json
 import os
 import stat
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from wavekit import fileio
+from wavekit import cli, fileio
 from wavekit.errors import OutputError
-from wavekit.fileio import write_csv, write_json, write_wav
+from wavekit.fileio import write_csv, write_csv_columns, write_json, write_wav
+
+from oracles import percent_csv
 
 # %.6f of 1e300: every integer digit of the double nearest 1e300.
 _E300 = ("1000000000000000052504760255204420248704468581108159154915854115511802457"
@@ -80,6 +92,127 @@ def test_write_csv_full_blocks(tmp_path, extra):
     assert len(lines) == n + 1
     assert lines[1] == "0,1180591620717411303424,0.000000"
     assert lines[-1] == f"{n - 1},{2**70 + n - 1},{(n - 1) / 8.0:.6f}"
+
+
+def _both_writers(header, columns, block_rows) -> bytes:
+    """The bytes write_csv_columns and write_csv (given the rows) write,
+    checked equal, with _BLOCK_ROWS set to block_rows."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(fileio, "_BLOCK_ROWS", block_rows):
+        by_columns, by_rows = os.path.join(tmp, "c.csv"), os.path.join(tmp, "r.csv")
+        write_csv_columns(by_columns, header, columns)
+        write_csv(by_rows, header, zip(*columns))
+        with open(by_columns, "rb") as a, open(by_rows, "rb") as b:
+            data = a.read()
+            assert b.read() == data
+    return data
+
+
+def _odd_128ths():
+    """(2m + 1)/128: a tie of %.6f, as x * 10**6 is an odd multiple of 1/2."""
+    return st.integers(-2**40, 2**40).map(lambda m: (2 * m + 1) / 128)
+
+
+_FLOAT_CELLS = st.one_of(
+    st.floats(),  # NaN and infinities included: they take the % path
+    st.builds(lambda x, e: x * 2.0**-e, _odd_128ths(), st.integers(0, 30)),
+    st.builds(lambda x, up: float(np.nextafter(x, np.inf if up else -np.inf)),
+              _odd_128ths(), st.booleans()),
+    st.sampled_from([0.0, -0.0, -1e-9, -4e-7, -5e-7, -6e-7, -5e-324]),
+    st.builds(lambda edge, sign, offset: sign * edge + offset,
+              st.sampled_from([1e3, 1e6, 2.0**33]), st.sampled_from([1.0, -1.0]),
+              st.one_of(st.floats(-2.0, 2.0), st.sampled_from([-1e-6, -5e-7, 0.0, 5e-7]))),
+    st.sampled_from([2.0**33, -2.0**33]).map(lambda x: float(np.nextafter(x, 0.0))),
+    st.builds(lambda x, sign: sign * x, st.floats(2.0**32, 2.0**35), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FLOAT_CELLS, min_size=1, max_size=40), st.integers(1, 16))
+def test_float_cells_print_as_percent(values, block_rows):
+    """Ties, their neighbours, signed zeros, tiny negatives and values on both
+    sides of 1000, 10**6 and 2**33, as an array and as a list."""
+    expected = "".join(["x\n"] + ["%.6f\n" % v for v in values]).encode()
+    assert _both_writers(("x",), (np.array(values),), block_rows) == expected
+    assert _both_writers(("x",), (values,), block_rows) == expected
+
+
+_TEXT = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)))
+_COLUMNS = {  # kind: (cells, column of the drawn cells)
+    "float": (_FLOAT_CELLS, np.array),
+    "float_list": (_FLOAT_CELLS, list),
+    "int": (st.integers(), list),
+    "int64": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
+    "bool": (st.booleans(), list),
+    "str": (_TEXT, list),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mixed_columns_match_the_percent_oracle(data):
+    """Blocks with int, bool and str columns beside float ones keep the % rule."""
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
+    num_rows = data.draw(st.integers(0, 25))
+    columns = []
+    for kind in kinds:
+        cells, as_column = _COLUMNS[kind]
+        columns.append(as_column(data.draw(st.lists(cells, min_size=num_rows,
+                                                    max_size=num_rows))))
+    header = [f"c{i}" for i in range(len(columns))]
+    block_rows = data.draw(st.integers(1, 8))
+    assert _both_writers(header, columns, block_rows) == percent_csv(header, columns)
+
+
+def test_csv_columns_must_have_one_length(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv_columns(str(tmp_path / "t.csv"), ("a", "b"), ([1.0, 2.0], [1.0]))
+
+
+# Configs shaped like the benchmark's five commands, at sizes a test can afford:
+# fs = 2048 Hz puts spectrum and Doppler-axis values past 1000, and the
+# range-Doppler map spans several blocks.
+_LFM = {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 0.25}
+_COSTAS = {"kind": "costas_fsk", "prime": 7, "generator": 3, "duration_s": 0.25}
+_CLI_RUNS = {
+    "synth": ({"waveform": _LFM, "sample_rate_hz": 2048.0}, ["--format", "csv,json,wav"]),
+    "analyze": ({"waveform": _COSTAS, "sample_rate_hz": 2048.0}, []),
+    "optimize": ({"problem": {"num_harmonics": 2, "duration_s": 1.0, "bandwidth_hz": 32.0,
+                              "sample_rate_hz": 128.0, "budget": 40}}, ["--seed", "1"]),
+    "simulate": ({"waveform": _LFM, "sample_rate_hz": 2048.0,
+                  "scene": {"benchmark_bandwidth_hz": 256.0},
+                  "doppler_span_hz": 40.0, "num_dopplers": 15}, ["--seed", "7"]),
+    "compare": ({"num_doppler_points": 11, "sample_rate_hz": 2048.0,
+                 "waveforms": [{"name": "lfm", "waveform": _LFM},
+                               {"name": "p4", "waveform": {"kind": "p4", "num_chips": 32,
+                                                           "duration_s": 0.25}},
+                               {"name": "costas7", "waveform": _COSTAS}]}, []),
+}
+
+
+def test_every_cli_csv_artifact_matches_the_percent_oracle(tmp_path, monkeypatch):
+    """Each CSV the five commands write equals the oracle's file of the
+    columns the command handed the writer."""
+    handed = {}
+
+    def keep_columns(path, header, columns):
+        handed[os.path.relpath(path, tmp_path)] = (header, columns)
+        write_csv_columns(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv_columns", keep_columns)
+    for command, (config, extra) in _CLI_RUNS.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps({"command": command, **config}))
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / command), *extra]) == 0
+    assert sorted(handed) == sorted(str(p.relative_to(tmp_path))
+                                    for p in tmp_path.glob("*/*.csv"))
+    assert len(handed) == 14
+    for name, (header, columns) in handed.items():
+        assert (tmp_path / name).read_bytes() == percent_csv(header, columns), name
+    range_doppler = handed[os.path.join("simulate", "range_doppler.csv")][1]
+    assert len(range_doppler[0]) > 2 * fileio._BLOCK_ROWS
+    assert np.abs(handed[os.path.join("analyze", "spectrum.csv")][1][0]).max() >= 1000
 
 
 @pytest.mark.parametrize("num_samples", [1, 2, 5, 2048])

@@ -1,5 +1,8 @@
 """Import floor: wavekit and its CLI load scipy only where it is called.
 
+Only the L-BFGS optimizer (scipy.optimize) and the wideband Doppler curve
+(a scipy spline) call it; Nelder-Mead is a numpy port.
+
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.  The child prints the scipy modules it ended with.
 """
@@ -65,8 +68,14 @@ def test_cli_commands_without_an_optimizer_load_no_scipy(tmp_path):
     assert (tmp_path / "out0" / "waveform.wav").exists()
 
 
-def test_nelder_mead_optimize_from_nlfm_loads_scipy_optimize_only(tmp_path):
-    loaded = _scipy_modules_after(_cli_runs(tmp_path, [(NM_OPTIMIZE, [])]))
+def test_nelder_mead_optimize_from_nlfm_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after(_cli_runs(tmp_path, [(NM_OPTIMIZE, [])])) == set()
+    assert (tmp_path / "out0" / "optimize_result.json").exists()
+
+
+def test_lbfgs_optimize_loads_scipy_optimize_only(tmp_path):
+    lbfgs = {**NM_OPTIMIZE, "problem": {**NM_OPTIMIZE["problem"], "method": "lbfgs"}}
+    loaded = _scipy_modules_after(_cli_runs(tmp_path, [(lbfgs, [])]))
     assert "scipy.optimize" in loaded
     assert not {m for m in loaded
                 if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "interpolate"],

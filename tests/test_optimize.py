@@ -374,6 +374,62 @@ def test_nelder_mead_converges_on_tiny_problem():
         <= problem.bandwidth_tolerance + 1e-6
 
 
+def _scipy_nelder_mead(problem):
+    """The reference for the port: scipy.optimize.minimize's Nelder-Mead from the
+    same simplex, under the same search contract and tolerances."""
+    from scipy.optimize import minimize
+
+    search = optimize._Search(problem)
+    simplex = optimize._initial_simplex(search.x0, problem.seed)
+
+    def simplex_search():
+        res = minimize(search.value, search.x0, method="Nelder-Mead",
+                       options={"initial_simplex": simplex, "xatol": 1e-8, "fatol": 1e-12,
+                                "maxiter": 10**9, "maxfev": 10**9, "adaptive": True})
+        return bool(res.success), "tolerance" if res.success else "budget"
+
+    return search.run(simplex_search)
+
+
+def _assert_bitwise_equal_runs(port, reference):
+    assert port.trace == reference.trace
+    assert (port.stop_reason, port.evaluations_used, port.converged) == (
+        reference.stop_reason, reference.evaluations_used, reference.converged)
+    for name in ("alpha", "beta"):
+        assert (np.asarray(getattr(port.final, name)).tobytes()
+                == np.asarray(getattr(reference.final, name)).tobytes())
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+@pytest.mark.parametrize("budget", [300, 600])
+def test_nelder_mead_port_is_scipy_on_tbp256(tbp256, objective, budget):
+    problem = dataclasses.replace(tbp256["problem"], objective=objective, budget=budget)
+    port = minimize_nelder_mead(problem)
+    assert port.stop_reason == "budget"
+    _assert_bitwise_equal_runs(port, _scipy_nelder_mead(problem))
+
+
+def _criterion_8_problem():
+    """The seeded optimize run of acceptance criterion 8, as the CLI builds it."""
+    initial = default_initial_parameters(64.0, 1.0, 4, seed=1)
+    target = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(initial, 512.0), 2))
+    return OptimizationProblem(
+        initial=initial, region=wk.default_region(64.0, 1.0), objective="isl",
+        bandwidth_target_hz=target, bandwidth_tolerance=0.1, penalty_weight=1.0,
+        budget=300, seed=1, sample_rate_hz=512.0)
+
+
+@pytest.mark.parametrize("build, stop_reason", [
+    (_criterion_8_problem, "budget"),
+    (_tiny_problem, "tolerance"),
+], ids=["criterion_8", "tolerance"])
+def test_nelder_mead_port_is_scipy(build, stop_reason):
+    problem = build()
+    port = minimize_nelder_mead(problem)
+    assert port.stop_reason == stop_reason
+    _assert_bitwise_equal_runs(port, _scipy_nelder_mead(problem))
+
+
 def test_budget_exhaustion_reports_not_converged():
     result = minimize_nelder_mead(_tiny_problem(budget=50))
     assert not result.converged

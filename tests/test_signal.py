@@ -42,6 +42,13 @@ def test_signal_validation():
                          sample_rate_hz=10.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf], ids=["nan", "inf"])
+def test_signal_rejects_a_non_finite_sample_rate(rate):
+    """Else the derived duration reads NaN or 0.0."""
+    with pytest.raises(InvalidInputError, match="^sample_rate_hz must be positive and finite$"):
+        wk.SampledSignal(samples=np.ones(4, dtype=complex), sample_rate_hz=rate)
+
+
 def test_samples_are_immutable():
     sig = wk.synth_cw(1.0, 64.0)
     with pytest.raises(ValueError):
@@ -133,6 +140,18 @@ def test_grid_types_reject_an_empty_axis(build, message, num_axes, axis_0):
     values = np.zeros((0, 3) if num_axes == 2 else 0)
     with pytest.raises(InvalidInputError, match=f"^{axis_0} must not be empty$"):
         build(np.zeros(0), np.arange(3.0), values)
+
+
+@pytest.mark.parametrize("build, step, axis", [
+    (lambda: wk.Spectrum(freqs_hz=np.zeros(1), magnitude=np.ones(1)), "df_hz", "freqs_hz"),
+    (lambda: wk.CorrelationResponse(lags_s=np.zeros(1), magnitude_db=np.zeros(1)),
+     "lag_step_s", "lags_s"),
+], ids=["spectrum", "correlation"])
+def test_one_point_axis_has_no_step(build, step, axis):
+    """The grid rule accepts one point; reading its spacing fails by name."""
+    grid = build()
+    with pytest.raises(InvalidInputError, match=f"^{axis} has one point, so no spacing$"):
+        getattr(grid, step)
 
 
 def test_to_db_floor():

@@ -168,6 +168,17 @@ def test_mtsfm_parameter_validation():
         wk.MtsfmParameters(alpha=np.array([np.inf]), beta=np.array([0.0]), duration_s=1.0)
 
 
+@pytest.mark.parametrize("duration", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_durations_are_invalid_input(duration):
+    """Rejected at construction, and by every synth's sample grid, not by a
+    bare ValueError or OverflowError from the sample count."""
+    message = "^duration_s must be positive and finite$"
+    with pytest.raises(InvalidInputError, match=message):
+        wk.MtsfmParameters(alpha=np.array([0.0]), beta=np.array([1.0]), duration_s=duration)
+    with pytest.raises(InvalidInputError, match=message):
+        wk.synth_lfm(16.0, duration, 64.0)
+
+
 def test_swept_bandwidth_matches_fine_grid():
     params = wk.MtsfmParameters(alpha=np.array([0.4, 0.1]),
                                 beta=np.array([20.0, -3.0]), duration_s=1.0)
