@@ -3,8 +3,8 @@
 Each run is driven by one JSON config document (see `wavekit.config`);
 the --out, --format and (optimize, simulate) --seed flags override the
 corresponding config fields.  A run reads its config, computes its
-artifacts (a dict keyed by file name), then writes them, so a run that
-exits 2 writes nothing.
+artifacts (a dict keyed by file name), encodes every one to bytes, then
+writes them, so a run that exits 2 writes nothing.
 Exit codes: 0 success (including non-converged optimizations, which are
 reported, not fatal), 2 config/validation error, 3 I/O error.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
                      parse_region, parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
-from .fileio import write_csv_columns, write_json, write_wav
+from .fileio import _atomic_write_bytes, encode_csv, encode_json, encode_wav
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
                       metrics_report, rms_bandwidth)
 from .optimize import (OptimizationProblem, default_initial_parameters,
@@ -52,12 +52,9 @@ def _resolve_run_options(tree: _Tree, args) -> tuple:
 
 def _take_seed(tree: _Tree, args) -> int:
     """The run seed: --seed if given, else the tree's 'seed' (default 0)."""
-    seed = tree.take_int("seed", default=0)
-    if args.seed is not None:
-        seed = args.seed
-    if seed < 0:
-        raise ConfigError(f"{tree.context}: 'seed' (or --seed) must be >= 0")
-    return seed
+    seed = tree.take_number("seed", default=0, integer=True)
+    return tree.check_number("seed", seed if args.seed is None else args.seed,
+                             integer=True, minimum=0)
 
 
 def _metrics_doc(signal: SampledSignal, bandwidth_hz: float, region,
@@ -94,9 +91,9 @@ def _default_window(num_samples: int) -> int:
 
 def _parse_analysis_options(tree: _Tree, duration_s: float):
     """Analysis-bundle options; an empty tree gives the defaults."""
-    zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
+    zpf = tree.take_number("zero_pad_factor", default=4, integer=True, minimum=1)
     sg = tree.take_subtree("spectrogram", optional=True)
-    window_len = sg.take_int("window_len_samples", default=None, minimum=2)
+    window_len = sg.take_number("window_len_samples", default=None, integer=True, minimum=2)
     overlap = sg.take_number("overlap", default=0.75, minimum=0.0)
     sg.finish()
     af = tree.take_subtree("ambiguity", optional=True)
@@ -105,8 +102,8 @@ def _parse_analysis_options(tree: _Tree, duration_s: float):
                                       positive=True),
         "max_doppler_hz": af.take_number("max_doppler_hz", default=10.0 / duration_s,
                                          positive=True),
-        "num_delays": af.take_int("num_delays", default=129, minimum=2),
-        "num_dopplers": af.take_int("num_dopplers", default=129, minimum=2),
+        "num_delays": af.take_number("num_delays", default=129, integer=True, minimum=2),
+        "num_dopplers": af.take_number("num_dopplers", default=129, integer=True, minimum=2),
     }
     af.finish()
     return zpf, window_len, overlap, af_opts
@@ -136,7 +133,7 @@ def _analysis_csvs(formats, signal: SampledSignal, zpf: int, window_len,
 def cmd_synth(tree: _Tree, args, formats) -> dict:
     spec, fs = _take_waveform(tree)
     region_data = tree.take("region", default=None)
-    zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
+    zpf = tree.take_number("zero_pad_factor", default=4, integer=True, minimum=1)
     carrier = tree.take_number("wav_carrier_hz", default=None, positive=True)
     tree.finish()
     signal = synth_waveform(spec, fs)
@@ -191,7 +188,7 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
 def cmd_optimize(tree: _Tree, args, formats) -> dict:
     prob = tree.take_subtree("problem")
     tree.finish()
-    num_harmonics = prob.take_int("num_harmonics", default=32, minimum=1)
+    num_harmonics = prob.take_number("num_harmonics", default=32, integer=True, minimum=1)
     duration = prob.take_number("duration_s", positive=True)
     bandwidth = prob.take_number("bandwidth_hz", positive=True)
     fs = resolve_sample_rate(bandwidth, duration, prob.take_number(
@@ -203,12 +200,12 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
         target = prob.check_number("bandwidth_target_hz", target, positive=True)
     tolerance = prob.take_number("bandwidth_tolerance", default=0.1, positive=True)
     weight = prob.take_number("penalty_weight", default=1.0, positive=True)
-    budget = prob.take_int("budget", minimum=1)
+    budget = prob.take_number("budget", integer=True, minimum=1)
     seed = _take_seed(prob, args)
     method = prob.take("method", default="nelder_mead")
     initial_spec = prob.take("initial", default="default")
     sidelobe_db = prob.take_number("nlfm_sidelobe_db", default=45.0, positive=True)
-    nbar = prob.take_int("nlfm_nbar", default=10, minimum=2)
+    nbar = prob.take_number("nlfm_nbar", default=10, integer=True, minimum=2)
     prob.finish()
 
     region = parse_region(region_data, bandwidth, duration)
@@ -298,9 +295,9 @@ def cmd_compare(tree: _Tree, args, formats) -> dict:
     region_data = tree.take("region", default=None)
     mode = tree.take("doppler_mode", default="narrowband")
     fraction = tree.take_number("doppler_fraction", default=0.1, positive=True)
-    num_points = tree.take_int("num_doppler_points", default=16, minimum=2)
+    num_points = tree.take_number("num_doppler_points", default=16, integer=True, minimum=2)
     inband_bw = tree.take_number("inband_bandwidth_hz", default=None, positive=True)
-    zpf = tree.take_int("zero_pad_factor", default=4, minimum=1)
+    zpf = tree.take_number("zero_pad_factor", default=4, integer=True, minimum=1)
     tree.finish()
 
     parsed = []
@@ -397,14 +394,12 @@ def main(argv=None) -> int:
         tree = load_config(args.config, args.cmd)
         out_dir, formats = _resolve_run_options(tree, args)
         # {file name: CSV (header, columns), JSON document or WAV (samples, rate)}
-        for name, content in _COMMANDS[args.cmd](tree, args, formats).items():
-            path = os.path.join(out_dir, name)
-            if name.endswith(".csv"):
-                write_csv_columns(path, *content)
-            elif name.endswith(".json"):
-                write_json(path, content)
-            else:
-                write_wav(path, *content)
+        payloads = {name: (encode_csv(*content) if name.endswith(".csv")
+                           else encode_json(content) if name.endswith(".json")
+                           else encode_wav(*content))
+                    for name, content in _COMMANDS[args.cmd](tree, args, formats).items()}
+        for name, payload in payloads.items():
+            _atomic_write_bytes(os.path.join(out_dir, name), payload)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

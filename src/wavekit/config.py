@@ -11,13 +11,12 @@ writes nothing.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
 
 from .costas import CostasCode, generate_welch_costas
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
 from .scene import Echo, EchoScene, benchmark_scene
@@ -55,34 +54,13 @@ class _Tree:
         value = self._data.pop(key)
         return value if check is None or value is default else check(value)
 
-    def take_number(self, key: str, default=_MISSING, minimum=None, positive=False):
-        return self.take(key, default,
-                         lambda value: self.check_number(key, value, minimum, positive))
+    def take_number(self, key: str, default=_MISSING, **rule):
+        return self.take(key, default, lambda value: self.check_number(key, value, **rule))
 
-    def check_number(self, key: str, value, minimum=None, positive=False) -> float:
-        """value, read under key, as a finite float: take_number's rule."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self.context}: '{key}' must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"{self.context}: '{key}' must be finite")
-        if positive and value <= 0:
-            raise ConfigError(f"{self.context}: '{key}' must be positive")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.context}: '{key}' must be >= {minimum}")
-        return value
-
-    def take_int(self, key: str, default=_MISSING, minimum=None):
-        def check(value):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{self.context}: '{key}' must be an integer")
-            if minimum is not None and value < minimum:
-                raise ConfigError(f"{self.context}: '{key}' must be >= {minimum}")
-            return value
-        return self.take(key, default, check)
+    def check_number(self, key: str, value, **rule):
+        """value, read under key, by `errors.check_number`; a failure is a ConfigError."""
+        with _as_config_error(self.context):
+            return check_number(f"'{key}'", value, **rule)
 
     def take_subtree(self, key: str, optional: bool = False):
         """The subtree under key; an optional one, absent or null, reads as empty."""
@@ -101,10 +79,7 @@ def _float_list(tree: _Tree, key: str, default=_MISSING):
             raise ConfigError(f"{tree.context}: '{key}' must be a nonempty list")
         if any(type(v) not in (int, float) for v in value):
             raise ConfigError(f"{tree.context}: '{key}' must contain numbers")
-        try:
-            return [float(v) for v in value]
-        except OverflowError as exc:
-            raise ConfigError(f"{tree.context}: '{key}' must contain numbers") from exc
+        return [tree.check_number(key, v) for v in value]
     return tree.take(key, default, check)
 
 
@@ -125,7 +100,7 @@ def load_mtsfm_coefficients(path: str) -> MtsfmParameters:
     """Read an MTSFM coefficients JSON (as written by the optimize command)."""
     doc = _Tree(read_json(path), f"coefficients file {path}")
     duration = doc.take_number("duration_s", positive=True)
-    k = doc.take_int("num_harmonics", default=None, minimum=1)
+    k = doc.take_number("num_harmonics", default=None, integer=True, minimum=1)
     params = _take_coefficients(doc, duration, k)
     doc.finish()
     return params
@@ -151,8 +126,8 @@ def _parse_costas_code(tree: _Tree) -> CostasCode:
         if not isinstance(explicit, list) or any(type(v) is not int for v in explicit):
             raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
         return CostasCode(sequence=tuple(explicit))
-    prime = tree.take_int("prime", minimum=2)
-    generator = tree.take_int("generator", minimum=1)
+    prime = tree.take_number("prime", integer=True, minimum=2)
+    generator = tree.take_number("generator", integer=True, minimum=1)
     return generate_welch_costas(prime, generator)
 
 
@@ -172,10 +147,8 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     with _as_config_error(tree.context):
         if kind not in _KINDS:
             raise ConfigError(f"{tree.context}: unknown waveform kind '{kind}'")
-        if kind == "mtsfm":
-            duration = tree.take_number("duration_s", default=None)
-        else:
-            duration = tree.take_number("duration_s", positive=True)
+        duration = tree.take_number("duration_s", None if kind == "mtsfm" else _MISSING,
+                                    positive=True)  # MTSFM may read it from its coefficients
         fields = {}
         if kind in ("lfm", "hfm", "geometric_comb"):
             fields["bandwidth_hz"] = tree.take_number("bandwidth_hz", positive=True)
@@ -185,10 +158,10 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
             fields["costas"] = code = _parse_costas_code(tree)
             fields["bandwidth_hz"] = len(code) ** 2 / duration
         elif kind == "p4":
-            fields["num_chips"] = chips = tree.take_int("num_chips", minimum=2)
+            fields["num_chips"] = chips = tree.take_number("num_chips", integer=True, minimum=2)
             fields["bandwidth_hz"] = chips / duration
         elif kind == "geometric_comb":
-            fields["num_tones"] = tree.take_int("num_tones", minimum=2)
+            fields["num_tones"] = tree.take_number("num_tones", integer=True, minimum=2)
             fields["tone_ratio"] = tree.take_number("tone_ratio")
         elif kind == "mtsfm":
             fields["mtsfm"] = params = _parse_mtsfm(tree, duration)
@@ -258,7 +231,7 @@ def parse_dopplers(tree: _Tree) -> np.ndarray:
     if explicit is not None:
         return np.array(explicit)
     span = tree.take_number("doppler_span_hz", positive=True)
-    count = tree.take_int("num_dopplers", minimum=1)
+    count = tree.take_number("num_dopplers", integer=True, minimum=1)
     if count == 1:
         return np.zeros(1)
     return np.linspace(-span / 2.0, span / 2.0, count)

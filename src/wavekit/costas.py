@@ -6,23 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test (adequate for the code lengths used here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    n = check_number("n", n, integer=True)
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -46,8 +36,9 @@ def is_primitive_root(g: int, p: int) -> bool:
     g is primitive iff g^((p-1)/q) != 1 (mod p) for every prime factor
     q of p-1.
     """
-    if not is_prime(p):
-        raise InvalidInputError(f"{p} is not prime")
+    g = check_number("g", g, integer=True)
+    if not is_prime(check_number("p", p, integer=True)):
+        raise InvalidInputError(f"p = {p} is not prime")
     g = g % p
     if g == 0:
         return False
@@ -58,7 +49,7 @@ def is_primitive_root(g: int, p: int) -> bool:
 
 def primitive_roots(p: int) -> list[int]:
     """All primitive roots of the prime p, ascending."""
-    return [g for g in range(1, p) if is_primitive_root(g, p)]
+    return [g for g in range(1, check_number("p", p, integer=True)) if is_primitive_root(g, p)]
 
 
 @dataclass(frozen=True)
@@ -68,11 +59,8 @@ class CostasCode:
     sequence: tuple[int, ...]
 
     def __post_init__(self):
-        seq = tuple(int(v) for v in self.sequence)
+        seq = tuple(check_number("sequence", v, integer=True) for v in self.sequence)
         object.__setattr__(self, "sequence", seq)
-        n = len(seq)
-        if n < 1 or sorted(seq) != list(range(1, n + 1)):
-            raise InvalidInputError("Costas code must be a permutation of {1..N}")
         if not verify_costas(seq):
             raise InvalidInputError("sequence violates the Costas property")
 
@@ -98,10 +86,11 @@ def verify_costas(code) -> bool:
     Raises:
         InvalidInputError: if the input is not a permutation of {1..N}.
     """
-    seq = np.asarray(list(code), dtype=int)
-    n = seq.size
-    if n < 1 or sorted(seq.tolist()) != list(range(1, n + 1)):
-        raise InvalidInputError("verify_costas expects a permutation of {1..N}")
+    seq = [check_number("code", v, integer=True) for v in code]
+    n = len(seq)
+    if n < 1 or sorted(seq) != list(range(1, n + 1)):  # before numpy, which caps ints
+        raise InvalidInputError("Costas code must be a permutation of {1..N}")
+    seq = np.array(seq)
     for d in range(1, n):
         diffs = seq[d:] - seq[:-d]
         if np.unique(diffs).size != diffs.size:

@@ -14,8 +14,8 @@ WAV export is 32-bit IEEE float mono (format tag 3), sidestepping
 quantization decisions.  Its header is packed by hand with `struct`, in
 the layout scipy's wavfile writer uses for float data (an 18-byte fmt
 chunk and a fact chunk), so the bytes match scipy's without importing
-it.  All writes go through a temp file plus rename so readers never
-observe a partial file.
+it.  Each writer is an encoder to bytes plus one write through a temp
+file and a rename, so readers never observe a partial file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, OutputError
+from .errors import ConfigError, InvalidInputError, OutputError
 
 _BLOCK_ROWS = 8192  # CSV rows per formatting pass; bounds a long table's memory
 _CELL_FORMATS = {"i": "%d", "u": "%d", "f": "%.6f"}  # by numpy dtype kind, else %s
@@ -68,11 +68,16 @@ def write_csv(path: str, header, rows) -> None:
     blocks = []
     while block := list(islice(rows, _BLOCK_ROWS)):
         blocks.append(_csv_block(list(zip(*block))))
-    _write_csv_blocks(path, header, blocks)
+    _atomic_write_bytes(path, _csv_bytes(header, blocks))
 
 
 def write_csv_columns(path: str, header, columns) -> None:
-    """Write one header row plus the rows of equal-length columns, LF-terminated.
+    """Write `encode_csv(header, columns)`."""
+    _atomic_write_bytes(path, encode_csv(header, columns))
+
+
+def encode_csv(header, columns) -> bytes:
+    """One header row plus the rows of equal-length columns, LF-terminated.
 
     A column is any sliceable sequence (an array, list or range).  It prints
     by the numpy dtype its cells in a block promote to: integer kinds %d
@@ -82,14 +87,13 @@ def write_csv_columns(path: str, header, columns) -> None:
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     num_rows = lengths.pop() if lengths else 0
-    _write_csv_blocks(path, header, (
+    return _csv_bytes(header, (
         _csv_block([col[start:start + _BLOCK_ROWS] for col in columns])
         for start in range(0, num_rows, _BLOCK_ROWS)))
 
 
-def _write_csv_blocks(path: str, header, blocks) -> None:
-    head = (",".join(header) + "\n").encode("utf-8")
-    _atomic_write_bytes(path, b"".join(chain([head], blocks)))
+def _csv_bytes(header, blocks) -> bytes:
+    return b"".join(chain([(",".join(header) + "\n").encode("utf-8")], blocks))
 
 
 def _csv_block(columns) -> bytes:
@@ -175,21 +179,33 @@ def _pieces() -> np.ndarray:
 
 
 def write_json(path: str, obj) -> None:
-    """Write JSON with sorted keys and full float precision."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write_bytes(path, (text + "\n").encode("utf-8"))
+    """Write `encode_json(obj)`."""
+    _atomic_write_bytes(path, encode_json(obj))
+
+
+def encode_json(obj) -> bytes:
+    """JSON with sorted keys and full float precision; InvalidInputError for NaN or inf."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInputError(f"result cannot be written as JSON: {exc}") from exc
+    return (text + "\n").encode("utf-8")
 
 
 def write_wav(path: str, samples, sample_rate_hz: float) -> None:
-    """Write a real sample series as float32 mono WAV (format tag 3).
+    """Write `encode_wav(samples, sample_rate_hz)`."""
+    _atomic_write_bytes(path, encode_wav(samples, sample_rate_hz))
+
+
+def encode_wav(samples, sample_rate_hz: float) -> bytes:
+    """A real sample series as float32 mono WAV (format tag 3).
 
     The caller converts baseband complex signals to a real passband
     series first (see `wavekit.signal.to_passband`).  WAV sample rates
     are integral, so the stored rate is round(sample_rate_hz).
     """
     data = np.asarray(samples, dtype="<f4")
-    header = _wav_header(data.nbytes, int(round(sample_rate_hz)))
-    _atomic_write_bytes(path, header + data.tobytes())
+    return _wav_header(data.nbytes, int(round(sample_rate_hz))) + data.tobytes()
 
 
 def _wav_header(data_bytes: int, rate: int) -> bytes:

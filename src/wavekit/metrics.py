@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .signal import (DB_FLOOR, SampledSignal, Spectrum, _freeze_grid, _next_pow2,
                      _total_power, p99_bandwidth, spectrum, to_db)
 
@@ -27,11 +27,8 @@ class RegionSpec:
     outer_delay_s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.inner_delay_s) and math.isfinite(self.outer_delay_s)):
-            raise InvalidInputError("region delays must be finite")
-        if self.inner_delay_s < 0:
-            raise InvalidInputError("inner_delay_s must be nonnegative")
-        if self.outer_delay_s <= self.inner_delay_s:
+        check_number("inner_delay_s", self.inner_delay_s, minimum=0.0)
+        if check_number("outer_delay_s", self.outer_delay_s) <= self.inner_delay_s:
             raise InvalidInputError("outer_delay_s must exceed inner_delay_s")
 
     def mask(self, lags_s: np.ndarray) -> np.ndarray:
@@ -211,6 +208,14 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     return rows
 
 
+def _doppler_grid(dopplers_hz) -> np.ndarray:
+    """dopplers_hz as a float array, 1-D (a scalar is one point), nonempty and finite."""
+    dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
+    if dopplers.ndim != 1 or dopplers.size == 0 or not np.all(np.isfinite(dopplers)):
+        raise InvalidInputError("dopplers_hz must be a nonempty 1-D array of finite values")
+    return dopplers
+
+
 def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse:
     """Cross-correlation magnitude of two signals, normalized by sqrt(Ea*Eb).
 
@@ -258,14 +263,11 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
         num_delays: delay grid size (rounded up to odd, >= 3).
         num_dopplers: Doppler grid size (rounded up to odd, >= 3).
     """
-    if max_delay_s <= 0 or max_delay_s > signal.duration_s:
-        raise InvalidInputError("max_delay_s must lie in (0, T]")
-    if max_doppler_hz <= 0:
-        raise InvalidInputError("max_doppler_hz must be positive")
-    if num_delays < 2 or num_dopplers < 2:
-        raise InvalidInputError("grid sizes must be >= 2")
-    num_delays += (num_delays + 1) % 2
-    num_dopplers += (num_dopplers + 1) % 2
+    if check_number("max_delay_s", max_delay_s, positive=True) > signal.duration_s:
+        raise InvalidInputError("max_delay_s must be <= T")
+    check_number("max_doppler_hz", max_doppler_hz, positive=True)
+    num_delays = check_number("num_delays", num_delays, integer=True, minimum=2) | 1  # odd
+    num_dopplers = check_number("num_dopplers", num_dopplers, integer=True, minimum=2) | 1
     s = signal.samples
     fs = signal.sample_rate_hz
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
@@ -308,8 +310,7 @@ def inband_energy_fraction(spec: Spectrum, bandwidth_hz: float) -> float:
     Raises:
         InvalidInputError: if B is nonpositive or exceeds the spectral span.
     """
-    if bandwidth_hz <= 0:
-        raise InvalidInputError("bandwidth_hz must be positive")
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
     span = spec.freqs_hz[-1] - spec.freqs_hz[0] + spec.df_hz
     if bandwidth_hz >= span:
         raise InvalidInputError("bandwidth_hz must be below the sampled span")
@@ -386,7 +387,8 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
 
     Args:
         signal: unit-energy waveform.
-        dopplers_hz: Doppler shifts nu to evaluate.
+        dopplers_hz: Doppler shifts nu to evaluate, a nonempty finite grid;
+            in wideband mode each must exceed -fc, so that eta > 0.
         mode: "narrowband" or "wideband".
 
     Returns:
@@ -394,18 +396,19 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     """
     if mode not in ("narrowband", "wideband"):
         raise InvalidInputError("mode must be 'narrowband' or 'wideband'")
-    if mode == "wideband" and signal.center_freq_hz <= 0:
-        raise InvalidInputError("wideband mode requires a positive center_freq_hz")
+    dopplers = _doppler_grid(dopplers_hz)
+    fc = signal.center_freq_hz
+    if mode == "wideband" and not (fc > 0 and dopplers.min() > -fc):
+        raise InvalidInputError("wideband mode requires center_freq_hz > 0 and dopplers_hz > -fc")
     s = signal.samples
     fs = signal.sample_rate_hz
     energy = signal.energy()
-    dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
     if mode == "narrowband":
         rows = _doppler_rows(s, s, fs, -dopplers,
                              np.arange(1 - s.size, s.size))
     else:
         replica = _time_scaler(signal)
-        rows = (np.abs(_linear_xcorr(replica(1.0 + nu / signal.center_freq_hz), s))
+        rows = (np.abs(_linear_xcorr(replica(1.0 + nu / fc), s))
                 for nu in dopplers)
     points = []
     for nu, y in zip(dopplers, rows):
@@ -424,8 +427,8 @@ def default_region(bandwidth_hz: float, duration_s: float) -> RegionSpec:
     Falls back to [T/4, 3T/4] for low time-bandwidth waveforms where
     2/B reaches past T/4.
     """
-    inner = 2.0 / bandwidth_hz
-    outer = duration_s / 4.0
+    inner = 2.0 / check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    outer = check_number("duration_s", duration_s, positive=True) / 4.0
     if inner >= outer:
         return RegionSpec(inner_delay_s=duration_s / 4.0,
                           outer_delay_s=0.75 * duration_s)

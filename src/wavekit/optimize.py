@@ -34,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 from .metrics import RegionSpec, _region_mask, _rms_width
-from .signal import _next_pow2
+from .signal import DB_LIMIT, MAX_RATE_HZ, _next_pow2
 from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
 _OBJECTIVES = ("isl", "psl")
@@ -77,18 +77,13 @@ class OptimizationProblem:
     def __post_init__(self):
         if self.objective not in _OBJECTIVES:
             raise InvalidInputError(f"objective must be one of {_OBJECTIVES}")
-        if not 0.0 < self.bandwidth_target_hz < np.inf:
-            raise InvalidInputError("bandwidth_target_hz must be positive and finite")
-        if not 0.0 < self.bandwidth_tolerance < 0.5:
+        check_number("bandwidth_target_hz", self.bandwidth_target_hz, positive=True)
+        if not 0.0 < self.bandwidth_tolerance < 0.5:  # NaN fails
             raise InvalidInputError("bandwidth_tolerance must lie in (0, 0.5)")
-        if not 0.0 < self.penalty_weight < np.inf:
-            raise InvalidInputError("penalty_weight must be positive and finite")
-        if self.budget < 1:
-            raise InvalidInputError("budget must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
-        if not 0.0 < self.sample_rate_hz < np.inf:
-            raise InvalidInputError("sample_rate_hz must be positive and finite")
+        check_number("penalty_weight", self.penalty_weight, positive=True)
+        check_number("budget", self.budget, integer=True, minimum=1)
+        check_number("seed", self.seed, integer=True, minimum=0)
+        check_number("sample_rate_hz", self.sample_rate_hz, positive=True, maximum=MAX_RATE_HZ)
         if self.region.outer_delay_s > self.initial.duration_s:
             raise InvalidInputError("region outer delay exceeds the waveform duration")
 
@@ -311,9 +306,9 @@ class _Search:
 
 
 def objective_db(value: float, objective: str) -> float:
-    """dB form of an objective value: 10log10 for ISL, 20log10 for PSL."""
+    """dB form of a finite objective value: 10log10 for ISL, 20log10 for PSL."""
     scale = 10.0 if objective == "isl" else 20.0
-    return float(scale * np.log10(max(value, 1e-30)))
+    return float(scale * np.log10(max(check_number("value", value), 1e-30)))
 
 
 def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
@@ -425,8 +420,7 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
     Two objective calls per coefficient.  The minimizers use the analytic
     gradient instead; this is the oracle it is tested against.
     """
-    if step <= 0:
-        raise InvalidInputError("step must be positive")
+    check_number("step", step, positive=True)
     ws = _get_workspace(problem)
     x = params_to_vector(params)
     grad = np.empty(x.size)
@@ -530,7 +524,9 @@ def default_initial_parameters(bandwidth_hz: float, duration_s: float,
     The all-zero design (a CW) has zero bandwidth and sits in a punishing
     penalty landscape, so optimization starts from a sweep instead.
     """
-    rng = np.random.default_rng(seed)
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    check_number("num_harmonics", num_harmonics, integer=True, minimum=1)
+    rng = np.random.default_rng(check_number("seed", seed, integer=True, minimum=0))
     x = 0.01 * rng.standard_normal(2 * num_harmonics)
     x[num_harmonics] += bandwidth_hz * duration_s / 2.0
     return vector_to_params(x, duration_s)
@@ -566,7 +562,12 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     resulting frequency law into a phase, and projects that phase onto
     the harmonic basis.  Starting here instead of at a plain linear
     sweep lands the sidelobe optimizer in a far better basin.
+    sidelobe_db <= DB_LIMIT keeps the Taylor window's 10**(sll/20) finite.
     """
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    check_number("num_harmonics", num_harmonics, integer=True, minimum=1)
+    check_number("sidelobe_db", sidelobe_db, positive=True, maximum=DB_LIMIT)
+    check_number("nbar", nbar, integer=True, minimum=2)
     n, duration, t = _sample_grid(duration_s, sample_rate_hz)
     m = 8192
     window = _taylor_window(m, nbar, sidelobe_db)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .metrics import _doppler_rows, _time_scaler
-from .signal import DB_FLOOR, SampledSignal, _freeze_grid, to_db
+from .errors import InvalidInputError, check_number
+from .metrics import _doppler_grid, _doppler_rows, _time_scaler
+from .signal import DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, to_db
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,10 @@ class Echo:
     time_scale: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.delay_s) or self.delay_s < 0:
-            raise InvalidInputError("delay_s must be finite and nonnegative")
-        if not np.isfinite(self.doppler_hz):
-            raise InvalidInputError("doppler_hz must be finite")
-        if not np.isfinite(self.level_db) or self.level_db > 0:
-            raise InvalidInputError("level_db must be finite and <= 0 dB")
-        if not np.isfinite(self.time_scale) or self.time_scale <= 0:
-            raise InvalidInputError("time_scale must be finite and positive")
+        check_number("delay_s", self.delay_s, minimum=0.0)
+        check_number("doppler_hz", self.doppler_hz)
+        check_number("level_db", self.level_db, maximum=0.0)
+        check_number("time_scale", self.time_scale, positive=True)
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class EchoScene:
 
     The strongest echo anchors the level scale: max level_db must be 0.
     noise_level_db sets the total noise energy collected over one pulse
-    length relative to a 0 dB echo; None disables noise.
+    length relative to a 0 dB echo, at most DB_LIMIT; None disables noise.
     """
 
     echoes: tuple
@@ -79,8 +75,8 @@ class EchoScene:
         top = max(e.level_db for e in echoes)
         if abs(top) > 1e-9:
             raise InvalidInputError("strongest echo must sit at 0 dB")
-        if self.noise_level_db is not None and not np.isfinite(self.noise_level_db):
-            raise InvalidInputError("noise_level_db must be finite or None")
+        if self.noise_level_db is not None:
+            check_number("noise_level_db", self.noise_level_db, maximum=DB_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,7 @@ class RangeDopplerMap:
                            "magnitude_db must be (num_dopplers, num_delays)")
         if abs(mag.max()) > 1e-9:
             raise InvalidInputError("map must be peak-normalized (global max 0 dB)")
-        if not np.isfinite(self.reference_db):
-            raise InvalidInputError("reference_db must be finite")
-        object.__setattr__(self, "reference_db", float(self.reference_db))
+        object.__setattr__(self, "reference_db", check_number("reference_db", self.reference_db))
         for name in ("delays_s", "dopplers_hz", "magnitude_db"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"{name} must be finite")
@@ -123,8 +117,9 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     plus seeded complex white noise when the scene enables it.  Delays
     snap to the sample grid.  The processing window defaults to the
     largest delay plus the pulse length; pass window_s to fix it (every
-    echo must still fit, else invalid input).
+    echo must still fit, else invalid input).  seed is a nonnegative int.
     """
+    check_number("seed", seed, integer=True, minimum=0)
     fs = waveform.sample_rate_hz
     n_pulse = waveform.num_samples
     shifts = [int(round(e.delay_s * fs)) for e in scene.echoes]
@@ -132,7 +127,7 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     if window_s is None:
         n_win = needed
     else:
-        n_win = int(round(window_s * fs))
+        n_win = int(round(check_number("window_s", window_s, positive=True) * fs))
         if needed > n_win:
             raise InvalidInputError("echo delay plus pulse length exceeds the window")
     t = (np.arange(n_win) + 0.5) / fs
@@ -168,11 +163,7 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     blocks of rows, each with one batched FFT pair and phase ramps built
     from two small exponential tables.
     """
-    dopplers = np.asarray(dopplers_hz, dtype=float)
-    if dopplers.ndim != 1 or dopplers.size == 0:
-        raise InvalidInputError("doppler grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(dopplers)):
-        raise InvalidInputError("doppler grid must be finite")
+    dopplers = _doppler_grid(dopplers_hz)
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
     lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
@@ -213,10 +204,8 @@ def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
     Returns one dict per echo, in scene order, with keys delay_s,
     doppler_hz, level_db, detected, measured_level_db, position_error_s.
     """
-    if margin_db <= 0:
-        raise InvalidInputError("margin_db must be positive")
-    if bandwidth_hz <= 0:
-        raise InvalidInputError("bandwidth_hz must be positive")
+    check_number("margin_db", margin_db, positive=True)
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
     lags = rd_map.delays_s
     mainlobe = 1.0 / bandwidth_hz
     neighborhood = 10.0 / bandwidth_hz
@@ -267,10 +256,9 @@ def benchmark_scene(bandwidth_hz: float, first_delay_s: float | None = None) -> 
     well below a typical phase-coded sidelobe floor but above a
     sidelobe-optimized one.
     """
-    if bandwidth_hz <= 0:
-        raise InvalidInputError("bandwidth_hz must be positive")
-    spacing = 8.0 / bandwidth_hz
-    start = spacing if first_delay_s is None else first_delay_s
+    spacing = 8.0 / check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    start = (spacing if first_delay_s is None
+             else check_number("first_delay_s", first_delay_s, minimum=0.0))
     levels = (0.0, -10.0, -18.0, -25.0, -33.0, -40.0)
     echoes = tuple(
         Echo(delay_s=start + i * spacing, doppler_hz=0.0, level_db=lvl)

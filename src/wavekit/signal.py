@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number
 
 DB_FLOOR = -120.0
+DB_LIMIT = 1000.0  # largest |level| in dB: 10**(DB_LIMIT/20) = 1e50 leaves float headroom
+MAX_RATE_HZ = 1e100  # highest sample rate: squared frequencies stay far inside float range
 
 
 def _next_pow2(n: int) -> int:
@@ -34,14 +36,17 @@ def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
     """Convert linear magnitude to dB, floored so no -inf/NaN escapes.
 
     Args:
-        magnitude: nonnegative linear magnitudes (any shape).
-        floor_db: lower clamp in dB.
+        magnitude: nonnegative linear magnitudes (any shape); a NaN, found
+            by one max over the clamped values, raises InvalidInputError.
+        floor_db: lower clamp in dB, within +/-DB_LIMIT.
 
     Returns:
         20*log10(magnitude) clamped to [floor_db, inf).
     """
-    floor_lin = 10.0 ** (floor_db / 20.0)
-    db = np.maximum(np.asarray(magnitude, dtype=float), floor_lin)
+    floor_db = check_number("floor_db", floor_db, minimum=-DB_LIMIT, maximum=DB_LIMIT)
+    db = np.maximum(np.asarray(magnitude, dtype=float), 10.0 ** (floor_db / 20.0))
+    if db.size and np.isnan(db.max()):
+        raise InvalidInputError("magnitude must not be NaN")
     if db.ndim == 0:  # np.maximum returns a scalar, which has no buffer to reuse
         return 20.0 * np.log10(db)
     np.log10(db, out=db)
@@ -95,10 +100,8 @@ class SampledSignal:
             raise InvalidInputError("signal must be a 1-D array of at least 2 samples")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise InvalidInputError("signal samples must all be finite")
-        if not 0 < self.sample_rate_hz < np.inf:
-            raise InvalidInputError("sample_rate_hz must be positive and finite")
-        if self.center_freq_hz < 0:
-            raise InvalidInputError("center_freq_hz must be nonnegative")
+        check_number("sample_rate_hz", self.sample_rate_hz, positive=True, maximum=MAX_RATE_HZ)
+        check_number("center_freq_hz", self.center_freq_hz, minimum=0.0)
 
     @property
     def num_samples(self) -> int:
@@ -163,16 +166,15 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
 
     Args:
         signal: input signal.
-        zero_pad_factor: integer >= 1 controlling frequency resolution.
+        zero_pad_factor: int >= 1 controlling frequency resolution.
 
     Returns:
         Spectrum whose frequency axis spans [-fs/2, fs/2) and whose
         energy matches the time-domain energy.
     """
-    if zero_pad_factor < 1 or int(zero_pad_factor) != zero_pad_factor:
-        raise InvalidInputError("zero_pad_factor must be a positive integer")
+    zero_pad_factor = check_number("zero_pad_factor", zero_pad_factor, integer=True, minimum=1)
     fs = signal.sample_rate_hz
-    nfft = _next_pow2(int(zero_pad_factor) * signal.num_samples)
+    nfft = _next_pow2(zero_pad_factor * signal.num_samples)
     mag = np.abs(np.fft.fftshift(np.fft.fft(signal.samples, nfft))) / np.sqrt(fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     return Spectrum(freqs_hz=freqs, magnitude=mag)
@@ -215,8 +217,8 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
         Spectrogram with magnitudes floored at -120 dB.
     """
     n = signal.num_samples
-    if window_len < 2 or window_len > n:
-        raise InvalidInputError("window_len must be in [2, len(signal)]")
+    if check_number("window_len", window_len, integer=True, minimum=2) > n:
+        raise InvalidInputError("window_len must be <= len(signal)")
     if not 0.0 <= overlap < 1.0:
         raise InvalidInputError("overlap must be in [0, 1)")
     fs = signal.sample_rate_hz

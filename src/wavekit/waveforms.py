@@ -14,10 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costas import CostasCode
-from .errors import InvalidInputError
-from .signal import SampledSignal, _freeze_field
+from .errors import InvalidInputError, check_number
+from .signal import MAX_RATE_HZ, SampledSignal, _freeze_field
 
 _SWEEP_POINTS = 4096
+
+
+def _grid_rate(duration_s: float, sample_rate_hz: float) -> float:
+    """sample_rate_hz, once both grid arguments pass their number rules; allocates nothing."""
+    check_number("duration_s", duration_s, positive=True)
+    return check_number("sample_rate_hz", sample_rate_hz, positive=True, maximum=MAX_RATE_HZ)
 
 
 def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1):
@@ -32,10 +38,7 @@ def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1)
     Returns:
         (n, duration, t) with n samples, duration = n/fs, midpoint grid t.
     """
-    if not 0 < duration_s < np.inf:
-        raise InvalidInputError("duration_s must be positive and finite")
-    if not 0 < sample_rate_hz < np.inf:
-        raise InvalidInputError("sample_rate_hz must be positive and finite")
+    _grid_rate(duration_s, sample_rate_hz)
     n = int(round(sample_rate_hz * duration_s))
     if multiple_of > 1:
         n = multiple_of * max(1, int(round(n / multiple_of)))
@@ -89,8 +92,7 @@ class MtsfmParameters:
     duration_s: float
 
     def __post_init__(self):
-        if not 0 < self.duration_s < np.inf:
-            raise InvalidInputError("duration_s must be positive and finite")
+        check_number("duration_s", self.duration_s, positive=True)
         alpha = _freeze_field(self, "alpha")
         if alpha.ndim != 1 or alpha.size == 0:
             raise InvalidInputError("alpha must be a nonempty 1-D array")
@@ -129,7 +131,7 @@ def instantaneous_frequency(params: MtsfmParameters, t_grid) -> np.ndarray:
         InvalidInputError: if any time lies outside [0, T).
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.size and (t.min() < 0.0 or t.max() >= params.duration_s):
+    if t.size and not (0.0 <= t.min() and t.max() < params.duration_s):  # NaN fails
         raise InvalidInputError("t_grid values must lie in [0, T)")
     period = params.duration_s
     k = np.arange(1, params.num_harmonics + 1)
@@ -180,9 +182,8 @@ def synth_lfm(bandwidth_hz: float, duration_s: float, sample_rate_hz: float,
     Raises:
         InvalidInputError: if undersampled (fs < 4B).
     """
-    if bandwidth_hz <= 0:
-        raise InvalidInputError("bandwidth_hz must be positive")
-    if sample_rate_hz < 4.0 * bandwidth_hz:
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    if _grid_rate(duration_s, sample_rate_hz) < 4.0 * bandwidth_hz:
         raise InvalidInputError("LFM requires fs >= 4B")
     _, duration, t = _sample_grid(duration_s, sample_rate_hz)
     rate = bandwidth_hz / duration
@@ -203,12 +204,9 @@ def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
         InvalidInputError: for nonpositive or equal endpoint frequencies,
             a sweep that becomes singular inside [0, T), or undersampling.
     """
-    if f1_hz <= 0 or f2_hz <= 0:
-        raise InvalidInputError("HFM endpoint frequencies must be positive")
-    if f1_hz == f2_hz:
+    if check_number("f1_hz", f1_hz, positive=True) == check_number("f2_hz", f2_hz, positive=True):
         raise InvalidInputError("HFM requires f1 != f2")
-    band = abs(f2_hz - f1_hz)
-    if sample_rate_hz < 4.0 * band:
+    if _grid_rate(duration_s, sample_rate_hz) < 4.0 * abs(f2_hz - f1_hz):
         raise InvalidInputError("HFM requires fs >= 4|f2-f1|")
     _, duration, t = _sample_grid(duration_s, sample_rate_hz)
     beta = (f2_hz - f1_hz) / (f2_hz * duration)
@@ -235,7 +233,7 @@ def synth_costas_fsk(code: CostasCode, duration_s: float,
         sample_rate_hz: sampling rate; must be >= 4B.
     """
     n_chips = len(code)
-    if sample_rate_hz < 4.0 * n_chips * (n_chips / duration_s):
+    if _grid_rate(duration_s, sample_rate_hz) < 4.0 * n_chips * (n_chips / duration_s):
         raise InvalidInputError("Costas FSK requires fs >= 4B")
     n, duration, t = _sample_grid(duration_s, sample_rate_hz, multiple_of=n_chips)
     df = n_chips / duration
@@ -260,15 +258,15 @@ def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float) -> Sample
         duration_s: total duration T.
         sample_rate_hz: sampling rate.
     """
-    if num_chips < 2:
-        raise InvalidInputError("P4 requires at least 2 chips")
+    check_number("num_chips", num_chips, integer=True, minimum=2)
     n, _, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)
     phase = np.repeat(p4_chip_phases(num_chips), n // num_chips)
     return _unit_fm(phase, sample_rate_hz)
 
 
 def p4_chip_phases(num_chips: int) -> np.ndarray:
-    """The P4 phase code pi(n-1)^2/N - pi(n-1) for n = 1..N (radians)."""
+    """The P4 phase code pi(n-1)^2/N - pi(n-1) for n = 1..N (radians), N >= 1."""
+    check_number("num_chips", num_chips, integer=True, minimum=1)
     idx = np.arange(1, num_chips + 1, dtype=float)
     return np.pi * (idx - 1) ** 2 / num_chips - np.pi * (idx - 1)
 
@@ -283,16 +281,10 @@ def synth_geometric_comb(num_tones: int, ratio: float, bandwidth_hz: float,
     FM-class waveforms.
 
     Raises:
-        InvalidInputError: if any tone exceeds Nyquist.
+        InvalidInputError: if any tone exceeds Nyquist, or as `comb_tone_frequencies`.
     """
-    if num_tones < 2:
-        raise InvalidInputError("geometric comb requires at least 2 tones")
-    if ratio <= 1.0:
-        raise InvalidInputError("geometric comb requires ratio > 1")
-    if bandwidth_hz <= 0:
-        raise InvalidInputError("bandwidth_hz must be positive")
     freqs = comb_tone_frequencies(num_tones, ratio, bandwidth_hz)
-    if freqs[-1] >= sample_rate_hz / 2.0:
+    if freqs[-1] >= _grid_rate(duration_s, sample_rate_hz) / 2.0:
         raise InvalidInputError("comb tones exceed the Nyquist frequency")
     _, _, t = _sample_grid(duration_s, sample_rate_hz)
     samples = np.exp(2j * np.pi * np.outer(t, freqs)).sum(axis=1)
@@ -301,8 +293,15 @@ def synth_geometric_comb(num_tones: int, ratio: float, bandwidth_hz: float,
 
 
 def comb_tone_frequencies(num_tones: int, ratio: float, bandwidth_hz: float) -> np.ndarray:
-    """Tone frequencies of the geometric comb construction above."""
-    f_min = bandwidth_hz / (ratio ** (num_tones - 1) - 1.0)
+    """Tone frequencies of the geometric comb above; ratio ** (num_tones - 1) must be finite."""
+    num_tones = check_number("num_tones", num_tones, integer=True, minimum=2)
+    if (ratio := check_number("ratio", ratio)) <= 1.0:
+        raise InvalidInputError("ratio must be > 1")
+    check_number("bandwidth_hz", bandwidth_hz, positive=True)
+    try:  # a Python float power raises OverflowError where numpy's warns
+        f_min = bandwidth_hz / (ratio ** (num_tones - 1) - 1.0)
+    except OverflowError:
+        raise InvalidInputError(f"ratio ** (num_tones - 1) overflows for ratio {ratio}") from None
     return f_min * ratio ** np.arange(num_tones)
 
 
@@ -338,28 +337,27 @@ class WaveformSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidInputError(f"kind must be one of {_KINDS}")
-        if self.bandwidth_hz <= 0 or self.duration_s <= 0:
-            raise InvalidInputError("bandwidth_hz and duration_s must be positive")
+        check_number("bandwidth_hz", self.bandwidth_hz, positive=True)
+        check_number("duration_s", self.duration_s, positive=True)
+        check_number("center_freq_hz", self.center_freq_hz, minimum=0.0)
         if self.kind == "mtsfm":
             if self.mtsfm is None:
                 raise InvalidInputError("mtsfm kind requires MtsfmParameters")
             if abs(self.mtsfm.duration_s - self.duration_s) > 1e-9:
                 raise InvalidInputError("mtsfm duration disagrees with spec duration")
+        band = None  # the bandwidth N and T fix: N^2/T for Costas, N/T for P4
         if self.kind == "costas_fsk":
             if self.costas is None:
                 raise InvalidInputError("costas_fsk kind requires a CostasCode")
             band = len(self.costas) * (len(self.costas) / self.duration_s)
-            if abs(self.bandwidth_hz - band) > 1e-3 * band:
-                raise InvalidInputError(
-                    f"Costas bandwidth is fixed at N^2/T = {band} Hz by N and T")
         if self.kind == "p4":
-            if self.num_chips is None or self.num_chips < 2:
-                raise InvalidInputError("p4 kind requires num_chips >= 2")
-            band = self.num_chips / self.duration_s
-            if abs(self.bandwidth_hz - band) > 1e-3 * band:
-                raise InvalidInputError(f"P4 bandwidth is fixed at N/T = {band} Hz by N and T")
-        if self.kind == "geometric_comb" and (self.num_tones is None or self.tone_ratio is None
-                                              or self.num_tones < 2 or self.tone_ratio <= 1.0):
+            chips = check_number("num_chips", self.num_chips, integer=True, minimum=2)
+            band = chips / self.duration_s
+        if band is not None and abs(self.bandwidth_hz - band) > 1e-3 * band:
+            raise InvalidInputError(f"{self.kind} bandwidth is fixed at {band} Hz by N and T")
+        if self.kind == "geometric_comb" and not (
+                check_number("num_tones", self.num_tones, integer=True) >= 2
+                and check_number("tone_ratio", self.tone_ratio) > 1.0):
             raise InvalidInputError(
                 "geometric_comb kind requires num_tones >= 2 and tone_ratio > 1")
         if self.kind == "hfm" and self.center_freq_hz <= self.bandwidth_hz / 2.0:

@@ -532,6 +532,12 @@ def _late(command, **keys):
             "waveform": {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}, **keys}
 
 
+def _comb(**keys):
+    return {"command": "synth", "waveform": {"kind": "geometric_comb", "bandwidth_hz": 100.0,
+                                             "duration_s": 1.0, "num_tones": 4,
+                                             "tone_ratio": 1.5, **keys}}
+
+
 _NO_LAG = {"inner_delay_s": 0.5001, "outer_delay_s": 0.5002}  # between two lags at 2048 Hz
 
 # alpha's length disagrees with an external K: problem.num_harmonics, or a
@@ -581,6 +587,12 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
     (_coefficients_file(2.5), None, "coefficients_file"),
     (_INITIAL_ALPHA_SHORT, None, None),
     (_FROM_COEFFICIENTS, _COEFFICIENTS_K_MISMATCH, None),
+    (_comb(tone_ratio=1e300), None, None),
+    (_problem(initial="nlfm", nlfm_sidelobe_db=1e300), None, None),
+    ({**_dopplers([0.0]), "scene": {"echoes": [{"delay_s": 0.1, "level_db": 0.0}],
+                                    "noise_level_db": 1e300}}, None, None),
+    ({"command": "analyze", "waveform": {"kind": "costas_fsk", "duration_s": 1e-300,
+                                         "prime": 5, "generator": 2}}, None, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -594,7 +606,9 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "ambiguity_delay_beyond_duration", "spectrogram_full_overlap",
         "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist",
         "coefficients_file_list", "coefficients_file_object", "coefficients_file_number",
-        "initial_alpha_length", "coefficients_num_harmonics_mismatch"])
+        "initial_alpha_length", "coefficients_num_harmonics_mismatch",
+        "comb_tone_ratio_power_overflow", "nlfm_sidelobe_db_power_overflow",
+        "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -702,6 +716,29 @@ def test_wav_rate_beyond_the_header_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sample rate" in err
     assert "Traceback" not in err
+
+
+def _nan_json(tree, args, formats):
+    tree.finish()
+    return {"a.csv": (("x",), ([1.0],)), "metrics.json": {"psl_db": float("nan")}}
+
+
+@pytest.mark.parametrize("config, command, code, message", [
+    ({"command": "synth", "sample_rate_hz": 2e9, "formats": ["csv", "json", "wav"],
+      "waveform": {"kind": "cw", "duration_s": 1e-6}}, None, 3, "sample rate"),
+    ({"command": "synth"}, _nan_json, 2, "JSON"),
+], ids=["wav_rate_beyond_the_header", "nan_in_json"])
+def test_artifact_that_cannot_be_encoded_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                          config, command, code, message):
+    """Every artifact is encoded before the first is written, so one that
+    cannot be (listed after others that can) leaves no --out."""
+    if command is not None:
+        monkeypatch.setitem(wk_cli._COMMANDS, "synth", command)
+    cfg = _config(tmp_path, config)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_format_exits_2(tmp_path):

@@ -192,14 +192,20 @@ _CLI_RUNS = {
 
 def test_every_cli_csv_artifact_matches_the_percent_oracle(tmp_path, monkeypatch):
     """Each CSV the five commands write equals the oracle's file of the
-    columns the command handed the writer."""
-    handed = {}
+    columns the command returned for that file name."""
+    handed = {}  # "<command>/<file name>" -> the (header, columns) returned for it
 
-    def keep_columns(path, header, columns):
-        handed[os.path.relpath(path, tmp_path)] = (header, columns)
-        write_csv_columns(path, header, columns)
+    def keep_columns(command, run):
+        def run_and_keep(tree, args, formats):
+            artifacts = run(tree, args, formats)
+            for name, content in artifacts.items():
+                if name.endswith(".csv"):
+                    handed[os.path.join(command, name)] = content
+            return artifacts
+        return run_and_keep
 
-    monkeypatch.setattr(cli, "write_csv_columns", keep_columns)
+    for command, run in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, command, keep_columns(command, run))
     for command, (config, extra) in _CLI_RUNS.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps({"command": command, **config}))

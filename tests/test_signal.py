@@ -45,7 +45,7 @@ def test_signal_validation():
 @pytest.mark.parametrize("rate", [np.nan, np.inf], ids=["nan", "inf"])
 def test_signal_rejects_a_non_finite_sample_rate(rate):
     """Else the derived duration reads NaN or 0.0."""
-    with pytest.raises(InvalidInputError, match="^sample_rate_hz must be positive and finite$"):
+    with pytest.raises(InvalidInputError, match="^sample_rate_hz must be finite$"):
         wk.SampledSignal(samples=np.ones(4, dtype=complex), sample_rate_hz=rate)
 
 

@@ -148,6 +148,24 @@ def test_geometric_comb_validation():
         wk.synth_geometric_comb(4, 1.5, 500.0, 1.0, 512.0)
 
 
+@pytest.mark.parametrize("synth, message", [
+    (lambda: wk.synth_lfm(1e6, 1e4, 1e6), "LFM requires fs >= 4B"),
+    (lambda: wk.synth_hfm(1e6, 2e6, 1e4, 1e6), "HFM requires fs >= 4"),
+    (lambda: wk.synth_costas_fsk(wk.generate_welch_costas(5, 2), 1.0, 10.0),
+     "Costas FSK requires fs >= 4B"),
+    (lambda: wk.synth_geometric_comb(4, 1.5, 1e6, 1e4, 1e6), "Nyquist"),
+], ids=["lfm", "hfm", "costas", "comb"])
+def test_undersampling_is_refused_before_the_sample_grid(monkeypatch, synth, message):
+    """The sampling relation is checked before the time grid is built, so a
+    refused request of 1e10 samples allocates nothing."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sample grid built for a refused request")
+
+    monkeypatch.setattr(wk.waveforms, "_sample_grid", no_grid)
+    with pytest.raises(InvalidInputError, match=message):
+        synth()
+
+
 def test_mtsfm_phase_matches_parameter_series():
     params = wk.MtsfmParameters(alpha=np.array([0.5, 0.0, -0.2]),
                                 beta=np.array([8.0, 1.0, 0.3]),
@@ -172,7 +190,7 @@ def test_mtsfm_parameter_validation():
 def test_non_finite_durations_are_invalid_input(duration):
     """Rejected at construction, and by every synth's sample grid, not by a
     bare ValueError or OverflowError from the sample count."""
-    message = "^duration_s must be positive and finite$"
+    message = "^duration_s must be finite$"
     with pytest.raises(InvalidInputError, match=message):
         wk.MtsfmParameters(alpha=np.array([0.0]), beta=np.array([1.0]), duration_s=duration)
     with pytest.raises(InvalidInputError, match=message):
