@@ -28,7 +28,7 @@ from .optimize import (OptimizationProblem, default_initial_parameters,
                        nlfm_initial_parameters, objective_db,
                        optimize_waveform)
 from .scene import mf_bank, resolvability_report, simulate_returns
-from .signal import SampledSignal, spectrogram, spectrum, to_db, to_passband
+from .signal import DB_LIMIT, SampledSignal, spectrogram, spectrum, to_db, to_passband
 from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
 
 _FORMATS = ("csv", "json", "wav")
@@ -204,7 +204,8 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
     seed = _take_seed(prob, args)
     method = prob.take("method", default="nelder_mead")
     initial_spec = prob.take("initial", default="default")
-    sidelobe_db = prob.take_number("nlfm_sidelobe_db", default=45.0, positive=True)
+    sidelobe_db = prob.take_number("nlfm_sidelobe_db", default=45.0, positive=True,
+                                   maximum=DB_LIMIT)
     nbar = prob.take_number("nlfm_nbar", default=10, integer=True, minimum=2)
     prob.finish()
 

@@ -20,6 +20,7 @@ from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
 from .scene import Echo, EchoScene, benchmark_scene
+from .signal import DB_LIMIT
 from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
 _MISSING = object()
@@ -202,7 +203,7 @@ def parse_scene(data) -> EchoScene:
         tree.finish()
         return benchmark_scene(bench_bw, first_delay_s=first)
     echo_list = tree.take("echoes")
-    noise = tree.take_number("noise_level_db", default=None)
+    noise = tree.take_number("noise_level_db", default=None, maximum=DB_LIMIT)
     tree.finish()
     if not isinstance(echo_list, list) or not echo_list:
         raise ConfigError(f"{tree.context}: 'echoes' must be a nonempty list")

@@ -30,6 +30,14 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
+def _check_prime(p) -> int:
+    """p as an int, which must be prime; else InvalidInputError naming it."""
+    p = check_number("p", p, integer=True)
+    if not is_prime(p):
+        raise InvalidInputError(f"p = {p} is not prime")
+    return p
+
+
 def is_primitive_root(g: int, p: int) -> bool:
     """True iff g generates the multiplicative group mod the prime p.
 
@@ -37,8 +45,7 @@ def is_primitive_root(g: int, p: int) -> bool:
     q of p-1.
     """
     g = check_number("g", g, integer=True)
-    if not is_prime(check_number("p", p, integer=True)):
-        raise InvalidInputError(f"p = {p} is not prime")
+    p = _check_prime(p)
     g = g % p
     if g == 0:
         return False
@@ -48,8 +55,9 @@ def is_primitive_root(g: int, p: int) -> bool:
 
 
 def primitive_roots(p: int) -> list[int]:
-    """All primitive roots of the prime p, ascending."""
-    return [g for g in range(1, check_number("p", p, integer=True)) if is_primitive_root(g, p)]
+    """All primitive roots of the prime p, ascending; a p that is not prime is refused."""
+    p = _check_prime(p)
+    return [g for g in range(1, p) if is_primitive_root(g, p)]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_number
-from .signal import (DB_FLOOR, SampledSignal, Spectrum, _freeze_grid, _next_pow2,
-                     _total_power, p99_bandwidth, spectrum, to_db)
+from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _freeze_grid,
+                     _next_pow2, _signal_energy, _total_power, p99_bandwidth, spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class CorrelationResponse:
 
     @property
     def lag_step_s(self) -> float:
-        if self.lags_s.size < 2:
-            raise InvalidInputError("lags_s has one point, so no spacing")
-        return float(self.lags_s[1] - self.lags_s[0])
+        return _axis_step("lags_s", self.lags_s)
 
     def magnitude_linear(self) -> np.ndarray:
         return 10.0 ** (self.magnitude_db / 20.0)
@@ -208,11 +206,15 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     return rows
 
 
-def _doppler_grid(dopplers_hz) -> np.ndarray:
-    """dopplers_hz as a float array, 1-D (a scalar is one point), nonempty and finite."""
+def _doppler_grid(dopplers_hz, sample_rate_hz: float) -> np.ndarray:
+    """dopplers_hz as a float array, 1-D (a scalar is one point), nonempty, finite
+    and within +/-fs/2: on the sample grid, shifts nu and nu + fs give the same
+    phase ramp, so a larger shift reads as an aliased one."""
     dopplers = np.atleast_1d(np.asarray(dopplers_hz, dtype=float))
-    if dopplers.ndim != 1 or dopplers.size == 0 or not np.all(np.isfinite(dopplers)):
-        raise InvalidInputError("dopplers_hz must be a nonempty 1-D array of finite values")
+    if dopplers.ndim != 1 or dopplers.size == 0:
+        raise InvalidInputError("dopplers_hz must be a nonempty 1-D array")
+    if np.abs(_check_finite("dopplers_hz", dopplers)).max() > sample_rate_hz / 2.0:
+        raise InvalidInputError(f"dopplers_hz must lie within +/-fs/2 = {sample_rate_hz / 2.0} Hz")
     return dopplers
 
 
@@ -220,15 +222,14 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
     """Cross-correlation magnitude of two signals, normalized by sqrt(Ea*Eb).
 
     Raises:
-        InvalidInputError: if the sample rates differ.
+        InvalidInputError: if the sample rates differ or a signal has zero energy.
     """
     if a.sample_rate_hz != b.sample_rate_hz:
         raise InvalidInputError("cross_correlation requires equal sample rates")
+    ea, eb = _signal_energy(a), _signal_energy(b)
+    norm = np.sqrt(ea * eb) or np.sqrt(ea) * np.sqrt(eb)  # the product may underflow
     fs = a.sample_rate_hz
     y = _linear_xcorr(a.samples, b.samples)
-    norm = np.sqrt(a.energy() * b.energy())
-    if norm == 0.0:
-        raise InvalidInputError("cross_correlation requires nonzero-energy signals")
     lags = np.arange(-(b.num_samples - 1), a.num_samples) / fs
     return CorrelationResponse(lags_s=lags, magnitude_db=to_db(np.abs(y) / norm))
 
@@ -257,19 +258,20 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     5-smooth length, not 2N.
 
     Args:
-        signal: unit-energy waveform.
+        signal: unit-energy waveform; zero energy is refused.
         max_delay_s: delay extent (<= T).
-        max_doppler_hz: Doppler extent.
+        max_doppler_hz: Doppler extent (<= fs/2, see `_doppler_grid`).
         num_delays: delay grid size (rounded up to odd, >= 3).
         num_dopplers: Doppler grid size (rounded up to odd, >= 3).
     """
     if check_number("max_delay_s", max_delay_s, positive=True) > signal.duration_s:
         raise InvalidInputError("max_delay_s must be <= T")
-    check_number("max_doppler_hz", max_doppler_hz, positive=True)
+    fs = signal.sample_rate_hz
+    check_number("max_doppler_hz", max_doppler_hz, positive=True, maximum=fs / 2.0)
+    _signal_energy(signal)
     num_delays = check_number("num_delays", num_delays, integer=True, minimum=2) | 1  # odd
     num_dopplers = check_number("num_dopplers", num_dopplers, integer=True, minimum=2) | 1
     s = signal.samples
-    fs = signal.sample_rate_hz
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
     lag_idx = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
     dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
@@ -386,9 +388,10 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     echoes are time-scaled, not shifted, so each is correlated in turn.
 
     Args:
-        signal: unit-energy waveform.
-        dopplers_hz: Doppler shifts nu to evaluate, a nonempty finite grid;
-            in wideband mode each must exceed -fc, so that eta > 0.
+        signal: unit-energy waveform; zero energy is refused.
+        dopplers_hz: Doppler shifts nu to evaluate, a nonempty finite grid
+            within +/-fs/2 (see `_doppler_grid`); in wideband mode each
+            must exceed -fc, so that eta > 0.
         mode: "narrowband" or "wideband".
 
     Returns:
@@ -396,13 +399,13 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     """
     if mode not in ("narrowband", "wideband"):
         raise InvalidInputError("mode must be 'narrowband' or 'wideband'")
-    dopplers = _doppler_grid(dopplers_hz)
+    fs = signal.sample_rate_hz
+    dopplers = _doppler_grid(dopplers_hz, fs)
     fc = signal.center_freq_hz
     if mode == "wideband" and not (fc > 0 and dopplers.min() > -fc):
         raise InvalidInputError("wideband mode requires center_freq_hz > 0 and dopplers_hz > -fc")
     s = signal.samples
-    fs = signal.sample_rate_hz
-    energy = signal.energy()
+    energy = _signal_energy(signal)
     if mode == "narrowband":
         rows = _doppler_rows(s, s, fs, -dopplers,
                              np.arange(1 - s.size, s.size))

@@ -100,9 +100,6 @@ class RangeDopplerMap:
         if abs(mag.max()) > 1e-9:
             raise InvalidInputError("map must be peak-normalized (global max 0 dB)")
         object.__setattr__(self, "reference_db", check_number("reference_db", self.reference_db))
-        for name in ("delays_s", "dopplers_hz", "magnitude_db"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidInputError(f"{name} must be finite")
 
     def zero_doppler_cut(self) -> np.ndarray:
         """The row tuned nearest to zero Doppler."""
@@ -118,9 +115,13 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     snap to the sample grid.  The processing window defaults to the
     largest delay plus the pulse length; pass window_s to fix it (every
     echo must still fit, else invalid input).  seed is a nonnegative int.
+    Each echo's doppler_hz must lie within +/-fs/2 (see `metrics._doppler_grid`).
     """
     check_number("seed", seed, integer=True, minimum=0)
     fs = waveform.sample_rate_hz
+    for i, echo in enumerate(scene.echoes):
+        check_number(f"scene.echoes[{i}].doppler_hz", echo.doppler_hz,
+                     minimum=-fs / 2.0, maximum=fs / 2.0)
     n_pulse = waveform.num_samples
     shifts = [int(round(e.delay_s * fs)) for e in scene.echoes]
     needed = max(s + n_pulse for s in shifts)
@@ -163,9 +164,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     blocks of rows, each with one batched FFT pair and phase ramps built
     from two small exponential tables.
     """
-    dopplers = _doppler_grid(dopplers_hz)
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
+    dopplers = _doppler_grid(dopplers_hz, received.sample_rate_hz)
     lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
     rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)

@@ -54,12 +54,25 @@ def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
     return db
 
 
+def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """arr, all finite (a complex one scanned as float64), else InvalidInputError naming it."""
+    if not np.isfinite(arr.reshape(-1).view(np.float64) if np.iscomplexobj(arr) else arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return arr
+
+
 def _freeze_field(obj, name: str, dtype=float) -> np.ndarray:
-    """Set obj.name to a read-only dtype copy, so the caller's array cannot change obj."""
-    arr = np.array(getattr(obj, name), dtype=dtype)
+    """Set obj.name to a finite (`_check_finite`) read-only copy the caller cannot change."""
+    arr = _check_finite(name, np.array(getattr(obj, name), dtype=dtype))
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def _axis_step(name: str, axis: np.ndarray) -> float:
+    if axis.size < 2:
+        raise InvalidInputError(f"{name} has one point, so no spacing")
+    return float(axis[1] - axis[0])
 
 
 def _freeze_grid(obj, values: str, axes: tuple, message: str) -> np.ndarray:
@@ -98,8 +111,6 @@ class SampledSignal:
         samples = _freeze_field(self, "samples", np.complex128)
         if samples.ndim != 1 or samples.size < 2:
             raise InvalidInputError("signal must be a 1-D array of at least 2 samples")
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise InvalidInputError("signal samples must all be finite")
         check_number("sample_rate_hz", self.sample_rate_hz, positive=True, maximum=MAX_RATE_HZ)
         check_number("center_freq_hz", self.center_freq_hz, minimum=0.0)
 
@@ -140,9 +151,7 @@ class Spectrum:
 
     @property
     def df_hz(self) -> float:
-        if self.freqs_hz.size < 2:
-            raise InvalidInputError("freqs_hz has one point, so no spacing")
-        return float(self.freqs_hz[1] - self.freqs_hz[0])
+        return _axis_step("freqs_hz", self.freqs_hz)
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,15 @@ def _total_power(power: np.ndarray) -> float:
     if total == 0.0:
         raise InvalidInputError("spectrum has zero energy")
     return total
+
+
+def _signal_energy(signal: SampledSignal) -> float:
+    """signal.energy(), which must be nonzero: correlation, ambiguity and
+    Doppler-loss readings are normalized by it."""
+    energy = signal.energy()
+    if energy == 0.0:
+        raise InvalidInputError("signal has zero energy")
+    return energy
 
 
 def p99_bandwidth(spec: Spectrum, fraction: float = 0.99) -> float:

@@ -96,13 +96,8 @@ class MtsfmParameters:
         alpha = _freeze_field(self, "alpha")
         if alpha.ndim != 1 or alpha.size == 0:
             raise InvalidInputError("alpha must be a nonempty 1-D array")
-        if not np.all(np.isfinite(alpha)):
-            raise InvalidInputError("alpha must be finite")
-        beta = _freeze_field(self, "beta")
-        if beta.shape != alpha.shape:
+        if _freeze_field(self, "beta").shape != alpha.shape:
             raise InvalidInputError("beta must have length num_harmonics")
-        if not np.all(np.isfinite(beta)):
-            raise InvalidInputError("beta must be finite")
 
     @property
     def num_harmonics(self) -> int:

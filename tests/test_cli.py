@@ -588,9 +588,9 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
     (_INITIAL_ALPHA_SHORT, None, None),
     (_FROM_COEFFICIENTS, _COEFFICIENTS_K_MISMATCH, None),
     (_comb(tone_ratio=1e300), None, None),
-    (_problem(initial="nlfm", nlfm_sidelobe_db=1e300), None, None),
+    (_problem(initial="nlfm", nlfm_sidelobe_db=1e300), None, "nlfm_sidelobe_db"),
     ({**_dopplers([0.0]), "scene": {"echoes": [{"delay_s": 0.1, "level_db": 0.0}],
-                                    "noise_level_db": 1e300}}, None, None),
+                                    "noise_level_db": 1e300}}, None, "noise_level_db"),
     ({"command": "analyze", "waveform": {"kind": "costas_fsk", "duration_s": 1e-300,
                                          "prime": 5, "generator": 2}}, None, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",

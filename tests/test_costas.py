@@ -67,6 +67,12 @@ def test_primality_and_primitive_roots():
         wk.is_primitive_root(2, 8)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_primitive_roots_refuse_every_p_that_is_not_prime(p):
+    with pytest.raises(InvalidInputError, match=f"^p = {p} is not prime$"):
+        wk.primitive_roots(p)
+
+
 def test_all_welch_codes_through_p_31_are_costas():
     """Every Welch code from every primitive root passes verification.
 

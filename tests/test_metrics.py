@@ -371,6 +371,53 @@ def test_ambiguity_validation():
         wk.ambiguity_function(sig, 0.5, 10.0, num_delays=1)
 
 
+_ZERO = wk.SampledSignal(samples=np.zeros(64), sample_rate_hz=64.0, center_freq_hz=16.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: wk.cross_correlation(wk.synth_cw(1.0, 64.0), s),
+    wk.autocorrelation,
+    lambda s: wk.metrics_report(s, 16.0),
+    lambda s: wk.ambiguity_function(s, 0.5, 4.0, 9, 9),
+    lambda s: wk.doppler_tolerance_curve(s, [0.0, 1.0]),
+    lambda s: wk.doppler_tolerance_curve(s, [0.0, 1.0], mode="wideband"),
+], ids=["cross_correlation", "autocorrelation", "metrics_report", "ambiguity_function",
+        "doppler_narrowband", "doppler_wideband"])
+def test_zero_energy_signal_is_refused(call):
+    """Every reading normalized by the signal's energy refuses a zero signal,
+    with one message and no NaN surface or warning."""
+    with pytest.raises(InvalidInputError, match="^signal has zero energy$"):
+        call(_ZERO)
+
+
+def test_tiny_energy_signal_is_read_not_refused():
+    """Energies near 1e-200 are nonzero though their product underflows."""
+    tiny = wk.SampledSignal(samples=np.full(8, 1e-100), sample_rate_hz=8.0)
+    resp = wk.autocorrelation(tiny)
+    assert resp.magnitude_db.max() == pytest.approx(0.0, abs=1e-9)
+
+
+_LFM64 = wk.synth_lfm(16.0, 1.0, 64.0)  # fs/2 = 32 Hz
+_BOTH_EDGES = (-32.0, 32.0)
+
+
+@pytest.mark.parametrize("call, argument, edges", [
+    (lambda nu: wk.doppler_tolerance_curve(_LFM64, [0.0, nu]), "dopplers_hz", _BOTH_EDGES),
+    (lambda nu: wk.ambiguity_function(_LFM64, 0.5, nu, 9, 9), "max_doppler_hz", (32.0,)),
+    (lambda nu: wk.mf_bank(_LFM64, _LFM64, [nu]), "dopplers_hz", _BOTH_EDGES),
+    (lambda nu: wk.simulate_returns(_LFM64, wk.EchoScene(
+        echoes=(wk.Echo(delay_s=0.0, doppler_hz=nu, level_db=0.0),)), 0), "doppler_hz",
+     _BOTH_EDGES),
+], ids=["doppler_tolerance_curve", "ambiguity_function", "mf_bank", "simulate_returns"])
+def test_doppler_is_bounded_by_half_the_sample_rate(call, argument, edges):
+    """On the sample grid nu and nu + fs give the same phase ramp: +/-fs/2 are
+    the last shifts read, and the next float outward is refused by name."""
+    for edge in edges:
+        call(edge)
+        with pytest.raises(InvalidInputError, match=rf"\b{argument}\b"):
+            call(np.nextafter(edge, np.copysign(np.inf, edge)))
+
+
 # ----------------------------------------------------------- region metrics
 
 def test_cw_psl_quarter_region():

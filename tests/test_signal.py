@@ -1,5 +1,6 @@
 """Sampled-signal container, dB conversion, and spectral transforms."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -95,51 +96,101 @@ def test_result_types_copy_their_arrays(build, names):
         np.testing.assert_array_equal(getattr(obj, name), before)
 
 
-# Each grid-shaped result type with its own shape message, built from
-# (axis 0, axis 1, values); the one-axis types ignore axis 1.  axis_0 is
-# the field name the first argument fills.
+# Each grid-shaped result type with its fields, axes in shape order then the
+# values, and its own shape message.
 _GRID_TYPES = [
-    pytest.param(lambda a, b, v: wk.Spectrum(freqs_hz=a, magnitude=v),
-                 "spectrum axis/magnitude length mismatch", 1, "freqs_hz", id="spectrum"),
-    pytest.param(lambda a, b, v: wk.CorrelationResponse(lags_s=a, magnitude_db=v),
-                 "lag/magnitude length mismatch", 1, "lags_s", id="correlation"),
-    pytest.param(lambda a, b, v: wk.AmbiguitySurface(delays_s=a, dopplers_hz=b, magnitude=v),
-                 "ambiguity matrix does not match axis lengths", 2, "delays_s",
-                 id="ambiguity"),
-    pytest.param(lambda a, b, v: wk.Spectrogram(times_s=a, freqs_hz=b, magnitude_db=v),
-                 "spectrogram matrix does not match axis lengths", 2, "times_s",
-                 id="spectrogram"),
-    pytest.param(lambda a, b, v: wk.RangeDopplerMap(dopplers_hz=a, delays_s=b,
-                                                    magnitude_db=v),
-                 re.escape("magnitude_db must be (num_dopplers, num_delays)"), 2,
-                 "dopplers_hz", id="range_doppler"),
+    pytest.param(wk.Spectrum, ("freqs_hz", "magnitude"),
+                 "spectrum axis/magnitude length mismatch", id="spectrum"),
+    pytest.param(wk.CorrelationResponse, ("lags_s", "magnitude_db"),
+                 "lag/magnitude length mismatch", id="correlation"),
+    pytest.param(wk.AmbiguitySurface, ("delays_s", "dopplers_hz", "magnitude"),
+                 "ambiguity matrix does not match axis lengths", id="ambiguity"),
+    pytest.param(wk.Spectrogram, ("times_s", "freqs_hz", "magnitude_db"),
+                 "spectrogram matrix does not match axis lengths", id="spectrogram"),
+    pytest.param(wk.RangeDopplerMap, ("dopplers_hz", "delays_s", "magnitude_db"),
+                 re.escape("magnitude_db must be (num_dopplers, num_delays)"),
+                 id="range_doppler"),
 ]
 
+# The array fields outside the grid types, each with valid keyword arguments.
+_VECTOR_FIELDS = [
+    pytest.param(wk.SampledSignal, "samples",
+                 {"samples": np.ones(4, dtype=complex), "sample_rate_hz": 8.0}, id="samples"),
+    *(pytest.param(wk.MtsfmParameters, name,
+                   {"alpha": np.ones(3), "beta": np.ones(3), "duration_s": 1.0}, id=name)
+      for name in ("alpha", "beta")),
+]
 
-@pytest.mark.parametrize("build, message, num_axes, axis_0", _GRID_TYPES)
-def test_grid_types_reject_a_2d_axis(build, message, num_axes, axis_0):
+_NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                                      ids=["nan", "inf", "-inf"])
+
+
+def _grid(cls, fields, axis_0, axis_1, values):
+    """cls built from (axis 0, axis 1, values); a one-axis type ignores axis 1."""
+    return cls(**dict(zip(fields, (axis_0, axis_1)[:len(fields) - 1] + (values,))))
+
+
+@pytest.mark.parametrize("cls, fields, message", _GRID_TYPES)
+def test_grid_types_reject_a_2d_axis(cls, fields, message):
     """A 2 x 2 first axis fails, though the values match its shape (one-axis
     types) or its size of 4 (two-axis types)."""
     axis = np.zeros((2, 2))
-    values = np.zeros((4, 3) if num_axes == 2 else (2, 2))
+    values = np.zeros((4, 3) if len(fields) == 3 else (2, 2))
     with pytest.raises(InvalidInputError, match=message):
-        build(axis, np.arange(3.0), values)
+        _grid(cls, fields, axis, np.arange(3.0), values)
 
 
-@pytest.mark.parametrize("build, message, num_axes, axis_0", _GRID_TYPES)
-def test_grid_types_reject_mismatched_values(build, message, num_axes, axis_0):
-    values = np.zeros((4, 2) if num_axes == 2 else 3)
+@pytest.mark.parametrize("cls, fields, message", _GRID_TYPES)
+def test_grid_types_reject_mismatched_values(cls, fields, message):
+    values = np.zeros((4, 2) if len(fields) == 3 else 3)
     with pytest.raises(InvalidInputError, match=message):
-        build(np.arange(4.0), np.arange(3.0), values)
+        _grid(cls, fields, np.arange(4.0), np.arange(3.0), values)
 
 
-@pytest.mark.parametrize("build, message, num_axes, axis_0", _GRID_TYPES)
-def test_grid_types_reject_an_empty_axis(build, message, num_axes, axis_0):
+@pytest.mark.parametrize("cls, fields, message", _GRID_TYPES)
+def test_grid_types_reject_an_empty_axis(cls, fields, message):
     """An empty first axis with values of the matching empty shape fails by
     name, before any reduction over the values or any axis-step read."""
-    values = np.zeros((0, 3) if num_axes == 2 else 0)
-    with pytest.raises(InvalidInputError, match=f"^{axis_0} must not be empty$"):
-        build(np.zeros(0), np.arange(3.0), values)
+    values = np.zeros((0, 3) if len(fields) == 3 else 0)
+    with pytest.raises(InvalidInputError, match=f"^{fields[0]} must not be empty$"):
+        _grid(cls, fields, np.zeros(0), np.arange(3.0), values)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("cls, fields, message", _GRID_TYPES)
+def test_grid_types_reject_non_finite_values(cls, fields, message, bad):
+    """A NaN or infinity in any axis or in the values fails by the field's name,
+    before the shape, sign or peak checks read the values."""
+    valid = [np.arange(3.0), np.arange(2.0), np.zeros((3, 2) if len(fields) == 3 else 3)]
+    for name, i in zip(fields, (0, 1, 2) if len(fields) == 3 else (0, 2)):
+        arrays = [a.copy() for a in valid]
+        arrays[i].flat[1] = bad
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite$"):
+            _grid(cls, fields, *arrays)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("cls, field, valid", _VECTOR_FIELDS)
+def test_vector_fields_reject_non_finite_values(cls, field, valid, bad):
+    """A complex field is refused for a bad real or imaginary part."""
+    parts = (bad, complex(0.0, bad)) if np.iscomplexobj(valid[field]) else (bad,)
+    for part in parts:
+        hostile = valid[field].copy()
+        hostile[1] = part
+        with pytest.raises(InvalidInputError, match=f"^{field} must be finite$"):
+            cls(**{**valid, field: hostile})
+
+
+def test_every_array_field_has_a_non_finite_row():
+    """Each np.ndarray field of a public dataclass is in _GRID_TYPES or
+    _VECTOR_FIELDS, so a new array field cannot skip the finite rule."""
+    needed = {(name, f.name) for name in wk.__all__
+              if dataclasses.is_dataclass(cls := getattr(wk, name))
+              for f in dataclasses.fields(cls) if f.type in ("np.ndarray", np.ndarray)}
+    covered = ({(p.values[0].__name__, f) for p in _GRID_TYPES for f in p.values[1]}
+               | {(p.values[0].__name__, p.values[1]) for p in _VECTOR_FIELDS})
+    assert sorted(needed - covered) == []
+    assert covered <= needed
 
 
 @pytest.mark.parametrize("build, step, axis", [
