@@ -109,7 +109,7 @@ class DopplerTolerancePoint:
     peak_shift_s: float
 
 
-# Complex points per block of Doppler rows in `_doppler_rows`.
+# Least complex transform points per block of Doppler rows (see `_block_rows`).
 _BLOCK_POINTS = 1 << 15
 
 
@@ -160,6 +160,32 @@ def _phase_ramps(dopplers: np.ndarray, n: int, fs: float) -> np.ndarray:
     return (hi[:, :, None] * lo[:, None, :]).reshape(dopplers.size, -1)[:, :n]
 
 
+def _block_rows(num_rows: int, num_lags: int, nfft: int) -> int:
+    """Rows per block of `_doppler_rows`: as many as fit max(_BLOCK_POINTS,
+    num_rows * num_lags // 32) transform points, at least one and at most
+    num_rows.  A block's two nfft-point buffers then take at most 1 MB or
+    an eighth of the float64 output, whichever is larger."""
+    points = max(_BLOCK_POINTS, num_rows * num_lags // 32)
+    return min(num_rows, max(1, points // nfft))
+
+
+def _lag_gathers(lags: np.ndarray, nfft: int) -> list:
+    """(output columns, spectrum columns) pairs that read `lags` from a circular
+    correlation of length nfft, where lag k sits at index k mod nfft.
+
+    One contiguous run of lags is read as at most two slices, the negative
+    lags from the end of the transform and the rest from its start; any
+    other set keeps one index array.
+    """
+    if np.any(np.diff(lags) != 1):
+        return [(slice(None), lags % nfft)]
+    lo, hi = int(lags[0]), int(lags[-1])
+    neg = min(lags.size, max(0, -lo))  # the run's negative lags come first
+    pieces = [(slice(0, neg), slice(nfft + lo, nfft + lo + neg)),
+              (slice(neg, None), slice(lo + neg, hi + 1))]
+    return [(dst, src) for dst, src in pieces if src.stop > src.start]
+
+
 def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
                   dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
@@ -174,35 +200,45 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     `_linear_xcorr`'s length.  (An input longer than nfft is cut by the
     FFT only past the samples those lags reach.)
 
-    a is transformed once.  Rows go in blocks of _BLOCK_POINTS // nfft
-    (at least one): each block builds its `_phase_ramps`, takes one
-    forward and one inverse FFT along its rows, and writes the kept lags
-    straight into the output.  A block holds at most the ramps and two
-    transforms of _BLOCK_POINTS points each (0.5 MB) at once, however
-    many rows there are: a 257 x 257 T/2 surface at N = 8192 peaks under
-    tracemalloc near 1.8 MB when an earlier call has run in the process,
-    and near 2.9 MB on the first call in a fresh one, which also loads
-    numpy.fft; 0.5 MB of either is the surface.  One 2-D transform of all
-    rows would take about 55 MB for the 201-row bank of a long pulse
-    (N = 8192, 16875 points).  Each row is bitwise the one-row result at
-    its nu.
+    a is transformed once.  Rows go in blocks of `_block_rows` rows, a
+    count that grows with the output: 6 rows for the 201-row bank of a
+    long pulse (N = 8192, 16875 points), 2 for a 257 x 257 T/2 surface at
+    N = 8192 (12288 points).  The call allocates one zero-padded replica
+    buffer and one spectrum buffer, a block each, and reuses them: a
+    block writes b times its `_phase_ramps` into the first columns of the
+    replica buffer, transforms it into the spectrum buffer, inverts that
+    in place and reads the kept lags straight into the output (at most
+    two slices when they are one run, see `_lag_gathers`).  The two
+    buffers take 1 MB or an eighth of the output, whichever is larger,
+    and a block's ramps at most half that again.  The 257 x 257 surface
+    at N = 8192 peaks under tracemalloc near 2.1 MB when an earlier call
+    has run in the process, and near 3.2 MB on the first call in a fresh
+    one, which also loads numpy.fft; 0.5 MB of either is the surface.
+    Each row is bitwise the one-row result at its nu.
     """
     nfft = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
     fa = np.fft.fft(a, nfft)
-    idx = lags % nfft  # lag k of the circular correlation sits at index k mod nfft
-    rows = np.empty((dopplers.size, idx.size))
-    step = max(1, _BLOCK_POINTS // nfft)
+    gathers = _lag_gathers(lags, nfft)
+    rows = np.empty((dopplers.size, lags.size))
+    step = _block_rows(dopplers.size, lags.size, nfft)
+    width = min(b.size, nfft)
+    padded = np.zeros((step, nfft), dtype=complex)  # columns past width stay zero
+    spectra = np.empty((step, nfft), dtype=complex)
     for start in range(0, dopplers.size, step):
         block = slice(start, start + step)
+        ramps = _phase_ramps(dopplers[block], b.size, fs)
+        count = ramps.shape[0]
         # Operands in _linear_xcorr's order: an FMA complex product is not
         # bitwise commutative.
-        replicas = _phase_ramps(dopplers[block], b.size, fs)
-        np.multiply(b, replicas, out=replicas)
-        spectra = np.fft.fft(replicas, nfft, axis=1)
-        del replicas
-        np.conjugate(spectra, out=spectra)
-        np.multiply(fa, spectra, out=spectra)
-        np.abs(np.fft.ifft(spectra, axis=1)[:, idx], out=rows[block])
+        np.multiply(b[:width], ramps[:, :width], out=padded[:count, :width])
+        del ramps
+        spec = spectra[:count]
+        np.fft.fft(padded[:count], axis=1, out=spec)
+        np.conjugate(spec, out=spec)
+        np.multiply(fa, spec, out=spec)
+        np.fft.ifft(spec, axis=1, out=spec)
+        for dst, src in gathers:
+            np.abs(spec[:, src], out=rows[block, dst])
     return rows
 
 
@@ -250,10 +286,12 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
 
     Each Doppler column is a `_doppler_rows` row at the mirrored lags:
     the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows go through the FFT in blocks of a few rows,
-    each with its phase ramps built from two small exponential tables,
-    and keep only these lags; a block's temporaries stay near 1 MB and
-    the surface is the only full-size array.  The transform length
+    |chi(-tau, nu)|.  Rows go through the FFT in blocks of a few rows
+    (2^15 transform points, since the surface is small), each with its
+    phase ramps built from two small exponential tables, through two
+    buffers the call allocates once, and keep only these lags; the
+    buffers and a block's ramps stay under 1.5 MB and the surface is the
+    only full-size array.  The transform length
     follows the delay window: N + max_delay*fs points, rounded up to a
     5-smooth length, not 2N.
 

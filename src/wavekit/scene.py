@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .metrics import _doppler_grid, _doppler_rows, _time_scaler
-from .signal import DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, to_db
+from .signal import DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, _signal_energy, to_db
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,21 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     A 0 dB echo on a tuned row peaks at the replica energy, so the map's
     reference_db is that energy over the peak.  Rows come from
     `metrics._doppler_rows`: one transform of the received series, then
-    blocks of rows, each with one batched FFT pair and phase ramps built
-    from two small exponential tables.
+    blocks of rows, each with one batched FFT pair into two buffers the
+    call allocates once and phase ramps built from two small exponential
+    tables.  A block holds 2^15 transform points or a 32nd of the map's
+    points, whichever is more (6 of 201 rows at N = 8192), so the
+    buffers add 1 MB or an eighth of the map.
+
+    Raises:
+        InvalidInputError: if the sample rates differ, the Doppler grid is
+            refused (see `metrics._doppler_grid`), the replica waveform has
+            zero energy, or the received series is identically zero.
     """
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
     dopplers = _doppler_grid(dopplers_hz, received.sample_rate_hz)
+    energy = _signal_energy(waveform, "replica waveform")
     lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
     rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)
@@ -177,7 +186,7 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     rows = to_db(rows)  # linear rows go before the map copies: two full-size maps at most
     return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
                            dopplers_hz=dopplers, magnitude_db=rows,
-                           reference_db=to_db(waveform.energy() / peak))
+                           reference_db=to_db(energy / peak))
 
 
 def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,

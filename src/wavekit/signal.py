@@ -197,12 +197,13 @@ def _total_power(power: np.ndarray) -> float:
     return total
 
 
-def _signal_energy(signal: SampledSignal) -> float:
-    """signal.energy(), which must be nonzero: correlation, ambiguity and
-    Doppler-loss readings are normalized by it."""
+def _signal_energy(signal: SampledSignal, name: str = "signal") -> float:
+    """signal.energy(), which must be nonzero: correlation, ambiguity,
+    Doppler-loss and matched-filter readings are normalized by it.  name is
+    the argument the refusal names."""
     energy = signal.energy()
     if energy == 0.0:
-        raise InvalidInputError("signal has zero energy")
+        raise InvalidInputError(f"{name} has zero energy")
     return energy
 
 

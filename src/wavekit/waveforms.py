@@ -315,7 +315,8 @@ class WaveformSpec:
     sweep center; must exceed B/2 so the sweep stays positive).
 
     The spec owns every rule that needs no sample rate (Costas and P4
-    bandwidths fixed at N^2/T and N/T, num_tones >= 2, tone_ratio > 1);
+    bandwidths fixed at N^2/T and N/T, num_tones >= 2, tone_ratio > 1, and
+    tone_ratio ** (num_tones - 1) within the float range);
     fs >= 4B and comb tones below Nyquist stay with the synth functions.
     """
 
@@ -350,11 +351,16 @@ class WaveformSpec:
             band = chips / self.duration_s
         if band is not None and abs(self.bandwidth_hz - band) > 1e-3 * band:
             raise InvalidInputError(f"{self.kind} bandwidth is fixed at {band} Hz by N and T")
-        if self.kind == "geometric_comb" and not (
-                check_number("num_tones", self.num_tones, integer=True) >= 2
-                and check_number("tone_ratio", self.tone_ratio) > 1.0):
-            raise InvalidInputError(
-                "geometric_comb kind requires num_tones >= 2 and tone_ratio > 1")
+        if self.kind == "geometric_comb":
+            tones = check_number("num_tones", self.num_tones, integer=True)
+            if not (tones >= 2 and (ratio := check_number("tone_ratio", self.tone_ratio)) > 1.0):
+                raise InvalidInputError(
+                    "geometric_comb kind requires num_tones >= 2 and tone_ratio > 1")
+            try:  # the float span comb_tone_frequencies divides by
+                ratio ** (tones - 1)
+            except OverflowError:
+                raise InvalidInputError("geometric_comb kind requires 'tone_ratio' ** "
+                                        "('num_tones' - 1) within the float range") from None
         if self.kind == "hfm" and self.center_freq_hz <= self.bandwidth_hz / 2.0:
             raise InvalidInputError("hfm requires center_freq_hz > bandwidth_hz / 2")
         if self.kind in ("costas_fsk", "p4", "geometric_comb") and self.center_freq_hz != 0.0:

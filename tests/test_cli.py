@@ -587,7 +587,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
     (_coefficients_file(2.5), None, "coefficients_file"),
     (_INITIAL_ALPHA_SHORT, None, None),
     (_FROM_COEFFICIENTS, _COEFFICIENTS_K_MISMATCH, None),
-    (_comb(tone_ratio=1e300), None, None),
+    (_comb(tone_ratio=1e300), None, "tone_ratio"),
+    (_comb(num_tones=2000), None, "tone_ratio"),
     (_problem(initial="nlfm", nlfm_sidelobe_db=1e300), None, "nlfm_sidelobe_db"),
     ({**_dopplers([0.0]), "scene": {"echoes": [{"delay_s": 0.1, "level_db": 0.0}],
                                     "noise_level_db": 1e300}}, None, "noise_level_db"),
@@ -607,7 +608,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "spectrogram_window_beyond_signal", "wav_carrier_beyond_nyquist",
         "coefficients_file_list", "coefficients_file_object", "coefficients_file_number",
         "initial_alpha_length", "coefficients_num_harmonics_mismatch",
-        "comb_tone_ratio_power_overflow", "nlfm_sidelobe_db_power_overflow",
+        "comb_tone_ratio_power_overflow", "comb_num_tones_power_overflow",
+        "nlfm_sidelobe_db_power_overflow",
         "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)

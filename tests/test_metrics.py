@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _doppler_rows, _fft_length, _linear_xcorr, _phase_ramps
+from wavekit.metrics import (_block_rows, _doppler_rows, _fft_length, _lag_gathers,
+                             _linear_xcorr, _phase_ramps)
 
 from conftest import child_env
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
@@ -151,19 +152,109 @@ def test_blocked_doppler_rows_match_direct_sums(problem, seed, budget):
     np.testing.assert_allclose(rows, expected, atol=1e-9)
 
 
-def test_doppler_rows_are_bitwise_the_one_row_result():
-    """Each row of a multi-block bank at N = 8192 is the row computed alone."""
-    sig = wk.synth_lfm(1024.0, 1.0, 8192.0)
-    scene = wk.EchoScene(echoes=(wk.Echo(0.01, 3.0, 0.0), wk.Echo(0.02, -1.5, -6.0)))
-    rx = wk.simulate_returns(sig, scene, seed=0).samples
-    lags = np.arange(-100, 101)
-    step = wk_metrics._BLOCK_POINTS // _fft_length(rx.size + 100)
-    dopplers = np.array([-4096.0, -7.3, -3.0, -1.5, 0.0, 0.37, 1.0, 3.0, 11.0, 4095.5])
+def _long_lfm_rows(bandwidth_hz, lag_window, dopplers):
+    """An N = 8192 LFM, its received series and the lag window to read."""
+    sig = wk.synth_lfm(bandwidth_hz, 8192.0 / (8 * bandwidth_hz), 8 * bandwidth_hz)
+    if lag_window is None:  # the bank of mf_bank at the benchmark scene
+        rx = wk.simulate_returns(sig, wk.benchmark_scene(bandwidth_hz), 0).samples
+        lags = np.arange(1 - sig.num_samples, rx.size)
+    else:
+        scene = wk.EchoScene(echoes=(wk.Echo(0.01, 3.0, 0.0), wk.Echo(0.02, -1.5, -6.0)))
+        rx = wk.simulate_returns(sig, scene, seed=0).samples
+        lags = np.arange(-lag_window, lag_window + 1)
+    return rx, sig.samples, sig.sample_rate_hz, np.asarray(dopplers, dtype=float), lags
+
+
+@pytest.mark.parametrize("bandwidth_hz, lag_window, dopplers, nfft", [
+    (1024.0, 100, [-4096.0, -7.3, -3.0, -1.5, 0.0, 0.37, 1.0, 3.0, 11.0, 4095.5], None),
+    (256.0, None, np.linspace(-20.0, 20.0, 201), 16875),
+], ids=["narrow_window", "long_bank"])
+def test_doppler_rows_are_bitwise_the_one_row_result(bandwidth_hz, lag_window, dopplers,
+                                                     nfft):
+    """Each row of a multi-block N = 8192 result is the row computed alone: a
+    narrow lag window at 2^15 points per block, and the 201-row bank of a long
+    pulse, whose blocks grow with its 27 MB output."""
+    a, b, fs, dopplers, lags = _long_lfm_rows(bandwidth_hz, lag_window, dopplers)
+    length = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
+    assert nfft in (None, length)
+    step = _block_rows(dopplers.size, lags.size, length)
     assert step >= 2 and dopplers.size > 2 * step  # at least 3 blocks, some of several rows
-    rows = _doppler_rows(rx, sig.samples, 8192.0, dopplers, lags)
+    assert dopplers.size % step  # and a last block that is shorter
+    rows = _doppler_rows(a, b, fs, dopplers, lags)
     for nu, row in zip(dopplers, rows):
-        assert np.array_equal(row, _doppler_rows(rx, sig.samples, 8192.0,
-                                                 np.array([nu]), lags)[0]), nu
+        assert np.array_equal(row, _doppler_rows(a, b, fs, np.array([nu]), lags)[0]), nu
+
+
+@pytest.mark.parametrize("num_rows, num_lags, nfft, step", [
+    (201, 16767, 16875, 6),   # mf_bank, N = 8192 at the benchmark scene
+    (201, 18431, 18432, 6),   # mf_bank, N = 8192, a 5 s window
+    (101, 16383, 16384, 3),   # narrowband Doppler curve, N = 8192
+    (257, 257, 12288, 2),     # T/2 ambiguity surface, N = 8192: 2^15 points
+    (201, 4479, 4500, 7),     # mf_bank, N = 2048
+    (4, 16383, 16384, 2),     # never more rows than there are
+    (1, 10, 5 * 2**15, 1),    # at least one row
+])
+def test_block_rows_grow_with_the_output(num_rows, num_lags, nfft, step):
+    """A block holds max(2^15, output points / 32) transform points."""
+    assert _block_rows(num_rows, num_lags, nfft) == step
+
+
+_GATHER_RNG = np.random.default_rng(11)
+_GATHER_A = _GATHER_RNG.standard_normal(614) + 1j * _GATHER_RNG.standard_normal(614)
+_GATHER_B = _GATHER_RNG.standard_normal(512) + 1j * _GATHER_RNG.standard_normal(512)
+
+
+@pytest.mark.parametrize("lo, hi", [(-300, -50), (0, 400), (10, 613), (-7, 7), (0, 0),
+                                    (-3, -3), (-511, -1), (-511, 613)],
+                         ids=["negative", "nonnegative", "positive", "around_zero",
+                              "single_zero", "single_negative", "ends_at_nfft",
+                              "tight_full_window"])
+def test_slice_gathers_are_bitwise_the_index_gather(lo, hi):
+    """A contiguous lag window, read as at most two slices, equals the same
+    window read through an index array.  Repeating the first lag forces the
+    index path at the same min, max and so nfft; its extra column is dropped.
+    The full window is at a tight 5-smooth length: 614 + 512 - 1 = 1125."""
+    a, b = _GATHER_A, _GATHER_B
+    lags = np.arange(lo, hi + 1)
+    repeated = np.append(lags, lags[0])
+    nfft = _fft_length(max(a.size - lo, hi + b.size))
+    assert all(isinstance(src, slice) for _, src in _lag_gathers(lags, nfft))
+    assert [dst for dst, _ in _lag_gathers(repeated, nfft)] == [slice(None)]
+    dopplers = np.array([-31.0, -2.5, 0.0, 4.0, 50.0])
+    assert np.array_equal(_doppler_rows(a, b, 128.0, dopplers, lags),
+                          _doppler_rows(a, b, 128.0, dopplers, repeated)[:, :-1])
+
+
+def test_block_buffers_are_allocated_once_per_call(monkeypatch):
+    """Every per-block FFT writes into the one spectrum buffer of the call and
+    reads the one replica buffer; the inverse runs in place in the spectrum."""
+    calls = {"fft": [], "ifft": []}
+    for name in calls:
+        transform = getattr(np.fft, name)
+
+        def recording(x, *args, _transform=transform, _calls=calls[name], **kwargs):
+            if np.ndim(x) == 2:
+                _calls.append((x, kwargs.get("out")))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+    b = rng.standard_normal(481) + 1j * rng.standard_normal(481)
+    nfft = _fft_length(a.size + b.size - 1)
+    dopplers = np.linspace(-20.0, 20.0, 10)
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 3 * nfft):  # blocks of 3, 3, 3, 1
+        _doppler_rows(a, b, 100.0, dopplers, np.arange(-480, 600))
+    assert [x.shape[0] for x, _ in calls["fft"]] == [3, 3, 3, 1]
+    assert len(calls["ifft"]) == 4
+    for x, out in calls["fft"] + calls["ifft"]:
+        assert out is not None and out.base is not None
+    padded, spectra = calls["fft"][0][0].base, calls["fft"][0][1].base
+    assert padded is not spectra
+    for x, out in calls["fft"]:
+        assert x.base is padded and out.base is spectra
+    for x, out in calls["ifft"]:
+        assert x.base is spectra and out.base is spectra and np.shares_memory(x, out)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,

@@ -119,7 +119,7 @@ _ROWS = [
              duration_s=1.0),
     _keyword("WaveformSpec", "num_tones", _COUNT, kind="geometric_comb",
              bandwidth_hz=10.0, duration_s=1.0, tone_ratio=1.5),
-    _keyword("WaveformSpec", "tone_ratio", _POSITIVE, kind="geometric_comb",
+    _keyword("WaveformSpec", "tone_ratio", _POSITIVE | _HUGE, kind="geometric_comb",
              bandwidth_hz=10.0, duration_s=1.0, num_tones=4),
     # metrics
     _keyword("RegionSpec", "inner_delay_s", _NONNEGATIVE, outer_delay_s=0.5),

@@ -311,9 +311,18 @@ def test_mf_bank_validation(lfm):
     other = wk.SampledSignal(samples=rx.samples, sample_rate_hz=1024.0)
     with pytest.raises(InvalidInputError):
         mf_bank(other, lfm, [0.0])
-    silent = wk.SampledSignal(samples=np.zeros(600, dtype=complex),
-                              sample_rate_hz=512.0)
-    with pytest.raises(InvalidInputError):
+
+
+def test_mf_bank_refuses_a_zero_replica_by_name_before_any_transform(lfm, monkeypatch):
+    rx = simulate_returns(lfm, _single(), seed=0)
+    monkeypatch.setattr(np.fft, "fft", None)  # any transform would raise TypeError
+    with pytest.raises(InvalidInputError, match="^replica waveform has zero energy$"):
+        mf_bank(rx, wk.SampledSignal(samples=np.zeros(512), sample_rate_hz=512.0), [0.0])
+
+
+def test_mf_bank_refuses_a_zero_received_series(lfm):
+    silent = wk.SampledSignal(samples=np.zeros(600, dtype=complex), sample_rate_hz=512.0)
+    with pytest.raises(InvalidInputError, match="^received signal is identically zero$"):
         mf_bank(silent, lfm, [0.0])
 
 
