@@ -214,7 +214,7 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
                              fs, seed, sidelobe_db, nbar)
     before = synth_mtsfm(initial, fs)
     if target == "initial_rms":
-        # next_pow2(2N) matches the optimizer's internal FFT grid exactly
+        # spectrum(s, 2) transforms at _fft_length(2N), the objective's own grid
         target = rms_bandwidth(spectrum(before, 2))
     with _as_config_error("problem"):
         problem = OptimizationProblem(

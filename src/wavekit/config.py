@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .costas import CostasCode, generate_welch_costas
+from .costas import _MAX_WELCH_PRIME, CostasCode, generate_welch_costas
 from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
@@ -112,10 +112,7 @@ def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
     if coeff_file is not None:
         if not isinstance(coeff_file, str):
             raise ConfigError(f"{tree.context}: 'coefficients_file' must be a string")
-        params = load_mtsfm_coefficients(coeff_file)
-        if duration_s is not None and abs(params.duration_s - duration_s) > 1e-9:
-            raise ConfigError(f"{tree.context}: duration_s disagrees with coefficients file")
-        return params
+        return load_mtsfm_coefficients(coeff_file)
     if duration_s is None:
         raise ConfigError(f"{tree.context}: duration_s required without coefficients_file")
     return _take_coefficients(tree, duration_s)
@@ -127,7 +124,7 @@ def _parse_costas_code(tree: _Tree) -> CostasCode:
         if not isinstance(explicit, list) or any(type(v) is not int for v in explicit):
             raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
         return CostasCode(sequence=tuple(explicit))
-    prime = tree.take_number("prime", integer=True, minimum=2)
+    prime = tree.take_number("prime", integer=True, minimum=2, maximum=_MAX_WELCH_PRIME)
     generator = tree.take_number("generator", integer=True, minimum=1)
     return generate_welch_costas(prime, generator)
 
@@ -167,7 +164,7 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
         elif kind == "mtsfm":
             fields["mtsfm"] = params = _parse_mtsfm(tree, duration)
             fields["bandwidth_hz"] = swept_bandwidth(params)
-            duration = params.duration_s
+            duration = params.duration_s if duration is None else duration
         spec = WaveformSpec(kind=kind, duration_s=duration, center_freq_hz=center, **fields)
     tree.finish()
     return spec

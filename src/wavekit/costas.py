@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, check_number
+
+# Largest Welch modulus p.  Its N = p - 1 chips span B = N^2/T, so synthesis
+# (fs >= 4B) needs fs*T >= 4N^2 complex128 samples, which must fit numpy's
+# largest array, intp-max bytes: N <= isqrt((2^63 - 1) // 64) = 379625062.
+_MAX_WELCH_PRIME = math.isqrt(np.iinfo(np.intp).max // (4 * 16)) + 1
 
 
 def is_prime(n: int) -> bool:
@@ -117,8 +123,10 @@ def generate_welch_costas(p: int, g: int) -> CostasCode:
         A CostasCode of length p-1.
 
     Raises:
-        InvalidInputError: if p is not prime or g is not a primitive root.
+        InvalidInputError: if p exceeds _MAX_WELCH_PRIME (refused before any
+            trial division), p is not prime or g is not a primitive root.
     """
+    p = check_number("p", p, integer=True, maximum=_MAX_WELCH_PRIME)
     if not is_primitive_root(g, p):
         raise InvalidInputError(f"{g} is not a primitive root mod {p}")
     seq = tuple(pow(g, i, p) for i in range(1, p))

@@ -62,18 +62,13 @@ def write_csv(path: str, header, rows) -> None:
     """Write one header row plus data rows, LF-terminated.
 
     Each block of _BLOCK_ROWS rows is transposed and formatted as
-    `write_csv_columns` formats its columns, so both give the same bytes.
+    `encode_csv` formats its columns, so both give the same bytes.
     """
     rows = iter(rows)
     blocks = []
     while block := list(islice(rows, _BLOCK_ROWS)):
         blocks.append(_csv_block(list(zip(*block))))
     _atomic_write_bytes(path, _csv_bytes(header, blocks))
-
-
-def write_csv_columns(path: str, header, columns) -> None:
-    """Write `encode_csv(header, columns)`."""
-    _atomic_write_bytes(path, encode_csv(header, columns))
 
 
 def encode_csv(header, columns) -> bytes:

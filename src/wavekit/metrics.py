@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_number
-from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _freeze_grid,
-                     _next_pow2, _signal_energy, _total_power, p99_bandwidth, spectrum, to_db)
+from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _fft_length,
+                     _freeze_grid, _signal_energy, _total_power, p99_bandwidth, spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -113,28 +113,14 @@ class DopplerTolerancePoint:
 _BLOCK_POINTS = 1 << 15
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length pocketfft transforms at
-    nearly power-of-two speed per point."""
-    best = _next_pow2(n)
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 * _next_pow2(-(-n // p35)))
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear correlation y[k] = sum_n a[n] * conj(b[n-k]).
 
     Lags k run from -(len(b)-1) to len(a)-1 and a delayed copy of b
     inside a produces a peak at positive k equal to the delay.  When b
     is a, its transform is taken once and reused.  The circular
-    correlation is taken at `_fft_length(len(a) + len(b) - 1)`, the
-    shortest length at which no lag aliases onto another.
+    correlation is taken at `signal._fft_length` of len(a) + len(b) - 1,
+    the shortest length at which no lag aliases onto another.
     """
     nfft = _fft_length(a.size + b.size - 1)
     fa = np.fft.fft(a, nfft)
@@ -195,7 +181,7 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     also holds the linear lags k +/- nfft, which fall outside that range,
     and so hold nothing, for every requested k once
     nfft >= len(a) - min(lags) and nfft >= max(lags) + len(b).  The
-    transform takes the `_fft_length` of that bound, so a narrow lag
+    transform takes `signal._fft_length` of that bound, so a narrow lag
     window gets a short transform and the full lag range gets
     `_linear_xcorr`'s length.  (An input longer than nfft is cut by the
     FFT only past the samples those lags reach.)

@@ -18,7 +18,8 @@ found so far with converged=False and stop_reason "budget".  The two
 gradient methods use the analytic gradient, computed in the same call as
 the objective value (the chain rule through s[n] = exp(j phi[n])/sqrt(N)
 onto the cos/sin basis).  The objective reads only the region lags and
-lag 0 of the autocorrelation.
+lag 0 of the autocorrelation.  Its transforms are `signal._fft_length(2N)`
+points long, as `spectrum(s, 2)`'s are, so both read one frequency grid.
 
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .metrics import RegionSpec, _region_mask, _rms_width
-from .signal import DB_LIMIT, MAX_RATE_HZ, _next_pow2
+from .signal import DB_LIMIT, MAX_RATE_HZ, _fft_length
 from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
 _OBJECTIVES = ("isl", "psl")
@@ -126,11 +127,12 @@ class OptimizationResult:
 class _Workspace:
     """Precomputed synthesis/analysis machinery for one problem geometry.
 
-    Caches the harmonic basis, FFT size, region lag bins and frequency
-    grid so a single objective evaluation costs one FFT pair: the
-    forward transform of the samples feeds both the autocorrelation and
-    the RMS bandwidth.  The analytic gradient adds one more FFT pair and
-    two N x K products to that same evaluation.
+    Caches the harmonic basis, FFT size (`_fft_length(2N)`, as in
+    `spectrum(s, 2)`), region lag bins and frequency grid so a single
+    objective evaluation costs one FFT pair: the forward transform of the
+    samples feeds both the autocorrelation and the RMS bandwidth.  The
+    analytic gradient adds one more FFT pair and two N x K products to
+    that same evaluation.
     """
 
     def __init__(self, num_harmonics: int, duration_s: float, sample_rate_hz: float,
@@ -140,7 +142,7 @@ class _Workspace:
         self.sample_rate_hz = sample_rate_hz
         self.num_harmonics = num_harmonics
         self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
-        self.nfft = _next_pow2(2 * n)
+        self.nfft = _fft_length(2 * n)
         lags = np.arange(-(n - 1), n)
         in_region = _region_mask(region, lags / sample_rate_hz)
         # Where each region lag sits in the circular (unshifted) FFT order.

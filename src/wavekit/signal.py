@@ -24,12 +24,19 @@ DB_LIMIT = 1000.0  # largest |level| in dB: 10**(DB_LIMIT/20) = 1e50 leaves floa
 MAX_RATE_HZ = 1e100  # highest sample rate: squared frequencies stay far inside float range
 
 
-def _next_pow2(n: int) -> int:
-    """Smallest power of two >= n."""
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length pocketfft transforms at
+    nearly power-of-two speed per point: wavekit's one transform-length rule."""
+    n = int(n)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
@@ -170,8 +177,9 @@ class Spectrogram:
 def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Compute the two-sided baseband spectrum of a signal.
 
-    The transform length is the next power of two >= zero_pad_factor
-    times the signal length, giving predictable bin spacing.
+    The transform length is `_fft_length(zero_pad_factor * N)`, the rule
+    the optimizer's objective uses too, so `spectrum(s, 2)` and the
+    objective read a signal on the same frequency grid.
 
     Args:
         signal: input signal.
@@ -183,7 +191,7 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """
     zero_pad_factor = check_number("zero_pad_factor", zero_pad_factor, integer=True, minimum=1)
     fs = signal.sample_rate_hz
-    nfft = _next_pow2(zero_pad_factor * signal.num_samples)
+    nfft = _fft_length(zero_pad_factor * signal.num_samples)
     mag = np.abs(np.fft.fftshift(np.fft.fft(signal.samples, nfft))) / np.sqrt(fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     return Spectrum(freqs_hz=freqs, magnitude=mag)

@@ -340,7 +340,8 @@ class WaveformSpec:
             if self.mtsfm is None:
                 raise InvalidInputError("mtsfm kind requires MtsfmParameters")
             if abs(self.mtsfm.duration_s - self.duration_s) > 1e-9:
-                raise InvalidInputError("mtsfm duration disagrees with spec duration")
+                raise InvalidInputError(f"'duration_s' {self.duration_s} disagrees with the "
+                                        f"mtsfm duration {self.mtsfm.duration_s}")
         band = None  # the bandwidth N and T fix: N^2/T for Costas, N/T for P4
         if self.kind == "costas_fsk":
             if self.costas is None:

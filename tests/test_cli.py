@@ -594,6 +594,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
                                     "noise_level_db": 1e300}}, None, "noise_level_db"),
     ({"command": "analyze", "waveform": {"kind": "costas_fsk", "duration_s": 1e-300,
                                          "prime": 5, "generator": 2}}, None, None),
+    ({**_FROM_COEFFICIENTS, "waveform": {**_FROM_COEFFICIENTS["waveform"], "duration_s": 1.0}},
+     b'{"alpha": [0.1], "beta": [0.2], "duration_s": 2.0}', "duration_s"),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -610,7 +612,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "initial_alpha_length", "coefficients_num_harmonics_mismatch",
         "comb_tone_ratio_power_overflow", "comb_num_tones_power_overflow",
         "nlfm_sidelobe_db_power_overflow",
-        "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate"])
+        "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate",
+        "duration_disagrees_with_coefficients"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -659,6 +662,21 @@ def test_coefficients_file_descriptor_number_exits_2(tmp_path, value):
         capture_output=True, text=True, stdin=subprocess.DEVNULL, env=child_env())
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "'coefficients_file'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path):
+    """Trial division of this prime would take about 5e8 steps.  A child process
+    with a timeout, so that a run which starts dividing fails instead of hanging."""
+    cfg = _config(tmp_path, {"command": "analyze", "waveform": {
+        "kind": "costas_fsk", "prime": 1000000000000000003, "generator": 2, "duration_s": 1.0}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavekit.cli", "analyze", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL, env=child_env(), timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "'prime'" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
 
 

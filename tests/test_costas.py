@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wavekit as wk
+from wavekit import costas
 from wavekit.errors import InvalidInputError
 from wavekit.signal import DB_FLOOR
 
@@ -30,6 +31,23 @@ def test_welch_rejects_bad_inputs():
         wk.generate_welch_costas(9, 2)  # not prime
     with pytest.raises(InvalidInputError):
         wk.generate_welch_costas(7, 2)  # 2 is not primitive mod 7
+
+
+def test_welch_prime_above_the_cap_is_refused_before_trial_division(monkeypatch):
+    """p = 10**18 + 3 would take about 5e8 trial divisions."""
+    def trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+    monkeypatch.setattr(costas, "_prime_factors", trial_division)
+    with pytest.raises(InvalidInputError, match=f"^p must be <= {costas._MAX_WELCH_PRIME}$"):
+        wk.generate_welch_costas(10**18 + 3, 2)
+
+
+def test_welch_prime_cap_is_the_largest_synthesizable_chip_count():
+    """N = p - 1 chips need fs*T >= 4N^2 complex128 samples (16 bytes each),
+    and numpy's largest array holds intp-max bytes.  is_prime has no cap."""
+    n_max = costas._MAX_WELCH_PRIME - 1
+    assert 64 * n_max**2 <= np.iinfo(np.intp).max < 64 * (n_max + 1) ** 2
+    assert wk.is_prime(2**31 - 1)
 
 
 def test_verify_costas_matches_brute_force_all_short_permutations():

@@ -20,7 +20,7 @@ from scipy.io import wavfile
 
 from wavekit import cli, fileio
 from wavekit.errors import OutputError
-from wavekit.fileio import write_csv, write_csv_columns, write_json, write_wav
+from wavekit.fileio import encode_csv, write_csv, write_json, write_wav
 
 from oracles import percent_csv
 
@@ -95,16 +95,15 @@ def test_write_csv_full_blocks(tmp_path, extra):
 
 
 def _both_writers(header, columns, block_rows) -> bytes:
-    """The bytes write_csv_columns and write_csv (given the rows) write,
-    checked equal, with _BLOCK_ROWS set to block_rows."""
+    """The bytes encode_csv gives for the columns and write_csv writes for
+    their rows, checked equal, with _BLOCK_ROWS set to block_rows."""
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(fileio, "_BLOCK_ROWS", block_rows):
-        by_columns, by_rows = os.path.join(tmp, "c.csv"), os.path.join(tmp, "r.csv")
-        write_csv_columns(by_columns, header, columns)
+        by_rows = os.path.join(tmp, "r.csv")
+        data = encode_csv(header, columns)
         write_csv(by_rows, header, zip(*columns))
-        with open(by_columns, "rb") as a, open(by_rows, "rb") as b:
-            data = a.read()
-            assert b.read() == data
+        with open(by_rows, "rb") as handle:
+            assert handle.read() == data
     return data
 
 
@@ -164,9 +163,9 @@ def test_mixed_columns_match_the_percent_oracle(data):
     assert _both_writers(header, columns, block_rows) == percent_csv(header, columns)
 
 
-def test_csv_columns_must_have_one_length(tmp_path):
+def test_csv_columns_must_have_one_length():
     with pytest.raises(ValueError, match="differ in length"):
-        write_csv_columns(str(tmp_path / "t.csv"), ("a", "b"), ([1.0, 2.0], [1.0]))
+        encode_csv(("a", "b"), ([1.0, 2.0], [1.0]))
 
 
 # Configs shaped like the benchmark's five commands, at sizes a test can afford:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import (_block_rows, _doppler_rows, _fft_length, _lag_gathers,
-                             _linear_xcorr, _phase_ramps)
+from wavekit.metrics import _block_rows, _doppler_rows, _lag_gathers, _linear_xcorr, _phase_ramps
+from wavekit.signal import _fft_length
 
 from conftest import child_env
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,

@@ -23,16 +23,10 @@ from wavekit.optimize import (OptimizationProblem, _get_workspace, _taylor_windo
                               minimize_nelder_mead, nlfm_initial_parameters,
                               objective_db, optimize_waveform, params_to_vector,
                               vector_to_params)
+from wavekit.signal import _fft_length
 from wavekit.waveforms import MtsfmParameters, swept_bandwidth, synth_mtsfm
 
 from oracles import dirichlet_magnitude, spectral_moment_rms
-
-
-def _next_pow2(n):
-    out = 1
-    while out < n:
-        out *= 2
-    return out
 
 
 def _manual_objective(params, problem):
@@ -52,7 +46,7 @@ def _manual_objective(params, problem):
         peak = region_mag.max()
         metric = peak + float(
             np.log(np.sum(np.exp(50.0 * (region_mag - peak))))) / 50.0
-    nfft = _next_pow2(2 * n)
+    nfft = _fft_length(2 * n)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     power = np.abs(np.fft.fftshift(np.fft.fft(s, nfft))) ** 2
     bw = spectral_moment_rms(freqs, power)
@@ -158,7 +152,7 @@ def test_zero_coefficients_reduce_to_cw_metric():
     mask = problem.region.mask(lags / fs)
     triangle = 1.0 - np.abs(lags[mask]) / n
     metric = float(np.sum(triangle**2)) / fs
-    nfft = _next_pow2(2 * n)
+    nfft = _fft_length(2 * n)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     power = dirichlet_magnitude(freqs, n, fs) ** 2
     excess = abs(spectral_moment_rms(freqs, power) - 8.0) / 8.0 - 0.1
@@ -310,19 +304,44 @@ def test_analytic_gradient_matches_finite_differences(objective, penalty, coeffi
 
 @pytest.mark.parametrize("objective", ["isl", "psl"])
 @pytest.mark.parametrize("target_scale", [1.0, 1.5])
-def test_analytic_gradient_on_the_tbp256_start(objective, target_scale):
-    """K = 32 at N = 2048, penalty off (scale 1) and on (scale 1.5)."""
-    initial = nlfm_initial_parameters(256.0, 1.0, 32, 2048.0)
-    target = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(initial, 2048.0), 2))
+@pytest.mark.parametrize("fs", [2048.0, 1500.0])
+def test_analytic_gradient_on_the_tbp256_start(objective, target_scale, fs):
+    """K = 32 at N = 2048, and at N = 1500 (3000-point transforms), penalty
+    off (scale 1) and on (scale 1.5)."""
+    initial = nlfm_initial_parameters(256.0, 1.0, 32, fs)
+    target = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(initial, fs), 2))
     problem = OptimizationProblem(
         initial=initial, region=wk.default_region(256.0, 1.0), objective=objective,
         bandwidth_target_hz=target_scale * target, bandwidth_tolerance=0.1,
-        penalty_weight=1.0, budget=100, seed=0, sample_rate_hz=2048.0)
+        penalty_weight=1.0, budget=100, seed=0, sample_rate_hz=fs)
     value, grad = _analytic_gradient(initial, problem)
     assert value == evaluate_objective(initial, problem)
     expected = finite_difference_gradient(initial, problem, 1e-5)
     assert np.linalg.norm(grad - expected) <= (
         _GRADIENT_RTOL[objective] * np.linalg.norm(expected))
+
+
+# One transform-length rule: at N = 1013, 2N - 1 = 2025 is itself 5-smooth,
+# yet the objective transforms at _fft_length(2N) = 2048, as spectrum(s, 2) does.
+@pytest.mark.parametrize("n", [512, 1000, 1013, 1500, 2048])
+def test_spectrum_and_objective_share_one_transform_length(n):
+    """K = 4 at N = n samples (fs = n Hz, T = 1 s, B = fs/8)."""
+    fs, band = float(n), n / 8.0
+    initial = default_initial_parameters(band, 1.0, 4, seed=5)
+    signal = synth_mtsfm(initial, fs)
+    assert signal.num_samples == n
+    for zero_pad_factor in (1, 2, 4):
+        assert wk.spectrum(signal, zero_pad_factor).freqs_hz.size == _fft_length(
+            zero_pad_factor * n)
+    start_bw = wk.rms_bandwidth(wk.spectrum(signal, 2))
+    problem = OptimizationProblem(
+        initial=initial, region=wk.default_region(band, 1.0), objective="isl",
+        bandwidth_target_hz=start_bw, bandwidth_tolerance=0.1, penalty_weight=1.0,
+        budget=100, seed=0, sample_rate_hz=fs)
+    workspace = _get_workspace(problem)
+    assert workspace.nfft == _fft_length(2 * n)
+    _, bw, _ = workspace._forward(params_to_vector(initial), problem)
+    assert bw == pytest.approx(start_bw, rel=1e-12)
 
 
 def test_gradient_vanishes_at_symmetric_origin():

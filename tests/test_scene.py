@@ -12,6 +12,7 @@ from wavekit.errors import InvalidInputError
 from wavekit.metrics import _linear_xcorr, _phase_ramps
 from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
+from wavekit.signal import DB_FLOOR
 
 from conftest import child_env
 from oracles import direct_xcorr_mag, superposed_echo_mag
@@ -379,6 +380,30 @@ def test_straddled_strongest_echo_does_not_lift_the_others():
     assert alone_db == pytest.approx(-20.0, abs=1e-9)
     assert weak["detected"] is True, weak
     assert abs(weak["measured_level_db"] - alone_db) <= 0.25, weak
+
+
+# A hand-built one-row map: lags 0..10 s in steps of 0.25 s, a row rising
+# monotonically from -80 dB to 0 dB, so it has no interior local maximum.
+_RISING = RangeDopplerMap(delays_s=0.25 * np.arange(41), dopplers_hz=np.zeros(1),
+                          magnitude_db=np.linspace(-80.0, 0.0, 41)[None, :], reference_db=-10.0)
+
+
+def test_echo_without_a_local_maximum_reads_its_window_maximum():
+    """B = 1 Hz: the window +/-1/B about the 2 s echo holds lags 1..3 s, and
+    its maximum sits on its upper edge, 3 s."""
+    (entry,) = resolvability_report(_RISING, _single(delay_s=2.0), 1.0)
+    assert entry["detected"] is False
+    assert entry["measured_level_db"] == _RISING.magnitude_db[0, 12] - _RISING.reference_db
+    assert entry["measured_level_db"] == pytest.approx(-80.0 + 80.0 * 12 / 40 + 10.0)
+    assert entry["position_error_s"] == 1.0
+
+
+def test_echo_outside_the_map_reads_the_floor():
+    """The 20 s echo's window +/-1/B lies past the map's last lag, 10 s."""
+    (entry,) = resolvability_report(_RISING, _single(delay_s=20.0), 1.0)
+    assert entry["detected"] is False
+    assert entry["measured_level_db"] == DB_FLOOR
+    assert np.isnan(entry["position_error_s"])
 
 
 def test_resolvability_validation(lfm):
