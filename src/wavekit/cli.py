@@ -182,7 +182,7 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
         params = _take_coefficients(itree, duration_s, num_harmonics)
         itree.finish()
         return params
-    raise ConfigError("problem.initial must be 'default', 'nlfm', or {alpha, beta}")
+    raise ConfigError("problem: 'initial' must be 'default', 'nlfm', or {alpha, beta}")
 
 
 def cmd_optimize(tree: _Tree, args, formats) -> dict:

@@ -114,7 +114,7 @@ def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
             raise ConfigError(f"{tree.context}: 'coefficients_file' must be a string")
         return load_mtsfm_coefficients(coeff_file)
     if duration_s is None:
-        raise ConfigError(f"{tree.context}: duration_s required without coefficients_file")
+        raise ConfigError(f"{tree.context}: 'duration_s' required without 'coefficients_file'")
     return _take_coefficients(tree, duration_s)
 
 

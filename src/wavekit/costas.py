@@ -55,8 +55,6 @@ def is_primitive_root(g: int, p: int) -> bool:
     g = g % p
     if g == 0:
         return False
-    if p == 2:
-        return g == 1
     return all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 

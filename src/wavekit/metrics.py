@@ -272,14 +272,11 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
 
     Each Doppler column is a `_doppler_rows` row at the mirrored lags:
     the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows go through the FFT in blocks of a few rows
-    (2^15 transform points, since the surface is small), each with its
-    phase ramps built from two small exponential tables, through two
-    buffers the call allocates once, and keep only these lags; the
-    buffers and a block's ramps stay under 1.5 MB and the surface is the
-    only full-size array.  The transform length
-    follows the delay window: N + max_delay*fs points, rounded up to a
-    5-smooth length, not 2N.
+    |chi(-tau, nu)|.  Rows go through the FFT in blocks of `_block_rows`
+    rows (see `_doppler_rows` for the blocks and their buffers) and keep
+    only these lags, so the surface is the only full-size array.  The
+    transform length follows the delay window: N + max_delay*fs points,
+    rounded up to a 5-smooth length, not 2N.
 
     Args:
         signal: unit-energy waveform; zero energy is refused.

@@ -12,14 +12,17 @@ simplex (scipy's adaptive variant, ported to numpy), a steepest-descent/
 backtracking scheme, and an L-BFGS quasi-Newton refinement.  Each
 supplies only its search loop.  The contract counts every objective or
 objective-plus-gradient call as one evaluation, checks the budget before
-computing anything, keeps the best-so-far design and its trace, and
-assembles the result; exhausting the budget returns the best design
-found so far with converged=False and stop_reason "budget".  The two
-gradient methods use the analytic gradient, computed in the same call as
-the objective value (the chain rule through s[n] = exp(j phi[n])/sqrt(N)
-onto the cos/sin basis).  The objective reads only the region lags and
-lag 0 of the autocorrelation.  Its transforms are `signal._fft_length(2N)`
-points long, as `spectrum(s, 2)`'s are, so both read one frequency grid.
+computing anything, keeps the best-so-far design, its bandwidth and its
+trace, and assembles the result; exhausting the budget returns the best
+design found so far with converged=False and stop_reason "budget".
+
+One workspace method evaluates the objective, the RMS bandwidth and, for
+the two gradient methods, the analytic gradient (the chain rule through
+s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin basis), and every public
+evaluator first checks the design against the problem's grid.  The
+objective reads only the region lags and lag 0 of the autocorrelation.
+Its transforms are `signal._fft_length(2N)` points long, as
+`spectrum(s, 2)`'s are, so both read one frequency grid.
 
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
@@ -128,11 +131,8 @@ class _Workspace:
     """Precomputed synthesis/analysis machinery for one problem geometry.
 
     Caches the harmonic basis, FFT size (`_fft_length(2N)`, as in
-    `spectrum(s, 2)`), region lag bins and frequency grid so a single
-    objective evaluation costs one FFT pair: the forward transform of the
-    samples feeds both the autocorrelation and the RMS bandwidth.  The
-    analytic gradient adds one more FFT pair and two N x K products to
-    that same evaluation.
+    `spectrum(s, 2)`), region lag bins and frequency grid for `evaluate`,
+    the one evaluator of the objective, its bandwidth and its gradient.
     """
 
     def __init__(self, num_harmonics: int, duration_s: float, sample_rate_hz: float,
@@ -149,8 +149,19 @@ class _Workspace:
         self.region_bins = lags[in_region] % self.nfft
         self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))
 
-    def _forward(self, x: np.ndarray, problem: OptimizationProblem):
-        """Objective value of x (region lags and lag 0 only) and what its gradient reuses."""
+    def evaluate(self, x: np.ndarray, problem: OptimizationProblem, gradient: bool = False):
+        """(objective, RMS bandwidth, analytic gradient or None unless asked for) at x.
+
+        One FFT pair gives the value and the bandwidth: the samples' forward
+        transform feeds both, and only the region lags and lag 0 of the
+        autocorrelation are read.  The gradient adds one FFT pair and two
+        N x K products.  The objective is a function of the power spectrum
+        P = |S|^2 of s[n] = exp(j phi[n])/sqrt(N).  Its derivative h = df/dP
+        gathers the region metric, carried back from the lag domain by one
+        FFT, and the bandwidth penalty.  Then df/dphi[n] = 2 Im(conj(s[n])
+        * ifft(S * M h)[n]) with M the FFT length, and the chain rule
+        through phi = C alpha + S beta projects it onto the coefficients.
+        """
         k = self.num_harmonics
         samples = _unit_modulus(self.cos_basis @ x[:k] + self.sin_basis @ x[k:])
         spec = np.fft.fft(samples, self.nfft)
@@ -171,20 +182,8 @@ class _Workspace:
         target = problem.bandwidth_target_hz
         excess = max(0.0, abs(bw - target) / target - problem.bandwidth_tolerance)
         value = metric + problem.penalty_weight * excess * excess
-        return value, bw, (samples, spec, power, region, lag0, dmetric, excess)
-
-    def objective_and_gradient(self, x: np.ndarray, problem: OptimizationProblem):
-        """Objective value (bitwise equal to _forward's) and its analytic gradient.
-
-        The objective is a function of the power spectrum P = |S|^2 of the
-        samples s[n] = exp(j phi[n])/sqrt(N).  Its derivative h = df/dP
-        gathers the region metric, carried back from the lag domain by one
-        FFT, and the bandwidth penalty.  Then df/dphi[n] = 2 Im(conj(s[n])
-        * ifft(S * M h)[n]) with M the FFT length, and the chain rule
-        through phi = C alpha + S beta projects it onto the coefficients.
-        """
-        value, bw, (samples, spec, power, region, lag0, dmetric, excess) = self._forward(
-            x, problem)
+        if not gradient:
+            return value, bw, None
         n, m = self.num_samples, self.nfft
         # 2 df/d conj(R[k]) on the region, R normalized by its lag-0 value,
         # which unit-modulus synthesis holds fixed.
@@ -197,22 +196,28 @@ class _Workspace:
         if excess > 0.0:
             # d penalty/dB = 2 w excess sign(B - target) / target, and
             # dB/dP = ((f - centroid)^2 - B^2) / (2 B sum P) on the shifted grid.
-            target = problem.bandwidth_target_hz
             total = power.sum()
             centroid = (self.freqs * power).sum() / total
             scale = problem.penalty_weight * excess * np.sign(bw - target) / (target * bw * total)
             spec_weight += np.fft.ifftshift(m * scale * ((self.freqs - centroid) ** 2 - bw * bw))
         dphase = 2.0 * np.imag(np.conj(samples) * np.fft.ifft(spec * spec_weight)[:n])
-        return value, np.concatenate([self.cos_basis.T @ dphase, self.sin_basis.T @ dphase])
+        return value, bw, np.concatenate([self.cos_basis.T @ dphase, self.sin_basis.T @ dphase])
 
 
 # Bounded so a long-lived process that meets many geometries does not grow.
 _workspace = lru_cache(maxsize=8)(_Workspace)
 
 
-def _get_workspace(problem: OptimizationProblem) -> _Workspace:
-    return _workspace(problem.initial.num_harmonics, float(problem.initial.duration_s),
-                      float(problem.sample_rate_hz), problem.region)
+def _checked_workspace(params: MtsfmParameters, problem: OptimizationProblem) -> _Workspace:
+    """The problem's cached workspace, once params fits its grid: the same
+    harmonic count, and a duration that snaps to the same sample count."""
+    ws = _workspace(problem.initial.num_harmonics, float(problem.initial.duration_s),
+                    float(problem.sample_rate_hz), problem.region)
+    if params.num_harmonics != ws.num_harmonics:
+        raise InvalidInputError("params harmonic count differs from the problem's")
+    if int(round(problem.sample_rate_hz * params.duration_s)) != ws.num_samples:
+        raise InvalidInputError("params duration_s gives another sample count than the problem's")
+    return ws
 
 
 def params_to_vector(params: MtsfmParameters) -> np.ndarray:
@@ -235,9 +240,7 @@ def evaluate_objective(params: MtsfmParameters, problem: OptimizationProblem) ->
     / B_target - tolerance)^2.  Deterministic: identical inputs give
     bitwise-identical outputs.
     """
-    if params.num_harmonics != problem.initial.num_harmonics:
-        raise InvalidInputError("params harmonic count differs from the problem's")
-    return _get_workspace(problem)._forward(params_to_vector(params), problem)[0]
+    return _checked_workspace(params, problem).evaluate(params_to_vector(params), problem)[0]
 
 
 class _BudgetExhausted(Exception):
@@ -245,43 +248,40 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
-    """One minimizer run: workspace, start x0, budget, best-so-far trace, result.
+    """One minimizer run: workspace, start x0, budget, best-so-far record, result.
 
-    value and value_and_gradient each count one evaluation, checked
-    against the budget before anything is computed.  run(loop) calls the
-    minimizer's loop for (converged, stop_reason); an exhausted budget
-    ends it with (False, "budget").
+    value and value_and_gradient go through `_evaluate`, which spends one
+    evaluation (checked against the budget before anything is computed)
+    and records the best value, design, bandwidth and trace.  run(loop)
+    calls the minimizer's loop for (converged, stop_reason); an exhausted
+    budget ends it with (False, "budget").
     """
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        self.ws = _get_workspace(problem)
+        self.ws = _checked_workspace(problem.initial, problem)
         self.x0 = params_to_vector(problem.initial)
         self.count = 0
         self.best_f = np.inf
-        self.best_x = None
+        self.best_x = self.best_bw = None
         self.trace: list[tuple[int, float]] = []
 
     def value(self, x: np.ndarray) -> float:
-        self._spend()
-        return self._track(x, self.ws._forward(np.asarray(x, dtype=float), self.problem)[0])
+        return self._evaluate(x, False)[0]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        self._spend()
-        f, grad = self.ws.objective_and_gradient(np.asarray(x, dtype=float), self.problem)
-        return self._track(x, f), grad
+        return self._evaluate(x, True)
 
-    def _spend(self) -> None:
+    def _evaluate(self, x: np.ndarray, gradient: bool):
         if self.count >= self.problem.budget:
             raise _BudgetExhausted()
         self.count += 1
-
-    def _track(self, x: np.ndarray, f: float) -> float:
+        f, bw, grad = self.ws.evaluate(np.asarray(x, dtype=float), self.problem, gradient)
         if f < self.best_f:
-            self.best_f = f
+            self.best_f, self.best_bw = f, bw
             self.best_x = np.array(x, dtype=float, copy=True)
             self.trace.append((self.count, float(f)))
-        return f
+        return f, grad
 
     def run(self, loop) -> OptimizationResult:
         try:
@@ -291,10 +291,9 @@ class _Search:
         problem, ws = self.problem, self.ws
         if self.best_x is None:
             self.best_x = self.x0
-            self.best_f = ws._forward(self.x0, problem)[0]
+            self.best_f, self.best_bw, _ = ws.evaluate(self.x0, problem)
             self.trace.append((0, float(self.best_f)))
-        _, bw, _ = ws._forward(self.best_x, problem)
-        feasible = (abs(bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
+        feasible = (abs(self.best_bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
                     <= problem.bandwidth_tolerance + 1e-6)
         return OptimizationResult(
             final=vector_to_params(self.best_x, ws.duration_s),
@@ -423,7 +422,7 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
     gradient instead; this is the oracle it is tested against.
     """
     check_number("step", step, positive=True)
-    ws = _get_workspace(problem)
+    ws = _checked_workspace(params, problem)
     x = params_to_vector(params)
     grad = np.empty(x.size)
     for i in range(x.size):
@@ -431,7 +430,7 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        grad[i] = (ws._forward(xp, problem)[0] - ws._forward(xm, problem)[0]) / (2.0 * step)
+        grad[i] = (ws.evaluate(xp, problem)[0] - ws.evaluate(xm, problem)[0]) / (2.0 * step)
     return grad
 
 

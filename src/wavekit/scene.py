@@ -161,11 +161,8 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     A 0 dB echo on a tuned row peaks at the replica energy, so the map's
     reference_db is that energy over the peak.  Rows come from
     `metrics._doppler_rows`: one transform of the received series, then
-    blocks of rows, each with one batched FFT pair into two buffers the
-    call allocates once and phase ramps built from two small exponential
-    tables.  A block holds 2^15 transform points or a 32nd of the map's
-    points, whichever is more (6 of 201 rows at N = 8192), so the
-    buffers add 1 MB or an eighth of the map.
+    blocks of `metrics._block_rows` rows, each one batched FFT pair (see
+    `_doppler_rows` for the block rule and its buffers).
 
     Raises:
         InvalidInputError: if the sample rates differ, the Doppler grid is

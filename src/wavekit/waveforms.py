@@ -197,7 +197,7 @@ def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
 
     Raises:
         InvalidInputError: for nonpositive or equal endpoint frequencies,
-            a sweep that becomes singular inside [0, T), or undersampling.
+            or undersampling.
     """
     if check_number("f1_hz", f1_hz, positive=True) == check_number("f2_hz", f2_hz, positive=True):
         raise InvalidInputError("HFM requires f1 != f2")
@@ -205,11 +205,8 @@ def synth_hfm(f1_hz: float, f2_hz: float, duration_s: float,
         raise InvalidInputError("HFM requires fs >= 4|f2-f1|")
     _, duration, t = _sample_grid(duration_s, sample_rate_hz)
     beta = (f2_hz - f1_hz) / (f2_hz * duration)
-    denom = 1.0 - beta * t
-    if np.any(denom <= 0):
-        raise InvalidInputError("HFM sweep is singular within [0, T)")
     fc = 0.5 * (f1_hz + f2_hz)
-    phase = -2.0 * np.pi * (f1_hz / beta) * np.log(denom) - 2.0 * np.pi * fc * t
+    phase = -2.0 * np.pi * (f1_hz / beta) * np.log(1.0 - beta * t) - 2.0 * np.pi * fc * t
     return _unit_fm(phase, sample_rate_hz, center_freq_hz=fc)
 
 
@@ -234,11 +231,9 @@ def synth_costas_fsk(code: CostasCode, duration_s: float,
     df = n_chips / duration
     chip_len = n // n_chips
     t_chip = chip_len / sample_rate_hz
-    phase = np.empty(n)
-    for i, value in enumerate(code.sequence):
-        freq = (value - (n_chips + 1) / 2.0) * df
-        sl = slice(i * chip_len, (i + 1) * chip_len)
-        phase[sl] = 2.0 * np.pi * freq * (t[sl] - i * t_chip)
+    freqs = (np.array(code.sequence) - (n_chips + 1) / 2.0) * df
+    chip = np.arange(n) // chip_len
+    phase = 2.0 * np.pi * freqs[chip] * (t - chip * t_chip)
     return _unit_fm(phase, sample_rate_hz)
 
 

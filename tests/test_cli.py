@@ -596,6 +596,17 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
                                          "prime": 5, "generator": 2}}, None, None),
     ({**_FROM_COEFFICIENTS, "waveform": {**_FROM_COEFFICIENTS["waveform"], "duration_s": 1.0}},
      b'{"alpha": [0.1], "beta": [0.2], "duration_s": 2.0}', "duration_s"),
+    ({"command": "optimize", "problem": {
+        k: v for k, v in OPT_CONFIG["problem"].items() if k != "bandwidth_hz"}},
+     None, "bandwidth_hz"),
+    ({"command": "optimize", "problem": 5}, None, None),
+    ({"command": "synth", "waveform": {"kind": 3, "duration_s": 1.0}}, None, "kind"),
+    ({"command": "synth", "waveform": {"kind": "mtsfm", "alpha": [0.1], "beta": [0.2]}},
+     None, "duration_s"),
+    ({**_dopplers([0.0]), "scene": {"echoes": {"delay_s": 0.1, "level_db": 0.0}}},
+     None, "echoes"),
+    ({**_compare_name("b"), "waveforms": _compare_name("b")["waveforms"][:1]}, None, "waveforms"),
+    (_problem(initial="lfm"), None, "initial"),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -613,7 +624,9 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "comb_tone_ratio_power_overflow", "comb_num_tones_power_overflow",
         "nlfm_sidelobe_db_power_overflow",
         "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate",
-        "duration_disagrees_with_coefficients"])
+        "duration_disagrees_with_coefficients", "missing_required_key",
+        "subtree_not_an_object", "kind_not_a_string", "inline_mtsfm_without_duration",
+        "echoes_not_a_list", "compare_single_waveform", "unknown_initial"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:

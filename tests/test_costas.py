@@ -81,6 +81,9 @@ def test_primality_and_primitive_roots():
     assert wk.primitive_roots(7) == [3, 5]
     assert wk.is_primitive_root(3, 17)
     assert not wk.is_primitive_root(2, 17)
+    assert not wk.is_primitive_root(17, 17)  # g = 0 mod p
+    assert [g for g in range(4) if wk.is_primitive_root(g, 2)] == [1, 3]
+    assert wk.primitive_roots(2) == [1]
     with pytest.raises(InvalidInputError):
         wk.is_primitive_root(2, 8)
 

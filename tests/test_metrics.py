@@ -626,6 +626,15 @@ def test_inband_energy_fraction_properties():
 
 # ------------------------------------------------------------- Doppler curve
 
+@pytest.mark.parametrize("mode, message", [
+    ("broadband", "mode must be 'narrowband' or 'wideband'"),
+    ("wideband", "wideband mode requires center_freq_hz > 0"),
+], ids=["unknown_mode", "wideband_at_baseband"])
+def test_doppler_curve_refuses_a_mode_it_cannot_model(mode, message):
+    with pytest.raises(InvalidInputError, match=message):
+        wk.doppler_tolerance_curve(wk.synth_lfm(64.0, 1.0, 512.0), [0.0, 1.0], mode=mode)
+
+
 def test_doppler_curve_zero_mismatch_is_lossless():
     pt = wk.doppler_tolerance_curve(wk.synth_lfm(64.0, 1.0, 512.0), [0.0])[0]
     assert pt.peak_loss_db == pytest.approx(0.0, abs=1e-9)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import wavekit as wk
 from wavekit import optimize
 from wavekit.errors import InvalidInputError
-from wavekit.optimize import (OptimizationProblem, _get_workspace, _taylor_window,
+from wavekit.optimize import (OptimizationProblem, _checked_workspace, _taylor_window,
                               default_initial_parameters,
                               evaluate_objective, finite_difference_gradient,
                               minimize_gradient_descent, minimize_lbfgs,
@@ -190,10 +190,26 @@ def test_workspace_cache_is_bounded():
 
 
 def test_objective_rejects_harmonic_mismatch():
+    """Both public evaluators refuse a design off the problem's grid: another
+    K, or a duration that snaps to another sample count (T = 2 s against the
+    problem's T = 1 s).  The snapped final design of a start whose duration
+    is not a whole number of samples stays on the grid."""
     problem = _tiny_problem()
-    other = MtsfmParameters(alpha=np.zeros(3), beta=np.zeros(3), duration_s=1.0)
-    with pytest.raises(InvalidInputError):
-        evaluate_objective(other, problem)
+    evaluators = (lambda params: evaluate_objective(params, problem),
+                  lambda params: finite_difference_gradient(params, problem, 1e-4))
+    other_k = MtsfmParameters(alpha=np.zeros(3), beta=np.zeros(3), duration_s=1.0)
+    longer = dataclasses.replace(problem.initial, duration_s=2.0)
+    for evaluate in evaluators:
+        with pytest.raises(InvalidInputError, match="harmonic count"):
+            evaluate(other_k)
+        with pytest.raises(InvalidInputError, match="duration_s"):
+            evaluate(longer)
+    unsnapped = dataclasses.replace(problem, budget=5, initial=dataclasses.replace(
+        problem.initial, duration_s=1.0001))  # 256.0256 samples at 256 Hz
+    result = minimize_nelder_mead(unsnapped)
+    assert result.final.duration_s == 1.0
+    assert evaluate_objective(result.final, unsnapped) == result.trace[-1][1]
+    assert finite_difference_gradient(result.final, unsnapped, 1e-4).shape == (4,)
 
 
 def test_objective_db_scaling():
@@ -270,8 +286,9 @@ def test_gradient_step_refinement_consistency():
 
 
 def _analytic_gradient(params, problem):
-    return _get_workspace(problem).objective_and_gradient(
-        params_to_vector(params), problem)
+    value, _, grad = _checked_workspace(params, problem).evaluate(
+        params_to_vector(params), problem, gradient=True)
+    return value, grad
 
 
 # Finite differences at step 1e-5 carry O(h^2) truncation error, which the
@@ -338,9 +355,9 @@ def test_spectrum_and_objective_share_one_transform_length(n):
         initial=initial, region=wk.default_region(band, 1.0), objective="isl",
         bandwidth_target_hz=start_bw, bandwidth_tolerance=0.1, penalty_weight=1.0,
         budget=100, seed=0, sample_rate_hz=fs)
-    workspace = _get_workspace(problem)
+    workspace = _checked_workspace(initial, problem)
     assert workspace.nfft == _fft_length(2 * n)
-    _, bw, _ = workspace._forward(params_to_vector(initial), problem)
+    _, bw, _ = workspace.evaluate(params_to_vector(initial), problem)
     assert bw == pytest.approx(start_bw, rel=1e-12)
 
 
@@ -488,6 +505,27 @@ def test_gradient_descent_stops_stationary_at_symmetric_origin():
     result = minimize_gradient_descent(dataclasses.replace(_tiny_problem(), initial=zero))
     assert result.stop_reason == "stationary"
     assert result.evaluations_used == 1
+
+
+@pytest.mark.parametrize("minimize", [minimize_nelder_mead, minimize_gradient_descent,
+                                      minimize_lbfgs])
+def test_search_evaluates_once_per_counted_evaluation(monkeypatch, minimize):
+    """The search reads feasibility from its record, so the objective runs
+    exactly evaluations_used times, whether the budget ends the run or not."""
+    calls = []
+    evaluate = optimize._Workspace.evaluate
+    monkeypatch.setattr(optimize._Workspace, "evaluate",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    for budget in (6, 4000):
+        calls.clear()
+        result = minimize(_tiny_problem(budget=budget))
+        assert len(calls) == result.evaluations_used
+    assert result.stop_reason != "budget"
+
+
+def test_gradient_descent_rejects_budget_1():
+    with pytest.raises(InvalidInputError, match="budget >= 2"):
+        minimize_gradient_descent(_tiny_problem(budget=1))
 
 
 def test_nelder_mead_rejects_budget_below_simplex():

@@ -156,6 +156,8 @@ def test_echo_and_scene_validation():
         Echo(0.0, 0.0, 0.0, time_scale=0.0)
     with pytest.raises(InvalidInputError):
         EchoScene(echoes=())
+    with pytest.raises(InvalidInputError, match="Echo instances"):
+        EchoScene(echoes=(Echo(0.0, 0.0, 0.0), (0.1, 0.0, -3.0)))
     with pytest.raises(InvalidInputError):
         EchoScene(echoes=(Echo(0.0, 0.0, -3.0),))  # strongest below 0 dB
     with pytest.raises(InvalidInputError):

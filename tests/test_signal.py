@@ -213,6 +213,20 @@ def test_to_db_floor():
     assert np.all(np.isfinite(wk.to_db(np.zeros(5))))
 
 
+def test_spectrum_rejects_a_negative_magnitude():
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        wk.Spectrum(freqs_hz=np.array([0.0, 1.0]), magnitude=np.array([1.0, -1e-300]))
+
+
+@pytest.mark.parametrize("measure", [
+    wk.rms_bandwidth, wk.p99_bandwidth, lambda spec: wk.inband_energy_fraction(spec, 1.0),
+], ids=["rms_bandwidth", "p99_bandwidth", "inband_energy_fraction"])
+def test_bandwidth_measures_refuse_an_all_zero_spectrum(measure):
+    spec = wk.Spectrum(freqs_hz=np.arange(4.0) - 2.0, magnitude=np.zeros(4))
+    with pytest.raises(InvalidInputError, match="zero energy"):
+        measure(spec)
+
+
 def test_spectrum_parseval():
     """sum(|S|^2 df) equals the time-domain energy for any zero padding."""
     sig = wk.synth_lfm(64.0, 1.0, 512.0)
@@ -262,6 +276,13 @@ def test_spectrogram_tracks_lfm_sweep():
     expected = bandwidth * (gram.times_s / duration - 0.5)
     # Frequency resolution of a 64-sample window is fs/64 = 8 Hz.
     assert np.max(np.abs(ridge - expected)) <= 8.0
+
+
+def test_spectrogram_of_a_zero_signal_reads_the_floor():
+    silent = wk.SampledSignal(samples=np.zeros(16, dtype=complex), sample_rate_hz=16.0)
+    gram = wk.spectrogram(silent, 8, 0.5)
+    assert gram.magnitude_db.shape == (3, 8)
+    assert np.all(gram.magnitude_db == DB_FLOOR)
 
 
 def test_spectrogram_validation():

@@ -72,6 +72,17 @@ def test_hfm_sweeps_f1_to_f2_about_recorded_center():
     assert np.all(np.diff(freq) > 0)  # up-sweep is monotone
 
 
+@pytest.mark.parametrize("synth", [
+    lambda: wk.synth_cw(1.4, 1.0),
+    lambda: wk.synth_lfm(0.1, 1.4, 1.0),
+    lambda: wk.synth_mtsfm(wk.MtsfmParameters(alpha=[0.0], beta=[0.0], duration_s=1.0), 1.49),
+], ids=["cw", "lfm", "mtsfm"])
+def test_synth_refuses_fewer_than_two_samples(synth):
+    """fs*T below 1.5 rounds to a single sample."""
+    with pytest.raises(InvalidInputError, match="at least 2 samples"):
+        synth()
+
+
 def test_hfm_validation():
     with pytest.raises(InvalidInputError):
         wk.synth_hfm(0.0, 50.0, 1.0, 512.0)
@@ -94,6 +105,25 @@ def test_costas_chip_frequencies():
         freq = np.diff(np.unwrap(np.angle(chip))) * fs / (2.0 * np.pi)
         expected = (value - (n_chips + 1) / 2.0) * df
         np.testing.assert_allclose(freq, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("prime, generator", [(5, 2), (17, 3), (101, 2)])
+@pytest.mark.parametrize("duration, fs", [(1.0, 40000.0), (0.5, 100000.0), (2.0, 30000.0),
+                                          (0.37, 123456.0)])
+def test_costas_synthesis_matches_the_per_chip_loop(prime, generator, duration, fs):
+    """The one-gather synthesis is bitwise the per-chip loop it replaced."""
+    code = wk.generate_welch_costas(prime, generator)
+    sig = wk.synth_costas_fsk(code, duration, fs)
+    n, n_chips = sig.num_samples, len(code)
+    chip_len = n // n_chips
+    t = (np.arange(n) + 0.5) / fs
+    t_chip = chip_len / fs
+    phase = np.empty(n)
+    for i, value in enumerate(code.sequence):
+        freq = (value - (n_chips + 1) / 2.0) * (n_chips / sig.duration_s)
+        sl = slice(i * chip_len, (i + 1) * chip_len)
+        phase[sl] = 2.0 * np.pi * freq * (t[sl] - i * t_chip)
+    assert sig.samples.tobytes() == (np.exp(1j * phase) / np.sqrt(n)).tobytes()
 
 
 def test_costas_bandwidth_cross_check():
@@ -245,6 +275,8 @@ def test_waveform_spec_validation():
         wk.WaveformSpec(kind="chirp", bandwidth_hz=1.0, duration_s=1.0)
     with pytest.raises(InvalidInputError):
         wk.WaveformSpec(kind="mtsfm", bandwidth_hz=1.0, duration_s=1.0)
+    with pytest.raises(InvalidInputError, match="requires a CostasCode"):
+        wk.WaveformSpec(kind="costas_fsk", bandwidth_hz=16.0, duration_s=1.0)
     with pytest.raises(InvalidInputError):
         wk.WaveformSpec(kind="hfm", bandwidth_hz=64.0, duration_s=1.0,
                         center_freq_hz=20.0)  # sweep would cross zero
