@@ -24,6 +24,7 @@ from .signal import DB_LIMIT
 from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
 _MISSING = object()
+_ROOT = "config"  # the context of a run config's top level
 
 
 @contextmanager
@@ -36,11 +37,16 @@ def _as_config_error(context: str):
 
 
 class _Tree:
-    """Strict view over one config subtree: every key must be consumed."""
+    """Strict view over one config subtree: every key must be consumed.
+
+    context names the subtree in every message: its path from the document,
+    as in 'problem' or 'scene.echoes[0]', or at the top level the document
+    itself ('config', or 'coefficients file PATH').
+    """
 
     def __init__(self, data, context: str):
         if not isinstance(data, dict):
-            raise ConfigError(f"{context} must be a JSON object")
+            raise ConfigError(f"'{context}' must be a JSON object")
         self._data = dict(data)
         self.context = context
 
@@ -66,7 +72,8 @@ class _Tree:
     def take_subtree(self, key: str, optional: bool = False):
         """The subtree under key; an optional one, absent or null, reads as empty."""
         value = self.take(key, None if optional else _MISSING)
-        return _Tree({} if optional and value is None else value, f"{self.context}.{key}")
+        return _Tree({} if optional and value is None else value,
+                     key if self.context == _ROOT else f"{self.context}.{key}")
 
     def finish(self):
         if self._data:
@@ -238,7 +245,7 @@ def parse_dopplers(tree: _Tree) -> np.ndarray:
 def load_config(path: str, command: str) -> _Tree:
     """Load a run config and check its command discriminator."""
     doc = read_json(path)
-    tree = _Tree(doc, "config")
+    tree = _Tree(doc, _ROOT)
     declared = tree.take("command", default=command)
     if declared != command:
         raise ConfigError(

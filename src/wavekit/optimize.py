@@ -19,10 +19,15 @@ design found so far with converged=False and stop_reason "budget".
 One workspace method evaluates the objective, the RMS bandwidth and, for
 the two gradient methods, the analytic gradient (the chain rule through
 s[n] = exp(j phi[n])/sqrt(N) onto the cos/sin basis), and every public
-evaluator first checks the design against the problem's grid.  The
-objective reads only the region lags and lag 0 of the autocorrelation.
-Its transforms are `signal._fft_length(2N)` points long, as
-`spectrum(s, 2)`'s are, so both read one frequency grid.
+evaluator first checks the design against the problem's grid.  Its
+transforms are `signal._fft_length(2N)` points long, as `spectrum(s, 2)`'s
+are, so both read one frequency grid.  A value costs one complex FFT of
+the samples and one real-input FFT of their power spectrum; a gradient
+adds one real-output and one complex inverse FFT.  Half of each real or
+Hermitian transform is enough: the power spectrum is real, so its
+autocorrelation is conjugate-symmetric in lag, and the region is
+symmetric in |lag|, so the objective reads only lag 0 and the region's
+non-negative lags, and its lag weights are Hermitian.
 
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
@@ -50,6 +55,8 @@ _GD_SHRINK = 0.5
 _GD_GROW = 1.3
 _GD_ARMIJO_C = 1e-4
 _GD_MAX_BACKTRACKS = 30
+# L-BFGS-B's gradient test: max |gradient| <= this stops it as stationary.
+_LBFGS_GTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,8 +138,9 @@ class _Workspace:
     """Precomputed synthesis/analysis machinery for one problem geometry.
 
     Caches the harmonic basis, FFT size (`_fft_length(2N)`, as in
-    `spectrum(s, 2)`), region lag bins and frequency grid for `evaluate`,
-    the one evaluator of the objective, its bandwidth and its gradient.
+    `spectrum(s, 2)`), the region's non-negative lags with their
+    multiplicity and the frequency grid in FFT order for `evaluate`, the
+    one evaluator of the objective, its bandwidth and its gradient.
     """
 
     def __init__(self, num_harmonics: int, duration_s: float, sample_rate_hz: float,
@@ -143,40 +151,52 @@ class _Workspace:
         self.num_harmonics = num_harmonics
         self.cos_basis, self.sin_basis = _harmonic_basis(t, num_harmonics, self.duration_s)
         self.nfft = _fft_length(2 * n)
-        lags = np.arange(-(n - 1), n)
-        in_region = _region_mask(region, lags / sample_rate_hz)
-        # Where each region lag sits in the circular (unshifted) FFT order.
-        self.region_bins = lags[in_region] % self.nfft
-        self.freqs = np.fft.fftshift(np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz))
+        lags = np.arange(n)
+        # The region is symmetric in |lag|: each lag l > 0 stands for +l and -l.
+        self.region_lags = lags[_region_mask(region, lags / sample_rate_hz)]
+        self.region_count = np.where(self.region_lags == 0, 1.0, 2.0)
+        self.freqs = np.fft.fftfreq(self.nfft, d=1.0 / sample_rate_hz)
+
+    def phase(self, x: np.ndarray) -> np.ndarray:
+        """phi = C alpha + S beta on the sample grid, for x = [alpha, beta]."""
+        k = self.num_harmonics
+        return self.cos_basis @ x[:k] + self.sin_basis @ x[k:]
 
     def evaluate(self, x: np.ndarray, problem: OptimizationProblem, gradient: bool = False):
         """(objective, RMS bandwidth, analytic gradient or None unless asked for) at x.
 
-        One FFT pair gives the value and the bandwidth: the samples' forward
-        transform feeds both, and only the region lags and lag 0 of the
-        autocorrelation are read.  The gradient adds one FFT pair and two
-        N x K products.  The objective is a function of the power spectrum
-        P = |S|^2 of s[n] = exp(j phi[n])/sqrt(N).  Its derivative h = df/dP
-        gathers the region metric, carried back from the lag domain by one
-        FFT, and the bandwidth penalty.  Then df/dphi[n] = 2 Im(conj(s[n])
-        * ifft(S * M h)[n]) with M the FFT length, and the chain rule
-        through phi = C alpha + S beta projects it onto the coefficients.
+        The value costs one complex and one real-input transform, both M =
+        `_fft_length(2N)` points long.  The forward FFT S of the samples
+        gives the power spectrum P = |S|^2, which feeds the bandwidth and,
+        through rfft(P), the autocorrelation.  P is real, so rfft's M//2+1
+        bins hold every lag: rfft(P)[l] = M conj(R[l]), and R[-l] =
+        conj(R[l]).  Only lag 0 and the region's non-negative lags are read,
+        and the region is symmetric in |lag|, so each lag l > 0 counts twice.
+
+        The gradient adds one real-output and one complex inverse transform
+        and two N x K products.  The objective is a function of P, and its
+        derivative h = df/dP gathers the region metric, carried back from
+        the lag domain, and the bandwidth penalty.  The lag weights are
+        Hermitian, since |R[-l]| = |R[l]|, so their transform is real and
+        irfft of the non-negative half gives it.  Then df/dphi[n] =
+        2 Im(conj(s[n]) * ifft(S * M h)[n]), and the chain rule through
+        phi = C alpha + S beta projects it onto the coefficients.
         """
-        k = self.num_harmonics
-        samples = _unit_modulus(self.cos_basis @ x[:k] + self.sin_basis @ x[k:])
+        samples = _unit_modulus(self.phase(x))
         spec = np.fft.fft(samples, self.nfft)
-        power = np.abs(np.fft.fftshift(spec)) ** 2
+        power = spec.real**2 + spec.imag**2
         bw = _rms_width(self.freqs, power)
-        circular = np.fft.ifft(spec * np.conj(spec))
-        region, lag0 = circular[self.region_bins], circular[0]
-        mag = np.abs(region) / np.abs(lag0)
+        lag_sums = np.fft.rfft(power)  # M conj(R[l]) for l = 0..M//2
+        region, lag0 = lag_sums[self.region_lags], lag_sums[0].real
+        radius = np.abs(region)
+        mag = radius / lag0
         if problem.objective == "isl":
-            metric = float(np.sum(mag**2)) / self.sample_rate_hz
+            metric = float(np.sum(self.region_count * mag**2)) / self.sample_rate_hz
             dmetric = 2.0 * mag / self.sample_rate_hz
         else:
             peak = mag.max()
             soft = np.exp(_PSL_SHARPNESS * (mag - peak))
-            total = np.sum(soft)
+            total = np.sum(self.region_count * soft)
             metric = peak + float(np.log(total)) / _PSL_SHARPNESS
             dmetric = soft / total
         target = problem.bandwidth_target_hz
@@ -185,21 +205,22 @@ class _Workspace:
         if not gradient:
             return value, bw, None
         n, m = self.num_samples, self.nfft
-        # 2 df/d conj(R[k]) on the region, R normalized by its lag-0 value,
-        # which unit-modulus synthesis holds fixed.
-        radius = np.abs(region)
-        lag_weight = np.zeros(m, dtype=complex)
-        lag_weight[self.region_bins] = np.divide(
-            dmetric * region, radius * abs(lag0),
+        # The lag weights w[l] = 2 df/d conj(R[l]) on the region, R normalized
+        # by its lag-0 value, which unit-modulus synthesis holds fixed.  half
+        # holds M conj(w) at l >= 0 (rfft(P) is M conj(R)), so its unscaled
+        # real inverse transform is fft(w), the region's part of M h.
+        half = np.zeros(m // 2 + 1, dtype=complex)
+        half[self.region_lags] = np.divide(
+            (m * dmetric) * region, radius * lag0,
             out=np.zeros_like(region), where=radius > 0)
-        spec_weight = np.fft.fft(lag_weight).real
+        spec_weight = np.fft.irfft(half, m, norm="forward")
         if excess > 0.0:
             # d penalty/dB = 2 w excess sign(B - target) / target, and
-            # dB/dP = ((f - centroid)^2 - B^2) / (2 B sum P) on the shifted grid.
+            # dB/dP = ((f - centroid)^2 - B^2) / (2 B sum P).
             total = power.sum()
             centroid = (self.freqs * power).sum() / total
             scale = problem.penalty_weight * excess * np.sign(bw - target) / (target * bw * total)
-            spec_weight += np.fft.ifftshift(m * scale * ((self.freqs - centroid) ** 2 - bw * bw))
+            spec_weight += m * scale * ((self.freqs - centroid) ** 2 - bw * bw)
         dphase = 2.0 * np.imag(np.conj(samples) * np.fft.ifft(spec * spec_weight)[:n])
         return value, bw, np.concatenate([self.cos_basis.T @ dphase, self.sin_basis.T @ dphase])
 
@@ -208,15 +229,22 @@ class _Workspace:
 _workspace = lru_cache(maxsize=8)(_Workspace)
 
 
-def _checked_workspace(params: MtsfmParameters, problem: OptimizationProblem) -> _Workspace:
-    """The problem's cached workspace, once params fits its grid: the same
-    harmonic count, and a duration that snaps to the same sample count."""
+def _checked_workspace(params: MtsfmParameters, problem: OptimizationProblem,
+                       name: str = "params") -> _Workspace:
+    """The problem's cached workspace, once the design called name fits its
+    grid: the same harmonic count, a duration that snaps to the same sample
+    count, and a phase that stays finite on it (finite coefficients can
+    still overflow it)."""
     ws = _workspace(problem.initial.num_harmonics, float(problem.initial.duration_s),
                     float(problem.sample_rate_hz), problem.region)
     if params.num_harmonics != ws.num_harmonics:
-        raise InvalidInputError("params harmonic count differs from the problem's")
+        raise InvalidInputError(f"{name} harmonic count differs from the problem's")
     if int(round(problem.sample_rate_hz * params.duration_s)) != ws.num_samples:
-        raise InvalidInputError("params duration_s gives another sample count than the problem's")
+        raise InvalidInputError(f"{name} duration_s gives another sample count than the problem's")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(ws.phase(params_to_vector(params))).all()
+    if not finite:
+        raise InvalidInputError(f"{name} phase overflows on the problem's sample grid")
     return ws
 
 
@@ -238,7 +266,8 @@ def evaluate_objective(params: MtsfmParameters, problem: OptimizationProblem) ->
     objective = region metric (linear-scale ISL, or log-sum-exp softened
     PSL with sharpness 50) + penalty_weight * max(0, |B_rms - B_target|
     / B_target - tolerance)^2.  Deterministic: identical inputs give
-    bitwise-identical outputs.
+    bitwise-identical outputs.  A design whose phase overflows on the
+    problem's grid is refused, so the value is never NaN.
     """
     return _checked_workspace(params, problem).evaluate(params_to_vector(params), problem)[0]
 
@@ -252,14 +281,16 @@ class _Search:
 
     value and value_and_gradient go through `_evaluate`, which spends one
     evaluation (checked against the budget before anything is computed)
-    and records the best value, design, bandwidth and trace.  run(loop)
-    calls the minimizer's loop for (converged, stop_reason); an exhausted
-    budget ends it with (False, "budget").
+    and records the best value, design, bandwidth and trace.  Every
+    minimizer evaluates the start first, so the record holds a finite
+    design from the first evaluation on, or the start is refused.
+    run(loop) calls the minimizer's loop for (converged, stop_reason); an
+    exhausted budget ends it with (False, "budget").
     """
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        self.ws = _checked_workspace(problem.initial, problem)
+        self.ws = _checked_workspace(problem.initial, problem, "initial")
         self.x0 = params_to_vector(problem.initial)
         self.count = 0
         self.best_f = np.inf
@@ -281,6 +312,9 @@ class _Search:
             self.best_f, self.best_bw = f, bw
             self.best_x = np.array(x, dtype=float, copy=True)
             self.trace.append((self.count, float(f)))
+        elif self.best_x is None:  # the start, whose phase is finite
+            raise InvalidInputError("initial objective overflows: its penalty or region "
+                                    "metric is not finite")
         return f, grad
 
     def run(self, loop) -> OptimizationResult:
@@ -288,15 +322,11 @@ class _Search:
             converged, stop_reason = loop()
         except _BudgetExhausted:
             converged, stop_reason = False, "budget"
-        problem, ws = self.problem, self.ws
-        if self.best_x is None:
-            self.best_x = self.x0
-            self.best_f, self.best_bw, _ = ws.evaluate(self.x0, problem)
-            self.trace.append((0, float(self.best_f)))
+        problem = self.problem
         feasible = (abs(self.best_bw - problem.bandwidth_target_hz) / problem.bandwidth_target_hz
                     <= problem.bandwidth_tolerance + 1e-6)
         return OptimizationResult(
-            final=vector_to_params(self.best_x, ws.duration_s),
+            final=vector_to_params(self.best_x, self.ws.duration_s),
             initial_objective_db=objective_db(self.trace[0][1], problem.objective),
             final_objective_db=objective_db(self.best_f, problem.objective),
             trace=tuple(self.trace),
@@ -472,9 +502,14 @@ def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResul
 
 
 def _lbfgs_stop_reason(res) -> str:
-    """Map L-BFGS-B's termination status and message onto a stop reason."""
+    """Map L-BFGS-B's termination status and final gradient onto a stop reason.
+
+    Status 0 is convergence by either of L-BFGS-B's tests; the gradient
+    test is the one the final gradient passes.  The message text is not
+    read: its spelling differs between scipy releases.
+    """
     if res.status == 0:
-        return "stationary" if "PROJECTED GRADIENT" in res.message else "tolerance"
+        return "stationary" if np.max(np.abs(res.jac)) <= _LBFGS_GTOL else "tolerance"
     if res.status == 1:
         return "budget"  # scipy's own iteration/evaluation limits
     return "line_search"  # ABNORMAL/WARNING: the line search made no progress
@@ -487,7 +522,7 @@ def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     the ill-conditioned TBP-256 design problems.  Each function-and-
     gradient call scipy makes is one evaluation of the budget.  Same
     determinism and result contract as the other minimizers; the stop
-    reason comes from L-BFGS-B's termination message.
+    reason comes from L-BFGS-B's termination status and final gradient.
     """
     from scipy.optimize import minimize
 
@@ -496,7 +531,7 @@ def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     def quasi_newton():
         res = minimize(
             search.value_and_gradient, search.x0, jac=True, method="L-BFGS-B",
-            options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": 1e-12},
+            options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": _LBFGS_GTOL},
         )
         return bool(res.success), _lbfgs_stop_reason(res)
 

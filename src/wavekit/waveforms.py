@@ -57,8 +57,18 @@ def _harmonic_basis(t: np.ndarray, num_harmonics: int, duration_s: float):
 
 
 def _unit_modulus(phase: np.ndarray) -> np.ndarray:
-    """Unit-energy constant-amplitude samples exp(j*phase)/sqrt(N)."""
-    return np.exp(1j * phase) / np.sqrt(phase.size)
+    """Unit-energy constant-amplitude samples exp(j*phase)/sqrt(N).
+
+    cos and sin are written straight into the real and imaginary parts,
+    which is bitwise np.exp(1j * phase) and skips the complex exponential.
+    The + 0.0 turns a phase of -0.0 into +0.0, as 1j * phase does; it
+    moves no other value.
+    """
+    samples = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=samples.real)
+    np.sin(phase + 0.0, out=samples.imag)
+    samples /= np.sqrt(phase.size)
+    return samples
 
 
 def _unit_fm(phase: np.ndarray, sample_rate_hz: float,

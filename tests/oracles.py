@@ -177,3 +177,56 @@ def percent_csv(header, columns) -> bytes:
 
     lines = [",".join(header)] + [",".join(map(cell, row)) for row in zip(*columns)]
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def full_length_mtsfm_objective(x, num_samples, sample_rate_hz, nfft, region_s,
+                                objective, target_hz, tolerance, weight, sharpness=50.0):
+    """(objective, RMS bandwidth, gradient) of an MTSFM design x = [alpha, beta].
+
+    The penalized region objective and its analytic coefficient gradient
+    on full-length complex transforms only: the autocorrelation is
+    ifft(S conj(S)) at every lag of both signs, the bandwidth reads the
+    fftshift-ed power spectrum, and the region's lag weights go back to
+    the spectrum through a complex fft.  region_s = (inner, outer) bounds
+    the region's |lag| in seconds; T = N / fs.
+    """
+    x = np.asarray(x, dtype=float)
+    k = x.size // 2
+    n, fs, m = num_samples, sample_rate_hz, nfft
+    t = (np.arange(n) + 0.5) / fs
+    arg = 2.0 * np.pi * np.outer(t, np.arange(1, k + 1)) / (n / fs)
+    cos_basis, sin_basis = np.cos(arg), np.sin(arg)
+    samples = np.exp(1j * (cos_basis @ x[:k] + sin_basis @ x[k:])) / np.sqrt(n)
+    spec = np.fft.fft(samples, m)
+    freqs = np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / fs))
+    power = np.abs(np.fft.fftshift(spec)) ** 2
+    bw = spectral_moment_rms(freqs, power)
+    circular = np.fft.ifft(spec * np.conj(spec))
+    lags = np.arange(-(n - 1), n)
+    inner, outer = region_s
+    bins = lags[(np.abs(lags / fs) >= inner) & (np.abs(lags / fs) <= outer)] % m
+    region, lag0 = circular[bins], circular[0]
+    mag = np.abs(region) / np.abs(lag0)
+    if objective == "isl":
+        metric = float(np.sum(mag**2)) / fs
+        dmetric = 2.0 * mag / fs
+    else:
+        peak = mag.max()
+        soft = np.exp(sharpness * (mag - peak))
+        total = np.sum(soft)
+        metric = peak + float(np.log(total)) / sharpness
+        dmetric = soft / total
+    excess = max(0.0, abs(bw - target_hz) / target_hz - tolerance)
+    value = metric + weight * excess * excess
+    radius = np.abs(region)
+    lag_weight = np.zeros(m, dtype=complex)
+    lag_weight[bins] = np.divide(dmetric * region, radius * abs(lag0),
+                                 out=np.zeros_like(region), where=radius > 0)
+    spec_weight = np.fft.fft(lag_weight).real
+    if excess > 0.0:
+        total = power.sum()
+        centroid = (freqs * power).sum() / total
+        scale = weight * excess * np.sign(bw - target_hz) / (target_hz * bw * total)
+        spec_weight += np.fft.ifftshift(m * scale * ((freqs - centroid) ** 2 - bw * bw))
+    dphase = 2.0 * np.imag(np.conj(samples) * np.fft.ifft(spec * spec_weight)[:n])
+    return value, bw, np.concatenate([cos_basis.T @ dphase, sin_basis.T @ dphase])

@@ -599,7 +599,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
     ({"command": "optimize", "problem": {
         k: v for k, v in OPT_CONFIG["problem"].items() if k != "bandwidth_hz"}},
      None, "bandwidth_hz"),
-    ({"command": "optimize", "problem": 5}, None, None),
+    ({"command": "optimize", "problem": 5}, None, "problem"),
+    (_late("analyze", spectrogram=[0.5]), None, "spectrogram"),
     ({"command": "synth", "waveform": {"kind": 3, "duration_s": 1.0}}, None, "kind"),
     ({"command": "synth", "waveform": {"kind": "mtsfm", "alpha": [0.1], "beta": [0.2]}},
      None, "duration_s"),
@@ -625,7 +626,7 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "nlfm_sidelobe_db_power_overflow",
         "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate",
         "duration_disagrees_with_coefficients", "missing_required_key",
-        "subtree_not_an_object", "kind_not_a_string", "inline_mtsfm_without_duration",
+        "subtree_not_an_object", "optional_subtree_not_an_object", "kind_not_a_string", "inline_mtsfm_without_duration",
         "echoes_not_a_list", "compare_single_waveform", "unknown_initial"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
@@ -644,6 +645,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coeffic
     assert key is None or f"'{key}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"command": "optimize", "problem": {
+        k: v for k, v in OPT_CONFIG["problem"].items() if k != "bandwidth_hz"}},
+     "error: problem: missing required key 'bandwidth_hz'"),
+    ({"command": "optimize", "problem": 5}, "error: 'problem' must be a JSON object"),
+    ({**_dopplers([0.0]), "scene": {"echoes": [3]}}, "error: 'scene.echoes[0]' must be a JSON object"),
+    (_late("analyze", ambiguity={"num_delays": 1}), "error: ambiguity: 'num_delays'"),
+    (_problem(initial={"alpha": [0.1] * 4}), "error: problem.initial: missing required key 'beta'"),
+], ids=["problem_key", "problem_not_an_object", "echo_not_an_object", "ambiguity_key",
+        "initial_key"])
+def test_config_messages_name_a_subtree_by_its_path(tmp_path, capsys, config, message):
+    """A subtree's messages name it by its path from the document, as the
+    readers of 'waveform', 'scene' and 'problem.initial' do, never 'config.problem';
+    a subtree that is not an object is named by its quoted path."""
+    assert main([config["command"], "--config", _config(tmp_path, config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "config." not in err
 
 
 @pytest.mark.parametrize("config, flags, key", [

@@ -26,7 +26,7 @@ from wavekit.optimize import (OptimizationProblem, _checked_workspace, _taylor_w
 from wavekit.signal import _fft_length
 from wavekit.waveforms import MtsfmParameters, swept_bandwidth, synth_mtsfm
 
-from oracles import dirichlet_magnitude, spectral_moment_rms
+from oracles import dirichlet_magnitude, full_length_mtsfm_objective, spectral_moment_rms
 
 
 def _manual_objective(params, problem):
@@ -212,6 +212,38 @@ def test_objective_rejects_harmonic_mismatch():
     assert finite_difference_gradient(result.final, unsnapped, 1e-4).shape == (4,)
 
 
+# Finite coefficients whose phase, 1e308 * sum of cos and sin terms, overflows.
+_OVERFLOWING = MtsfmParameters(alpha=np.full(4, 1e308), beta=np.full(4, 1e308), duration_s=1.0)
+
+
+def test_a_design_whose_phase_overflows_is_refused():
+    problem = dataclasses.replace(_tiny_problem(budget=600), initial=MtsfmParameters(
+        alpha=np.zeros(4), beta=np.r_[8.0, 0.0, 0.0, 0.0], duration_s=1.0))
+    for evaluate in (evaluate_objective,
+                     lambda params, problem: finite_difference_gradient(params, problem, 1e-4)):
+        with pytest.raises(InvalidInputError, match="params phase overflows"):
+            evaluate(_OVERFLOWING, problem)
+    for minimize in (minimize_nelder_mead, minimize_gradient_descent, minimize_lbfgs):
+        with pytest.raises(InvalidInputError, match="initial phase overflows"):
+            minimize(dataclasses.replace(problem, initial=_OVERFLOWING))
+
+
+# The gradient of an infinite penalty is computed before the refusal, and
+# numpy warns about its inf * 0 products.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("minimize", [minimize_nelder_mead, minimize_gradient_descent,
+                                      minimize_lbfgs])
+def test_a_start_whose_objective_overflows_is_refused(minimize):
+    """A finite phase with a penalty weight near the float limit: 1e308 times
+    an excess of about 99 overflows at the first evaluation, the start's."""
+    problem = _tiny_problem()
+    problem = dataclasses.replace(problem, penalty_weight=1e308,
+                                  bandwidth_target_hz=problem.bandwidth_target_hz / 100.0)
+    assert evaluate_objective(problem.initial, problem) == np.inf
+    with pytest.raises(InvalidInputError, match="initial objective overflows"):
+        minimize(problem)
+
+
 def test_objective_db_scaling():
     assert objective_db(0.01, "isl") == pytest.approx(-20.0)
     assert objective_db(0.01, "psl") == pytest.approx(-40.0)
@@ -361,6 +393,74 @@ def test_spectrum_and_objective_share_one_transform_length(n):
     assert bw == pytest.approx(start_bw, rel=1e-12)
 
 
+# Relative bounds against the full-length complex evaluator.  The value and
+# the bandwidth differ in summation order only.  The gradient bound is
+# wider: a region holding lag 0 adds a large constant to the spectral
+# weight, which cancels in Im(conj(s) ...), and both evaluators keep the
+# round-off of that cancellation (up to 6e-14 relative at these N).
+_ORACLE_VALUE_RTOL = 1e-14
+_ORACLE_GRADIENT_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [512, 1000, 1012, 1013, 2048])  # 1012: odd M = 2025
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+@pytest.mark.parametrize("target_scale", [1.0, 1.5])
+@pytest.mark.parametrize("inner_s", [None, 0.0], ids=["default_region", "lag0_in_region"])
+def test_evaluator_matches_full_length_complex_oracle(n, objective, target_scale, inner_s):
+    """K = 16 tapered-NLFM start at N = n (fs = n Hz, T = 1 s, B = fs/8), penalty
+    off (scale 1) and on (scale 1.5), on the default region and on one that
+    holds lag 0, which the half-length evaluator counts once."""
+    fs, band = float(n), n / 8.0
+    initial = nlfm_initial_parameters(band, 1.0, 16, fs)
+    bw = wk.rms_bandwidth(wk.spectrum(synth_mtsfm(initial, fs), 2))
+    region = wk.default_region(band, 1.0)
+    if inner_s is not None:
+        region = wk.RegionSpec(inner_s, region.outer_delay_s)
+    problem = OptimizationProblem(
+        initial=initial, region=region, objective=objective,
+        bandwidth_target_hz=target_scale * bw, bandwidth_tolerance=0.1,
+        penalty_weight=1.0, budget=100, seed=0, sample_rate_hz=fs)
+    x = params_to_vector(initial)
+    value, rms, grad = _checked_workspace(initial, problem).evaluate(x, problem, gradient=True)
+    ref_value, ref_rms, ref_grad = full_length_mtsfm_objective(
+        x, n, fs, _fft_length(2 * n), (region.inner_delay_s, region.outer_delay_s),
+        objective, problem.bandwidth_target_hz, 0.1, 1.0)
+    assert _fft_length(2 * n) % 2 == (n == 1012)
+    penalty = abs(ref_rms - problem.bandwidth_target_hz) / problem.bandwidth_target_hz > 0.1
+    assert penalty == (target_scale > 1.0)
+    assert value == pytest.approx(ref_value, rel=_ORACLE_VALUE_RTOL, abs=0.0)
+    assert rms == pytest.approx(ref_rms, rel=_ORACLE_VALUE_RTOL, abs=0.0)
+    assert np.linalg.norm(grad - ref_grad) <= _ORACLE_GRADIENT_RTOL * np.linalg.norm(ref_grad)
+
+
+_FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+@pytest.mark.parametrize("target_scale", [1.0, 1.5])
+def test_evaluation_runs_at_its_transform_floor(monkeypatch, objective, target_scale):
+    """One evaluation calls one complex forward and one real-input transform;
+    the gradient adds one real-output and one complex inverse transform."""
+    problem = _tiny_problem(objective=objective)
+    problem = dataclasses.replace(
+        problem, bandwidth_target_hz=target_scale * problem.bandwidth_target_hz)
+    workspace = _checked_workspace(problem.initial, problem)
+    x = params_to_vector(problem.initial)
+    calls = []
+
+    def counted(name, transform):
+        return lambda *args, **kwargs: calls.append(name) or transform(*args, **kwargs)
+
+    for name in _FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    workspace.evaluate(x, problem)
+    assert sorted(calls) == ["fft", "rfft"]
+    calls.clear()
+    workspace.evaluate(x, problem, gradient=True)
+    assert sorted(calls) == ["fft", "ifft", "irfft", "rfft"]
+
+
 def test_gradient_vanishes_at_symmetric_origin():
     """f(x) = f(-x), so all-zero coefficients are a stationary point."""
     problem = _tiny_problem()
@@ -488,15 +588,21 @@ def test_tbp256_fixture_stops_on_tolerance(tbp256):
     assert result.evaluations_used < tbp256["problem"].budget
 
 
-@pytest.mark.parametrize("status, message, reason", [
-    (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", "stationary"),
-    (0, "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", "tolerance"),
-    (1, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT", "budget"),
-    (2, "ABNORMAL_TERMINATION_IN_LNSRCH", "line_search"),
-])
-def test_lbfgs_stop_reason(status, message, reason):
-    """L-BFGS-B's status and message, on stand-in results, map to each stop reason."""
-    res = types.SimpleNamespace(status=status, message=message)
+_GTOL = optimize._LBFGS_GTOL
+
+
+@pytest.mark.parametrize("status, message, jac, reason", [
+    (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", [0.5 * _GTOL, -_GTOL], "stationary"),
+    (0, "CONVERGENCE: NORM_OF_PROJECTED_GRADIENT_<=_PGTOL", [0.5 * _GTOL, -_GTOL], "stationary"),
+    (0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", [1e-6, 0.0], "tolerance"),
+    (0, "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", [0.0, -2.0 * _GTOL], "tolerance"),
+    (1, "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT", [0.0, 0.0], "budget"),
+    (2, "ABNORMAL_TERMINATION_IN_LNSRCH", [1e-3, 0.0], "line_search"),
+], ids=["pgtol", "pgtol_underscored", "factr", "factr_underscored", "limit", "abnormal"])
+def test_lbfgs_stop_reason(status, message, jac, reason):
+    """L-BFGS-B's status and final gradient, on stand-in results, map to each
+    stop reason, whichever spelling of the message a scipy release uses."""
+    res = types.SimpleNamespace(status=status, message=message, jac=np.array(jac))
     assert optimize._lbfgs_stop_reason(res) == reason
 
 

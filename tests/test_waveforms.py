@@ -349,3 +349,15 @@ def test_autocorrelation_magnitude_is_symmetric_in_lag(sig):
     """R(-tau) = conj R(tau) for any signal, so |R| is symmetric in lag."""
     mag = wk.autocorrelation(sig).magnitude_linear()
     np.testing.assert_allclose(mag, mag[::-1], atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phase=st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=64)
+       | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_unit_modulus_is_bitwise_the_complex_exponential(phase):
+    """cos/sin synthesis gives the bytes of exp(1j*phase)/sqrt(N), signed zeros
+    and subnormal phases included."""
+    from wavekit.waveforms import _unit_modulus
+    phase = np.array(phase)
+    expected = np.exp(1j * phase) / np.sqrt(phase.size)
+    assert _unit_modulus(phase).tobytes() == expected.tobytes()
