@@ -11,11 +11,12 @@ writes nothing.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
 
-from .costas import _MAX_WELCH_PRIME, CostasCode, generate_welch_costas
+from .costas import CostasCode, generate_welch_costas
 from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
@@ -25,6 +26,12 @@ from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
 _MISSING = object()
 _ROOT = "config"  # the context of a run config's top level
+# The most samples a config may ask of one waveform: 2^26 complex128, 1 GiB.
+_MAX_SAMPLES = 1 << 26
+# The largest Welch prime a config may name.  Its N = p - 1 chips need
+# fs*T >= 4N^2 samples (see costas._MAX_WELCH_PRIME), at most _MAX_SAMPLES,
+# so a larger one is refused before its code is built and checked in O(N^2).
+_MAX_CONFIG_PRIME = math.isqrt(_MAX_SAMPLES // 4) + 1
 
 
 @contextmanager
@@ -131,7 +138,7 @@ def _parse_costas_code(tree: _Tree) -> CostasCode:
         if not isinstance(explicit, list) or any(type(v) is not int for v in explicit):
             raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
         return CostasCode(sequence=tuple(explicit))
-    prime = tree.take_number("prime", integer=True, minimum=2, maximum=_MAX_WELCH_PRIME)
+    prime = tree.take_number("prime", integer=True, minimum=2, maximum=_MAX_CONFIG_PRIME)
     generator = tree.take_number("generator", integer=True, minimum=1)
     return generate_welch_costas(prime, generator)
 

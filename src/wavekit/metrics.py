@@ -172,52 +172,46 @@ def _lag_gathers(lags: np.ndarray, nfft: int) -> list:
     return [(dst, src) for dst, src in pieces if src.stop > src.start]
 
 
-def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
-                  dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
+def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
+                  lags: np.ndarray) -> np.ndarray:
+    """|_linear_xcorr(a, r_i)| at the given lags for num_rows replicas r_i of
+    replica_size samples, one row per replica.
 
-    t is the midpoint grid (k + 1/2)/fs of b, the grid of every
-    SampledSignal.  Lags lie in -(len(b)-1)..len(a)-1.  Circular lag k
-    also holds the linear lags k +/- nfft, which fall outside that range,
-    and so hold nothing, for every requested k once
-    nfft >= len(a) - min(lags) and nfft >= max(lags) + len(b).  The
-    transform takes `signal._fft_length` of that bound, so a narrow lag
-    window gets a short transform and the full lag range gets
-    `_linear_xcorr`'s length.  (An input longer than nfft is cut by the
-    FFT only past the samples those lags reach.)
+    fill(block, out) writes the replicas r_i, i in the slice block, into the
+    rows of out, each cut to out's width.  Lags lie in
+    -(replica_size-1)..len(a)-1.  Circular lag k also holds the linear lags
+    k +/- nfft, which fall outside that range, and so hold nothing, for every
+    requested k once nfft >= len(a) - min(lags) and
+    nfft >= max(lags) + replica_size.  The transform takes
+    `signal._fft_length` of that bound, so a narrow lag window gets a short
+    transform and the full lag range gets `_linear_xcorr`'s length.  (A
+    replica longer than nfft is cut by the FFT only past the samples those
+    lags reach.)
 
     a is transformed once.  Rows go in blocks of `_block_rows` rows, a
     count that grows with the output: 6 rows for the 201-row bank of a
     long pulse (N = 8192, 16875 points), 2 for a 257 x 257 T/2 surface at
     N = 8192 (12288 points).  The call allocates one zero-padded replica
     buffer and one spectrum buffer, a block each, and reuses them: a
-    block writes b times its `_phase_ramps` into the first columns of the
-    replica buffer, transforms it into the spectrum buffer, inverts that
-    in place and reads the kept lags straight into the output (at most
-    two slices when they are one run, see `_lag_gathers`).  The two
-    buffers take 1 MB or an eighth of the output, whichever is larger,
-    and a block's ramps at most half that again.  The 257 x 257 surface
-    at N = 8192 peaks under tracemalloc near 2.1 MB when an earlier call
-    has run in the process, and near 3.2 MB on the first call in a fresh
-    one, which also loads numpy.fft; 0.5 MB of either is the surface.
-    Each row is bitwise the one-row result at its nu.
+    block fills the first columns of the replica buffer, transforms it
+    into the spectrum buffer, inverts that in place and reads the kept
+    lags straight into the output (at most two slices when they are one
+    run, see `_lag_gathers`).  The two buffers take 1 MB or an eighth of
+    the output, whichever is larger.  Each row is bitwise the one-row
+    result of its replica.
     """
-    nfft = _fft_length(max(a.size - lags.min(), lags.max() + b.size))
+    nfft = _fft_length(max(a.size - lags.min(), lags.max() + replica_size))
     fa = np.fft.fft(a, nfft)
     gathers = _lag_gathers(lags, nfft)
-    rows = np.empty((dopplers.size, lags.size))
-    step = _block_rows(dopplers.size, lags.size, nfft)
-    width = min(b.size, nfft)
+    rows = np.empty((num_rows, lags.size))
+    step = _block_rows(num_rows, lags.size, nfft)
+    width = min(replica_size, nfft)
     padded = np.zeros((step, nfft), dtype=complex)  # columns past width stay zero
     spectra = np.empty((step, nfft), dtype=complex)
-    for start in range(0, dopplers.size, step):
-        block = slice(start, start + step)
-        ramps = _phase_ramps(dopplers[block], b.size, fs)
-        count = ramps.shape[0]
-        # Operands in _linear_xcorr's order: an FMA complex product is not
-        # bitwise commutative.
-        np.multiply(b[:width], ramps[:, :width], out=padded[:count, :width])
-        del ramps
+    for start in range(0, num_rows, step):
+        block = slice(start, min(start + step, num_rows))
+        count = block.stop - start
+        fill(block, padded[:count, :width])
         spec = spectra[:count]
         np.fft.fft(padded[:count], axis=1, out=spec)
         np.conjugate(spec, out=spec)
@@ -226,6 +220,28 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
         for dst, src in gathers:
             np.abs(spec[:, src], out=rows[block, dst])
     return rows
+
+
+def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
+                  dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
+
+    t is the midpoint grid (k + 1/2)/fs of b, the grid of every
+    SampledSignal.  The rows are `_replica_rows` whose block replicas are
+    b times the block's `_phase_ramps`; a block's ramps take at most half
+    the two buffers again.  The 257 x 257 surface at N = 8192 peaks under
+    tracemalloc near 2.1 MB when an earlier call has run in the process,
+    and near 3.2 MB on the first call in a fresh one, which also loads
+    numpy.fft; 0.5 MB of either is the surface.  Each row is bitwise the
+    one-row result at its nu.
+    """
+    def ramped(block, out):
+        ramps = _phase_ramps(dopplers[block], b.size, fs)
+        # Operands in _linear_xcorr's order: an FMA complex product is not
+        # bitwise commutative.
+        np.multiply(b[:out.shape[1]], ramps[:, :out.shape[1]], out=out)
+
+    return _replica_rows(a, b.size, dopplers.size, ramped, lags)
 
 
 def _doppler_grid(dopplers_hz, sample_rate_hz: float) -> np.ndarray:
@@ -358,40 +374,117 @@ def _rms_width(freqs: np.ndarray, power: np.ndarray) -> float:
     return float(np.sqrt(((freqs - centroid) ** 2 * power).sum() / total))
 
 
-def _parabolic_refine(mags: np.ndarray, idx: int) -> float:
-    """Sub-sample peak offset in [-0.5, 0.5] via 3-point parabola."""
-    if idx <= 0 or idx >= mags.size - 1:
-        return 0.0
-    y0, y1, y2 = mags[idx - 1], mags[idx], mags[idx + 1]
+def _parabolic_refine(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sub-sample offset in [-0.5, 0.5] of the peak at rows[i, idx[i]], from the
+    3-point parabola through it; 0 at either end of a row or on a line."""
+    j = np.clip(idx, 1, rows.shape[1] - 2)
+    each = np.arange(rows.shape[0])
+    y0, y1, y2 = rows[each, j - 1], rows[each, j], rows[each, j + 1]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+    fit = (j == idx) & (denom != 0.0)
+    return np.where(fit, np.clip(0.5 * (y0 - y2) / np.where(fit, denom, 1.0), -0.5, 0.5), 0.0)
+
+
+# The root of z^2 + 4z + 1 inside the unit circle: tridiag(1, 4, 1) factors as
+# -(1 - z E)(1 - z E^-1)/z, E the unit shift.  |z|^32 < 1e-18.
+_SPLINE_POLE = math.sqrt(3.0) - 2.0
+_SPLINE_TAPS = 32
+
+
+def _pole_filter(x: np.ndarray) -> np.ndarray:
+    """y[i] = sum_{k < _SPLINE_TAPS} z^k x[i-k], z = _SPLINE_POLE: the causal
+    recursion y[i] = x[i] + z y[i-1] from rest, to rounding, in log2(taps)
+    vectorized passes."""
+    y = x.copy()
+    step = 1
+    while step < _SPLINE_TAPS:
+        y[step:] += _SPLINE_POLE ** step * y[:-step]
+        step *= 2
+    return y
+
+
+def _solve_141(r: np.ndarray) -> np.ndarray:
+    """x with x[i-1] + 4 x[i] + x[i+1] = r[i], x zero just outside r's span.
+
+    The infinite system's solution p is -z times the causal then the
+    anticausal `_pole_filter`, on r padded with room for p's decay; the
+    homogeneous solutions z^i and z^(m+1-i) then bring p to zero at the two
+    outside points 0 and m+1.  Each correction fades within _SPLINE_TAPS
+    samples of its end.
+    """
+    m = r.size
+    z = _SPLINE_POLE
+    ext = np.zeros(m + 2 + _SPLINE_TAPS, dtype=r.dtype)
+    ext[1:m + 1] = r
+    p = -z * _pole_filter(_pole_filter(ext)[::-1])[::-1]
+    q = z ** (m + 1)
+    left = (q * p[m + 1] - p[0]) / (1.0 - q * q)
+    right = (q * p[0] - p[m + 1]) / (1.0 - q * q)
+    x = p[1:m + 1]
+    k = min(m, _SPLINE_TAPS)
+    fade = z ** np.arange(1, k + 1)
+    x[:k] += left * fade
+    x[m - k:] += right * fade[::-1]
+    return x
+
+
+def _not_a_knot_spline(y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients c[0..3, i] of the not-a-knot cubic spline
+    through y[0..n-1] at unit spacing: on [i, i+1] it is sum_p c[p, i] w^p,
+    w the offset from i.  scipy's CubicSpline(bc_type="not-a-knot") in
+    exact arithmetic: 2 points give a line, 3 a parabola.
+
+    The second derivatives M solve M[i-1] + 4 M[i] + M[i+1] = 6 D[i] for
+    0 < i < n-1, D[i] = y[i-1] - 2 y[i] + y[i+1], and not-a-knot sets
+    M[0] - 2 M[1] + M[2] = 0 and its mirror.  Substituted, these fix
+    M[1] = D[1] and M[n-2] = D[n-2], and leave a tridiag(1, 4, 1) system
+    for the rest (`_solve_141`).
+    """
+    n = y.size
+    curv = np.zeros_like(y)
+    d2 = y[2:] - 2.0 * y[1:-1] + y[:-2]
+    if n == 3:
+        curv[:] = d2[0]
+    elif n > 3:
+        curv[1], curv[-2] = d2[0], d2[-1]
+        rhs = 6.0 * d2[1:-1]
+        if rhs.size:
+            rhs[0] -= curv[1]
+            rhs[-1] -= curv[-2]
+            curv[2:-2] = _solve_141(rhs)
+        curv[0] = 2.0 * curv[1] - curv[2]
+        curv[-1] = 2.0 * curv[-2] - curv[-3]
+    return np.stack([y[:-1], y[1:] - y[:-1] - (2.0 * curv[:-1] + curv[1:]) / 6.0,
+                     curv[:-1] / 2.0, (curv[1:] - curv[:-1]) / 6.0])
 
 
 def _time_scaler(signal: SampledSignal):
-    """eta -> time-scaled echo sqrt(eta) * s(eta t) * e^{j 2 pi fc (eta-1) t} at baseband.
+    """etas -> time-scaled echoes sqrt(eta) * s(eta t) * e^{j 2 pi fc (eta-1) t}
+    at baseband, one row per eta, into out if given.
 
     This is the complex-baseband form of physically time-compressing the
-    passband waveform by eta, used by the wideband Doppler model.  The
-    two cubic splines through the samples are built once here and shared
-    by every eta.
+    passband waveform by eta, used by the wideband Doppler model.  s(eta t)
+    is the `_not_a_knot_spline` through the samples, built once here and
+    shared by every eta, and zero where eta t leaves [t[0], t[-1]].  A
+    block of etas is evaluated in one vectorized pass, each row bitwise as
+    if alone; the carrier is the `_phase_ramps` of fc (eta - 1).
     """
-    from scipy.interpolate import CubicSpline
+    n, fs = signal.num_samples, signal.sample_rate_hz
+    coefs = _not_a_knot_spline(signal.samples)
+    grid = np.arange(n) + 0.5  # t * fs
 
-    t = signal.time_grid()
-    spline_re = CubicSpline(t, signal.samples.real)
-    spline_im = CubicSpline(t, signal.samples.imag)
+    def replicas(etas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        pos = etas[:, None] * grid - 0.5  # eta t on the sample index scale
+        knot = np.floor(np.clip(pos, 0, n - 2)).astype(np.intp)
+        w = pos - knot
+        c = np.take(coefs, knot, axis=1)
+        values = ((c[3] * w + c[2]) * w + c[1]) * w + c[0]
+        values[(pos < 0) | (pos > n - 1)] = 0.0
+        carrier = _phase_ramps(signal.center_freq_hz * (etas - 1.0), n, fs)
+        carrier *= np.sqrt(etas)[:, None]
+        return np.multiply(values, carrier, out=out)
 
-    def replica(eta: float) -> np.ndarray:
-        ts = eta * t
-        inside = (ts >= t[0]) & (ts <= t[-1])
-        scaled = np.zeros(signal.num_samples, dtype=np.complex128)
-        scaled[inside] = spline_re(ts[inside]) + 1j * spline_im(ts[inside])
-        carrier = np.exp(2j * np.pi * signal.center_freq_hz * (eta - 1.0) * t)
-        return np.sqrt(eta) * scaled * carrier
-
-    return replica
+    return replicas
 
 
 def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
@@ -404,9 +497,12 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     center_freq_hz), which is the physically correct sonar model and the
     one under which hyperbolic FM retains its peak.
 
-    Narrowband rows are `_doppler_rows` of s against s e^{-j2 pi nu t},
-    equal in magnitude to the echo against s at every lag.  Wideband
-    echoes are time-scaled, not shifted, so each is correlated in turn.
+    Both modes read `_replica_rows` with s transformed once.  Narrowband
+    rows are `_doppler_rows` of s against s e^{-j2 pi nu t}, equal in
+    magnitude to the echo against s at every lag.  Wideband rows are
+    `_time_scaled_rows`, the time-scaled echoes against s.  The peak, its
+    parabolic refinement and its level are then read for every point at
+    once (`_curve_points`).
 
     Args:
         signal: unit-energy waveform; zero energy is refused.
@@ -425,24 +521,35 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
     fc = signal.center_freq_hz
     if mode == "wideband" and not (fc > 0 and dopplers.min() > -fc):
         raise InvalidInputError("wideband mode requires center_freq_hz > 0 and dopplers_hz > -fc")
-    s = signal.samples
     energy = _signal_energy(signal)
     if mode == "narrowband":
-        rows = _doppler_rows(s, s, fs, -dopplers,
-                             np.arange(1 - s.size, s.size))
+        s = signal.samples
+        rows = _doppler_rows(s, s, fs, -dopplers, np.arange(1 - s.size, s.size))
     else:
-        replica = _time_scaler(signal)
-        rows = (np.abs(_linear_xcorr(replica(1.0 + nu / fc), s))
-                for nu in dopplers)
-    points = []
-    for nu, y in zip(dopplers, rows):
-        idx = int(np.argmax(y))
-        loss = float(to_db(y[idx] / energy))
-        shift = (idx - (s.size - 1) + _parabolic_refine(y, idx)) / fs
-        points.append(DopplerTolerancePoint(doppler_hz=float(nu),
-                                            peak_loss_db=float(loss),
-                                            peak_shift_s=float(shift)))
-    return points
+        rows = _time_scaled_rows(signal, 1.0 + dopplers / fc)
+    return _curve_points(dopplers, rows, energy, fs)
+
+
+def _time_scaled_rows(signal: SampledSignal, etas: np.ndarray) -> np.ndarray:
+    """|_linear_xcorr(r_eta, s)| for the `_time_scaler` echoes r_eta, one row per
+    eta.  They are `_replica_rows` of s against r_eta, read with the lags
+    mirrored: |xcorr(r, s)[k]| = |xcorr(s, r)[-k]|, and the full lag range
+    1-N..N-1 is its own mirror."""
+    s = signal.samples
+    replicas = _time_scaler(signal)
+    return _replica_rows(s, s.size, etas.size, lambda block, out: replicas(etas[block], out),
+                         np.arange(1 - s.size, s.size))[:, ::-1]
+
+
+def _curve_points(dopplers: np.ndarray, rows: np.ndarray, energy: float,
+                  fs: float) -> list[DopplerTolerancePoint]:
+    """One point per row of lags 1-N..N-1: the peak level over energy in dB
+    and the peak's parabolically refined lag in seconds."""
+    idx = np.argmax(rows, axis=1)
+    losses = to_db(rows[np.arange(rows.shape[0]), idx] / energy)
+    shifts = (idx - (rows.shape[1] - 1) // 2 + _parabolic_refine(rows, idx)) / fs
+    return [DopplerTolerancePoint(doppler_hz=nu, peak_loss_db=loss, peak_shift_s=shift)
+            for nu, loss, shift in zip(dopplers.tolist(), losses.tolist(), shifts.tolist())]
 
 
 def default_region(bandwidth_hz: float, duration_s: float) -> RegionSpec:

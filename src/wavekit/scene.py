@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .metrics import _doppler_grid, _doppler_rows, _time_scaler
-from .signal import DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, _signal_energy, to_db
+from .signal import (DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, _Owned, _signal_energy,
+                     to_db)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
             replica = waveform.samples
         else:
             scaler = scaler or _time_scaler(waveform)
-            replica = scaler(echo.time_scale)
+            replica = scaler(np.array([echo.time_scale]))[0]
         amp = 10.0 ** (echo.level_db / 20.0)
         segment = slice(shift, shift + n_pulse)
         received[segment] += amp * replica * np.exp(2j * np.pi * echo.doppler_hz * t[segment])
@@ -162,7 +163,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     reference_db is that energy over the peak.  Rows come from
     `metrics._doppler_rows`: one transform of the received series, then
     blocks of `metrics._block_rows` rows, each one batched FFT pair (see
-    `_doppler_rows` for the block rule and its buffers).
+    `_doppler_rows` for the block rule and its buffers).  The rows turn to
+    dB in place and the map keeps them without a copy, so the call holds
+    one full-size map.
 
     Raises:
         InvalidInputError: if the sample rates differ, the Doppler grid is
@@ -180,9 +183,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     if peak <= 0:
         raise InvalidInputError("received signal is identically zero")
     rows /= peak
-    rows = to_db(rows)  # linear rows go before the map copies: two full-size maps at most
+    to_db(rows, out=rows)
     return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
-                           dopplers_hz=dopplers, magnitude_db=rows,
+                           dopplers_hz=dopplers, magnitude_db=_Owned(rows),
                            reference_db=to_db(energy / peak))
 
 

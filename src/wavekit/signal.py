@@ -39,19 +39,23 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR) -> np.ndarray:
+def to_db(magnitude: np.ndarray, floor_db: float = DB_FLOOR, out: np.ndarray | None = None
+          ) -> np.ndarray:
     """Convert linear magnitude to dB, floored so no -inf/NaN escapes.
 
     Args:
         magnitude: nonnegative linear magnitudes (any shape); a NaN, found
             by one max over the clamped values, raises InvalidInputError.
         floor_db: lower clamp in dB, within +/-DB_LIMIT.
+        out: a float64 array of magnitude's shape (at least 1-D) that
+            receives the result, in place of a new one; magnitude itself
+            converts in place.
 
     Returns:
         20*log10(magnitude) clamped to [floor_db, inf).
     """
     floor_db = check_number("floor_db", floor_db, minimum=-DB_LIMIT, maximum=DB_LIMIT)
-    db = np.maximum(np.asarray(magnitude, dtype=float), 10.0 ** (floor_db / 20.0))
+    db = np.maximum(np.asarray(magnitude, dtype=float), 10.0 ** (floor_db / 20.0), out=out)
     if db.size and np.isnan(db.max()):
         raise InvalidInputError("magnitude must not be NaN")
     if db.ndim == 0:  # np.maximum returns a scalar, which has no buffer to reuse
@@ -68,9 +72,20 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Owned:
+    """An array handed over by the one code that holds it, which never writes
+    it again: `_freeze_field` keeps it in place of a copy."""
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _freeze_field(obj, name: str, dtype=float) -> np.ndarray:
-    """Set obj.name to a finite (`_check_finite`) read-only copy the caller cannot change."""
-    arr = _check_finite(name, np.array(getattr(obj, name), dtype=dtype))
+    """Set obj.name to a finite (`_check_finite`) read-only copy the caller cannot
+    change; an `_Owned` array of that dtype is kept, not copied."""
+    value = getattr(obj, name)
+    arr = _check_finite(name, np.asarray(value.array, dtype=dtype) if isinstance(value, _Owned)
+                        else np.array(value, dtype=dtype))
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr

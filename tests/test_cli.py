@@ -15,6 +15,7 @@ from scipy.io import wavfile
 
 import wavekit as wk
 import wavekit.cli as wk_cli
+from wavekit import config
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
 
@@ -700,11 +701,17 @@ def test_coefficients_file_descriptor_number_exits_2(tmp_path, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path):
-    """Trial division of this prime would take about 5e8 steps.  A child process
-    with a timeout, so that a run which starts dividing fails instead of hanging."""
+@pytest.mark.parametrize("prime", [1000000000000000003, 4099, 100003],
+                         ids=["past_the_library_cap", "first_prime_past_the_sample_cap",
+                              "p_100003"])
+def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path, prime):
+    """A code of p - 1 chips past config._MAX_SAMPLES is refused before it is
+    built: trial division of the first prime would take about 5e8 steps, and
+    building and checking the code of p = 100003 about 15 minutes.  A child
+    process with a timeout, so that a run which starts either fails instead
+    of hanging."""
     cfg = _config(tmp_path, {"command": "analyze", "waveform": {
-        "kind": "costas_fsk", "prime": 1000000000000000003, "generator": 2, "duration_s": 1.0}})
+        "kind": "costas_fsk", "prime": prime, "generator": 2, "duration_s": 1.0}})
     proc = subprocess.run(
         [sys.executable, "-m", "wavekit.cli", "analyze", "--config", cfg,
          "--out", str(tmp_path / "o")],
@@ -713,6 +720,12 @@ def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path):
     assert proc.stderr.startswith("error: ") and "'prime'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_config_prime_cap_is_the_largest_code_within_the_sample_cap():
+    """N = p - 1 chips need 4N^2 samples: the cap's code fits, one more chip does not."""
+    chips = config._MAX_CONFIG_PRIME - 1
+    assert 4 * chips**2 <= config._MAX_SAMPLES < 4 * (chips + 1) ** 2
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze", "compare"])

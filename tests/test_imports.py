@@ -1,7 +1,8 @@
 """Import floor: wavekit and its CLI load scipy only where it is called.
 
-Only the L-BFGS optimizer (scipy.optimize) and the wideband Doppler curve
-(a scipy spline) call it; Nelder-Mead is a numpy port.
+Only the L-BFGS optimizer (scipy.optimize) calls it.  Nelder-Mead is a
+numpy port, and the wideband Doppler curve and time-scaled echoes use a
+numpy spline.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.  The child prints the scipy modules it ended with.
@@ -66,6 +67,20 @@ def test_cli_commands_without_an_optimizer_load_no_scipy(tmp_path):
     for i in range(len(CLI_RUNS)):
         assert any((tmp_path / f"out{i}").iterdir())
     assert (tmp_path / "out0" / "waveform.wav").exists()
+
+
+WIDEBAND = """
+import numpy as np
+import wavekit as wk
+hfm = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+wk.doppler_tolerance_curve(hfm, np.linspace(0.0, 8.0, 5), mode="wideband")
+scene = wk.EchoScene(echoes=(wk.Echo(0.1, 0.0, 0.0, time_scale=1.01),))
+wk.simulate_returns(hfm, scene, seed=0)
+"""
+
+
+def test_wideband_curve_and_time_scaled_echoes_load_no_scipy():
+    assert _scipy_modules_after(WIDEBAND) == set()
 
 
 def test_nelder_mead_optimize_from_nlfm_loads_no_scipy(tmp_path):

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _block_rows, _doppler_rows, _lag_gathers, _linear_xcorr, _phase_ramps
+from wavekit.metrics import (_block_rows, _doppler_rows, _lag_gathers, _linear_xcorr,
+                             _not_a_knot_spline, _phase_ramps, _solve_141, _time_scaled_rows,
+                             _time_scaler)
 from wavekit.signal import _fft_length
 
 from conftest import child_env
@@ -653,20 +655,139 @@ def test_doppler_curve_matches_brute_force():
 
 
 def test_wideband_curve_builds_the_splines_once(monkeypatch):
-    """Two splines per curve, and points bitwise those of a rebuild per Doppler."""
+    """One numpy spline per curve, and points bitwise those of a rebuild per Doppler."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     dopplers = np.linspace(-8.0, 8.0, 7)
     built = []
-    spline = scipy.interpolate.CubicSpline
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline",
-                        lambda *a, **k: built.append(1) or spline(*a, **k))
+    spline = wk_metrics._not_a_knot_spline
+    monkeypatch.setattr(wk_metrics, "_not_a_knot_spline",
+                        lambda y: built.append(1) or spline(y))
     curve = wk.doppler_tolerance_curve(sig, dopplers, mode="wideband")
-    assert len(built) == 2
+    assert len(built) == 1
     scaler = wk_metrics._time_scaler
-    monkeypatch.setattr(wk_metrics, "_time_scaler",
-                        lambda signal: lambda eta: scaler(signal)(eta))
+    monkeypatch.setattr(wk_metrics, "_time_scaler", lambda signal: lambda etas, out: np.concatenate(
+        [scaler(signal)(etas[i:i + 1]) for i in range(etas.size)], out=out))
     assert wk.doppler_tolerance_curve(sig, dopplers, mode="wideband") == curve
-    assert len(built) == 2 + 2 * dopplers.size
+    assert len(built) == 1 + dopplers.size
+
+
+def _spline_at(coefs, u):
+    """`_not_a_knot_spline` coefficients evaluated at positions u on the sample index scale."""
+    i = np.clip(np.floor(u).astype(int), 0, coefs.shape[1] - 1)
+    w = u - i
+    return ((coefs[3, i] * w + coefs[2, i]) * w + coefs[1, i]) * w + coefs[0, i]
+
+
+def _hfm_samples(n):
+    return wk.synth_hfm(900.0, 1100.0, n / 2048.0, 2048.0).samples
+
+
+@pytest.mark.parametrize("n, make", [
+    (2, None), (3, None), (4, None), (5, None), (7, None), (40, None), (2048, None),
+    (8192, None), (2048, _hfm_samples)],
+    ids=["2", "3", "4", "5", "7", "40", "2048", "8192", "hfm2048"])
+def test_numpy_spline_is_scipy_not_a_knot(n, make):
+    """Within 1e-14 of the samples' peak of scipy's CubicSpline (not-a-knot): at
+    every knot, both ends and 4000 interior points."""
+    rng = np.random.default_rng(n)
+    y = make(n) if make else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    knots = np.arange(n, dtype=float)
+    u = np.concatenate([knots, rng.uniform(0.0, n - 1.0, 4000)])
+    oracle = (scipy.interpolate.CubicSpline(knots, y.real)(u)
+              + 1j * scipy.interpolate.CubicSpline(knots, y.imag)(u))
+    assert np.abs(_spline_at(_not_a_knot_spline(y), u) - oracle).max() <= 1e-14 * np.abs(y).max()
+
+
+def test_numpy_spline_of_two_points_is_a_line_and_of_three_a_parabola():
+    line = _not_a_knot_spline(np.array([1.0 + 2.0j, 3.0 - 1.0j]))
+    assert np.array_equal(line, [[1.0 + 2.0j], [2.0 - 3.0j], [0.0], [0.0]])
+    parabola = _not_a_knot_spline(np.array([1.0, 4.0, 2.0], dtype=complex))
+    assert np.array_equal(parabola, [[1.0, 4.0], [5.5, 0.5], [-2.5, -2.5], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 32, 33, 34, 70, 1000])
+def test_tridiagonal_solve_matches_a_dense_solve(m):
+    """Across the boundary fades' reach: m below, at and above _SPLINE_TAPS."""
+    rng = np.random.default_rng(m)
+    r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    dense = 4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+    np.testing.assert_allclose(_solve_141(r), np.linalg.solve(dense, r),
+                               rtol=0, atol=1e-15 * np.abs(r).max())
+
+
+def _scipy_time_scaled(signal, eta):
+    """The wideband echo sqrt(eta) s(eta t) e^{j 2 pi fc (eta-1) t} through scipy's
+    CubicSpline, zero where eta t leaves the sample span."""
+    t = signal.time_grid()
+    ts = eta * t
+    inside = (ts >= t[0]) & (ts <= t[-1])
+    scaled = np.zeros(t.size, dtype=complex)
+    scaled[inside] = (scipy.interpolate.CubicSpline(t, signal.samples.real)(ts[inside])
+                      + 1j * scipy.interpolate.CubicSpline(t, signal.samples.imag)(ts[inside]))
+    return np.sqrt(eta) * scaled * np.exp(2j * np.pi * signal.center_freq_hz * (eta - 1.0) * t)
+
+
+def test_time_scaled_echoes_match_scipy_splines():
+    """Within 1e-13 of the samples' peak, for compressions and stretches; eta = 1
+    returns the samples themselves."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    etas = np.array([0.8, 0.99, 1.0, 1.0001, 1.05, 1.3])
+    replicas = _time_scaler(sig)(etas)
+    for eta, row in zip(etas, replicas):
+        assert np.abs(row - _scipy_time_scaled(sig, eta)).max() <= 1e-13 * np.abs(sig.samples).max()
+    assert np.array_equal(replicas[2], sig.samples)
+
+
+def test_wideband_rows_match_per_doppler_correlations():
+    """Every row, over two blocks of the shared kernel, within 1e-14 of the zero-lag
+    peak of the one-eta _linear_xcorr of its echo against s."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    etas = 1.0 + np.linspace(-8.0, 8.0, 41) / sig.center_freq_hz
+    rows = _time_scaled_rows(sig, etas)
+    replicas = _time_scaler(sig)(etas)
+    expected = np.array([np.abs(_linear_xcorr(r, sig.samples)) for r in replicas])
+    assert rows.shape == expected.shape
+    assert np.abs(rows - expected).max() <= 1e-14 * sig.energy()
+
+
+def _per_point(dopplers, rows, energy, fs):
+    """The per-point peak reading `_curve_points` replaced, as its oracle."""
+    points = []
+    for nu, y in zip(dopplers, rows):
+        idx = int(np.argmax(y))
+        offset = 0.0
+        if 0 < idx < y.size - 1:
+            y0, y1, y2 = y[idx - 1], y[idx], y[idx + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom != 0.0:
+                offset = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
+        shift = (idx - (y.size - 1) // 2 + offset) / fs
+        points.append((float(nu), float(wk.to_db(y[idx] / energy)), float(shift)))
+    return np.array(points)
+
+
+def _edge_rows(n):
+    """Rows of 2n-1 lags: peaks at either end, a tie, a flat row, and a random one."""
+    rows = np.random.default_rng(n).uniform(0.0, 0.5, (5, 2 * n - 1))
+    rows[0, 0] = rows[1, -1] = 1.0
+    rows[2, 5] = rows[2, 6] = 0.9  # the first of the two is the peak
+    rows[3] = 1e-9                 # a zero parabola denominator, under the -120 dB floor
+    return rows
+
+
+def test_curve_points_are_bitwise_the_per_point_loop():
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    s, fs, fc = sig.samples, sig.sample_rate_hz, sig.center_freq_hz
+    dopplers = np.linspace(-8.0, 8.0, 33)
+    lags = np.arange(1 - s.size, s.size)
+    cases = [(_doppler_rows(s, s, fs, -dopplers, lags), sig.energy()),
+             (_time_scaled_rows(sig, 1.0 + dopplers / fc), sig.energy()),
+             (_edge_rows(s.size), 0.5)]
+    for rows, energy in cases:
+        d = dopplers[:rows.shape[0]]
+        points = wk_metrics._curve_points(d, rows, energy, fs)
+        got = np.array([(p.doppler_hz, p.peak_loss_db, p.peak_shift_s) for p in points])
+        assert got.tobytes() == _per_point(d, rows, energy, fs).tobytes()
 
 
 def test_doppler_curve_is_symmetric_for_cw():

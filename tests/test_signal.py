@@ -323,6 +323,13 @@ def test_to_passband_guard_edge_is_half_the_p99_bandwidth_below_nyquist():
         wk.to_passband(wk.synth_lfm(64.0, 1.0, 256.0, center_freq_hz=edge + 0.1))
 
 
+def test_to_db_converts_in_place_into_out():
+    x = np.array([[0.0, 1e-9, 3e-7], [0.5, 1.0, 2.5]])
+    expected = wk.to_db(x)
+    assert wk.to_db(x, out=x) is x
+    assert x.tobytes() == expected.tobytes()
+
+
 def test_to_db_matches_the_plain_formula_and_leaves_its_input():
     """Bitwise 20*log10(maximum(x, floor)) on arrays, scalars and 0-d arrays."""
     floor = 10.0 ** (DB_FLOOR / 20.0)
