@@ -9,12 +9,13 @@ amplitude class.
 
 Three minimizers run under one search contract: a seeded Nelder-Mead
 simplex (scipy's adaptive variant, ported to numpy), a steepest-descent/
-backtracking scheme, and an L-BFGS quasi-Newton refinement.  Each
-supplies only its search loop.  The contract counts every objective or
-objective-plus-gradient call as one evaluation, checks the budget before
-computing anything, keeps the best-so-far design, its bandwidth and its
-trace, and assembles the result; exhausting the budget returns the best
-design found so far with converged=False and stop_reason "budget".
+backtracking scheme, and an L-BFGS quasi-Newton refinement with a
+strong-Wolfe line search, also in numpy.  Each supplies only its search
+loop.  The contract counts every objective or objective-plus-gradient
+call as one evaluation, checks the budget before computing anything,
+keeps the best-so-far design, its bandwidth and its trace, and assembles
+the result; exhausting the budget returns the best design found so far
+with converged=False and stop_reason "budget".
 
 One workspace method evaluates the objective, the RMS bandwidth and, for
 the two gradient methods, the analytic gradient (the chain rule through
@@ -32,12 +33,12 @@ non-negative lags, and its lag weights are Hermitian.
 The tapered NLFM start shapes its spectrum with a Taylor window,
 evaluated here in numpy by the closed form of Carrara, Goodman and
 Majewski (1995, as cited by scipy's `taylor` window), bitwise equal to
-scipy's.  scipy itself is imported only by L-BFGS, which calls
-scipy.optimize.minimize.
+scipy's.  Nothing here imports scipy; it serves the tests as an oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,8 +56,15 @@ _GD_SHRINK = 0.5
 _GD_GROW = 1.3
 _GD_ARMIJO_C = 1e-4
 _GD_MAX_BACKTRACKS = 30
-# L-BFGS-B's gradient test: max |gradient| <= this stops it as stationary.
+# L-BFGS: steps remembered, and its stop tests (L-BFGS-B's gtol and ftol):
+# max |gradient| <= _LBFGS_GTOL, or a relative reduction of f <= _LBFGS_FTOL.
+_LBFGS_MEMORY = 10
 _LBFGS_GTOL = 1e-12
+_LBFGS_FTOL = 1e-15
+# Strong-Wolfe line search: sufficient decrease, curvature, trials allowed.
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+_WOLFE_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,8 @@ class OptimizationResult:
     stop_reason says why the search ended: "budget" (evaluations
     exhausted), "tolerance" (the change in f or in the simplex fell
     below the minimizer's tolerance), "stationary" (the gradient
-    vanished) or "line_search" (no step along the search direction
-    reduced f).
+    vanished) or "line_search" (the line search found no acceptable
+    step along the search direction).
     """
 
     final: MtsfmParameters
@@ -501,41 +509,148 @@ def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResul
     return search.run(descend)
 
 
-def _lbfgs_stop_reason(res) -> str:
-    """Map L-BFGS-B's termination status and final gradient onto a stop reason.
-
-    Status 0 is convergence by either of L-BFGS-B's tests; the gradient
-    test is the one the final gradient passes.  The message text is not
-    read: its spelling differs between scipy releases.
-    """
-    if res.status == 0:
-        return "stationary" if np.max(np.abs(res.jac)) <= _LBFGS_GTOL else "tolerance"
-    if res.status == 1:
-        return "budget"  # scipy's own iteration/evaluation limits
-    return "line_search"  # ABNORMAL/WARNING: the line search made no progress
-
-
 def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     """L-BFGS quasi-Newton refinement on the analytic gradient.
 
     An extension beyond the two baseline minimizers: markedly faster on
-    the ill-conditioned TBP-256 design problems.  Each function-and-
-    gradient call scipy makes is one evaluation of the budget.  Same
-    determinism and result contract as the other minimizers; the stop
-    reason comes from L-BFGS-B's termination status and final gradient.
+    the ill-conditioned TBP-256 design problems.  The limited-memory BFGS
+    of Liu and Nocedal (1989) with a strong-Wolfe line search, in numpy
+    (see `_lbfgs`).  Every line-search trial is an objective-plus-gradient
+    call and one evaluation of the budget.  Same determinism and result
+    contract as the other minimizers.  It stops "stationary" when max
+    |gradient| <= _LBFGS_GTOL and "tolerance" when a step reduces f by at
+    most _LBFGS_FTOL relative to max(|f|, 1), both converged, and
+    "line_search" (not converged) when no trial step is acceptable.
     """
-    from scipy.optimize import minimize
-
     search = _Search(problem)
+    return search.run(lambda: _lbfgs(search.value_and_gradient, search.x0))
 
-    def quasi_newton():
-        res = minimize(
-            search.value_and_gradient, search.x0, jac=True, method="L-BFGS-B",
-            options={"maxfun": 10**9, "maxiter": 10**9, "ftol": 1e-15, "gtol": _LBFGS_GTOL},
-        )
-        return bool(res.success), _lbfgs_stop_reason(res)
 
-    return search.run(quasi_newton)
+def _lbfgs(func, x0: np.ndarray) -> tuple[bool, str]:
+    """Minimize func (x -> (f, gradient)) from x0 by L-BFGS; (converged, stop_reason).
+
+    The search direction is -H g, H the inverse-Hessian estimate from the
+    last _LBFGS_MEMORY steps s and gradient changes y with H0 = gamma I,
+    gamma = s.y / y.y of the newest pair.  H g is the two-loop recursion
+    (Nocedal and Wright, Numerical Optimization, Algorithm 7.4) in its
+    compact form (Byrd, Nocedal and Schnabel 1994): with S and Y the pairs
+    as rows, oldest first, R the upper triangle of S Y^T and D its diagonal,
+    a = R^-1 S g, q = g - Y^T a and H g = gamma q + S^T R^-T (D a - gamma Y q).
+    R^-1 is kept up to date instead of solved for: dropping the oldest pair
+    leaves the trailing block of R^-1, and appending a pair adds a column.
+    Rows not yet filled are zero, and so are their entries of R^-1, so they
+    drop out; each iteration is a fixed dozen small array operations.  A
+    pair whose curvature s.y is not positive, relative to y.y, is not kept.
+
+    The first trial step is min(1, 1/||g||) until a pair is kept, then 1,
+    and `_wolfe_step` accepts one.  The stop tests are L-BFGS-B's, in its
+    order after each step: the gradient's max norm, then the relative
+    reduction of f.
+    """
+    x = np.asarray(x0, dtype=float)
+    m, n = _LBFGS_MEMORY, x.size
+    s_rows, y_rows = np.zeros((m, n)), np.zeros((m, n))
+    r_inv, sy_diag = np.zeros((m, m)), np.zeros(m)
+    f, g = func(x)
+    gamma, kept, reduced = 1.0, False, False
+    while True:
+        if np.abs(g).max() <= _LBFGS_GTOL:
+            return True, "stationary"
+        if reduced:
+            return True, "tolerance"
+        a = r_inv @ (s_rows @ g)
+        q = g - a @ y_rows
+        d = -(gamma * q + (r_inv.T @ (sy_diag * a - gamma * (y_rows @ q))) @ s_rows)
+        step = 1.0 if kept else min(1.0, 1.0 / float(np.sqrt(g @ g)))
+        accepted = _wolfe_step(func, x, f, g, d, step)
+        if accepted is None:
+            return False, "line_search"
+        x_new, f_new, g_new = accepted
+        reduced = f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
+        s, y = x_new - x, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > np.finfo(float).eps * yy:
+            s_rows[:-1], y_rows[:-1], sy_diag[:-1] = s_rows[1:], y_rows[1:], sy_diag[1:]
+            r_inv[:-1, :-1] = r_inv[1:, 1:]
+            s_rows[-1], y_rows[-1], sy_diag[-1] = s, y, sy
+            r_inv[-1] = 0.0
+            r_inv[:-1, -1] = (r_inv[:-1, :-1] @ (s_rows[:-1] @ y)) / -sy
+            r_inv[-1, -1] = 1.0 / sy
+            gamma, kept = sy / yy, True
+        x, f, g = x_new, f_new, g_new
+
+
+def _wolfe_step(func, x, f, g, d, step):
+    """A step along d from x meeting the strong Wolfe conditions, or None.
+
+    Nocedal and Wright's Algorithms 3.5 and 3.6: trial steps double from
+    `step` until one brackets an acceptable step, which `zoom` then
+    narrows by safeguarded cubic interpolation.  phi(a) = f(x + a d);
+    accepted a satisfies phi(a) <= phi(0) + c1 a phi'(0) and |phi'(a)| <=
+    -c2 phi'(0).  Returns (x + a d, phi(a), gradient there) for the first
+    acceptable trial; None when d is not a descent direction or
+    _WOLFE_TRIALS trials find none.
+    """
+    slope0 = float(g @ d)
+    if not slope0 < 0.0:
+        return None
+    decrease, curvature = _WOLFE_C1 * slope0, -_WOLFE_C2 * slope0
+
+    def trial(a):
+        xa = x + a * d
+        fa, ga = func(xa)
+        return a, float(fa), float(ga @ d), xa, ga
+
+    f = float(f)
+    prev = (0.0, f, slope0)
+    for i in range(_WOLFE_TRIALS):
+        a, fa, da, xa, ga = point = trial(step)
+        if not fa <= f + a * decrease or (i > 0 and fa >= prev[1]):  # NaN fails
+            return _zoom(trial, f, decrease, curvature, prev, point[:3], _WOLFE_TRIALS - i - 1)
+        if abs(da) <= curvature:
+            return xa, fa, ga
+        if da >= 0.0:
+            return _zoom(trial, f, decrease, curvature, point[:3], prev, _WOLFE_TRIALS - i - 1)
+        prev, step = point[:3], 2.0 * a
+    return None
+
+
+def _zoom(trial, f, decrease, curvature, lo, hi, trials):
+    """Algorithm 3.6: narrow [lo, hi], each an (a, phi, phi') triple, where
+    lo has the lower phi and satisfies sufficient decrease, to a strong-Wolfe
+    step within `trials` evaluations; (x, f, gradient) there, or None, also
+    once the interval has narrowed to a single step."""
+    for _ in range(trials):
+        if lo[0] == hi[0]:
+            return None
+        a, fa, da, xa, ga = trial(_cubic_step(lo, hi))
+        if not fa <= f + a * decrease or fa >= lo[1]:
+            hi = (a, fa, da)
+            continue
+        if abs(da) <= curvature:
+            return xa, fa, ga
+        if da * (hi[0] - lo[0]) >= 0.0:
+            hi = lo
+        lo = (a, fa, da)
+    return None
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic through lo and hi's values and slopes
+    (Nocedal and Wright eq. 3.59), or the bisection when that minimizer is
+    not real or lies within a tenth of the interval of either end."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    width = b - a
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if disc >= 0.0:
+        d2 = math.copysign(math.sqrt(disc), width)
+        denom = db - da + 2.0 * d2
+        if denom != 0.0:
+            c = b - width * (db + d2 - d1) / denom
+            if 0.1 <= (c - a) / width <= 0.9:
+                return c
+    return a + 0.5 * width
 
 
 _MINIMIZERS = {

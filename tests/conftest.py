@@ -41,7 +41,7 @@ def tbp256():
 
     Tapered-NLFM start refined by L-BFGS on the analytic gradient under
     a 20k evaluation budget.  It stops by its own tolerance test after
-    about 550 evaluations (about a second); it runs once per session.
+    about 540 evaluations (under half a second); it runs once per session.
     """
     bandwidth, duration, fs = 256.0, 1.0, 2048.0
     region = wk.default_region(bandwidth, duration)

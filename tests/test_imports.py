@@ -1,16 +1,19 @@
-"""Import floor: wavekit and its CLI load scipy only where it is called.
+"""Import floor: wavekit and its CLI run on numpy alone.
 
-Only the L-BFGS optimizer (scipy.optimize) calls it.  Nelder-Mead is a
-numpy port, and the wideband Doppler curve and time-scaled echoes use a
-numpy spline.
+No command and no optimizer loads scipy: Nelder-Mead and L-BFGS are
+numpy loops, and the wideband Doppler curve and time-scaled echoes use a
+numpy spline.  scipy stays a test oracle only.
 
 Each check runs in a fresh interpreter, since this test process has
-scipy loaded already.  The child prints the scipy modules it ended with.
+scipy loaded already.  The child prints the scipy modules it ended with,
+or runs with scipy made unimportable.
 """
 
 import json
 import subprocess
 import sys
+
+import pytest
 
 from conftest import child_env
 
@@ -25,7 +28,7 @@ CLI_RUNS = [
       "waveforms": [{"name": "lfm", "waveform": LFM},
                     {"name": "cw", "waveform": {"kind": "cw", "duration_s": 1.0}}]}, []),
 ]
-NM_OPTIMIZE = {"command": "optimize",
+OPTIMIZE = {"command": "optimize",
                "problem": {"num_harmonics": 1, "duration_s": 1.0, "bandwidth_hz": 16.0,
                            "sample_rate_hz": 128.0, "budget": 10, "seed": 1,
                            "method": "nelder_mead", "initial": "nlfm"}}
@@ -83,15 +86,38 @@ def test_wideband_curve_and_time_scaled_echoes_load_no_scipy():
     assert _scipy_modules_after(WIDEBAND) == set()
 
 
-def test_nelder_mead_optimize_from_nlfm_loads_no_scipy(tmp_path):
-    assert _scipy_modules_after(_cli_runs(tmp_path, [(NM_OPTIMIZE, [])])) == set()
+def _optimize_config(method: str) -> dict:
+    return {**OPTIMIZE, "problem": {**OPTIMIZE["problem"], "method": method}}
+
+
+@pytest.mark.parametrize("method", ["nelder_mead", "gradient_descent", "lbfgs"])
+def test_optimize_from_nlfm_loads_no_scipy(tmp_path, method):
+    assert _scipy_modules_after(_cli_runs(tmp_path, [(_optimize_config(method), [])])) == set()
     assert (tmp_path / "out0" / "optimize_result.json").exists()
 
 
-def test_lbfgs_optimize_loads_scipy_optimize_only(tmp_path):
-    lbfgs = {**NM_OPTIMIZE, "problem": {**NM_OPTIMIZE["problem"], "method": "lbfgs"}}
-    loaded = _scipy_modules_after(_cli_runs(tmp_path, [(lbfgs, [])]))
-    assert "scipy.optimize" in loaded
-    assert not {m for m in loaded
-                if m.split(".")[:2] in (["scipy", "signal"], ["scipy", "interpolate"],
-                                        ["scipy", "io"])}
+# A meta-path finder, first in line, that refuses every scipy module, as if
+# scipy were not installed.
+NO_SCIPY = """
+import sys
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"No module named {name!r}")
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path):
+    """synth, analyze, simulate, compare and an L-BFGS optimize each exit 0,
+    without a traceback, in an interpreter that cannot import scipy."""
+    runs = CLI_RUNS + [(_optimize_config("lbfgs"), [])]
+    code = NO_SCIPY + _cli_runs(tmp_path, runs) + (
+        "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+        "else:\n    raise SystemExit('scipy was importable')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for i in range(len(runs)):
+        assert any((tmp_path / f"out{i}").iterdir())
