@@ -8,14 +8,15 @@ amplitude by construction, so the search never leaves the feasible
 amplitude class.
 
 Three minimizers run under one search contract: a seeded Nelder-Mead
-simplex (scipy's adaptive variant, ported to numpy), a steepest-descent/
-backtracking scheme, and an L-BFGS quasi-Newton refinement with a
-strong-Wolfe line search, also in numpy.  Each supplies only its search
-loop.  The contract counts every objective or objective-plus-gradient
-call as one evaluation, checks the budget before computing anything,
-keeps the best-so-far design, its bandwidth and its trace, and assembles
-the result; exhausting the budget returns the best design found so far
-with converged=False and stop_reason "budget".
+simplex (scipy's adaptive variant, ported to numpy) and two gradient
+methods that share one loop, one strong-Wolfe line search and one set of
+stop rules, in numpy: L-BFGS quasi-Newton refinement, and steepest
+descent, which is the same loop with no step pairs kept.  Each supplies
+only its search loop.  The contract counts every objective or
+objective-plus-gradient call as one evaluation, checks the budget before
+computing anything, keeps the best-so-far design, its bandwidth and its
+trace, and assembles the result; exhausting the budget returns the best
+design found so far with converged=False and stop_reason "budget".
 
 One workspace method evaluates the objective, the RMS bandwidth and, for
 the two gradient methods, the analytic gradient (the chain rule through
@@ -51,11 +52,6 @@ from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_mod
 
 _OBJECTIVES = ("isl", "psl")
 _PSL_SHARPNESS = 50.0
-_GD_INITIAL_STEP = 0.5
-_GD_SHRINK = 0.5
-_GD_GROW = 1.3
-_GD_ARMIJO_C = 1e-4
-_GD_MAX_BACKTRACKS = 30
 # L-BFGS: steps remembered, and its stop tests (L-BFGS-B's gtol and ftol):
 # max |gradient| <= _LBFGS_GTOL, or a relative reduction of f <= _LBFGS_FTOL.
 _LBFGS_MEMORY = 10
@@ -115,11 +111,14 @@ class OptimizationResult:
     objective (10*log10 for ISL, 20*log10 for the PSL soft-max); the
     trace holds (evaluation index, objective value) pairs at each
     best-so-far improvement, so it is nonincreasing by construction.
-    stop_reason says why the search ended: "budget" (evaluations
-    exhausted), "tolerance" (the change in f or in the simplex fell
-    below the minimizer's tolerance), "stationary" (the gradient
-    vanished) or "line_search" (the line search found no acceptable
-    step along the search direction).
+    stop_reason says why the search ended, with one meaning for every
+    minimizer that can give it: "budget" (evaluations exhausted; not
+    converged), "tolerance" (the simplex, or a step's relative
+    reduction of f, fell within the minimizer's tolerance; converged),
+    "stationary" (a gradient method's max |gradient| <= _LBFGS_GTOL;
+    converged) or "line_search" (a gradient method's line search found
+    no acceptable step along the search direction; never converged).
+    converged also requires the bandwidth constraint to hold.
     """
 
     final: MtsfmParameters
@@ -473,40 +472,21 @@ def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationPro
 
 
 def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResult:
-    """Steepest descent with Armijo backtracking line search.
+    """Steepest descent: the L-BFGS loop `_lbfgs` with no step pairs kept.
 
-    Every line-search trial is an objective-plus-gradient call, so an
-    accepted trial already carries the next gradient and each iteration
-    costs only its line-search evaluations against the budget.  The line
-    search only ever accepts improvements, so the best-so-far trace is
-    monotone by construction.  Stops "stationary" when the gradient norm
-    falls below 1e-10 and "line_search" when no backtracked step
-    satisfies the Armijo condition; both count as converged.
+    The direction is always -gradient.  The strong-Wolfe line search, the
+    evaluation count and the stop rules are `minimize_lbfgs`'s: it stops
+    "stationary" when max |gradient| <= _LBFGS_GTOL and "tolerance" when a
+    step reduces f by at most _LBFGS_FTOL relative to max(|f|, 1), both
+    converged, and "line_search" (never converged) when no trial step is
+    acceptable.  The first trial step of each line search is Nocedal and
+    Wright's eq. 3.60 (see `_lbfgs`).  The line search accepts only steps
+    that decrease f, so the best-so-far trace is monotone.
     """
     if problem.budget < 2:
         raise InvalidInputError("gradient descent needs budget >= 2")
     search = _Search(problem)
-
-    def descend():
-        x, step = search.x0, _GD_INITIAL_STEP
-        f, grad = search.value_and_gradient(x)
-        while True:
-            gnorm_sq = float(grad @ grad)
-            if np.sqrt(gnorm_sq) < 1e-10:
-                return True, "stationary"
-            alpha = step
-            for _ in range(_GD_MAX_BACKTRACKS):
-                trial = x - alpha * grad
-                f_trial, grad_trial = search.value_and_gradient(trial)
-                if f_trial <= f - _GD_ARMIJO_C * alpha * gnorm_sq:
-                    x, f, grad = trial, f_trial, grad_trial
-                    step = alpha * _GD_GROW
-                    break
-                alpha *= _GD_SHRINK
-            else:
-                return True, "line_search"  # no descent step representable
-
-    return search.run(descend)
+    return search.run(lambda: _lbfgs(search.value_and_gradient, search.x0, memory=0))
 
 
 def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
@@ -520,17 +500,17 @@ def minimize_lbfgs(problem: OptimizationProblem) -> OptimizationResult:
     contract as the other minimizers.  It stops "stationary" when max
     |gradient| <= _LBFGS_GTOL and "tolerance" when a step reduces f by at
     most _LBFGS_FTOL relative to max(|f|, 1), both converged, and
-    "line_search" (not converged) when no trial step is acceptable.
+    "line_search" (never converged) when no trial step is acceptable.
     """
     search = _Search(problem)
     return search.run(lambda: _lbfgs(search.value_and_gradient, search.x0))
 
 
-def _lbfgs(func, x0: np.ndarray) -> tuple[bool, str]:
+def _lbfgs(func, x0: np.ndarray, memory: int = _LBFGS_MEMORY) -> tuple[bool, str]:
     """Minimize func (x -> (f, gradient)) from x0 by L-BFGS; (converged, stop_reason).
 
     The search direction is -H g, H the inverse-Hessian estimate from the
-    last _LBFGS_MEMORY steps s and gradient changes y with H0 = gamma I,
+    last `memory` steps s and gradient changes y with H0 = gamma I,
     gamma = s.y / y.y of the newest pair.  H g is the two-loop recursion
     (Nocedal and Wright, Numerical Optimization, Algorithm 7.4) in its
     compact form (Byrd, Nocedal and Schnabel 1994): with S and Y the pairs
@@ -541,18 +521,28 @@ def _lbfgs(func, x0: np.ndarray) -> tuple[bool, str]:
     Rows not yet filled are zero, and so are their entries of R^-1, so they
     drop out; each iteration is a fixed dozen small array operations.  A
     pair whose curvature s.y is not positive, relative to y.y, is not kept.
+    memory is _LBFGS_MEMORY for L-BFGS and 0 for steepest descent, which
+    keeps no pair, so its direction is always -g.
 
-    The first trial step is min(1, 1/||g||) until a pair is kept, then 1,
-    and `_wolfe_step` accepts one.  The stop tests are L-BFGS-B's, in its
-    order after each step: the gradient's max norm, then the relative
-    reduction of f.
+    The first trial step is 1 once a pair is kept.  Until then it is
+    min(1, 1/||g||) on the first iteration, and later Nocedal and Wright's
+    eq. 3.60 for steepest descent, g_{k-1}.s_{k-1} / g_k.d_k: the last
+    step's first-order decrease, expected again.  `_wolfe_step` accepts
+    one step.  The stop tests are L-BFGS-B's, in its order after each step:
+    max |g| <= _LBFGS_GTOL ("stationary"), then a relative reduction of f
+    of at most _LBFGS_FTOL ("tolerance"); both are converged.  A line search
+    that finds no acceptable step ends the run on "line_search", never
+    converged.  With either memory that can happen near a minimum on
+    rounding noise alone: where f's noise exceeds the tolerance test's
+    1e-15 max(|f|, 1), no trial step may show the decrease the line search
+    asks for, and the run ends on "line_search" before that test fires.
     """
     x = np.asarray(x0, dtype=float)
-    m, n = _LBFGS_MEMORY, x.size
+    m, n = memory, x.size
     s_rows, y_rows = np.zeros((m, n)), np.zeros((m, n))
     r_inv, sy_diag = np.zeros((m, m)), np.zeros(m)
     f, g = func(x)
-    gamma, kept, reduced = 1.0, False, False
+    gamma, kept, reduced, last_slope = 1.0, False, False, None
     while True:
         if np.abs(g).max() <= _LBFGS_GTOL:
             return True, "stationary"
@@ -561,15 +551,21 @@ def _lbfgs(func, x0: np.ndarray) -> tuple[bool, str]:
         a = r_inv @ (s_rows @ g)
         q = g - a @ y_rows
         d = -(gamma * q + (r_inv.T @ (sy_diag * a - gamma * (y_rows @ q))) @ s_rows)
-        step = 1.0 if kept else min(1.0, 1.0 / float(np.sqrt(g @ g)))
+        if kept:
+            step = 1.0
+        elif last_slope is None:
+            step = min(1.0, 1.0 / float(np.sqrt(g @ g)))
+        else:
+            step = last_slope / float(g @ d)
         accepted = _wolfe_step(func, x, f, g, d, step)
         if accepted is None:
             return False, "line_search"
         x_new, f_new, g_new = accepted
         reduced = f - f_new <= _LBFGS_FTOL * max(abs(f), abs(f_new), 1.0)
         s, y = x_new - x, g_new - g
+        last_slope = float(g @ s)
         sy, yy = float(s @ y), float(y @ y)
-        if sy > np.finfo(float).eps * yy:
+        if m and sy > np.finfo(float).eps * yy:
             s_rows[:-1], y_rows[:-1], sy_diag[:-1] = s_rows[1:], y_rows[1:], sy_diag[1:]
             r_inv[:-1, :-1] = r_inv[1:, 1:]
             s_rows[-1], y_rows[-1], sy_diag[-1] = s, y, sy

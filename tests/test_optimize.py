@@ -633,8 +633,9 @@ def test_lbfgs_matches_scipy_on_seeded_problems(objective, num_harmonics):
         assert result.evaluations_used <= 2 * reference.evaluations_used, seed
 
 
-def _quadratic(n=20):
-    """f = (x - m)'H(x - m)/2, H with condition number 1e4, from x = 0; m.
+def _quadratic(n=20, log10_condition=4):
+    """f = (x - m)'H(x - m)/2, H with condition number 10**log10_condition
+    (1e4 by default), from x = 0; m.
 
     Written about its minimizer m, f is accurate to its last bits near m;
     the expanded form x'Hx/2 - b'x cancels, and its rounding noise there
@@ -642,7 +643,8 @@ def _quadratic(n=20):
     """
     rng = np.random.default_rng(5)
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    hessian = basis @ np.diag(np.logspace(-2, 2, n)) @ basis.T
+    half = log10_condition / 2
+    hessian = basis @ np.diag(np.logspace(-half, half, n)) @ basis.T
     minimizer = rng.standard_normal(n)
 
     def func(x):
@@ -662,15 +664,11 @@ def _rosenbrock(n=8):
     return func, np.tile([-1.2, 1.0], n // 2), np.ones(n)
 
 
-@pytest.mark.parametrize("build", [_quadratic, _rosenbrock], ids=["quadratic", "rosenbrock"])
-def test_lbfgs_steps_meet_strong_wolfe(monkeypatch, build):
-    """Every step the line search accepts satisfies sufficient decrease and
-    the strong curvature condition, and the search reaches the minimizer in
-    at most twice scipy L-BFGS-B's evaluations.  The first trial step is
-    min(1, 1/||g||), every later one 1."""
-    from scipy.optimize import minimize
-
-    func, x0, minimizer = build()
+def _checked_wolfe_run(monkeypatch, func, x0, minimizer, memory=optimize._LBFGS_MEMORY):
+    """Run `_lbfgs` with `memory` pairs to convergence at the minimizer, and
+    check that every step its line search accepts satisfies sufficient
+    decrease and the strong curvature condition; (steps, trial steps,
+    evaluations)."""
     steps, trial_steps = [], []
     line_search = optimize._wolfe_step
 
@@ -682,11 +680,9 @@ def test_lbfgs_steps_meet_strong_wolfe(monkeypatch, build):
 
     monkeypatch.setattr(optimize, "_wolfe_step", checked)
     calls = []
-    converged, stop_reason = optimize._lbfgs(lambda x: calls.append(1) or func(x), x0)
+    converged, stop_reason = optimize._lbfgs(lambda x: calls.append(1) or func(x), x0, memory)
     assert converged, stop_reason
     assert len(steps) > 5
-    g0 = steps[0][2]
-    assert trial_steps == [min(1.0, 1.0 / float(np.sqrt(g0 @ g0)))] + [1.0] * (len(steps) - 1)
     for x, f, g, d, (x_new, f_new, g_new) in steps:
         alpha = float((x_new - x) @ d / (d @ d))
         np.testing.assert_allclose(x_new, x + alpha * d, rtol=1e-12, atol=1e-15)
@@ -694,9 +690,56 @@ def test_lbfgs_steps_meet_strong_wolfe(monkeypatch, build):
         assert abs(g_new @ d) <= optimize._WOLFE_C2 * abs(g @ d)
     assert func(x_new)[0] <= 1e-12
     np.testing.assert_allclose(x_new, minimizer, atol=1e-5)
+    return steps, trial_steps, len(calls)
+
+
+@pytest.mark.parametrize("build", [_quadratic, _rosenbrock], ids=["quadratic", "rosenbrock"])
+def test_lbfgs_steps_meet_strong_wolfe(monkeypatch, build):
+    """Every accepted step meets the strong Wolfe conditions, and the search
+    reaches the minimizer in at most twice scipy L-BFGS-B's evaluations.
+    The first trial step is min(1, 1/||g||), every later one 1."""
+    from scipy.optimize import minimize
+
+    func, x0, minimizer = build()
+    steps, trial_steps, evaluations = _checked_wolfe_run(monkeypatch, func, x0, minimizer)
+    g0 = steps[0][2]
+    assert trial_steps == [min(1.0, 1.0 / float(np.sqrt(g0 @ g0)))] + [1.0] * (len(steps) - 1)
     reference = minimize(func, x0, jac=True, method="L-BFGS-B",
                          options={"ftol": optimize._LBFGS_FTOL, "gtol": optimize._LBFGS_GTOL})
-    assert len(calls) <= 2 * reference.nfev
+    assert evaluations <= 2 * reference.nfev
+
+
+def test_steepest_descent_steps_meet_strong_wolfe(monkeypatch):
+    """With no pair kept (memory 0) every direction is -g, and every accepted
+    step meets the strong Wolfe conditions.  The first trial step is
+    min(1, 1/||g||); each later one is Nocedal and Wright's eq. 3.60,
+    g_{k-1}.s_{k-1} / g_k.d_k, the last step's slope carried over."""
+    func, x0, minimizer = _quadratic(log10_condition=1)
+    steps, trial_steps, _ = _checked_wolfe_run(monkeypatch, func, x0, minimizer, 0)
+    g0 = steps[0][2]
+    expected = [min(1.0, 1.0 / float(np.sqrt(g0 @ g0)))]
+    for (x, _, g, _, (x_new, _, _)), (_, _, g_next, d_next, _) in zip(steps, steps[1:]):
+        expected.append(float(g @ (x_new - x)) / float(g_next @ d_next))
+    assert trial_steps == expected
+    for _, _, g, d, _ in steps:
+        np.testing.assert_array_equal(d, -g)
+
+
+def test_gradient_descent_steps_along_the_negative_gradient(monkeypatch):
+    """Gradient descent is the L-BFGS loop keeping no pair: every line
+    search runs along -g."""
+    directions = []
+    line_search = optimize._wolfe_step
+
+    def recorded(func, x, f, g, d, step):
+        directions.append((g, d))
+        return line_search(func, x, f, g, d, step)
+
+    monkeypatch.setattr(optimize, "_wolfe_step", recorded)
+    assert minimize_gradient_descent(_tiny_problem()).stop_reason == "tolerance"
+    assert len(directions) > 5
+    for g, d in directions:
+        np.testing.assert_array_equal(d, -g)
 
 
 def test_lbfgs_keeps_no_pair_without_positive_curvature(monkeypatch):
@@ -763,19 +806,31 @@ def test_lbfgs_stops_stationary_at_symmetric_origin():
         "stationary", True, 1)
 
 
-def test_lbfgs_stops_on_tolerance():
-    result = minimize_lbfgs(_tiny_problem())
+_GRADIENT_METHODS = [minimize_gradient_descent, minimize_lbfgs]
+
+
+@pytest.mark.parametrize("minimize", _GRADIENT_METHODS)
+def test_gradient_methods_stop_on_tolerance(minimize):
+    result = minimize(_tiny_problem())
     assert (result.stop_reason, result.converged) == ("tolerance", True)
     assert result.evaluations_used < 4000
 
 
-def test_lbfgs_stops_on_line_search_without_descent(monkeypatch):
-    """A flat objective with a nonzero gradient: no trial step decreases f,
-    so the first line search spends its trials and the run ends there."""
+@pytest.mark.parametrize("f, g", [
+    (lambda x: 1.0, np.ones),
+    (lambda x: -float(np.sum(x)), lambda n: -np.ones(n)),
+], ids=["flat", "linear"])
+@pytest.mark.parametrize("minimize", _GRADIENT_METHODS)
+def test_gradient_methods_stop_on_line_search(monkeypatch, minimize, f, g):
+    """The first line search spends all its trials and the run ends there,
+    not converged.  On a flat objective with a nonzero gradient no trial
+    decreases f.  On a linear one, f = -sum(x) with gradient -1, f falls
+    without end along -g: every trial meets sufficient decrease but never
+    the curvature condition, so the step doubles and brackets nothing."""
     monkeypatch.setattr(optimize._Workspace, "evaluate",
                         lambda self, x, problem, gradient=False:
-                        (1.0, problem.bandwidth_target_hz, np.ones(x.size)))
-    result = minimize_lbfgs(_tiny_problem())
+                        (f(x), problem.bandwidth_target_hz, g(x.size)))
+    result = minimize(_tiny_problem())
     assert (result.stop_reason, result.converged) == ("line_search", False)
     assert result.evaluations_used == 1 + optimize._WOLFE_TRIALS
 
