@@ -18,8 +18,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
-                     parse_region, parse_scene, parse_waveform, resolve_sample_rate)
+from .config import (_as_config_error, _take_coefficients, _Tree, check_sample_count, load_config,
+                     parse_dopplers, parse_region, parse_scene, parse_waveform,
+                     resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import _atomic_write_bytes, encode_csv, encode_json, encode_wav
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
@@ -27,7 +28,7 @@ from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_cur
 from .optimize import (OptimizationProblem, default_initial_parameters,
                        nlfm_initial_parameters, objective_db,
                        optimize_waveform)
-from .scene import mf_bank, resolvability_report, simulate_returns
+from .scene import _window_samples, mf_bank, resolvability_report, simulate_returns
 from .signal import DB_LIMIT, SampledSignal, spectrogram, spectrum, to_db, to_passband
 from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
 
@@ -76,7 +77,7 @@ def _take_waveform(tree: _Tree, context: str = "waveform", default_fs=None) -> t
     """(spec, sample rate) from a tree's 'waveform' and 'sample_rate_hz' keys."""
     spec = parse_waveform(tree.take("waveform"), context)
     return spec, resolve_sample_rate(spec.bandwidth_hz, spec.duration_s, tree.take_number(
-        "sample_rate_hz", default=default_fs, positive=True))
+        "sample_rate_hz", default=default_fs, positive=True), tree.context)
 
 
 def _grid_columns(outer, inner, values) -> tuple:
@@ -192,7 +193,7 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
     duration = prob.take_number("duration_s", positive=True)
     bandwidth = prob.take_number("bandwidth_hz", positive=True)
     fs = resolve_sample_rate(bandwidth, duration, prob.take_number(
-        "sample_rate_hz", default=None, positive=True))
+        "sample_rate_hz", default=None, positive=True), prob.context)
     objective = prob.take("objective", default="isl")
     region_data = prob.take("region", default=None)
     target = prob.take("bandwidth_target_hz", default="initial_rms")
@@ -268,6 +269,9 @@ def cmd_simulate(tree: _Tree, args, formats) -> dict:
     window = tree.take_number("window_s", default=None, positive=True)
     tree.finish()
     signal = synth_waveform(spec, fs)
+    span = "the 'scene' delays plus 'duration_s'" if window is None else "'window_s'"
+    check_sample_count(tree.context, span, _window_samples(signal.num_samples, fs, scene, window),
+                       fs)
     received = simulate_returns(signal, scene, seed, window_s=window)
     rd = mf_bank(received, signal, dopplers)
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)

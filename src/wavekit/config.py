@@ -184,13 +184,25 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     return spec
 
 
-def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit) -> float:
+def check_sample_count(context: str, span: str, count: float, sample_rate_hz: float) -> None:
+    """Refuse a span of round(count) samples at fs above _MAX_SAMPLES with a
+    ConfigError naming context and the span's keys, before anything is
+    allocated.  count may be inf, as a product of seconds and fs that
+    overflows."""
+    if count >= _MAX_SAMPLES + 1 or round(count) > _MAX_SAMPLES:
+        raise ConfigError(f"{context}: {span} at {sample_rate_hz:.6g} Hz ('sample_rate_hz') "
+                          f"is {count:.6g} samples, above the cap of {_MAX_SAMPLES}")
+
+
+def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit,
+                        context: str) -> float:
     """Explicit rate if given, else 8x the design bandwidth (with a floor
     guaranteeing at least 256 samples) — comfortably above the 4x
-    synthesis minimum."""
-    if explicit is not None:
-        return float(explicit)
-    return max(8.0 * bandwidth_hz, 256.0 / duration_s)
+    synthesis minimum.  A rate giving N = round(fs*T) > _MAX_SAMPLES is a
+    ConfigError naming context, the subtree that holds 'sample_rate_hz'."""
+    fs = float(explicit) if explicit is not None else max(8.0 * bandwidth_hz, 256.0 / duration_s)
+    check_sample_count(context, "'duration_s'", duration_s * fs, fs)
+    return fs
 
 
 def parse_region(data, bandwidth_hz: float, duration_s: float) -> RegionSpec:

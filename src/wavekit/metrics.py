@@ -9,7 +9,10 @@ of a range response plot.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,6 +114,9 @@ class DopplerTolerancePoint:
 
 # Least complex transform points per block of Doppler rows (see `_block_rows`).
 _BLOCK_POINTS = 1 << 15
+# Most worker threads of `_replica_rows`.  Two is the count whose speed-up
+# has been measured; past two, blocks of these sizes are not known to gain.
+_MAX_WORKERS = 2
 
 
 def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,12 +153,49 @@ def _phase_ramps(dopplers: np.ndarray, n: int, fs: float) -> np.ndarray:
 
 
 def _block_rows(num_rows: int, num_lags: int, nfft: int) -> int:
-    """Rows per block of `_doppler_rows`: as many as fit max(_BLOCK_POINTS,
-    num_rows * num_lags // 32) transform points, at least one and at most
-    num_rows.  A block's two nfft-point buffers then take at most 1 MB or
-    an eighth of the float64 output, whichever is larger."""
+    """Rows per block of `_replica_rows`: as many as fit
+    max(_BLOCK_POINTS, num_rows * num_lags // 32) transform points, at least
+    one and at most num_rows.  The block buffers of the call's at most
+    `_MAX_WORKERS` = 2 workers then take at most 1 MB or an eighth of the
+    float64 output, whichever is larger."""
     points = max(_BLOCK_POINTS, num_rows * num_lags // 32)
     return min(num_rows, max(1, points // nfft))
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_workers(count: int, work) -> None:
+    """work(i) for i in range(count): work(0) in the caller and the others on
+    started threads, each in a copy of the caller's context (and so under its
+    np.errstate).  Every thread is joined before this returns or raises; a
+    started thread's exception is raised here then."""
+    errors = []
+
+    def guarded(index):
+        try:
+            work(index)
+        except BaseException as exc:  # raised in the caller once all have joined
+            errors.append(exc)
+
+    threads = []
+    try:
+        for index in range(1, count):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(guarded, index))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _lag_gathers(lags: np.ndarray, nfft: int) -> list:
@@ -178,7 +221,8 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     replica_size samples, one row per replica.
 
     fill(block, out) writes the replicas r_i, i in the slice block, into the
-    rows of out, each cut to out's width.  Lags lie in
+    rows of out, each cut to out's width; it may run on several threads at
+    once, each with its own block and out.  Lags lie in
     -(replica_size-1)..len(a)-1.  Circular lag k also holds the linear lags
     k +/- nfft, which fall outside that range, and so hold nothing, for every
     requested k once nfft >= len(a) - min(lags) and
@@ -188,17 +232,21 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     replica longer than nfft is cut by the FFT only past the samples those
     lags reach.)
 
-    a is transformed once.  Rows go in blocks of `_block_rows` rows, a
-    count that grows with the output: 6 rows for the 201-row bank of a
-    long pulse (N = 8192, 16875 points), 2 for a 257 x 257 T/2 surface at
-    N = 8192 (12288 points).  The call allocates one zero-padded replica
-    buffer and one spectrum buffer, a block each, and reuses them: a
-    block fills the first columns of the replica buffer, transforms it
-    into the spectrum buffer, inverts that in place and reads the kept
-    lags straight into the output (at most two slices when they are one
-    run, see `_lag_gathers`).  The two buffers take 1 MB or an eighth of
-    the output, whichever is larger.  Each row is bitwise the one-row
-    result of its replica.
+    a is transformed once.  Rows go in blocks of `_block_rows` rows: 6
+    rows for the 201-row bank of a long pulse (N = 8192, 16875 points), 2
+    for a 257 x 257 T/2 surface at N = 8192 (12288 points).  The blocks go
+    to W workers, W the least of `_MAX_WORKERS` (2), `_worker_count` and
+    the block count: the caller and W - 1 threads started here and joined
+    before return (numpy's FFTs release the GIL).  Worker i takes blocks
+    i, i + W, i + 2W, ...  Each worker holds one block buffer: it zeroes
+    the buffer's columns past the replica width, fills the block's
+    replicas into the rest, transforms the buffer in place, multiplies it
+    by conj into fa's correlation, inverts it in place and reads the kept
+    lags straight into its rows of the output (at most two slices when
+    they are one run, see `_lag_gathers`).  The W <= 2 buffers take 1 MB
+    or an eighth of the output, whichever is larger, on any number of
+    CPUs.  Each row is bitwise the one-row result of its replica, so the
+    output does not depend on the worker count.
     """
     nfft = _fft_length(max(a.size - lags.min(), lags.max() + replica_size))
     fa = np.fft.fft(a, nfft)
@@ -206,19 +254,24 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     rows = np.empty((num_rows, lags.size))
     step = _block_rows(num_rows, lags.size, nfft)
     width = min(replica_size, nfft)
-    padded = np.zeros((step, nfft), dtype=complex)  # columns past width stay zero
-    spectra = np.empty((step, nfft), dtype=complex)
-    for start in range(0, num_rows, step):
-        block = slice(start, min(start + step, num_rows))
-        count = block.stop - start
-        fill(block, padded[:count, :width])
-        spec = spectra[:count]
-        np.fft.fft(padded[:count], axis=1, out=spec)
-        np.conjugate(spec, out=spec)
-        np.multiply(fa, spec, out=spec)
-        np.fft.ifft(spec, axis=1, out=spec)
-        for dst, src in gathers:
-            np.abs(spec[:, src], out=rows[block, dst])
+    starts = range(0, num_rows, step)
+    workers = min(_MAX_WORKERS, _worker_count(), len(starts))
+
+    def work(index):
+        buffer = np.empty((step, nfft), dtype=complex)
+        for start in starts[index::workers]:
+            block = slice(start, min(start + step, num_rows))
+            spec = buffer[:block.stop - start]
+            spec[:, width:] = 0.0
+            fill(block, spec[:, :width])
+            np.fft.fft(spec, axis=1, out=spec)
+            np.conjugate(spec, out=spec)
+            np.multiply(fa, spec, out=spec)
+            np.fft.ifft(spec, axis=1, out=spec)
+            for dst, src in gathers:
+                np.abs(spec[:, src], out=rows[block, dst])
+
+    _run_workers(workers, work)
     return rows
 
 
@@ -228,12 +281,14 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
 
     t is the midpoint grid (k + 1/2)/fs of b, the grid of every
     SampledSignal.  The rows are `_replica_rows` whose block replicas are
-    b times the block's `_phase_ramps`; a block's ramps take at most half
-    the two buffers again.  The 257 x 257 surface at N = 8192 peaks under
-    tracemalloc near 2.1 MB when an earlier call has run in the process,
-    and near 3.2 MB on the first call in a fresh one, which also loads
-    numpy.fft; 0.5 MB of either is the surface.  Each row is bitwise the
-    one-row result at its nu.
+    b times the block's `_phase_ramps`; each worker's ramps take at most
+    its block buffer again.  At two workers, the most there are on any
+    number of CPUs, the 257 x 257 surface at N = 8192 peaks under
+    tracemalloc near 2.6 MB when an earlier call has run in the process,
+    and near 3.7 MB on the first call in a fresh one, which also loads
+    numpy.fft; 0.5 MB of either is the surface and 1 MB the two workers'
+    buffers.  Each row is bitwise the one-row result at its nu, at any
+    worker count.
     """
     def ramped(block, out):
         ramps = _phase_ramps(dopplers[block], b.size, fs)
@@ -288,9 +343,11 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
 
     Each Doppler column is a `_doppler_rows` row at the mirrored lags:
     the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows go through the FFT in blocks of `_block_rows`
-    rows (see `_doppler_rows` for the blocks and their buffers) and keep
-    only these lags, so the surface is the only full-size array.  The
+    |chi(-tau, nu)|.  Rows go through the FFT in blocks on up to two
+    worker threads, one buffer each (see `_replica_rows` for the blocks,
+    the workers and their buffers, and `_doppler_rows` for the peak
+    memory), and keep only these lags, so the surface is the only
+    full-size array.  The surface does not depend on the CPU count.  The
     transform length follows the delay window: N + max_delay*fs points,
     rounded up to a 5-smooth length, not 2N.
 
@@ -478,7 +535,10 @@ def _time_scaler(signal: SampledSignal):
         knot = np.floor(np.clip(pos, 0, n - 2)).astype(np.intp)
         w = pos - knot
         c = np.take(coefs, knot, axis=1)
-        values = ((c[3] * w + c[2]) * w + c[1]) * w + c[0]
+        values = c[3]  # Horner in place: a new array per step costs more than its arithmetic
+        for p in (2, 1, 0):
+            values *= w
+            values += c[p]
         values[(pos < 0) | (pos > n - 1)] = 0.0
         carrier = _phase_ramps(signal.center_freq_hz * (etas - 1.0), n, fs)
         carrier *= np.sqrt(etas)[:, None]

@@ -483,8 +483,6 @@ def minimize_gradient_descent(problem: OptimizationProblem) -> OptimizationResul
     Wright's eq. 3.60 (see `_lbfgs`).  The line search accepts only steps
     that decrease f, so the best-so-far trace is monotone.
     """
-    if problem.budget < 2:
-        raise InvalidInputError("gradient descent needs budget >= 2")
     search = _Search(problem)
     return search.run(lambda: _lbfgs(search.value_and_gradient, search.x0, memory=0))
 
@@ -521,6 +519,7 @@ def _lbfgs(func, x0: np.ndarray, memory: int = _LBFGS_MEMORY) -> tuple[bool, str
     Rows not yet filled are zero, and so are their entries of R^-1, so they
     drop out; each iteration is a fixed dozen small array operations.  A
     pair whose curvature s.y is not positive, relative to y.y, is not kept.
+    While no pair is kept the direction is -g, taken with no products.
     memory is _LBFGS_MEMORY for L-BFGS and 0 for steepest descent, which
     keeps no pair, so its direction is always -g.
 
@@ -548,15 +547,15 @@ def _lbfgs(func, x0: np.ndarray, memory: int = _LBFGS_MEMORY) -> tuple[bool, str
             return True, "stationary"
         if reduced:
             return True, "tolerance"
-        a = r_inv @ (s_rows @ g)
-        q = g - a @ y_rows
-        d = -(gamma * q + (r_inv.T @ (sy_diag * a - gamma * (y_rows @ q))) @ s_rows)
         if kept:
+            a = r_inv @ (s_rows @ g)
+            q = g - a @ y_rows
+            d = -(gamma * q + (r_inv.T @ (sy_diag * a - gamma * (y_rows @ q))) @ s_rows)
             step = 1.0
-        elif last_slope is None:
-            step = min(1.0, 1.0 / float(np.sqrt(g @ g)))
         else:
-            step = last_slope / float(g @ d)
+            d = -g
+            step = (min(1.0, 1.0 / float(np.sqrt(g @ g))) if last_slope is None
+                    else last_slope / float(g @ d))
         accepted = _wolfe_step(func, x, f, g, d, step)
         if accepted is None:
             return False, "line_search"

@@ -107,6 +107,17 @@ class RangeDopplerMap:
         return self.magnitude_db[int(np.argmin(np.abs(self.dopplers_hz)))]
 
 
+def _window_samples(pulse_samples: int, fs: float, scene: EchoScene,
+                    window_s: float | None = None) -> float:
+    """Samples in `simulate_returns`'s received window: round(window_s * fs),
+    or by default the largest echo delay in samples plus the pulse.  A
+    float, so that a window too long to hold reads as a count (inf once
+    the product overflows) that a caller can refuse."""
+    if window_s is None:
+        return max(float(np.rint(e.delay_s * fs)) for e in scene.echoes) + pulse_samples
+    return float(np.rint(window_s * fs))
+
+
 def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
                      window_s: float | None = None) -> SampledSignal:
     """Superpose delayed, Doppler-shifted, scaled copies of the waveform.
@@ -125,11 +136,12 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
                      minimum=-fs / 2.0, maximum=fs / 2.0)
     n_pulse = waveform.num_samples
     shifts = [int(round(e.delay_s * fs)) for e in scene.echoes]
-    needed = max(s + n_pulse for s in shifts)
+    needed = int(_window_samples(n_pulse, fs, scene))
     if window_s is None:
         n_win = needed
     else:
-        n_win = int(round(check_number("window_s", window_s, positive=True) * fs))
+        check_number("window_s", window_s, positive=True)
+        n_win = int(_window_samples(n_pulse, fs, scene, window_s))
         if needed > n_win:
             raise InvalidInputError("echo delay plus pulse length exceeds the window")
     t = (np.arange(n_win) + 0.5) / fs
@@ -162,10 +174,12 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     A 0 dB echo on a tuned row peaks at the replica energy, so the map's
     reference_db is that energy over the peak.  Rows come from
     `metrics._doppler_rows`: one transform of the received series, then
-    blocks of `metrics._block_rows` rows, each one batched FFT pair (see
-    `_doppler_rows` for the block rule and its buffers).  The rows turn to
-    dB in place and the map keeps them without a copy, so the call holds
-    one full-size map.
+    blocks of rows, each one batched FFT pair in place in one buffer, shared
+    out to up to two worker threads (see `metrics._replica_rows` for the
+    block rule, the workers and their buffers).  The map does not depend on
+    the CPU count.  The rows turn to dB in place and the map keeps them
+    without a copy, so the call holds one full-size map; at two workers
+    the 201-row bank at N = 2048 peaks near 1.25 maps.
 
     Raises:
         InvalidInputError: if the sample rates differ, the Doppler grid is

@@ -728,6 +728,52 @@ def test_config_prime_cap_is_the_largest_code_within_the_sample_cap():
     assert 4 * chips**2 <= config._MAX_SAMPLES < 4 * (chips + 1) ** 2
 
 
+_LFM = {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}
+
+
+@pytest.mark.parametrize("doc, context, span", [
+    ({"command": "analyze", "waveform": {**_LFM, "duration_s": 1e12}},
+     "config", "'duration_s'"),
+    ({"command": "synth", "waveform": _LFM, "sample_rate_hz": 1e30}, "config", "'duration_s'"),
+    ({"command": "optimize", "problem": {"duration_s": 1.0, "bandwidth_hz": 256.0,
+                                         "sample_rate_hz": 1e30, "budget": 1}},
+     "problem", "'duration_s'"),
+    ({"command": "compare", "sample_rate_hz": 1e30,
+      "waveforms": [{"name": "a", "waveform": _LFM}, {"name": "b", "waveform": _LFM}]},
+     "waveforms[0]", "'duration_s'"),
+    ({"command": "simulate", "waveform": {**_LFM, "duration_s": 1e-9},
+      "scene": {"benchmark_bandwidth_hz": 256.0}, "dopplers_hz": [0.0]},
+     "config", "the 'scene' delays"),
+    ({"command": "simulate", "waveform": _LFM, "window_s": 1e6,
+      "scene": {"benchmark_bandwidth_hz": 256.0}, "dopplers_hz": [0.0]},
+     "config", "'window_s'"),
+    ({"command": "simulate", "waveform": _LFM, "dopplers_hz": [0.0],
+      "scene": {"echoes": [{"delay_s": 1e308, "level_db": 0.0}]}},
+     "config", "the 'scene' delays"),
+], ids=["lfm_duration_1e12", "sample_rate_1e30", "problem_sample_rate_1e30",
+        "compare_sample_rate_1e30", "duration_1e-9_default_rate", "window_1e6",
+        "echo_delay_overflows"])
+def test_sample_count_above_the_cap_exits_2(tmp_path, capsys, doc, context, span):
+    """N = round(fs*T) above config._MAX_SAMPLES is refused where the rate is
+    resolved, naming the subtree that holds 'sample_rate_hz'.  A duration of
+    1e-9 s at the default rate, 256/T, is 256 samples, but the default
+    received window, the scene's 0.19 s, is 4.8e10 of them.  A delay whose
+    sample count overflows to inf is refused too."""
+    cfg = _config(tmp_path, doc)
+    assert main([doc["command"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {context}: {span}")
+    assert f"above the cap of {config._MAX_SAMPLES}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sample_count_at_the_cap_is_resolved():
+    """The cap itself passes; one sample more is refused.  No samples are made."""
+    assert config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES, "config") == 2.0**26
+    with pytest.raises(wk.ConfigError, match="above the cap"):
+        config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES + 1, "config")
+
+
 @pytest.mark.parametrize("command", ["synth", "analyze", "compare"])
 def test_seed_flag_only_on_seeded_commands(tmp_path, command):
     """Only optimize and simulate draw random numbers; elsewhere --seed is an error."""

@@ -121,3 +121,14 @@ def test_commands_run_with_scipy_unimportable(tmp_path):
     assert "Traceback" not in proc.stderr
     for i in range(len(runs)):
         assert any((tmp_path / f"out{i}").iterdir())
+
+
+def test_import_wavekit_starts_no_thread():
+    """The row kernels start their threads per call: importing wavekit or its
+    CLI starts none and loads no thread pool module."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, threading\nimport wavekit, wavekit.cli\n"
+         "print(threading.active_count(), 'concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]

@@ -1,7 +1,9 @@
 """Correlation, ambiguity, and scalar metric checks against direct oracles."""
 
+import contextlib
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -227,16 +229,26 @@ def test_slice_gathers_are_bitwise_the_index_gather(lo, hi):
                           _doppler_rows(a, b, 128.0, dopplers, repeated)[:, :-1])
 
 
-def test_block_buffers_are_allocated_once_per_call(monkeypatch):
-    """Every per-block FFT writes into the one spectrum buffer of the call and
-    reads the one replica buffer; the inverse runs in place in the spectrum."""
+@contextlib.contextmanager
+def _patched_workers(count):
+    """count CPUs, and a worker cap that lets count workers run."""
+    with mock.patch.object(wk_metrics, "_worker_count", lambda: count), \
+            mock.patch.object(wk_metrics, "_MAX_WORKERS", count):
+        yield
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_buffers_are_one_per_worker(monkeypatch, workers):
+    """Every per-block FFT and inverse runs in place in its worker's one block
+    buffer, and the blocks keep their `_block_rows` shapes at one and at two
+    workers."""
     calls = {"fft": [], "ifft": []}
     for name in calls:
         transform = getattr(np.fft, name)
 
         def recording(x, *args, _transform=transform, _calls=calls[name], **kwargs):
             if np.ndim(x) == 2:
-                _calls.append((x, kwargs.get("out")))
+                _calls.append((threading.get_ident(), x, kwargs.get("out")))
             return _transform(x, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, recording)
@@ -245,18 +257,114 @@ def test_block_buffers_are_allocated_once_per_call(monkeypatch):
     b = rng.standard_normal(481) + 1j * rng.standard_normal(481)
     nfft = _fft_length(a.size + b.size - 1)
     dopplers = np.linspace(-20.0, 20.0, 10)
-    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 3 * nfft):  # blocks of 3, 3, 3, 1
-        _doppler_rows(a, b, 100.0, dopplers, np.arange(-480, 600))
-    assert [x.shape[0] for x, _ in calls["fft"]] == [3, 3, 3, 1]
-    assert len(calls["ifft"]) == 4
-    for x, out in calls["fft"] + calls["ifft"]:
-        assert out is not None and out.base is not None
-    padded, spectra = calls["fft"][0][0].base, calls["fft"][0][1].base
-    assert padded is not spectra
-    for x, out in calls["fft"]:
-        assert x.base is padded and out.base is spectra
-    for x, out in calls["ifft"]:
-        assert x.base is spectra and out.base is spectra and np.shares_memory(x, out)
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 3 * nfft), _patched_workers(workers):
+        _doppler_rows(a, b, 100.0, dopplers, np.arange(-480, 600))  # blocks of 3, 3, 3, 1
+    for name in calls:
+        assert sorted(x.shape[0] for _, x, _ in calls[name]) == [1, 3, 3, 3]
+    buffers = {}
+    for ident, x, out in calls["fft"] + calls["ifft"]:
+        assert out is x and x.base is not None
+        assert buffers.setdefault(ident, x.base) is x.base
+    assert 1 <= len(buffers) <= workers
+    assert len({id(base) for base in buffers.values()}) == len(buffers)
+    assert all(base.shape == (3, nfft) for base in buffers.values())
+
+
+def _row_kernel_outputs():
+    """mf_bank, ambiguity_function and both tolerance curves of an N = 512
+    HFM, as bytes."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    rx = wk.simulate_returns(sig, wk.EchoScene(echoes=(wk.Echo(0.1, 3.0, 0.0),
+                                                       wk.Echo(0.3, -1.5, -6.0))), 0)
+    grid = np.linspace(-8.0, 8.0, 11)
+    curves = [[(p.doppler_hz, p.peak_loss_db, p.peak_shift_s)
+               for p in wk.doppler_tolerance_curve(sig, grid, mode)]
+              for mode in ("narrowband", "wideband")]
+    return [wk.mf_bank(rx, sig, grid).magnitude_db.tobytes(),
+            wk.ambiguity_function(sig, 0.5, 8.0, 65, 11).magnitude.tobytes(),
+            *(np.array(curve).tobytes() for curve in curves)]
+
+
+def test_row_kernels_do_not_depend_on_the_worker_count():
+    """One to four workers give bitwise the same outputs.  At 3000 points per
+    two-worker block the 11 rows of each call go in blocks of one to three
+    rows, an uneven number of blocks per worker."""
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 3000):
+        assert wk_metrics._block_rows(11, 1023, 1024) == 2  # 6 blocks, last of 1
+        results = []
+        for workers in (1, 2, 3, 4):
+            with _patched_workers(workers):
+                results.append(_row_kernel_outputs())
+    assert all(result == results[0] for result in results[1:])
+
+
+def _each_worker_once(workers):
+    """A fill for `_replica_rows` that holds each worker's first block until
+    every worker has one, so that each of them runs a fill."""
+    barrier = threading.Barrier(workers, timeout=10.0)
+    seen = set()
+
+    def wait_for_all():
+        ident = threading.get_ident()
+        if ident not in seen:
+            seen.add(ident)
+            barrier.wait()
+
+    return wait_for_all
+
+
+def test_a_worker_error_is_raised_in_the_caller_after_every_join():
+    """A fill that raises on a started thread raises in the caller, and no
+    thread of the call is left running."""
+    a = np.ones(64, dtype=complex)
+    arrive = _each_worker_once(3)
+
+    def fill(block, out):
+        arrive()
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("fill failed")
+        out[:] = 1.0
+
+    before = threading.active_count()
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 128), _patched_workers(3):
+        assert wk_metrics._block_rows(12, 127, 128) == 1
+        with pytest.raises(ValueError, match="fill failed"):
+            wk_metrics._replica_rows(a, 64, 12, fill, np.arange(-63, 64))
+    assert threading.active_count() == before
+
+
+def test_workers_are_at_most_two_on_many_cpus():
+    """Eight CPUs and twelve blocks: two threads run the fills, each taking
+    every other block."""
+    a = np.ones(64, dtype=complex)
+    blocks = {}
+
+    def fill(block, out):
+        blocks.setdefault(threading.get_ident(), []).append(block.start)
+        out[:] = 1.0
+
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 128), \
+            mock.patch.object(wk_metrics, "_worker_count", lambda: 8):
+        wk_metrics._replica_rows(a, 64, 12, fill, np.arange(-63, 64))
+    assert sorted(blocks.values()) == [list(range(0, 12, 2)), list(range(1, 12, 2))]
+
+
+def test_the_callers_errstate_applies_in_workers():
+    """np.errstate(all="raise") set by the caller holds on every worker: an
+    overflow in a worker's fill raises FloatingPointError in the caller."""
+    a = np.ones(64, dtype=complex)
+    arrive = _each_worker_once(2)
+    modes = []
+
+    def fill(block, out):
+        arrive()
+        modes.append(np.geterr()["over"])
+        out[:] = np.float64(1e300) * 1e300
+
+    with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 128), _patched_workers(2):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            wk_metrics._replica_rows(a, 64, 4, fill, np.arange(-63, 64))
+    assert modes == ["raise", "raise"]
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -434,8 +542,11 @@ def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
 
 
 _AMBIGUITY_PEAK = """
+import sys
 import tracemalloc
 import wavekit as wk
+if len(sys.argv) > 1:
+    wk.metrics._worker_count = lambda: int(sys.argv[1])
 sig = wk.synth_lfm(1024.0, 1.0, 8192.0)
 tracemalloc.start()
 wk.ambiguity_function(sig, 0.5, 10.0, 257, 257)
@@ -450,6 +561,14 @@ def test_ambiguity_memory_is_bounded_by_the_surface():
     under the tracer, as it does for a caller that has not used np.fft yet.
     """
     proc = subprocess.run([sys.executable, "-c", _AMBIGUITY_PEAK], capture_output=True,
+                          text=True, env=child_env(), check=True)
+    assert int(proc.stdout) < 4e6
+
+
+def test_ambiguity_memory_holds_on_many_cpus():
+    """On a machine of 8 CPUs the call still runs at most two workers, each
+    with one block buffer, so the surface's peak stays under the same bound."""
+    proc = subprocess.run([sys.executable, "-c", _AMBIGUITY_PEAK, "8"], capture_output=True,
                           text=True, env=child_env(), check=True)
     assert int(proc.stdout) < 4e6
 
@@ -748,6 +867,57 @@ def test_wideband_rows_match_per_doppler_correlations():
     expected = np.array([np.abs(_linear_xcorr(r, sig.samples)) for r in replicas])
     assert rows.shape == expected.shape
     assert np.abs(rows - expected).max() <= 1e-14 * sig.energy()
+
+
+def _expression_horner_scaler(signal):
+    """`_time_scaler` with its Horner step as one expression, a new array per
+    product and sum: the form the in-place step replaced."""
+    n, fs = signal.num_samples, signal.sample_rate_hz
+    coefs = _not_a_knot_spline(signal.samples)
+    grid = np.arange(n) + 0.5
+
+    def replicas(etas, out=None):
+        pos = etas[:, None] * grid - 0.5
+        knot = np.floor(np.clip(pos, 0, n - 2)).astype(np.intp)
+        w = pos - knot
+        c = np.take(coefs, knot, axis=1)
+        values = ((c[3] * w + c[2]) * w + c[1]) * w + c[0]
+        values[(pos < 0) | (pos > n - 1)] = 0.0
+        carrier = _phase_ramps(signal.center_freq_hz * (etas - 1.0), n, fs)
+        carrier *= np.sqrt(etas)[:, None]
+        return np.multiply(values, carrier, out=out)
+
+    return replicas
+
+
+def _seeded_carrier_signal():
+    rng = np.random.default_rng(5)
+    samples = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+    return wk.SampledSignal(samples=samples / np.linalg.norm(samples), sample_rate_hz=1024.0,
+                            center_freq_hz=300.0)
+
+
+@pytest.mark.parametrize("make, dopplers", [
+    (lambda: wk.synth_waveform(wk.WaveformSpec(kind="hfm", bandwidth_hz=256.0, duration_s=1.0,
+                                               center_freq_hz=1000.0), 2048.0),
+     np.linspace(0.0, 0.15 * 256.0, 101)),
+    (_seeded_carrier_signal, np.linspace(-40.0, 60.0, 23)),
+], ids=["benchmark_hfm", "seeded"])
+def test_in_place_horner_is_bitwise_the_expression(make, dopplers):
+    """The wideband rows' magnitudes and every curve point are bitwise those of
+    the one-expression Horner step, on the benchmark HFM and its Doppler grid,
+    and on a seeded signal."""
+    sig = make()
+    etas = 1.0 + dopplers / sig.center_freq_hz
+
+    def outputs():
+        curve = wk.doppler_tolerance_curve(sig, dopplers, mode="wideband")
+        return (_time_scaled_rows(sig, etas).tobytes(),
+                np.array([(p.doppler_hz, p.peak_loss_db, p.peak_shift_s) for p in curve]).tobytes())
+
+    real = outputs()
+    with mock.patch.object(wk_metrics, "_time_scaler", _expression_horner_scaler):
+        assert outputs() == real
 
 
 def _per_point(dopplers, rows, energy, fs):

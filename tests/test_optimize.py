@@ -858,9 +858,17 @@ def test_search_evaluates_once_per_counted_evaluation(monkeypatch, minimize):
     assert result.stop_reason != "budget"
 
 
-def test_gradient_descent_rejects_budget_1():
-    with pytest.raises(InvalidInputError, match="budget >= 2"):
-        minimize_gradient_descent(_tiny_problem(budget=1))
+@pytest.mark.parametrize("minimize", _GRADIENT_METHODS)
+def test_gradient_methods_at_budget_1_return_the_start(minimize):
+    """One evaluation buys the start and nothing more: both methods return it,
+    unconverged, with stop reason "budget"."""
+    problem = _tiny_problem(budget=1)
+    result = minimize(problem)
+    assert (result.stop_reason, result.converged, result.evaluations_used) == ("budget", False, 1)
+    assert len(result.trace) == 1
+    assert result.final_objective_db == result.initial_objective_db
+    assert np.array_equal(optimize.params_to_vector(result.final),
+                          optimize.params_to_vector(problem.initial))
 
 
 def test_nelder_mead_rejects_budget_below_simplex():

@@ -9,7 +9,7 @@ import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
 from wavekit.metrics import _linear_xcorr, _phase_ramps
-from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, benchmark_scene,
+from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, _window_samples, benchmark_scene,
                            mf_bank, resolvability_report, simulate_returns)
 from wavekit.signal import DB_FLOOR, _Owned
 
@@ -122,6 +122,19 @@ def test_window_must_hold_every_echo(lfm):
     simulate_returns(lfm, _single(delay_s=1.0), seed=0, window_s=2.0)
 
 
+@pytest.mark.parametrize("window_s, count", [(None, 153 + 512), (2.0, 1024),
+                                             (1.9990234375, 1024)])
+def test_window_samples_is_the_simulated_window(lfm, window_s, count):
+    """The count the CLI caps is the length simulate_returns makes, rounded
+    to even as round() does: the last echo is 153.25 samples late at 512 Hz,
+    the 50.5-sample one rounds to 50, and 1.9990234375 s is 1023.5."""
+    scene = EchoScene(echoes=(Echo(153.25 / 512.0, 0.0, 0.0), Echo(50.5 / 512.0, 1.0, -3.0)))
+    assert _window_samples(lfm.num_samples, lfm.sample_rate_hz, scene, window_s) == count
+    assert simulate_returns(lfm, scene, seed=0, window_s=window_s).num_samples == count
+    assert _window_samples(lfm.num_samples, lfm.sample_rate_hz,
+                           EchoScene(echoes=(Echo(1e308, 0.0, 0.0),))) == np.inf
+
+
 def test_time_scale_compresses_the_echo():
     """eta = 2 halves a CW's support while conserving its energy."""
     cw = wk.synth_cw(1.0, 256.0)
@@ -194,10 +207,10 @@ print(tracemalloc.get_traced_memory()[1] / rd.magnitude_db.nbytes)
 
 def test_mf_bank_holds_at_most_two_maps():
     """201 rows at N = 2048 (a 9.9 MB map): the rows turn to dB in place and
-    the map keeps them, so the call holds one map and its block buffers
-    (1.19x).  A map that copied its dB rows would read 2.14x.  A small
-    warm-up call loads numpy.fft before the tracer starts.  Measured in a
-    fresh interpreter.
+    the map keeps them, so the call holds one map and its workers' block
+    buffers (about 1.25x at two workers).  A map that copied its dB rows
+    would read 2.14x.  A small warm-up call loads numpy.fft before the
+    tracer starts.  Measured in a fresh interpreter.
     """
     proc = subprocess.run([sys.executable, "-c", _MF_BANK_PEAK], capture_output=True,
                           text=True, env=child_env(), check=True)
