@@ -7,6 +7,9 @@ artifacts (a dict keyed by file name), encodes every one to bytes, then
 writes them, so a run that exits 2 writes nothing.
 Exit codes: 0 success (including non-converged optimizations, which are
 reported, not fatal), 2 config/validation error, 3 I/O error.
+
+`wavekit.optimize` is imported inside the optimize command alone, so synth,
+analyze, simulate and compare never load the optimizer.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import _atomic_write_bytes, encode_csv, encode_json, encode_wav
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
                       metrics_report, rms_bandwidth)
-from .optimize import (OptimizationProblem, default_initial_parameters,
-                       nlfm_initial_parameters, objective_db,
-                       optimize_waveform)
-from .scene import _window_samples, mf_bank, resolvability_report, simulate_returns
+from .scene import _map_lags, _window_samples, mf_bank, resolvability_report, simulate_returns
 from .signal import DB_LIMIT, SampledSignal, spectrogram, spectrum, to_db, to_passband
 from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
 
@@ -171,6 +171,8 @@ def cmd_analyze(tree: _Tree, args, formats) -> dict:
 def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
                    duration_s: float, sample_rate_hz: float, seed: int,
                    sidelobe_db: float, nbar: int) -> MtsfmParameters:
+    from .optimize import default_initial_parameters, nlfm_initial_parameters
+
     if initial == "default":
         return default_initial_parameters(bandwidth_hz, duration_s,
                                           num_harmonics, seed)
@@ -187,6 +189,8 @@ def _build_initial(initial, num_harmonics: int, bandwidth_hz: float,
 
 
 def cmd_optimize(tree: _Tree, args, formats) -> dict:
+    from .optimize import OptimizationProblem, objective_db, optimize_waveform
+
     prob = tree.take_subtree("problem")
     tree.finish()
     num_harmonics = prob.take_number("num_harmonics", default=32, integer=True, minimum=1)
@@ -263,15 +267,15 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
 def cmd_simulate(tree: _Tree, args, formats) -> dict:
     spec, fs = _take_waveform(tree)
     scene = parse_scene(tree.take("scene"))
-    dopplers = parse_dopplers(tree)
     margin = tree.take_number("margin_db", default=6.0, positive=True)
     seed = _take_seed(tree, args)
     window = tree.take_number("window_s", default=None, positive=True)
-    tree.finish()
     signal = synth_waveform(spec, fs)
     span = "the 'scene' delays plus 'duration_s'" if window is None else "'window_s'"
-    check_sample_count(tree.context, span, _window_samples(signal.num_samples, fs, scene, window),
-                       fs)
+    received_samples = _window_samples(signal.num_samples, fs, scene, window)
+    check_sample_count(tree.context, span, received_samples, fs)
+    dopplers = parse_dopplers(tree, len(_map_lags(signal.num_samples, int(received_samples))))
+    tree.finish()
     received = simulate_returns(signal, scene, seed, window_s=window)
     rd = mf_bank(received, signal, dopplers)
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)

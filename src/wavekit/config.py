@@ -245,17 +245,29 @@ def parse_scene(data) -> EchoScene:
         return EchoScene(echoes=tuple(echoes), noise_level_db=noise)
 
 
-def parse_dopplers(tree: _Tree) -> np.ndarray:
+def _check_map_cells(context: str, key: str, rows: int, lags: int) -> None:
+    """Refuse a matched-filter map of rows x lags cells above _MAX_SAMPLES with
+    a ConfigError naming context and key, the config key that sets rows."""
+    if rows * lags > _MAX_SAMPLES:
+        raise ConfigError(f"{context}: {key!r} asks for {rows} Doppler rows of {lags} lags, "
+                          f"{rows * lags} map cells, above the cap of {_MAX_SAMPLES}")
+
+
+def parse_dopplers(tree: _Tree, lags: int) -> np.ndarray:
     """Doppler grid: explicit list, or a symmetric span with a count.
 
     A span grid is `count` evenly spaced rows from -span/2 to span/2; a
-    count of 1 is the single row at the centre of the span, 0 Hz.
+    count of 1 is the single row at the centre of the span, 0 Hz.  Each
+    row is one row of lags in the matched-filter map, and a map of more
+    than _MAX_SAMPLES cells is refused before the grid is built.
     """
     explicit = _float_list(tree, "dopplers_hz", default=None)
     if explicit is not None:
+        _check_map_cells(tree.context, "dopplers_hz", len(explicit), lags)
         return np.array(explicit)
     span = tree.take_number("doppler_span_hz", positive=True)
     count = tree.take_number("num_dopplers", integer=True, minimum=1)
+    _check_map_cells(tree.context, "num_dopplers", count, lags)
     if count == 1:
         return np.zeros(1)
     return np.linspace(-span / 2.0, span / 2.0, count)

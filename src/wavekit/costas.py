@@ -104,8 +104,8 @@ def verify_costas(code) -> bool:
         raise InvalidInputError("Costas code must be a permutation of {1..N}")
     seq = np.array(seq)
     for d in range(1, n):
-        diffs = seq[d:] - seq[:-d]
-        if np.unique(diffs).size != diffs.size:
+        diffs = np.sort(seq[d:] - seq[:-d])
+        if np.any(diffs[1:] == diffs[:-1]):  # sorted neighbours: np.unique loads numpy.ma
             return False
     return True
 

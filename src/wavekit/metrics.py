@@ -119,22 +119,6 @@ _BLOCK_POINTS = 1 << 15
 _MAX_WORKERS = 2
 
 
-def _linear_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear correlation y[k] = sum_n a[n] * conj(b[n-k]).
-
-    Lags k run from -(len(b)-1) to len(a)-1 and a delayed copy of b
-    inside a produces a peak at positive k equal to the delay.  When b
-    is a, its transform is taken once and reused.  The circular
-    correlation is taken at `signal._fft_length` of len(a) + len(b) - 1,
-    the shortest length at which no lag aliases onto another.
-    """
-    nfft = _fft_length(a.size + b.size - 1)
-    fa = np.fft.fft(a, nfft)
-    fb = fa if b is a else np.fft.fft(b, nfft)
-    y = np.fft.ifft(fa * np.conj(fb))
-    return np.concatenate([y[nfft - (b.size - 1):], y[:a.size]])
-
-
 def _phase_ramps(dopplers: np.ndarray, n: int, fs: float) -> np.ndarray:
     """e^{j 2 pi nu t_k} on the midpoint grid t_k = (k + 1/2)/fs, k < n, one row per nu.
 
@@ -217,18 +201,23 @@ def _lag_gathers(lags: np.ndarray, nfft: int) -> list:
 
 def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
                   lags: np.ndarray) -> np.ndarray:
-    """|_linear_xcorr(a, r_i)| at the given lags for num_rows replicas r_i of
-    replica_size samples, one row per replica.
+    """|y_i[k]| at the given lags k for num_rows replicas r_i of replica_size
+    samples, one row per replica, where y_i[k] = sum_n a[n] * conj(r_i[n-k]) is
+    the linear correlation of a against r_i: a copy of r_i delayed by k
+    samples inside a peaks at lag k.
 
     fill(block, out) writes the replicas r_i, i in the slice block, into the
     rows of out, each cut to out's width; it may run on several threads at
-    once, each with its own block and out.  Lags lie in
+    once, each with its own block and out.  fill None takes a itself as the
+    replica, and fa as its spectrum, so an autocorrelation transforms a
+    once.  Lags lie in
     -(replica_size-1)..len(a)-1.  Circular lag k also holds the linear lags
     k +/- nfft, which fall outside that range, and so hold nothing, for every
     requested k once nfft >= len(a) - min(lags) and
     nfft >= max(lags) + replica_size.  The transform takes
     `signal._fft_length` of that bound, so a narrow lag window gets a short
-    transform and the full lag range gets `_linear_xcorr`'s length.  (A
+    transform and the full lag range -(replica_size-1)..len(a)-1 gets
+    len(a) + replica_size - 1, rounded up to a 5-smooth length.  (A
     replica longer than nfft is cut by the FFT only past the samples those
     lags reach.)
 
@@ -262,9 +251,12 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
         for start in starts[index::workers]:
             block = slice(start, min(start + step, num_rows))
             spec = buffer[:block.stop - start]
-            spec[:, width:] = 0.0
-            fill(block, spec[:, :width])
-            np.fft.fft(spec, axis=1, out=spec)
+            if fill is None:
+                spec[:] = fa
+            else:
+                spec[:, width:] = 0.0
+                fill(block, spec[:, :width])
+                np.fft.fft(spec, axis=1, out=spec)
             np.conjugate(spec, out=spec)
             np.multiply(fa, spec, out=spec)
             np.fft.ifft(spec, axis=1, out=spec)
@@ -277,7 +269,7 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
 
 def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
                   dopplers: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """|_linear_xcorr(a, b * e^{j 2 pi nu t})| at the given lags, one row per nu.
+    """|correlation of a against b * e^{j 2 pi nu t}| at the given lags, one row per nu.
 
     t is the midpoint grid (k + 1/2)/fs of b, the grid of every
     SampledSignal.  The rows are `_replica_rows` whose block replicas are
@@ -292,8 +284,8 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     """
     def ramped(block, out):
         ramps = _phase_ramps(dopplers[block], b.size, fs)
-        # Operands in _linear_xcorr's order: an FMA complex product is not
-        # bitwise commutative.
+        # b * ramp, not ramp * b: an FMA complex product is not bitwise
+        # commutative, and each row stays bitwise the correlation against b * ramp.
         np.multiply(b[:out.shape[1]], ramps[:, :out.shape[1]], out=out)
 
     return _replica_rows(a, b.size, dopplers.size, ramped, lags)
@@ -314,6 +306,11 @@ def _doppler_grid(dopplers_hz, sample_rate_hz: float) -> np.ndarray:
 def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse:
     """Cross-correlation magnitude of two signals, normalized by sqrt(Ea*Eb).
 
+    Lags run from -(len(b)-1) to len(a)-1 samples; a delayed copy of b inside
+    a peaks at the delay.  The magnitude is one `_replica_rows` row with b as
+    the replica, so it shares the Doppler rows' kernel and transform length;
+    when b's samples are a's, the kernel transforms them once.
+
     Raises:
         InvalidInputError: if the sample rates differ or a signal has zero energy.
     """
@@ -321,10 +318,10 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
         raise InvalidInputError("cross_correlation requires equal sample rates")
     ea, eb = _signal_energy(a), _signal_energy(b)
     norm = np.sqrt(ea * eb) or np.sqrt(ea) * np.sqrt(eb)  # the product may underflow
-    fs = a.sample_rate_hz
-    y = _linear_xcorr(a.samples, b.samples)
-    lags = np.arange(-(b.num_samples - 1), a.num_samples) / fs
-    return CorrelationResponse(lags_s=lags, magnitude_db=to_db(np.abs(y) / norm))
+    lags = np.arange(-(b.num_samples - 1), a.num_samples)
+    fill = None if b.samples is a.samples else lambda block, out: np.copyto(out, b.samples)
+    row = _replica_rows(a.samples, b.num_samples, 1, fill, lags)[0]
+    return CorrelationResponse(lags_s=lags / a.sample_rate_hz, magnitude_db=to_db(row / norm))
 
 
 def autocorrelation(signal: SampledSignal) -> CorrelationResponse:
@@ -367,7 +364,9 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     num_dopplers = check_number("num_dopplers", num_dopplers, integer=True, minimum=2) | 1
     s = signal.samples
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
-    lag_idx = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
+    lag_idx = np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int)
+    # Sorted already, so dropping adjacent repeats is np.unique, which loads numpy.ma.
+    lag_idx = lag_idx[np.concatenate(([True], lag_idx[1:] != lag_idx[:-1]))]
     dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
     surface = _doppler_rows(s, s, fs, -dopplers, -lag_idx).T
     i0 = int(np.where(lag_idx == 0)[0][0])
@@ -591,8 +590,8 @@ def doppler_tolerance_curve(signal: SampledSignal, dopplers_hz,
 
 
 def _time_scaled_rows(signal: SampledSignal, etas: np.ndarray) -> np.ndarray:
-    """|_linear_xcorr(r_eta, s)| for the `_time_scaler` echoes r_eta, one row per
-    eta.  They are `_replica_rows` of s against r_eta, read with the lags
+    """|correlation of r_eta against s| for the `_time_scaler` echoes r_eta, one
+    row per eta.  They are `_replica_rows` of s against r_eta, read with the lags
     mirrored: |xcorr(r, s)[k]| = |xcorr(s, r)[-k]|, and the full lag range
     1-N..N-1 is its own mirror."""
     s = signal.samples

@@ -118,6 +118,13 @@ def _window_samples(pulse_samples: int, fs: float, scene: EchoScene,
     return float(np.rint(window_s * fs))
 
 
+def _map_lags(pulse_samples: int, window_samples: int) -> range:
+    """`mf_bank`'s lags, every overlap of a pulse of pulse_samples with a
+    received window of window_samples: -(pulse_samples-1)..window_samples-1.
+    A range, so that a caller can size the map before allocating it."""
+    return range(1 - pulse_samples, window_samples)
+
+
 def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
                      window_s: float | None = None) -> SampledSignal:
     """Superpose delayed, Doppler-shifted, scaled copies of the waveform.
@@ -190,7 +197,8 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
         raise InvalidInputError("received and waveform sample rates differ")
     dopplers = _doppler_grid(dopplers_hz, received.sample_rate_hz)
     energy = _signal_energy(waveform, "replica waveform")
-    lags = np.arange(-(waveform.num_samples - 1), received.num_samples)
+    span = _map_lags(waveform.num_samples, received.num_samples)
+    lags = np.arange(span.start, span.stop)
     rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)
     peak = rows.max()
@@ -201,6 +209,14 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     return RangeDopplerMap(delays_s=lags / received.sample_rate_hz,
                            dopplers_hz=dopplers, magnitude_db=_Owned(rows),
                            reference_db=to_db(energy / peak))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array with no NaN, bitwise: np.mean of its one
+    or two middle values in sorted order.  np.median itself loads numpy.ma."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    return float(np.mean(ordered[mid - 1 + ordered.size % 2:mid + 1]))
 
 
 def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
@@ -252,7 +268,7 @@ def resolvability_report(rd_map: RangeDopplerMap, scene: EchoScene,
         ring = np.abs(lags - echo.delay_s) <= neighborhood
         for d in all_delays:
             ring &= np.abs(lags - d) > mainlobe
-        floor_db = float(np.median(row[ring])) if np.any(ring) else DB_FLOOR
+        floor_db = _median(row[ring]) if np.any(ring) else DB_FLOOR
         if peak_idx is None:
             reading = measured = DB_FLOOR
             error = float("nan")

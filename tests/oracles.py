@@ -19,6 +19,34 @@ def direct_corr_at_lag(a, b, m):
     return complex(np.vdot(b[j0:j1], a[j0 + m:j1 + m]))
 
 
+def is_5_smooth(m):
+    """True iff the integer m >= 1 has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def linear_xcorr(a, b):
+    """Full linear correlation y[k] = sum_n a[n] * conj(b[n-k]) by one FFT
+    product, lags k from -(len(b)-1) to len(a)-1.
+
+    The circular correlation is taken at the smallest 5-smooth length of at
+    least len(a) + len(b) - 1, found by a scan of the integers, so that no
+    lag aliases onto another.  Its product is fa * conj(fb) in that operand
+    order at every length: the conjugate is named, so numpy's temporary
+    elision cannot evaluate the product as conj(fb) * fa, which an FMA
+    complex multiply does not round alike.
+    """
+    nfft = a.size + b.size - 1
+    while not is_5_smooth(nfft):
+        nfft += 1
+    fa = np.fft.fft(a, nfft)
+    fb_conj = np.conj(np.fft.fft(b, nfft))
+    y = np.fft.ifft(fa * fb_conj)
+    return np.concatenate([y[nfft - (b.size - 1):], y[:a.size]])
+
+
 def direct_xcorr_mag(a, b):
     """|correlation| on the full lag set -(len(b)-1) .. len(a)-1.
 

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import resource
 import stat
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import wavekit.cli as wk_cli
 from wavekit import config
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
+from wavekit.scene import _map_lags, _window_samples
 
 from conftest import child_env
 
@@ -772,6 +774,62 @@ def test_sample_count_at_the_cap_is_resolved():
     assert config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES, "config") == 2.0**26
     with pytest.raises(wk.ConfigError, match="above the cap"):
         config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES + 1, "config")
+
+
+_SIM_LFM = {"command": "simulate", "waveform": _LFM, "sample_rate_hz": 2048.0,
+            "scene": {"benchmark_bandwidth_hz": 256.0}}
+# The scene's last echo sits at 48/B = 384 samples, so the received window is
+# 384 + 2048 samples and the map has 2432 + 2048 - 1 = 4479 lags.
+_SIM_LAGS = len(_map_lags(2048, int(_window_samples(
+    2048, 2048.0, config.parse_scene(_SIM_LFM["scene"])))))
+
+
+def _cap_address_space():
+    """preexec_fn of a child: at most 1 GiB of address space, so that a map
+    the cap misses fails to allocate rather than allocating for real.  The
+    child runs with one BLAS thread (see `_ONE_BLAS_THREAD`)."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# numpy's OpenBLAS starts a thread per core when it loads, each with its own
+# stack and arena; on a many-core machine that alone could exceed the 1 GiB.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("keys, key", [
+    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000_000}, "num_dopplers"),
+    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000}, "num_dopplers"),
+    ({"dopplers_hz": [0.0] * (config._MAX_SAMPLES // _SIM_LAGS + 1)}, "dopplers_hz"),
+], ids=["num_dopplers_1e8", "num_dopplers_1e5", "dopplers_hz_one_row_over"])
+def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, key):
+    """A matched-filter map of more than config._MAX_SAMPLES cells (Doppler
+    rows x lags) exits 2 naming the key that sets the rows, with no traceback
+    and no output.  1e8 rows is a 3.26 TiB map and 1e5 rows a 3.3 GiB one,
+    which the 1 GiB address-space cap of the child would refuse as a
+    MemoryError if the config check missed it."""
+    cfg = _config(tmp_path, {**_SIM_LFM, **keys})
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavekit.cli", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL,
+        env={**child_env(), **_ONE_BLAS_THREAD}, preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: config: '{key}' asks for ")
+    assert f"above the cap of {config._MAX_SAMPLES}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [lambda rows: {"dopplers_hz": [0.0] * rows},
+                                 lambda rows: {"doppler_span_hz": 40.0, "num_dopplers": rows}],
+                         ids=["dopplers_hz", "num_dopplers"])
+def test_map_at_the_cap_is_parsed_and_one_row_more_is_refused(doc):
+    """The most rows whose map fits the cap pass; one more is refused.  Only
+    the Doppler grid is built, never the map."""
+    rows = config._MAX_SAMPLES // _SIM_LAGS
+    assert config.parse_dopplers(config._Tree(doc(rows), "config"), _SIM_LAGS).size == rows
+    with pytest.raises(wk.ConfigError, match=f"{rows + 1} Doppler rows of {_SIM_LAGS} lags"):
+        config.parse_dopplers(config._Tree(doc(rows + 1), "config"), _SIM_LAGS)
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze", "compare"])

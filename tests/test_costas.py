@@ -57,6 +57,29 @@ def test_verify_costas_matches_brute_force_all_short_permutations():
             assert wk.verify_costas(perm) == costas_brute_force(perm), perm
 
 
+def test_verify_costas_matches_brute_force_on_random_permutations():
+    """Welch codes under a random symmetry of the square (reversal, inverse),
+    each also with two entries swapped, and random permutations, N = 4 to 22:
+    Costas and not, the sort-based check agrees with the oracle."""
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        roots = wk.primitive_roots(p)
+        for _ in range(4):
+            seq = list(wk.generate_welch_costas(p, int(rng.choice(roots))).sequence)
+            if rng.random() < 0.5:
+                seq = seq[::-1]
+            if rng.random() < 0.5:
+                seq = [seq.index(v) + 1 for v in range(1, len(seq) + 1)]
+            i, j = rng.choice(len(seq), 2, replace=False)
+            swapped = list(seq)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            for perm in (seq, swapped, [int(v) + 1 for v in rng.permutation(len(seq))]):
+                verdicts.append(costas_brute_force(perm))
+                assert wk.verify_costas(perm) == verdicts[-1], perm
+    assert True in verdicts and False in verdicts
+
+
 def test_verify_costas_known_negative():
     # Arithmetic progression: every difference-triangle row repeats.
     assert not wk.verify_costas((1, 2, 3, 4))

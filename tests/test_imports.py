@@ -1,12 +1,15 @@
-"""Import floor: wavekit and its CLI run on numpy alone.
+"""Import floor: wavekit and its CLI run on numpy alone, and load only what
+they use.
 
 No command and no optimizer loads scipy: Nelder-Mead and L-BFGS are
 numpy loops, and the wideband Doppler curve and time-scaled echoes use a
-numpy spline.  scipy stays a test oracle only.
+numpy spline.  scipy stays a test oracle only.  `import wavekit` loads no
+submodule, only the `optimize` command loads `wavekit.optimize`, and no
+command loads `numpy.ma`, which numpy's unique and median would import.
 
 Each check runs in a fresh interpreter, since this test process has
-scipy loaded already.  The child prints the scipy modules it ended with,
-or runs with scipy made unimportable.
+scipy loaded already.  The child prints the scipy, wavekit and numpy.ma
+modules it ended with, or runs with scipy made unimportable.
 """
 
 import json
@@ -15,6 +18,7 @@ import sys
 
 import pytest
 
+import wavekit as wk
 from conftest import child_env
 
 LFM = {"kind": "lfm", "bandwidth_hz": 16.0, "duration_s": 1.0}
@@ -26,7 +30,10 @@ CLI_RUNS = [
       "scene": {"benchmark_bandwidth_hz": 16.0}, "dopplers_hz": [0.0, 1.0]}, []),
     ({"command": "compare", "sample_rate_hz": 128.0, "num_doppler_points": 3,
       "waveforms": [{"name": "lfm", "waveform": LFM},
-                    {"name": "cw", "waveform": {"kind": "cw", "duration_s": 1.0}}]}, []),
+                    {"name": "cw", "waveform": {"kind": "cw", "duration_s": 1.0}},
+                    {"name": "costas", "waveform": {"kind": "costas_fsk", "prime": 5,
+                                                    "generator": 2, "duration_s": 1.0}}]},
+     []),
 ]
 OPTIMIZE = {"command": "optimize",
                "problem": {"num_harmonics": 1, "duration_s": 1.0, "bandwidth_hz": 16.0,
@@ -34,15 +41,22 @@ OPTIMIZE = {"command": "optimize",
                            "method": "nelder_mead", "initial": "nlfm"}}
 
 
-def _scipy_modules_after(code: str) -> set:
-    """Run code in a fresh interpreter; the scipy modules it leaves loaded."""
+def _modules_after(code: str) -> set:
+    """Run code in a fresh interpreter; the scipy, wavekit and numpy.ma modules
+    it leaves loaded."""
     script = code + ("\nimport json, sys\n"
                      "print(json.dumps(sorted(m for m in sys.modules"
-                     " if m.split('.')[0] == 'scipy')))\n")
+                     " if m.split('.')[0] in ('scipy', 'wavekit')"
+                     " or m.split('.')[:2] == ['numpy', 'ma'])))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _scipy_modules_after(code: str) -> set:
+    """Run code in a fresh interpreter; the scipy modules it leaves loaded."""
+    return {m for m in _modules_after(code) if m.split(".")[0] == "scipy"}
 
 
 def _cli_runs(tmp_path, runs) -> str:
@@ -58,15 +72,24 @@ def _cli_runs(tmp_path, runs) -> str:
 
 
 def test_import_wavekit_loads_no_scipy():
-    assert _scipy_modules_after("import wavekit") == set()
+    """Nor any wavekit submodule: the namespace imports each on first use."""
+    assert _modules_after("import wavekit") == {"wavekit"}
 
 
 def test_import_wavekit_cli_loads_no_scipy():
-    assert _scipy_modules_after("import wavekit.cli") == set()
+    """Nor the optimizer, which only the optimize command imports."""
+    loaded = _modules_after("import wavekit.cli")
+    assert loaded and all(m.split(".")[0] == "wavekit" for m in loaded)
+    assert "wavekit.optimize" not in loaded
 
 
 def test_cli_commands_without_an_optimizer_load_no_scipy(tmp_path):
-    assert _scipy_modules_after(_cli_runs(tmp_path, CLI_RUNS)) == set()
+    """synth, analyze, simulate and compare load neither scipy nor
+    wavekit.optimize nor numpy.ma."""
+    loaded = _modules_after(_cli_runs(tmp_path, CLI_RUNS))
+    assert "wavekit.cli" in loaded
+    assert all(m.split(".")[0] == "wavekit" for m in loaded)
+    assert "wavekit.optimize" not in loaded
     for i in range(len(CLI_RUNS)):
         assert any((tmp_path / f"out{i}").iterdir())
     assert (tmp_path / "out0" / "waveform.wav").exists()
@@ -92,7 +115,10 @@ def _optimize_config(method: str) -> dict:
 
 @pytest.mark.parametrize("method", ["nelder_mead", "gradient_descent", "lbfgs"])
 def test_optimize_from_nlfm_loads_no_scipy(tmp_path, method):
-    assert _scipy_modules_after(_cli_runs(tmp_path, [(_optimize_config(method), [])])) == set()
+    """Nor numpy.ma; the optimize command does load wavekit.optimize."""
+    loaded = _modules_after(_cli_runs(tmp_path, [(_optimize_config(method), [])]))
+    assert "wavekit.optimize" in loaded
+    assert all(m.split(".")[0] == "wavekit" for m in loaded)
     assert (tmp_path / "out0" / "optimize_result.json").exists()
 
 
@@ -132,3 +158,26 @@ def test_import_wavekit_starts_no_thread():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "False"]
+
+
+def test_namespace_resolves_names_and_submodules_on_first_use(monkeypatch):
+    """A public name is fetched from its submodule and kept in the namespace;
+    a submodule resolves as an attribute; any other name is an AttributeError."""
+    from wavekit import metrics, waveforms
+
+    monkeypatch.delattr(wk, "synth_lfm")
+    monkeypatch.delattr(wk, "metrics")
+    assert "synth_lfm" not in vars(wk)
+    assert wk.synth_lfm is waveforms.synth_lfm
+    assert vars(wk)["synth_lfm"] is waveforms.synth_lfm
+    assert wk.metrics is metrics
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(wk, "no_such_name")
+    assert not hasattr(wk, "DB_FLOOR")  # a submodule's unlisted name stays there
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    names = dir(wk)
+    assert names == sorted(names)
+    assert set(wk.__all__) <= set(names)
+    assert {"__version__", "metrics", "optimize", "signal"} <= set(names)

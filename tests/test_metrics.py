@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import (_block_rows, _doppler_rows, _lag_gathers, _linear_xcorr,
-                             _not_a_knot_spline, _phase_ramps, _solve_141, _time_scaled_rows,
+from wavekit.metrics import (_block_rows, _doppler_rows, _lag_gathers, _not_a_knot_spline,
+                             _phase_ramps, _replica_rows, _solve_141, _time_scaled_rows,
                              _time_scaler)
 from wavekit.signal import _fft_length
 
 from conftest import child_env
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
-                     direct_corr_at_lag, direct_xcorr_mag, spectral_moment_rms)
+                     direct_corr_at_lag, direct_xcorr_mag, is_5_smooth, linear_xcorr,
+                     spectral_moment_rms)
 
 
 def _tone(freq_hz, fs=512.0, duration_s=1.0):
@@ -70,14 +71,8 @@ def test_fft_correlator_matches_direct_sums():
 
 def test_fft_length_is_the_smallest_5_smooth_length():
     """Against a scan of the integers for those with no prime factor above 5."""
-    def smooth(m):
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        return m == 1
-
     n_max = 10_000
-    smooth_numbers = [m for m in range(1, 2 * n_max) if smooth(m)]
+    smooth_numbers = [m for m in range(1, 2 * n_max) if is_5_smooth(m)]
     nxt = iter(smooth_numbers)
     candidate = next(nxt)
     for n in range(1, n_max + 1):
@@ -92,8 +87,9 @@ def test_correlation_at_a_tight_5_smooth_length():
     a = rng.standard_normal(600) + 1j * rng.standard_normal(600)
     b = rng.standard_normal(481) + 1j * rng.standard_normal(481)
     assert _fft_length(a.size + b.size - 1) == a.size + b.size - 1
-    np.testing.assert_allclose(np.abs(_linear_xcorr(a, b)), direct_xcorr_mag(a, b),
-                               atol=1e-9)
+    row = _replica_rows(a, b.size, 1, lambda block, out: np.copyto(out, b),
+                        np.arange(1 - b.size, a.size))[0]
+    np.testing.assert_allclose(row, direct_xcorr_mag(a, b), atol=1e-9)
 
 
 @pytest.mark.parametrize("lo, hi", [(-480, 599), (-480, -300), (-7, 7), (150, 170),
@@ -399,9 +395,12 @@ def test_cross_correlation_of_signal_with_itself_is_autocorrelation():
 
 
 def test_autocorrelation_takes_one_forward_transform(monkeypatch):
-    """Reusing the transform of a for b is bitwise the two-transform result."""
-    s = wk.synth_hfm(40.0, 80.0, 1.0, 512.0).samples
-    assert np.array_equal(_linear_xcorr(s, s), _linear_xcorr(s, s.copy()))
+    """The kernel's spectrum of s serves as the replica's: bitwise the
+    two-transform result of a copy, and one forward transform per call."""
+    sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+    copy = wk.SampledSignal(sig.samples.copy(), sig.sample_rate_hz, sig.center_freq_hz)
+    assert np.array_equal(wk.autocorrelation(sig).magnitude_db,
+                          wk.cross_correlation(sig, copy).magnitude_db)
     calls = []
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
@@ -410,6 +409,32 @@ def test_autocorrelation_takes_one_forward_transform(monkeypatch):
     assert len(calls) == 1
     wk.metrics_report(sig, 64.0)
     assert len(calls) == 1 + 2
+
+
+_RNG_PAIR = np.random.default_rng(8)
+_NOISE_300, _NOISE_481 = (wk.SampledSignal(_RNG_PAIR.standard_normal(n)
+                                           + 1j * _RNG_PAIR.standard_normal(n), 512.0)
+                          for n in (300, 481))
+
+
+@pytest.mark.parametrize("a, b", [
+    (wk.synth_hfm(40.0, 80.0, 1.0, 512.0),) * 2,
+    (wk.synth_lfm(64.0, 1.0, 512.0), wk.synth_p4(16, 1.0, 512.0)),
+    (_NOISE_300, _NOISE_481),
+    (_NOISE_481, wk.synth_costas_fsk(wk.generate_welch_costas(11, 2), 1.0, 512.0)),
+    (wk.synth_lfm(256.0, 4.0, 2048.0),) * 2,
+], ids=["hfm_self", "lfm_p4", "noise_300_481", "noise_481_costas", "lfm_8192_self"])
+def test_cross_correlation_is_bitwise_the_fft_oracle(a, b):
+    """One `_replica_rows` row, bitwise the magnitude of the oracle's
+    fa * conj(fb) correlation, self and cross, equal and unequal lengths.  At
+    N = 8192 the transform is 16384 points, where an unnamed conj(fb)
+    temporary would let numpy evaluate the product as conj(fb) * fa."""
+    norm = np.sqrt(a.energy() * b.energy())
+    expected = wk.to_db(np.abs(linear_xcorr(a.samples, b.samples)) / norm)
+    resp = wk.cross_correlation(a, b)
+    assert np.array_equal(resp.magnitude_db, expected)
+    assert np.array_equal(resp.lags_s,
+                          np.arange(1 - b.num_samples, a.num_samples) / a.sample_rate_hz)
 
 
 def test_cross_correlation_reversal_symmetry():
@@ -461,6 +486,20 @@ def test_ambiguity_normalized_at_origin():
     j0 = np.flatnonzero(af.dopplers_hz == 0.0)[0]
     assert af.magnitude[i0, j0] == 1.0
     assert af.magnitude.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("max_delay_s, num_delays", [
+    (5.5 / 512.0, 65), (5.5 / 512.0, 11), (1.0 / 512.0, 9), (0.4 / 512.0, 5),
+    (20.0 / 512.0, 129), (100.0 / 512.0, 1001), (0.5, 129)])
+def test_ambiguity_lag_grid_is_np_unique(max_delay_s, num_delays):
+    """The delay axis is np.unique of the rounded linspace, bitwise, also when
+    rounding makes duplicates (num_delays > 2 max_lag + 1), down to max_lag 0."""
+    sig = wk.synth_lfm(64.0, 1.0, 512.0)
+    af = wk.ambiguity_function(sig, max_delay_s, 20.0, num_delays, 5)
+    max_lag = min(sig.num_samples - 1, int(round(max_delay_s * 512.0)))
+    lags = np.unique(np.round(np.linspace(-max_lag, max_lag, num_delays | 1)).astype(int))
+    assert np.array_equal(af.delays_s, lags / 512.0)
+    assert af.magnitude.shape == (lags.size, 5)
 
 
 def test_ambiguity_point_symmetry():
@@ -534,7 +573,7 @@ def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
     af = wk.ambiguity_function(sig, 1.0, 20.0, num_delays, num_dopplers)
     s = sig.samples
     lags = np.round(af.delays_s * 512.0).astype(int)
-    full = np.array([np.abs(_linear_xcorr(s, s * ramp))
+    full = np.array([np.abs(linear_xcorr(s, s * ramp))
                      for ramp in _phase_ramps(-af.dopplers_hz, s.size, 512.0)])
     expected = full[:, (s.size - 1) - lags].T
     expected /= expected[np.flatnonzero(lags == 0)[0], np.argmin(np.abs(af.dopplers_hz))]
@@ -859,12 +898,12 @@ def test_time_scaled_echoes_match_scipy_splines():
 
 def test_wideband_rows_match_per_doppler_correlations():
     """Every row, over two blocks of the shared kernel, within 1e-14 of the zero-lag
-    peak of the one-eta _linear_xcorr of its echo against s."""
+    peak of the one-eta oracle correlation of its echo against s."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     etas = 1.0 + np.linspace(-8.0, 8.0, 41) / sig.center_freq_hz
     rows = _time_scaled_rows(sig, etas)
     replicas = _time_scaler(sig)(etas)
-    expected = np.array([np.abs(_linear_xcorr(r, sig.samples)) for r in replicas])
+    expected = np.array([np.abs(linear_xcorr(r, sig.samples)) for r in replicas])
     assert rows.shape == expected.shape
     assert np.abs(rows - expected).max() <= 1e-14 * sig.energy()
 

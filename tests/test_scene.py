@@ -8,13 +8,13 @@ import pytest
 import wavekit as wk
 import wavekit.metrics as wk_metrics
 from wavekit.errors import InvalidInputError
-from wavekit.metrics import _linear_xcorr, _phase_ramps
-from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, _window_samples, benchmark_scene,
-                           mf_bank, resolvability_report, simulate_returns)
+from wavekit.metrics import _phase_ramps
+from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, _median, _window_samples,
+                           benchmark_scene, mf_bank, resolvability_report, simulate_returns)
 from wavekit.signal import DB_FLOOR, _Owned
 
 from conftest import child_env
-from oracles import direct_xcorr_mag, superposed_echo_mag
+from oracles import direct_xcorr_mag, linear_xcorr, superposed_echo_mag
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +293,7 @@ def test_mf_bank_equals_the_full_row_result(lfm):
     rx = simulate_returns(lfm, EchoScene(echoes=(Echo(30.0 / 512.0, -3.0, 0.0),
                                                   Echo(90.0 / 512.0, 2.5, -6.0))), seed=0)
     dopplers = [-7.3, 0.0, 2.5]
-    rows = np.array([np.abs(_linear_xcorr(rx.samples, lfm.samples * ramp))
+    rows = np.array([np.abs(linear_xcorr(rx.samples, lfm.samples * ramp))
                      for ramp in _phase_ramps(np.array(dopplers), lfm.num_samples, 512.0)])
     rd = mf_bank(rx, lfm, dopplers)
     assert np.array_equal(rd.magnitude_db, wk.to_db(rows / rows.max()))
@@ -432,6 +432,26 @@ def test_echo_outside_the_map_reads_the_floor():
     assert entry["detected"] is False
     assert entry["measured_level_db"] == DB_FLOOR
     assert np.isnan(entry["position_error_s"])
+
+
+def test_ring_floor_is_np_median_bitwise(lfm):
+    """The sort-based median of the ring floor is np.median to the bit, on the
+    benchmark scene's rings of a real map and on random values, odd and even
+    sizes alike."""
+    scene = benchmark_scene(64.0)
+    rd = mf_bank(simulate_returns(lfm, scene, seed=0), lfm, [0.0])
+    rings = []
+    for echo in scene.echoes:
+        ring = np.abs(rd.delays_s - echo.delay_s) <= 10.0 / 64.0
+        for other in scene.echoes:
+            ring &= np.abs(rd.delays_s - other.delay_s) > 1.0 / 64.0
+        rings.append(rd.magnitude_db[0][ring])
+    rng = np.random.default_rng(6)
+    rings += [rng.uniform(-120.0, 0.0, n) for n in range(1, 41)]
+    rings += [np.full(4, -30.0), np.array([-1e-300, 1e-300])]
+    assert {ring.size % 2 for ring in rings} == {0, 1}
+    for ring in rings:
+        assert np.float64(_median(ring)).tobytes() == np.float64(np.median(ring)).tobytes()
 
 
 def test_resolvability_validation(lfm):
