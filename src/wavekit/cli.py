@@ -273,7 +273,8 @@ def cmd_simulate(tree: _Tree, args, formats) -> dict:
     signal = synth_waveform(spec, fs)
     span = "the 'scene' delays plus 'duration_s'" if window is None else "'window_s'"
     received_samples = _window_samples(signal.num_samples, fs, scene, window)
-    check_sample_count(tree.context, span, received_samples, fs)
+    check_sample_count(tree.context, received_samples, f"{span} at {fs:.6g} Hz ('sample_rate_hz') "
+                       f"is {received_samples:.6g} samples")
     dopplers = parse_dopplers(tree, len(_map_lags(signal.num_samples, int(received_samples))))
     tree.finish()
     received = simulate_returns(signal, scene, seed, window_s=window)

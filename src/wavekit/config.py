@@ -184,14 +184,14 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     return spec
 
 
-def check_sample_count(context: str, span: str, count: float, sample_rate_hz: float) -> None:
-    """Refuse a span of round(count) samples at fs above _MAX_SAMPLES with a
-    ConfigError naming context and the span's keys, before anything is
-    allocated.  count may be inf, as a product of seconds and fs that
-    overflows."""
+def check_sample_count(context: str, count: float, description: str) -> None:
+    """Refuse a derived count (samples of a span, or cells of a map) whose
+    round(count) exceeds _MAX_SAMPLES, before anything is allocated, with a
+    ConfigError "context: description, above the cap of _MAX_SAMPLES".  The
+    description names the config keys that set the count.  count may be
+    inf, as a product of seconds and fs that overflows."""
     if count >= _MAX_SAMPLES + 1 or round(count) > _MAX_SAMPLES:
-        raise ConfigError(f"{context}: {span} at {sample_rate_hz:.6g} Hz ('sample_rate_hz') "
-                          f"is {count:.6g} samples, above the cap of {_MAX_SAMPLES}")
+        raise ConfigError(f"{context}: {description}, above the cap of {_MAX_SAMPLES}")
 
 
 def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit,
@@ -201,7 +201,9 @@ def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit,
     synthesis minimum.  A rate giving N = round(fs*T) > _MAX_SAMPLES is a
     ConfigError naming context, the subtree that holds 'sample_rate_hz'."""
     fs = float(explicit) if explicit is not None else max(8.0 * bandwidth_hz, 256.0 / duration_s)
-    check_sample_count(context, "'duration_s'", duration_s * fs, fs)
+    count = duration_s * fs
+    check_sample_count(context, count,
+                       f"'duration_s' at {fs:.6g} Hz ('sample_rate_hz') is {count:.6g} samples")
     return fs
 
 
@@ -245,14 +247,6 @@ def parse_scene(data) -> EchoScene:
         return EchoScene(echoes=tuple(echoes), noise_level_db=noise)
 
 
-def _check_map_cells(context: str, key: str, rows: int, lags: int) -> None:
-    """Refuse a matched-filter map of rows x lags cells above _MAX_SAMPLES with
-    a ConfigError naming context and key, the config key that sets rows."""
-    if rows * lags > _MAX_SAMPLES:
-        raise ConfigError(f"{context}: {key!r} asks for {rows} Doppler rows of {lags} lags, "
-                          f"{rows * lags} map cells, above the cap of {_MAX_SAMPLES}")
-
-
 def parse_dopplers(tree: _Tree, lags: int) -> np.ndarray:
     """Doppler grid: explicit list, or a symmetric span with a count.
 
@@ -263,11 +257,14 @@ def parse_dopplers(tree: _Tree, lags: int) -> np.ndarray:
     """
     explicit = _float_list(tree, "dopplers_hz", default=None)
     if explicit is not None:
-        _check_map_cells(tree.context, "dopplers_hz", len(explicit), lags)
+        key, count = "dopplers_hz", len(explicit)
+    else:
+        span = tree.take_number("doppler_span_hz", positive=True)
+        key, count = "num_dopplers", tree.take_number("num_dopplers", integer=True, minimum=1)
+    check_sample_count(tree.context, count * lags, f"{key!r} asks for {count} Doppler rows of "
+                       f"{lags} lags, {count * lags} map cells")
+    if explicit is not None:
         return np.array(explicit)
-    span = tree.take_number("doppler_span_hz", positive=True)
-    count = tree.take_number("num_dopplers", integer=True, minimum=1)
-    _check_map_cells(tree.context, "num_dopplers", count, lags)
     if count == 1:
         return np.zeros(1)
     return np.linspace(-span / 2.0, span / 2.0, count)

@@ -9,10 +9,12 @@ amplitude class.
 
 Three minimizers run under one search contract: a seeded Nelder-Mead
 simplex (scipy's adaptive variant, ported to numpy) and two gradient
-methods that share one loop, one strong-Wolfe line search and one set of
-stop rules, in numpy: L-BFGS quasi-Newton refinement, and steepest
-descent, which is the same loop with no step pairs kept.  Each supplies
-only its search loop.  The contract counts every objective or
+methods that share one loop, one strong-Wolfe line search (bracket and
+zoom in a single loop) and one set of stop rules, in numpy: L-BFGS
+quasi-Newton refinement, and steepest descent, which is the same loop
+with no step pairs kept.  Each supplies only its search loop, which
+returns its own (converged, stop_reason), so each minimizer is
+`search.run(lambda: loop(...))`.  The contract counts every objective or
 objective-plus-gradient call as one evaluation, checks the budget before
 computing anything, keeps the best-so-far design, its bandwidth and its
 trace, and assembles the result; exhausting the budget returns the best
@@ -57,6 +59,10 @@ _PSL_SHARPNESS = 50.0
 _LBFGS_MEMORY = 10
 _LBFGS_GTOL = 1e-12
 _LBFGS_FTOL = 1e-15
+# Nelder-Mead's stop test: the simplex spans at most _NM_XATOL in every
+# coordinate and _NM_FATOL in f.
+_NM_XATOL = 1e-8
+_NM_FATOL = 1e-12
 # Strong-Wolfe line search: sufficient decrease, curvature, trials allowed.
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
@@ -291,8 +297,9 @@ class _Search:
     and records the best value, design, bandwidth and trace.  Every
     minimizer evaluates the start first, so the record holds a finite
     design from the first evaluation on, or the start is refused.
-    run(loop) calls the minimizer's loop for (converged, stop_reason); an
-    exhausted budget ends it with (False, "budget").
+    run(loop) calls the minimizer's loop, `_lbfgs` or `_nelder_mead`, for
+    the (converged, stop_reason) it returns; an exhausted budget ends it
+    with (False, "budget").
     """
 
     def __init__(self, problem: OptimizationProblem):
@@ -356,20 +363,15 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     small seeded jitter, so reruns with the same seed reproduce the
     trace exactly.  The search is scipy's adaptive Nelder-Mead, ported to
     numpy (see `_nelder_mead`).  It stops with stop_reason "tolerance"
-    (converged) when the simplex spans at most 1e-8 in every coordinate
-    and 1e-12 in f, and "budget" (converged=False, best design returned)
-    when the evaluations run out first.
+    (converged) when the simplex spans at most _NM_XATOL in every
+    coordinate and _NM_FATOL in f, and "budget" (converged=False, best
+    design returned) when the evaluations run out first.
     """
     search = _Search(problem)
     if problem.budget < search.x0.size + 1:
         raise InvalidInputError("Nelder-Mead needs budget >= dimension + 1")
     simplex = _initial_simplex(search.x0, problem.seed)
-
-    def simplex_search():
-        _nelder_mead(search.value, simplex, xatol=1e-8, fatol=1e-12)
-        return True, "tolerance"
-
-    return search.run(simplex_search)
+    return search.run(lambda: _nelder_mead(search.value, simplex))
 
 
 def _initial_simplex(x0: np.ndarray, seed: int) -> np.ndarray:
@@ -384,16 +386,17 @@ def _initial_simplex(x0: np.ndarray, seed: int) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(func, initial_simplex: np.ndarray, xatol: float, fatol: float) -> None:
-    """Adaptive Nelder-Mead on func from an (N+1, N) simplex.
+def _nelder_mead(func, initial_simplex: np.ndarray) -> tuple[bool, str]:
+    """Adaptive Nelder-Mead on func from an (N+1, N) simplex; (True, "tolerance").
 
     Operation for operation scipy 1.17.1's `_minimize_neldermead` with
     adaptive=True and no bounds, evaluation limit or callback: the Gao-Han
     coefficients, the same vertex updates and argsort/take ordering, and a
     copy of each vertex passed to func.  So it makes the same calls as
-    scipy.optimize.minimize(method="Nelder-Mead") does, bit for bit.  It
-    returns once the simplex is within xatol and fatol of its best vertex,
-    tested before each iteration; func ends it otherwise by raising.
+    scipy.optimize.minimize(method="Nelder-Mead") does, bit for bit, with
+    xatol=_NM_XATOL and fatol=_NM_FATOL.  It returns once the simplex is
+    within those of its best vertex, tested before each iteration; func
+    ends it otherwise by raising.
     """
     sim = np.array(initial_simplex, dtype=np.float64)
     n = sim.shape[1]
@@ -412,8 +415,8 @@ def _nelder_mead(func, initial_simplex: np.ndarray, xatol: float, fatol: float) 
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
 
-    while not (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-               and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    while not (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _NM_XATOL
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
         fxr = f(xr)
@@ -449,6 +452,7 @@ def _nelder_mead(func, initial_simplex: np.ndarray, xatol: float, fatol: float) 
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
+    return True, "tolerance"
 
 
 def finite_difference_gradient(params: MtsfmParameters, problem: OptimizationProblem,
@@ -526,15 +530,16 @@ def _lbfgs(func, x0: np.ndarray, memory: int = _LBFGS_MEMORY) -> tuple[bool, str
     The first trial step is 1 once a pair is kept.  Until then it is
     min(1, 1/||g||) on the first iteration, and later Nocedal and Wright's
     eq. 3.60 for steepest descent, g_{k-1}.s_{k-1} / g_k.d_k: the last
-    step's first-order decrease, expected again.  `_wolfe_step` accepts
-    one step.  The stop tests are L-BFGS-B's, in its order after each step:
-    max |g| <= _LBFGS_GTOL ("stationary"), then a relative reduction of f
-    of at most _LBFGS_FTOL ("tolerance"); both are converged.  A line search
-    that finds no acceptable step ends the run on "line_search", never
-    converged.  With either memory that can happen near a minimum on
-    rounding noise alone: where f's noise exceeds the tolerance test's
-    1e-15 max(|f|, 1), no trial step may show the decrease the line search
-    asks for, and the run ends on "line_search" before that test fires.
+    step's first-order decrease, expected again.  `_wolfe_step`, one loop
+    of bracketing and zoom trials, accepts one step.  The stop tests are
+    L-BFGS-B's, in its order after each step: max |g| <= _LBFGS_GTOL
+    ("stationary"), then a relative reduction of f of at most _LBFGS_FTOL
+    ("tolerance"); both are converged.  A line search that finds no
+    acceptable step ends the run on "line_search", never converged.  With
+    either memory that can happen near a minimum on rounding noise alone:
+    where f's noise exceeds the tolerance test's 1e-15 max(|f|, 1), no
+    trial step may show the decrease the line search asks for, and the run
+    ends on "line_search" before that test fires.
     """
     x = np.asarray(x0, dtype=float)
     m, n = memory, x.size
@@ -578,55 +583,40 @@ def _lbfgs(func, x0: np.ndarray, memory: int = _LBFGS_MEMORY) -> tuple[bool, str
 def _wolfe_step(func, x, f, g, d, step):
     """A step along d from x meeting the strong Wolfe conditions, or None.
 
-    Nocedal and Wright's Algorithms 3.5 and 3.6: trial steps double from
-    `step` until one brackets an acceptable step, which `zoom` then
-    narrows by safeguarded cubic interpolation.  phi(a) = f(x + a d);
-    accepted a satisfies phi(a) <= phi(0) + c1 a phi'(0) and |phi'(a)| <=
-    -c2 phi'(0).  Returns (x + a d, phi(a), gradient there) for the first
-    acceptable trial; None when d is not a descent direction or
-    _WOLFE_TRIALS trials find none.
+    Nocedal and Wright's Algorithms 3.5 (bracket) and 3.6 (zoom) as one loop
+    of at most _WOLFE_TRIALS trials.  phi(a) = f(x + a d); an accepted a
+    satisfies phi(a) <= phi(0) + c1 a phi'(0) and |phi'(a)| <= -c2 phi'(0).
+    lo = (a, phi, phi') is the best trial so far that meets sufficient
+    decrease, from a = 0; hi, unset until a trial brackets an acceptable
+    step, is the interval's other end.  Until hi is set the trial step
+    doubles from `step`; then `_cubic_step(lo, hi)` gives it.  As in the
+    book, the first trial is never refused for phi(a) >= phi(lo) alone.
+    Returns (x + a d, phi(a), gradient there) for the first acceptable
+    trial; None when d is not a descent direction, the interval narrows to
+    a single step, or the trials run out.
     """
     slope0 = float(g @ d)
     if not slope0 < 0.0:
         return None
     decrease, curvature = _WOLFE_C1 * slope0, -_WOLFE_C2 * slope0
-
-    def trial(a):
-        xa = x + a * d
-        fa, ga = func(xa)
-        return a, float(fa), float(ga @ d), xa, ga
-
     f = float(f)
-    prev = (0.0, f, slope0)
+    lo, hi = (0.0, f, slope0), None
     for i in range(_WOLFE_TRIALS):
-        a, fa, da, xa, ga = point = trial(step)
-        if not fa <= f + a * decrease or (i > 0 and fa >= prev[1]):  # NaN fails
-            return _zoom(trial, f, decrease, curvature, prev, point[:3], _WOLFE_TRIALS - i - 1)
-        if abs(da) <= curvature:
-            return xa, fa, ga
-        if da >= 0.0:
-            return _zoom(trial, f, decrease, curvature, point[:3], prev, _WOLFE_TRIALS - i - 1)
-        prev, step = point[:3], 2.0 * a
-    return None
-
-
-def _zoom(trial, f, decrease, curvature, lo, hi, trials):
-    """Algorithm 3.6: narrow [lo, hi], each an (a, phi, phi') triple, where
-    lo has the lower phi and satisfies sufficient decrease, to a strong-Wolfe
-    step within `trials` evaluations; (x, f, gradient) there, or None, also
-    once the interval has narrowed to a single step."""
-    for _ in range(trials):
-        if lo[0] == hi[0]:
-            return None
-        a, fa, da, xa, ga = trial(_cubic_step(lo, hi))
-        if not fa <= f + a * decrease or fa >= lo[1]:
+        if hi is not None:
+            if lo[0] == hi[0]:  # one step: _cubic_step would divide by zero
+                return None
+            step = _cubic_step(lo, hi)
+        xa = x + step * d
+        fa, ga = func(xa)
+        a, fa, da = step, float(fa), float(ga @ d)
+        if not fa <= f + a * decrease or (i > 0 and fa >= lo[1]):  # NaN fails
             hi = (a, fa, da)
             continue
         if abs(da) <= curvature:
             return xa, fa, ga
-        if da * (hi[0] - lo[0]) >= 0.0:
+        if da * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
             hi = lo
-        lo = (a, fa, da)
+        lo, step = (a, fa, da), 2.0 * a
     return None
 
 

@@ -258,3 +258,49 @@ def full_length_mtsfm_objective(x, num_samples, sample_rate_hz, nfft, region_s,
         spec_weight += np.fft.ifftshift(m * scale * ((freqs - centroid) ** 2 - bw * bw))
     dphase = 2.0 * np.imag(np.conj(samples) * np.fft.ifft(spec * spec_weight)[:n])
     return value, bw, np.concatenate([cos_basis.T @ dphase, sin_basis.T @ dphase])
+
+
+def two_phase_wolfe_step(func, x, f, g, d, step, c1, c2, trials, cubic_step):
+    """A strong-Wolfe step along d from x, or None, as two phases: Nocedal
+    and Wright's Algorithm 3.5 doubles the trial step from `step` until one
+    brackets an acceptable step, then Algorithm 3.6 (`zoom` below) narrows
+    the bracket by cubic_step(lo, hi).  c1 and c2 are the sufficient-decrease
+    and curvature constants, and trials the evaluations allowed in all.
+    Returns (x + a d, phi(a), gradient there) or None."""
+    slope0 = float(g @ d)
+    if not slope0 < 0.0:
+        return None
+    decrease, curvature = c1 * slope0, -c2 * slope0
+
+    def trial(a):
+        xa = x + a * d
+        fa, ga = func(xa)
+        return a, float(fa), float(ga @ d), xa, ga
+
+    def zoom(lo, hi, left):
+        for _ in range(left):
+            if lo[0] == hi[0]:
+                return None
+            a, fa, da, xa, ga = trial(cubic_step(lo, hi))
+            if not fa <= f + a * decrease or fa >= lo[1]:
+                hi = (a, fa, da)
+                continue
+            if abs(da) <= curvature:
+                return xa, fa, ga
+            if da * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = (a, fa, da)
+        return None
+
+    f = float(f)
+    prev = (0.0, f, slope0)
+    for i in range(trials):
+        a, fa, da, xa, ga = point = trial(step)
+        if not fa <= f + a * decrease or (i > 0 and fa >= prev[1]):
+            return zoom(prev, point[:3], trials - i - 1)
+        if abs(da) <= curvature:
+            return xa, fa, ga
+        if da >= 0.0:
+            return zoom(point[:3], prev, trials - i - 1)
+        prev, step = point[:3], 2.0 * a
+    return None

@@ -1,6 +1,7 @@
 """Correlation, ambiguity, and scalar metric checks against direct oracles."""
 
 import contextlib
+import os
 import subprocess
 import sys
 import threading
@@ -292,6 +293,15 @@ def test_row_kernels_do_not_depend_on_the_worker_count():
             with _patched_workers(workers):
                 results.append(_row_kernel_outputs())
     assert all(result == results[0] for result in results[1:])
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) the worker count is
+    os.cpu_count(), or 1 when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert wk_metrics._worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert wk_metrics._worker_count() == 1
 
 
 def _each_worker_once(workers):

@@ -25,7 +25,8 @@ from wavekit.optimize import (OptimizationProblem, _checked_workspace, _taylor_w
 from wavekit.signal import _fft_length
 from wavekit.waveforms import MtsfmParameters, swept_bandwidth, synth_mtsfm
 
-from oracles import dirichlet_magnitude, full_length_mtsfm_objective, spectral_moment_rms
+from oracles import (dirichlet_magnitude, full_length_mtsfm_objective, spectral_moment_rms,
+                     two_phase_wolfe_step)
 
 
 def _manual_objective(params, problem):
@@ -519,8 +520,9 @@ def _scipy_nelder_mead(problem):
 
     def simplex_search():
         res = minimize(search.value, search.x0, method="Nelder-Mead",
-                       options={"initial_simplex": simplex, "xatol": 1e-8, "fatol": 1e-12,
-                                "maxiter": 10**9, "maxfev": 10**9, "adaptive": True})
+                       options={"initial_simplex": simplex, "xatol": optimize._NM_XATOL,
+                                "fatol": optimize._NM_FATOL, "maxiter": 10**9,
+                                "maxfev": 10**9, "adaptive": True})
         return bool(res.success), "tolerance" if res.success else "budget"
 
     return search.run(simplex_search)
@@ -775,28 +777,140 @@ def test_line_search_refuses_a_direction_without_descent():
     assert calls == []
 
 
-def test_zoom_refuses_a_step_without_sufficient_decrease():
+def _scripted_line(respond):
+    """A line search along d = [1] from x = [0] with phi(0) = 0 and phi'(0) =
+    -1: func answers the k-th trial step a with respond(k, a) = (phi,
+    phi') and records a.  Returns (func, trial steps, (x, f, g, d))."""
+    steps = []
+
+    def func(x):
+        steps.append(float(x[0]))
+        fa, da = respond(len(steps) - 1, steps[-1])
+        return fa, np.array([da])
+
+    return func, steps, (np.zeros(1), 0.0, -np.ones(1), np.ones(1))
+
+
+def _wolfe_oracle(func, x, f, g, d, step):
+    return two_phase_wolfe_step(func, x, f, g, d, step, optimize._WOLFE_C1,
+                                optimize._WOLFE_C2, optimize._WOLFE_TRIALS,
+                                optimize._cubic_step)
+
+
+def _same_line_search(respond, step):
+    """Run `_wolfe_step` and the two-phase oracle on one scripted line;
+    assert the same trial steps and the same result, bit for bit."""
+    runs = []
+    for line_search in (optimize._wolfe_step, _wolfe_oracle):
+        func, steps, (x, f, g, d) = _scripted_line(respond)
+        runs.append((steps, line_search(func, x, f, g, d, step)))
+    (steps, got), (expected_steps, expected) = runs
+    assert np.array(steps).tobytes() == np.array(expected_steps).tobytes()
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for part, reference in zip(got, expected):
+            assert np.asarray(part).tobytes() == np.asarray(reference).tobytes()
+    return steps, got
+
+
+def test_line_search_refuses_a_step_without_sufficient_decrease():
     """A trial below lo's value but above the sufficient-decrease line is not
-    accepted, however flat it is there; it becomes the interval's new end."""
-    trials = []
+    accepted, however flat it is there; it becomes the interval's new end,
+    and the next trial lies below it."""
+    def respond(k, a):
+        # The first trial brackets; then a flat point above the line
+        # phi(0) + c1 a phi'(0) = -1e-4 a, then a steep drop.
+        return [(1.0, 2.0), (-0.5e-4 * a, 0.0), (-0.5 * a, 0.0)][k]
 
-    def trial(a):
-        trials.append(a)
-        fa = -0.5e-4 * a if len(trials) == 1 else -0.5 * a  # then a steep drop
-        return a, fa, 0.0, np.array([a]), np.zeros(1)
-
-    lo, hi = (0.0, 0.0, -1.0), (1.0, 1.0, 2.0)
-    x, fa, _ = optimize._zoom(trial, 0.0, optimize._WOLFE_C1 * -1.0, optimize._WOLFE_C2, lo, hi, 5)
-    assert len(trials) == 2
-    assert (x[0], fa) == (trials[1], -0.5 * trials[1])
-    assert trials[1] < trials[0]
+    steps, (xa, fa, _) = _same_line_search(respond, 1.0)
+    assert len(steps) == 3 and steps[0] == 1.0
+    assert (xa[0], fa) == (steps[2], -0.5 * steps[2])
+    assert steps[2] < steps[1] < steps[0]
 
 
-def test_zoom_ends_when_the_interval_is_one_step():
-    trials = []
-    lo, hi = (1.0, 0.0, -1.0), (1.0, 0.0, 1.0)
-    assert optimize._zoom(trials.append, 0.0, -1e-4, 0.9, lo, hi, 5) is None
-    assert trials == []
+def test_line_search_ends_when_the_interval_is_one_step():
+    """A first trial of 5e-324 fails sufficient decrease, so the interval is
+    [0, 5e-324], whose bisection rounds back onto 0.  That trial is no lower
+    than phi(0) and becomes hi, so the interval is the single step 0: the
+    search returns None there, before `_cubic_step` divides by its width."""
+    steps, result = _same_line_search(lambda k, a: (float(a > 0.0), -1.0), 5e-324)
+    assert result is None
+    assert steps == [5e-324, 0.0]
+
+
+def _random_respond(seed):
+    """respond(k, a) for `_scripted_line`, drawn per trial from a seeded table:
+    phi above or below the sufficient-decrease line, or NaN; phi' steeply
+    negative, within the curvature bound, positive, or NaN."""
+    table = np.random.default_rng(seed).random((optimize._WOLFE_TRIALS, 4))
+
+    def respond(k, a):
+        u_kind, u_f, v_kind, v_d = table[k]
+        if u_kind < 0.1:
+            fa = np.nan
+        elif u_kind < 0.5:
+            fa = -1e-4 * a + u_f  # above the line
+        else:
+            fa = -(0.5 + u_f) * a  # below it
+        if v_kind < 0.1:
+            da = np.nan
+        elif v_kind < 0.5:
+            da = -1.0 - v_d  # too steep for the curvature bound
+        elif v_kind < 0.65:
+            da = -0.9 * v_d  # within it
+        else:
+            da = 3.0 * v_d + 1e-3  # positive
+        return fa, da
+    return respond
+
+
+def test_line_search_doubles_until_the_trials_run_out():
+    """Sufficient decrease holds at every trial but the slope stays too
+    steep: the step doubles _WOLFE_TRIALS times and the search gives up."""
+    steps, result = _same_line_search(lambda k, a: (-a, -2.0), 1.0)
+    assert result is None
+    assert steps == [2.0**k for k in range(optimize._WOLFE_TRIALS)]
+
+
+def test_line_search_brackets_on_a_positive_slope():
+    """On phi(a) = a (a - 2) / 2 a first trial of 1.95 meets sufficient
+    decrease, but its slope, 0.95, rises past the curvature bound: it
+    brackets the step from above, and the cubic through [0, 1.95] lands on
+    the minimizer, 1, where the slope is 0."""
+    steps, result = _same_line_search(lambda k, a: (a * (a - 2.0) / 2.0, a - 1.0), 1.95)
+    assert steps == [1.95, pytest.approx(1.0, abs=1e-12)]
+    assert result[0][0] == steps[1]
+
+
+@pytest.mark.parametrize("respond", [
+    lambda k, a: (np.nan, np.nan),
+    lambda k, a: (-a, np.nan),
+    lambda k, a: (np.nan, -0.5) if k == 0 else (-0.5 * a, -0.5),
+    lambda k, a: (a**3 / 3.0 - a, a * a - 1.0),
+], ids=["nan", "nan_slope", "nan_then_finite", "cubic"])
+def test_line_search_is_the_two_phase_search_on_scripted_lines(respond):
+    _same_line_search(respond, 8.0)
+
+
+def test_line_search_never_refuses_the_first_trial_for_its_level():
+    """At a first trial of 5e-324, a c1 phi'(0) rounds to -0, so phi(a) = phi(0)
+    meets sufficient decrease.  Nocedal and Wright's i = 0 exception keeps
+    it from being refused for not lying below phi(0), and its slope is
+    within the curvature bound, so it is accepted."""
+    steps, result = _same_line_search(lambda k, a: (0.0, -0.5), 5e-324)
+    assert steps == [5e-324] and result[0][0] == 5e-324
+
+
+def test_line_search_is_the_two_phase_search_on_random_lines():
+    """On 300 seeded lines the one loop makes the two-phase search's trials
+    and returns its result; some lines accept a step and some run out."""
+    outcomes = set()
+    for seed in range(300):
+        step = float(np.random.default_rng(seed).choice([1e-3, 0.5, 1.0, 8.0]))
+        steps, result = _same_line_search(_random_respond(seed), step)
+        outcomes.add("accepted" if result is not None
+                     else "exhausted" if len(steps) == optimize._WOLFE_TRIALS else "refused")
+    assert {"accepted", "exhausted"} <= outcomes
 
 
 def test_lbfgs_stops_stationary_at_symmetric_origin():

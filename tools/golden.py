@@ -88,8 +88,6 @@ def _column_summary(values) -> list:
     values = np.asarray(values)
     if values.dtype.kind in "biuf":
         x = values.astype(np.float64)
-        if x.size == 0:
-            return [0.0, 0.0, 0.0, 0.0]
         return [float(x.sum()), float((x * x).sum()), float(x.min()), float(x.max())]
     return ["text", hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()]
 
@@ -98,7 +96,7 @@ def _record(raw: bytes, columns: list) -> dict:
     """An artifact's sha256 and numeric summary; columns share one row count
     (the longest column's, for outputs gathered from unequal arrays)."""
     return {"sha256": hashlib.sha256(raw).hexdigest(),
-            "rows": max((len(c) for c in columns), default=0),
+            "rows": max(len(c) for c in columns),
             "columns": [_column_summary(c) for c in columns]}
 
 
@@ -114,6 +112,22 @@ def _csv_columns(raw: bytes) -> list:
         except ValueError:
             columns.append(column)
     return columns
+
+
+def _array_record(columns: list) -> dict:
+    return _record(b"".join(np.ascontiguousarray(c).tobytes() for c in columns), columns)
+
+
+def _json_columns(doc) -> list:
+    """The numbers of a JSON document, in key order, then its strings."""
+    numbers, texts = [], []
+    _json_leaves(doc, numbers, texts)
+    return [np.array(numbers), np.array(texts, dtype=str)]
+
+
+def _json_record(doc) -> dict:
+    raw = json.dumps(doc, sort_keys=True).encode()
+    return _record(raw, _json_columns(json.loads(raw)))
 
 
 def _json_leaves(doc, numbers: list, texts: list) -> None:
@@ -133,9 +147,7 @@ def _file_columns(name: str, raw: bytes) -> list:
     if name.endswith(".csv"):
         return _csv_columns(raw)
     if name.endswith(".json"):
-        numbers, texts = [], []
-        _json_leaves(json.loads(raw), numbers, texts)
-        return [np.array(numbers), np.array(texts, dtype=str)]
+        return _json_columns(json.loads(raw))
     return [np.frombuffer(raw[raw.index(b"data") + 8:], dtype="<f4")]  # float32 WAV
 
 
@@ -185,34 +197,26 @@ def analysis_artifacts() -> dict:
     scene = wk.benchmark_scene(BANDWIDTH_HZ)
     for name, spec in _analysis_bank():
         signal = wk.synth_waveform(spec, SAMPLE_RATE_HZ)
-        report = json.dumps(wk.metrics_report(signal, BANDWIDTH_HZ).to_dict(), sort_keys=True)
         duration = signal.duration_s
         surface = wk.ambiguity_function(signal, duration / 2.0, 10.0 / duration, 129, 129)
         curves = [wk.doppler_tolerance_curve(signal, dopplers)]
         if signal.center_freq_hz > 0:
             curves.append(wk.doppler_tolerance_curve(signal, dopplers, mode="wideband"))
-        curve_cols = [np.array([(p.peak_loss_db, p.peak_shift_s) for p in curve]).T
-                      for curve in curves]
         received = wk.simulate_returns(signal, scene, SEED)
         rd_map = wk.mf_bank(received, signal, mf_grid)
-        resolvability = json.dumps(wk.resolvability_report(rd_map, scene, BANDWIDTH_HZ),
-                                   sort_keys=True)
-        parts = {
-            "samples": [signal.samples.real, signal.samples.imag],
-            "metrics": None, "ambiguity": [surface.magnitude.ravel()],
-            "doppler_curves": [col for cols in curve_cols for col in cols],
-            "received": [received.samples.real, received.samples.imag],
-            "mf_bank": [rd_map.magnitude_db.ravel()], "resolvability": None,
-        }
-        texts = {"metrics": report, "resolvability": resolvability}
-        for part, columns in parts.items():
-            key = f"analysis/{name}/{part}"
-            if columns is None:
-                raw = texts[part].encode()
-                out[key] = _record(raw, _file_columns(".json", raw))
-            else:
-                out[key] = _record(b"".join(np.ascontiguousarray(c).tobytes()
-                                            for c in columns), columns)
+        prefix = f"analysis/{name}/"
+        out[prefix + "samples"] = _array_record([signal.samples.real, signal.samples.imag])
+        out[prefix + "metrics"] = _json_record(
+            wk.metrics_report(signal, BANDWIDTH_HZ).to_dict())
+        out[prefix + "ambiguity"] = _array_record([surface.magnitude.ravel()])
+        out[prefix + "doppler_curves"] = _array_record(
+            [col for curve in curves
+             for col in np.array([(p.peak_loss_db, p.peak_shift_s) for p in curve]).T])
+        out[prefix + "received"] = _array_record([received.samples.real,
+                                                  received.samples.imag])
+        out[prefix + "mf_bank"] = _array_record([rd_map.magnitude_db.ravel()])
+        out[prefix + "resolvability"] = _json_record(
+            wk.resolvability_report(rd_map, scene, BANDWIDTH_HZ))
     return out
 
 
@@ -263,4 +267,5 @@ if __name__ == "__main__":
         print(json.dumps(computed))
     else:
         GOLDEN.write_text(json.dumps(golden_document(computed), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(computed['artifacts'])} artifacts under {computed['key']!r} to {GOLDEN}")
+        print(f"wrote {len(computed['artifacts'])} artifacts under {computed['key']!r} "
+              f"to {GOLDEN}")
