@@ -11,7 +11,6 @@ writes nothing.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,10 +27,6 @@ _MISSING = object()
 _ROOT = "config"  # the context of a run config's top level
 # The most samples a config may ask of one waveform: 2^26 complex128, 1 GiB.
 _MAX_SAMPLES = 1 << 26
-# The largest Welch prime a config may name.  Its N = p - 1 chips need
-# fs*T >= 4N^2 samples (see costas._MAX_WELCH_PRIME), at most _MAX_SAMPLES,
-# so a larger one is refused before its code is built and checked in O(N^2).
-_MAX_CONFIG_PRIME = math.isqrt(_MAX_SAMPLES // 4) + 1
 
 
 @contextmanager
@@ -133,14 +128,19 @@ def _parse_mtsfm(tree: _Tree, duration_s) -> MtsfmParameters:
 
 
 def _parse_costas_code(tree: _Tree) -> CostasCode:
+    """A code of N chips needs fs*T >= 4N^2 samples: checked before it is built or verified."""
     explicit = tree.take("code", default=None)
+    if explicit is None:
+        key, chips = "'prime'", tree.take_number("prime", integer=True, minimum=2) - 1
+    elif isinstance(explicit, list) and all(type(v) is int for v in explicit):
+        key, chips = "'code'", len(explicit)
+    else:
+        raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
+    check_sample_count(tree.context, 4 * chips**2,
+                       f"{key} makes a code of {chips} chips, 4N^2 = {4 * chips**2} samples")
     if explicit is not None:
-        if not isinstance(explicit, list) or any(type(v) is not int for v in explicit):
-            raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
         return CostasCode(sequence=tuple(explicit))
-    prime = tree.take_number("prime", integer=True, minimum=2, maximum=_MAX_CONFIG_PRIME)
-    generator = tree.take_number("generator", integer=True, minimum=1)
-    return generate_welch_costas(prime, generator)
+    return generate_welch_costas(chips + 1, tree.take_number("generator", integer=True, minimum=1))
 
 
 def parse_waveform(data, context: str = "waveform") -> WaveformSpec:

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_number
+from .signal import _MAX_ARRAY_SAMPLES
 
 # Largest Welch modulus p.  Its N = p - 1 chips span B = N^2/T, so synthesis
 # (fs >= 4B) needs fs*T >= 4N^2 complex128 samples, which must fit numpy's
 # largest array, intp-max bytes: N <= isqrt((2^63 - 1) // 64) = 379625062.
-_MAX_WELCH_PRIME = math.isqrt(np.iinfo(np.intp).max // (4 * 16)) + 1
+_MAX_WELCH_PRIME = math.isqrt(_MAX_ARRAY_SAMPLES // 4) + 1
 
 
 def is_prime(n: int) -> bool:

@@ -67,6 +67,10 @@ _NM_FATOL = 1e-12
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _WOLFE_TRIALS = 20
+# Points of the NLFM start's Taylor window: its cosine table is
+# _TAYLOR_POINTS x (nbar - 1) cells, so nbar <= _TAYLOR_POINTS + 1 keeps it
+# within the 2^26-sample cap of a config.
+_TAYLOR_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -360,16 +364,14 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
     """Seeded Nelder-Mead simplex search over the 2K coefficients.
 
     The initial simplex is the starting point plus per-axis steps with a
-    small seeded jitter, so reruns with the same seed reproduce the
-    trace exactly.  The search is scipy's adaptive Nelder-Mead, ported to
-    numpy (see `_nelder_mead`).  It stops with stop_reason "tolerance"
-    (converged) when the simplex spans at most _NM_XATOL in every
-    coordinate and _NM_FATOL in f, and "budget" (converged=False, best
-    design returned) when the evaluations run out first.
+    small seeded jitter, so reruns with the same seed reproduce the trace
+    exactly.  The search is scipy's adaptive Nelder-Mead, ported to numpy
+    (see `_nelder_mead`).  It stops with stop_reason "tolerance" (converged)
+    when the simplex spans at most _NM_XATOL in every coordinate and
+    _NM_FATOL in f, and "budget" (converged=False, best design returned)
+    when the evaluations run out first, inside the initial simplex too.
     """
     search = _Search(problem)
-    if problem.budget < search.x0.size + 1:
-        raise InvalidInputError("Nelder-Mead needs budget >= dimension + 1")
     simplex = _initial_simplex(search.x0, problem.seed)
     return search.run(lambda: _nelder_mead(search.value, simplex))
 
@@ -698,18 +700,18 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     resulting frequency law into a phase, and projects that phase onto
     the harmonic basis.  Starting here instead of at a plain linear
     sweep lands the sidelobe optimizer in a far better basin.
-    sidelobe_db <= DB_LIMIT keeps the Taylor window's 10**(sll/20) finite.
+    sidelobe_db <= DB_LIMIT keeps the Taylor window's 10**(sll/20) finite,
+    and nbar <= 8193 its 8192 x (nbar - 1) cosine table within 2^26 cells.
     """
     check_number("bandwidth_hz", bandwidth_hz, positive=True)
     check_number("num_harmonics", num_harmonics, integer=True, minimum=1)
     check_number("sidelobe_db", sidelobe_db, positive=True, maximum=DB_LIMIT)
-    check_number("nbar", nbar, integer=True, minimum=2)
+    check_number("nbar", nbar, integer=True, minimum=2, maximum=_TAYLOR_POINTS + 1)
     n, duration, t = _sample_grid(duration_s, sample_rate_hz)
-    m = 8192
-    window = _taylor_window(m, nbar, sidelobe_db)
+    window = _taylor_window(_TAYLOR_POINTS, nbar, sidelobe_db)
     cum = np.cumsum(window)
     cum /= cum[-1]
-    f_grid = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, m)
+    f_grid = np.linspace(-bandwidth_hz / 2.0, bandwidth_hz / 2.0, _TAYLOR_POINTS)
     f_of_t = np.interp(t, cum * duration, f_grid)
     phase = 2.0 * np.pi * np.cumsum(f_of_t) / sample_rate_hz
     cos, sin = _harmonic_basis(t, num_harmonics, duration)

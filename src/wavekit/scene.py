@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .metrics import _doppler_grid, _doppler_rows, _time_scaler
-from .signal import (DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, _Owned, _signal_energy,
-                     to_db)
+from .signal import (DB_FLOOR, DB_LIMIT, SampledSignal, _freeze_grid, _Owned, _sample_count,
+                     _signal_energy, to_db)
 
 
 @dataclass(frozen=True)
@@ -135,20 +135,23 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     largest delay plus the pulse length; pass window_s to fix it (every
     echo must still fit, else invalid input).  seed is a nonnegative int.
     Each echo's doppler_hz must lie within +/-fs/2 (see `metrics._doppler_grid`).
+    An echo delay or a window of more samples than one array can hold is
+    refused as `signal._sample_count` refuses it, naming the delay or window_s.
     """
     check_number("seed", seed, integer=True, minimum=0)
     fs = waveform.sample_rate_hz
+    shifts = []
     for i, echo in enumerate(scene.echoes):
         check_number(f"scene.echoes[{i}].doppler_hz", echo.doppler_hz,
                      minimum=-fs / 2.0, maximum=fs / 2.0)
+        shifts.append(_sample_count(f"scene.echoes[{i}].delay_s", echo.delay_s * fs))
     n_pulse = waveform.num_samples
-    shifts = [int(round(e.delay_s * fs)) for e in scene.echoes]
-    needed = int(_window_samples(n_pulse, fs, scene))
+    needed = _sample_count("the echo delays plus the pulse", _window_samples(n_pulse, fs, scene))
     if window_s is None:
         n_win = needed
     else:
         check_number("window_s", window_s, positive=True)
-        n_win = int(_window_samples(n_pulse, fs, scene, window_s))
+        n_win = _sample_count("window_s", _window_samples(n_pulse, fs, scene, window_s))
         if needed > n_win:
             raise InvalidInputError("echo delay plus pulse length exceeds the window")
     t = (np.arange(n_win) + 0.5) / fs

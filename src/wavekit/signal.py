@@ -22,6 +22,18 @@ from .errors import InvalidInputError, check_number
 DB_FLOOR = -120.0
 DB_LIMIT = 1000.0  # largest |level| in dB: 10**(DB_LIMIT/20) = 1e50 leaves float headroom
 MAX_RATE_HZ = 1e100  # highest sample rate: squared frequencies stay far inside float range
+# The most complex128 samples one numpy array can hold: intp-max bytes.
+_MAX_ARRAY_SAMPLES = np.iinfo(np.intp).max // 16
+
+
+def _sample_count(name: str, count: float) -> int:
+    """round(count) as an int, the samples that name asks for; a count that
+    is not finite or that no numpy array can hold (_MAX_ARRAY_SAMPLES) is an
+    InvalidInputError naming it, raised before anything is allocated."""
+    if not count <= _MAX_ARRAY_SAMPLES:  # NaN and inf fail too
+        raise InvalidInputError(f"{name} asks for {count:.6g} samples, more than one array "
+                                f"can hold ({_MAX_ARRAY_SAMPLES})")
+    return int(round(count))
 
 
 def _fft_length(n: int) -> int:

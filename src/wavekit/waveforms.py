@@ -15,7 +15,7 @@ import numpy as np
 
 from .costas import CostasCode
 from .errors import InvalidInputError, check_number
-from .signal import MAX_RATE_HZ, SampledSignal, _freeze_field
+from .signal import MAX_RATE_HZ, SampledSignal, _freeze_field, _sample_count
 
 _SWEEP_POINTS = 4096
 
@@ -37,11 +37,19 @@ def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1)
 
     Returns:
         (n, duration, t) with n samples, duration = n/fs, midpoint grid t.
+
+    Raises:
+        InvalidInputError: as `signal._sample_count` for fs*T, for fewer
+            samples than multiple_of (a chip without a sample), or for fewer
+            than 2 samples.
     """
     _grid_rate(duration_s, sample_rate_hz)
-    n = int(round(sample_rate_hz * duration_s))
+    n = _sample_count("'duration_s' * 'sample_rate_hz'", sample_rate_hz * duration_s)
+    if n < multiple_of:
+        raise InvalidInputError(f"each chip needs a sample: round('duration_s' * "
+                                f"'sample_rate_hz') = {n} is below 'num_chips' {multiple_of}")
     if multiple_of > 1:
-        n = multiple_of * max(1, int(round(n / multiple_of)))
+        n = multiple_of * int(round(n / multiple_of))
     if n < 2:
         raise InvalidInputError("duration * sample_rate must give at least 2 samples")
     duration = n / sample_rate_hz
@@ -255,8 +263,11 @@ def synth_p4(num_chips: int, duration_s: float, sample_rate_hz: float) -> Sample
 
     Args:
         num_chips: N >= 2.
-        duration_s: total duration T.
-        sample_rate_hz: sampling rate.
+        duration_s: total duration T; snapped so chips divide evenly.
+        sample_rate_hz: sampling rate; must be >= N/T, one sample per chip.
+
+    Raises:
+        InvalidInputError: if a chip gets no sample (round(fs*T) < N).
     """
     check_number("num_chips", num_chips, integer=True, minimum=2)
     n, _, _ = _sample_grid(duration_s, sample_rate_hz, multiple_of=num_chips)

@@ -724,10 +724,48 @@ def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path, prime):
     assert not (tmp_path / "o").exists()
 
 
-def test_config_prime_cap_is_the_largest_code_within_the_sample_cap():
-    """N = p - 1 chips need 4N^2 samples: the cap's code fits, one more chip does not."""
-    chips = config._MAX_CONFIG_PRIME - 1
-    assert 4 * chips**2 <= config._MAX_SAMPLES < 4 * (chips + 1) ** 2
+def test_config_prime_cap_is_the_largest_code_within_the_sample_cap(monkeypatch):
+    """N chips need 4N^2 samples, so N = 4096 (prime 4097, or a 4096-entry
+    code) is the largest code within config._MAX_SAMPLES: it reaches the
+    builder, and one chip more is refused before it."""
+    chips = 4096
+    assert 4 * chips**2 == config._MAX_SAMPLES
+    built = []
+    monkeypatch.setattr(config, "CostasCode", lambda sequence: built.append(len(sequence)))
+    monkeypatch.setattr(config, "generate_welch_costas", lambda p, g: built.append(p - 1))
+    for n in (chips, chips + 1):
+        for waveform in ({"prime": n + 1, "generator": 2}, {"code": [1] * n}):
+            tree = config._Tree(waveform, "waveform")
+            if n == chips:
+                config._parse_costas_code(tree)
+            else:
+                with pytest.raises(wk.ConfigError, match=f"a code of {n} chips, 4N\\^2 = "
+                                   f"{4 * n * n} samples, above the cap"):
+                    config._parse_costas_code(tree)
+    assert built == [chips, chips]
+
+
+@pytest.mark.parametrize("waveform, key", [
+    ({"code": list(range(1, 30011))}, "'code'"),
+    ({"prime": 4099, "generator": 2}, "'prime'"),
+    ({"prime": 10**18 + 3, "generator": 2}, "'prime'"),
+], ids=["code_30010", "prime_4099", "prime_1e18"])
+def test_costas_code_above_the_cap_exits_2_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                              waveform, key):
+    """A code whose 4N^2 samples exceed the cap exits 2 naming the key that set
+    N, without building or verifying the code: verifying the 30010-entry list
+    took seconds before its exit 2."""
+    def build(*args, **kwargs):
+        raise AssertionError("a Costas code was built")
+    monkeypatch.setattr(config, "CostasCode", build)
+    monkeypatch.setattr(config, "generate_welch_costas", build)
+    cfg = _config(tmp_path, {"command": "analyze", "waveform": {
+        "kind": "costas_fsk", "duration_s": 1.0, **waveform}})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: waveform: {key} makes a code of ")
+    assert f"above the cap of {config._MAX_SAMPLES}" in err
+    assert not (tmp_path / "o").exists()
 
 
 _LFM = {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}
@@ -785,8 +823,8 @@ _SIM_LAGS = len(_map_lags(2048, int(_window_samples(
 
 
 def _cap_address_space():
-    """preexec_fn of a child: at most 1 GiB of address space, so that a map
-    the cap misses fails to allocate rather than allocating for real.  The
+    """preexec_fn of a child: at most 1 GiB of address space, so that a size
+    the caps miss fails to allocate rather than allocating for real.  The
     child runs with one BLAS thread (see `_ONE_BLAS_THREAD`)."""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -794,6 +832,14 @@ def _cap_address_space():
 # numpy's OpenBLAS starts a thread per core when it loads, each with its own
 # stack and arena; on a many-core machine that alone could exceed the 1 GiB.
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _run_capped(command, cfg, out):
+    """A CLI run in a child under the 1 GiB cap, with one BLAS thread and a timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "wavekit.cli", command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL,
+        env={**child_env(), **_ONE_BLAS_THREAD}, preexec_fn=_cap_address_space, timeout=60)
 
 
 @pytest.mark.parametrize("keys, key", [
@@ -809,15 +855,50 @@ def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, key):
     MemoryError if the config check missed it."""
     cfg = _config(tmp_path, {**_SIM_LFM, **keys})
     out = tmp_path / "o"
-    proc = subprocess.run(
-        [sys.executable, "-m", "wavekit.cli", "simulate", "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True, stdin=subprocess.DEVNULL,
-        env={**child_env(), **_ONE_BLAS_THREAD}, preexec_fn=_cap_address_space, timeout=60)
+    proc = _run_capped("simulate", cfg, out)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: config: '{key}' asks for ")
     assert f"above the cap of {config._MAX_SAMPLES}" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"command": "optimize", "problem": {"duration_s": 1.0, "bandwidth_hz": 64.0, "budget": 5,
+                                         "initial": "nlfm", "nlfm_nbar": 100000}},
+     "error: nbar must be <= 8193"),
+    ({"command": "analyze", "sample_rate_hz": 256.0,
+      "waveform": {"kind": "p4", "num_chips": 512, "duration_s": 1.0}},
+     "error: each chip needs a sample: round('duration_s' * 'sample_rate_hz') = 256 is "
+     "below 'num_chips' 512"),
+    ({"command": "analyze", "sample_rate_hz": 100.0,
+      "waveform": {"kind": "p4", "num_chips": 10**9, "duration_s": 1.0}},
+     "error: each chip needs a sample: round('duration_s' * 'sample_rate_hz') = 100 is "
+     "below 'num_chips' 1000000000"),
+], ids=["nlfm_nbar_1e5", "p4_512_chips_at_256_hz", "p4_1e9_chips_at_100_hz"])
+def test_oversized_config_exits_2_under_a_memory_cap(tmp_path, doc, message):
+    """A Taylor table of 8192 x (nbar - 1) cells past the cap, and a P4 with
+    fewer samples than chips, exit 2 before any work: nbar 1e5 ran for over
+    a minute, and 1e9 chips at 100 Hz asked for a 7.45 GiB grid.
+    A child under a 1 GiB address-space cap and a timeout, as for the map."""
+    out = tmp_path / "o"
+    proc = _run_capped(doc["command"], _config(tmp_path, doc), out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message)
+    assert not out.exists()
+
+
+def test_nelder_mead_budget_below_the_simplex_runs(tmp_path):
+    """K = 4 gives a simplex of 2K + 1 = 9 vertices; a budget of 5 is a cap
+    like any other: the run exits 0 with the best of the 5 vertices."""
+    cfg = _config(tmp_path, {"command": "optimize", "problem": {
+        "duration_s": 1.0, "bandwidth_hz": 64.0, "num_harmonics": 4, "budget": 5}})
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    result = json.loads((tmp_path / "o" / "optimize_result.json").read_text())
+    assert (result["stop_reason"], result["converged"], result["evaluations_used"]) == \
+        ("budget", False, 5)
+    assert (tmp_path / "o" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("doc", [lambda rows: {"dopplers_hz": [0.0] * rows},

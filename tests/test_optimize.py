@@ -985,9 +985,21 @@ def test_gradient_methods_at_budget_1_return_the_start(minimize):
                           optimize.params_to_vector(problem.initial))
 
 
-def test_nelder_mead_rejects_budget_below_simplex():
-    with pytest.raises(InvalidInputError):
-        minimize_nelder_mead(_tiny_problem(budget=4))  # dim + 1 = 5
+@pytest.mark.parametrize("budget", [1, 4])
+def test_nelder_mead_budget_inside_the_simplex_returns_the_best_vertex(budget):
+    """The budget is a cap for Nelder-Mead too: a budget below dim + 1 = 5
+    ends inside the initial simplex, unconverged, with stop reason "budget"
+    and the best of the vertices it evaluated as its design."""
+    problem = _tiny_problem(budget=budget)
+    result = minimize_nelder_mead(problem)
+    assert (result.stop_reason, result.converged, result.evaluations_used) == \
+        ("budget", False, budget)
+    vertices = optimize._initial_simplex(params_to_vector(problem.initial),
+                                         problem.seed)[:budget]
+    values = [evaluate_objective(vector_to_params(v, 1.0), problem) for v in vertices]
+    best = int(np.argmin(values))
+    assert np.array_equal(params_to_vector(result.final), vertices[best])
+    assert result.final_objective_db == objective_db(values[best], "isl")
 
 
 def test_gradient_descent_improves_and_stays_monotone():
@@ -1085,6 +1097,29 @@ def test_nlfm_start_is_bitwise_the_scipy_window_start(monkeypatch, k, sll, nbar)
     theirs = nlfm_initial_parameters(256.0, 1.0, k, 2048.0, sidelobe_db=sll, nbar=nbar)
     assert np.array_equal(ours.alpha, theirs.alpha)
     assert np.array_equal(ours.beta, theirs.beta)
+
+
+def test_nlfm_nbar_cap_is_the_largest_taylor_table_within_the_sample_cap(monkeypatch):
+    """nbar = 8193 makes 8192 x 8192 = config._MAX_SAMPLES cells and reaches
+    the Taylor work; one more is refused before it."""
+    from wavekit import config
+
+    class Reached(Exception):
+        pass
+
+    started = []
+
+    def record(m, nbar, sll):
+        started.append(nbar)
+        raise Reached  # in place of the 8193^2-step Taylor work
+
+    monkeypatch.setattr(optimize, "_taylor_window", record)
+    with pytest.raises(Reached):
+        nlfm_initial_parameters(64.0, 1.0, 4, 512.0, nbar=8193)
+    assert started == [8193] and optimize._TAYLOR_POINTS * 8192 == config._MAX_SAMPLES
+    with pytest.raises(InvalidInputError, match="^nbar must be <= 8193$"):
+        nlfm_initial_parameters(64.0, 1.0, 4, 512.0, nbar=8194)
+    assert started == [8193]
 
 
 def test_result_to_dict_keys():

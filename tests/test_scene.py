@@ -512,3 +512,23 @@ def test_costas_benchmark_echoes_under_others_sidelobes_are_missed(costas16):
             sig.samples, fs, [e.delay_s for e in others],
             [e.level_db for e in others], lags).max())
         assert others_db >= echo.level_db, (echo.level_db, others_db)
+
+
+@pytest.mark.parametrize("delay_s, count", [(1e308, "inf"), (1e300, "5.12e\\+302")],
+                         ids=["overflows", "past_the_largest_array"])
+def test_echo_delay_beyond_an_array_is_invalid_input(delay_s, count):
+    """An echo whose delay in samples no array can hold is refused naming it,
+    not an OverflowError from round() or numpy's bare ValueError."""
+    sig = wk.synth_lfm(64.0, 1.0, 512.0)
+    scene = EchoScene(echoes=(Echo(0.1, 0.0, 0.0), Echo(delay_s, 0.0, -6.0)))
+    with pytest.raises(InvalidInputError,
+                       match=f"^scene.echoes\\[1\\].delay_s asks for {count} samples"):
+        wk.simulate_returns(sig, scene, seed=0)
+
+
+def test_window_beyond_an_array_is_invalid_input():
+    """window_s = 1e308 s is inf samples at 512 Hz: refused naming window_s."""
+    sig = wk.synth_lfm(64.0, 1.0, 512.0)
+    scene = EchoScene(echoes=(Echo(0.1, 0.0, 0.0),))
+    with pytest.raises(InvalidInputError, match="^window_s asks for inf samples"):
+        wk.simulate_returns(sig, scene, seed=0, window_s=1e308)

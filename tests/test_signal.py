@@ -8,7 +8,7 @@ import pytest
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
-from wavekit.signal import DB_FLOOR
+from wavekit.signal import _MAX_ARRAY_SAMPLES, DB_FLOOR, _sample_count
 
 from oracles import dirichlet_magnitude
 
@@ -342,3 +342,16 @@ def test_to_db_matches_the_plain_formula_and_leaves_its_input():
         db = wk.to_db(value)
         assert type(db) is np.float64
         assert db == 20.0 * np.log10(np.maximum(np.asarray(value, dtype=float), floor))
+
+
+def test_sample_count_cap_is_the_largest_complex_array():
+    """_MAX_ARRAY_SAMPLES complex128 samples fill numpy's intp-max bytes.  The
+    largest float count at or below it passes as its int; the next float,
+    2^59, and inf and NaN are refused naming the count's source."""
+    assert 16 * _MAX_ARRAY_SAMPLES <= np.iinfo(np.intp).max < 16 * (_MAX_ARRAY_SAMPLES + 1)
+    below = np.nextafter(float(_MAX_ARRAY_SAMPLES), 0.0)
+    assert _sample_count("x", below) == int(below) == 2**59 - 64
+    assert _sample_count("x", 2.5) == 2
+    for count in (2.0**59, np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="^span asks for .* samples, more than"):
+            _sample_count("span", count)

@@ -148,10 +148,28 @@ def test_p4_phase_code():
 
 
 def test_p4_validation():
+    """Besides N >= 2, a P4 needs one sample per chip, round(fs*T) >= N: fewer
+    is refused, not stretched to N samples (256 chips at 100 Hz lasted 2.56 s).
+    The rule reads the rounded count: fl(2/49) * 49 is 1.9999999999999998."""
     with pytest.raises(InvalidInputError):
         wk.synth_p4(1, 1.0, 64.0)
+    assert wk.synth_p4(256, 1.0, 256.0).num_samples == 256
+    assert wk.synth_p4(2, 49.0, 2 / 49).num_samples == 2
+    assert wk.synth_p4(64, 49.0, 64 / 49).num_samples == 64
+    for chips in (256, 10**9):
+        with pytest.raises(InvalidInputError, match="^each chip needs a sample: round\\("
+                           f".* = 100 is below 'num_chips' {chips}$"):
+            wk.synth_p4(chips, 1.0, 100.0)
     with pytest.raises(InvalidInputError):
         wk.WaveformSpec(kind="p4", bandwidth_hz=5.0, duration_s=1.0, num_chips=4)
+
+
+def test_sample_count_beyond_an_array_is_invalid_input():
+    """fs*T = 1e400 overflows to inf: refused naming both arguments, not an
+    OverflowError from round()."""
+    with pytest.raises(InvalidInputError,
+                       match="^'duration_s' \\* 'sample_rate_hz' asks for inf samples"):
+        wk.synth_cw(1e300, 1e100)
 
 
 def test_geometric_comb_tone_placement():
