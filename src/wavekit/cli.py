@@ -21,15 +21,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (_as_config_error, _take_coefficients, _Tree, check_sample_count, load_config,
-                     parse_dopplers, parse_region, parse_scene, parse_waveform,
-                     resolve_sample_rate)
+from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
+                     parse_region, parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
 from .fileio import _atomic_write_bytes, encode_csv, encode_json, encode_wav
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
                       metrics_report, rms_bandwidth)
-from .scene import _map_lags, _window_samples, mf_bank, resolvability_report, simulate_returns
-from .signal import DB_LIMIT, SampledSignal, spectrogram, spectrum, to_db, to_passband
+from .scene import mf_bank, resolvability_report, simulate_returns
+from .signal import (DB_LIMIT, SampledSignal, _sample_count, spectrogram, spectrum, to_db,
+                     to_passband)
 from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
 
 _FORMATS = ("csv", "json", "wav")
@@ -270,13 +270,9 @@ def cmd_simulate(tree: _Tree, args, formats) -> dict:
     margin = tree.take_number("margin_db", default=6.0, positive=True)
     seed = _take_seed(tree, args)
     window = tree.take_number("window_s", default=None, positive=True)
-    signal = synth_waveform(spec, fs)
-    span = "the 'scene' delays plus 'duration_s'" if window is None else "'window_s'"
-    received_samples = _window_samples(signal.num_samples, fs, scene, window)
-    check_sample_count(tree.context, received_samples, f"{span} at {fs:.6g} Hz ('sample_rate_hz') "
-                       f"is {received_samples:.6g} samples")
-    dopplers = parse_dopplers(tree, len(_map_lags(signal.num_samples, int(received_samples))))
+    dopplers = parse_dopplers(tree)
     tree.finish()
+    signal = synth_waveform(spec, fs)
     received = simulate_returns(signal, scene, seed, window_s=window)
     rd = mf_bank(received, signal, dopplers)
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)
@@ -306,6 +302,8 @@ def cmd_compare(tree: _Tree, args, formats) -> dict:
     mode = tree.take("doppler_mode", default="narrowband")
     fraction = tree.take_number("doppler_fraction", default=0.1, positive=True)
     num_points = tree.take_number("num_doppler_points", default=16, integer=True, minimum=2)
+    with _as_config_error(tree.context):  # the Doppler grid built below
+        _sample_count("'num_doppler_points'", num_points)
     inband_bw = tree.take_number("inband_bandwidth_hz", default=None, positive=True)
     zpf = tree.take_number("zero_pad_factor", default=4, integer=True, minimum=1)
     tree.finish()

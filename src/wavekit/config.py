@@ -20,13 +20,11 @@ from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
 from .scene import Echo, EchoScene, benchmark_scene
-from .signal import DB_LIMIT
+from .signal import DB_LIMIT, _sample_count
 from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
 _MISSING = object()
 _ROOT = "config"  # the context of a run config's top level
-# The most samples a config may ask of one waveform: 2^26 complex128, 1 GiB.
-_MAX_SAMPLES = 1 << 26
 
 
 @contextmanager
@@ -136,8 +134,8 @@ def _parse_costas_code(tree: _Tree) -> CostasCode:
         key, chips = "'code'", len(explicit)
     else:
         raise ConfigError(f"{tree.context}: 'code' must be a list of integers")
-    check_sample_count(tree.context, 4 * chips**2,
-                       f"{key} makes a code of {chips} chips, 4N^2 = {4 * chips**2} samples")
+    with _as_config_error(tree.context):
+        _sample_count(f"{key} ({chips} chips, 4N^2 samples)", 4 * chips**2)
     if explicit is not None:
         return CostasCode(sequence=tuple(explicit))
     return generate_welch_costas(chips + 1, tree.take_number("generator", integer=True, minimum=1))
@@ -169,9 +167,9 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
         elif kind == "costas_fsk":
             fields["costas"] = code = _parse_costas_code(tree)
             fields["bandwidth_hz"] = len(code) ** 2 / duration
-        elif kind == "p4":
+        elif kind == "p4":  # the spec's chip check, before the division
             fields["num_chips"] = chips = tree.take_number("num_chips", integer=True, minimum=2)
-            fields["bandwidth_hz"] = chips / duration
+            fields["bandwidth_hz"] = _sample_count("'num_chips'", chips) / duration
         elif kind == "geometric_comb":
             fields["num_tones"] = tree.take_number("num_tones", integer=True, minimum=2)
             fields["tone_ratio"] = tree.take_number("tone_ratio")
@@ -184,26 +182,15 @@ def parse_waveform(data, context: str = "waveform") -> WaveformSpec:
     return spec
 
 
-def check_sample_count(context: str, count: float, description: str) -> None:
-    """Refuse a derived count (samples of a span, or cells of a map) whose
-    round(count) exceeds _MAX_SAMPLES, before anything is allocated, with a
-    ConfigError "context: description, above the cap of _MAX_SAMPLES".  The
-    description names the config keys that set the count.  count may be
-    inf, as a product of seconds and fs that overflows."""
-    if count >= _MAX_SAMPLES + 1 or round(count) > _MAX_SAMPLES:
-        raise ConfigError(f"{context}: {description}, above the cap of {_MAX_SAMPLES}")
-
-
 def resolve_sample_rate(bandwidth_hz: float, duration_s: float, explicit,
                         context: str) -> float:
     """Explicit rate if given, else 8x the design bandwidth (with a floor
     guaranteeing at least 256 samples) — comfortably above the 4x
-    synthesis minimum.  A rate giving N = round(fs*T) > _MAX_SAMPLES is a
-    ConfigError naming context, the subtree that holds 'sample_rate_hz'."""
+    synthesis minimum.  A rate whose N = fs*T `signal._sample_count` refuses
+    is a ConfigError naming context, the subtree that holds 'sample_rate_hz'."""
     fs = float(explicit) if explicit is not None else max(8.0 * bandwidth_hz, 256.0 / duration_s)
-    count = duration_s * fs
-    check_sample_count(context, count,
-                       f"'duration_s' at {fs:.6g} Hz ('sample_rate_hz') is {count:.6g} samples")
+    with _as_config_error(context):
+        _sample_count(f"'duration_s' at {fs:.6g} Hz ('sample_rate_hz')", duration_s * fs)
     return fs
 
 
@@ -247,24 +234,21 @@ def parse_scene(data) -> EchoScene:
         return EchoScene(echoes=tuple(echoes), noise_level_db=noise)
 
 
-def parse_dopplers(tree: _Tree, lags: int) -> np.ndarray:
+def parse_dopplers(tree: _Tree) -> np.ndarray:
     """Doppler grid: explicit list, or a symmetric span with a count.
 
     A span grid is `count` evenly spaced rows from -span/2 to span/2; a
-    count of 1 is the single row at the centre of the span, 0 Hz.  Each
-    row is one row of lags in the matched-filter map, and a map of more
-    than _MAX_SAMPLES cells is refused before the grid is built.
+    count of 1 is the single row at the centre of the span, 0 Hz.  A count
+    that `signal._sample_count` refuses is refused before the grid is built;
+    the map's rows x lags are `mf_bank`'s to check.
     """
     explicit = _float_list(tree, "dopplers_hz", default=None)
     if explicit is not None:
-        key, count = "dopplers_hz", len(explicit)
-    else:
-        span = tree.take_number("doppler_span_hz", positive=True)
-        key, count = "num_dopplers", tree.take_number("num_dopplers", integer=True, minimum=1)
-    check_sample_count(tree.context, count * lags, f"{key!r} asks for {count} Doppler rows of "
-                       f"{lags} lags, {count * lags} map cells")
-    if explicit is not None:
         return np.array(explicit)
+    span = tree.take_number("doppler_span_hz", positive=True)
+    count = tree.take_number("num_dopplers", integer=True, minimum=1)
+    with _as_config_error(tree.context):
+        _sample_count("'num_dopplers'", count)
     if count == 1:
         return np.zeros(1)
     return np.linspace(-span / 2.0, span / 2.0, count)

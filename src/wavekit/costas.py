@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_number
-from .signal import _MAX_ARRAY_SAMPLES
+from .signal import _MAX_SAMPLES
 
 # Largest Welch modulus p.  Its N = p - 1 chips span B = N^2/T, so synthesis
-# (fs >= 4B) needs fs*T >= 4N^2 complex128 samples, which must fit numpy's
-# largest array, intp-max bytes: N <= isqrt((2^63 - 1) // 64) = 379625062.
-_MAX_WELCH_PRIME = math.isqrt(_MAX_ARRAY_SAMPLES // 4) + 1
+# (fs >= 4B) needs fs*T >= 4N^2 samples, within the cap of 2^26:
+# N <= isqrt(2^26 // 4) = 4096.
+_MAX_WELCH_PRIME = math.isqrt(_MAX_SAMPLES // 4) + 1
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _fft_length,
-                     _freeze_grid, _signal_energy, _total_power, p99_bandwidth, spectrum, to_db)
+                     _freeze_grid, _sample_count, _signal_energy, _total_power, p99_bandwidth,
+                     spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def _lag_gathers(lags: np.ndarray, nfft: int) -> list:
 
 
 def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
-                  lags: np.ndarray) -> np.ndarray:
+                  lags: np.ndarray, name: str = "dopplers_hz") -> np.ndarray:
     """|y_i[k]| at the given lags k for num_rows replicas r_i of replica_size
     samples, one row per replica, where y_i[k] = sum_n a[n] * conj(r_i[n-k]) is
     the linear correlation of a against r_i: a copy of r_i delayed by k
@@ -235,9 +236,12 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     they are one run, see `_lag_gathers`).  The W <= 2 buffers take 1 MB
     or an eighth of the output, whichever is larger, on any number of
     CPUs.  Each row is bitwise the one-row result of its replica, so the
-    output does not depend on the worker count.
+    output does not depend on the worker count.  The num_rows x len(lags)
+    cells, refused naming `name`, and nfft are checked first against the cap.
     """
-    nfft = _fft_length(max(a.size - lags.min(), lags.max() + replica_size))
+    _sample_count(name, num_rows * lags.size)
+    nfft = _fft_length(_sample_count("the correlation transform",
+                                     max(a.size - lags.min(), lags.max() + replica_size)))
     fa = np.fft.fft(a, nfft)
     gathers = _lag_gathers(lags, nfft)
     rows = np.empty((num_rows, lags.size))
@@ -312,7 +316,8 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
     when b's samples are a's, the kernel transforms them once.
 
     Raises:
-        InvalidInputError: if the sample rates differ or a signal has zero energy.
+        InvalidInputError: if the sample rates differ, a signal has zero energy
+            or the lags are above the cap (see `_replica_rows`).
     """
     if a.sample_rate_hz != b.sample_rate_hz:
         raise InvalidInputError("cross_correlation requires equal sample rates")
@@ -320,7 +325,7 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
     norm = np.sqrt(ea * eb) or np.sqrt(ea) * np.sqrt(eb)  # the product may underflow
     lags = np.arange(-(b.num_samples - 1), a.num_samples)
     fill = None if b.samples is a.samples else lambda block, out: np.copyto(out, b.samples)
-    row = _replica_rows(a.samples, b.num_samples, 1, fill, lags)[0]
+    row = _replica_rows(a.samples, b.num_samples, 1, fill, lags, "cross_correlation")[0]
     return CorrelationResponse(lags_s=lags / a.sample_rate_hz, magnitude_db=to_db(row / norm))
 
 
@@ -353,7 +358,8 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
         max_delay_s: delay extent (<= T).
         max_doppler_hz: Doppler extent (<= fs/2, see `_doppler_grid`).
         num_delays: delay grid size (rounded up to odd, >= 3).
-        num_dopplers: Doppler grid size (rounded up to odd, >= 3).
+        num_dopplers: Doppler grid size (rounded up to odd, >= 3); the grid's
+            num_delays * num_dopplers cells must lie within the sample cap.
     """
     if check_number("max_delay_s", max_delay_s, positive=True) > signal.duration_s:
         raise InvalidInputError("max_delay_s must be <= T")
@@ -362,6 +368,7 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     _signal_energy(signal)
     num_delays = check_number("num_delays", num_delays, integer=True, minimum=2) | 1  # odd
     num_dopplers = check_number("num_dopplers", num_dopplers, integer=True, minimum=2) | 1
+    _sample_count("num_delays * num_dopplers", num_delays * num_dopplers)
     s = signal.samples
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
     lag_idx = np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int)

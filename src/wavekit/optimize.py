@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .metrics import RegionSpec, _region_mask, _rms_width
-from .signal import DB_LIMIT, MAX_RATE_HZ, _fft_length
+from .signal import _MAX_SAMPLES, DB_LIMIT, MAX_RATE_HZ, _fft_length, _sample_count
 from .waveforms import MtsfmParameters, _harmonic_basis, _sample_grid, _unit_modulus
 
 _OBJECTIVES = ("isl", "psl")
@@ -68,8 +68,8 @@ _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _WOLFE_TRIALS = 20
 # Points of the NLFM start's Taylor window: its cosine table is
-# _TAYLOR_POINTS x (nbar - 1) cells, so nbar <= _TAYLOR_POINTS + 1 keeps it
-# within the 2^26-sample cap of a config.
+# _TAYLOR_POINTS x (nbar - 1) cells, so nbar <= _MAX_SAMPLES // _TAYLOR_POINTS + 1
+# keeps it within the sample cap.
 _TAYLOR_POINTS = 8192
 
 
@@ -377,8 +377,10 @@ def minimize_nelder_mead(problem: OptimizationProblem) -> OptimizationResult:
 
 
 def _initial_simplex(x0: np.ndarray, seed: int) -> np.ndarray:
-    """x0, then x0 stepped along each axis in turn, each step jittered by the seed."""
+    """x0, then x0 stepped along each axis in turn, each step jittered by the seed:
+    (2K + 1) x 2K cells, refused above the cap naming num_harmonics."""
     dim = x0.size
+    _sample_count("num_harmonics", (dim + 1) * dim)
     rng = np.random.default_rng(seed)
     steps = np.maximum(0.05 * np.abs(x0), 0.1)
     simplex = np.tile(x0, (dim + 1, 1))
@@ -660,12 +662,13 @@ def default_initial_parameters(bandwidth_hz: float, duration_s: float,
     """Full-bandwidth sinusoidal-FM start: beta_1 = B*T/2 plus seeded jitter.
 
     The all-zero design (a CW) has zero bandwidth and sits in a punishing
-    penalty landscape, so optimization starts from a sweep instead.
+    penalty landscape, so optimization starts from a sweep instead.  The 2K
+    coefficients are refused above the cap (`signal._sample_count`).
     """
     check_number("bandwidth_hz", bandwidth_hz, positive=True)
     check_number("num_harmonics", num_harmonics, integer=True, minimum=1)
     rng = np.random.default_rng(check_number("seed", seed, integer=True, minimum=0))
-    x = 0.01 * rng.standard_normal(2 * num_harmonics)
+    x = 0.01 * rng.standard_normal(_sample_count("num_harmonics", 2 * num_harmonics))
     x[num_harmonics] += bandwidth_hz * duration_s / 2.0
     return vector_to_params(x, duration_s)
 
@@ -701,12 +704,12 @@ def nlfm_initial_parameters(bandwidth_hz: float, duration_s: float,
     the harmonic basis.  Starting here instead of at a plain linear
     sweep lands the sidelobe optimizer in a far better basin.
     sidelobe_db <= DB_LIMIT keeps the Taylor window's 10**(sll/20) finite,
-    and nbar <= 8193 its 8192 x (nbar - 1) cosine table within 2^26 cells.
+    and nbar <= 8193 its 8192 x (nbar - 1) cosine table within the 2^26 cap.
     """
     check_number("bandwidth_hz", bandwidth_hz, positive=True)
     check_number("num_harmonics", num_harmonics, integer=True, minimum=1)
     check_number("sidelobe_db", sidelobe_db, positive=True, maximum=DB_LIMIT)
-    check_number("nbar", nbar, integer=True, minimum=2, maximum=_TAYLOR_POINTS + 1)
+    check_number("nbar", nbar, integer=True, minimum=2, maximum=_MAX_SAMPLES // _TAYLOR_POINTS + 1)
     n, duration, t = _sample_grid(duration_s, sample_rate_hz)
     window = _taylor_window(_TAYLOR_POINTS, nbar, sidelobe_db)
     cum = np.cumsum(window)

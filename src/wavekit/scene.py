@@ -118,13 +118,6 @@ def _window_samples(pulse_samples: int, fs: float, scene: EchoScene,
     return float(np.rint(window_s * fs))
 
 
-def _map_lags(pulse_samples: int, window_samples: int) -> range:
-    """`mf_bank`'s lags, every overlap of a pulse of pulse_samples with a
-    received window of window_samples: -(pulse_samples-1)..window_samples-1.
-    A range, so that a caller can size the map before allocating it."""
-    return range(1 - pulse_samples, window_samples)
-
-
 def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
                      window_s: float | None = None) -> SampledSignal:
     """Superpose delayed, Doppler-shifted, scaled copies of the waveform.
@@ -135,8 +128,8 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     largest delay plus the pulse length; pass window_s to fix it (every
     echo must still fit, else invalid input).  seed is a nonnegative int.
     Each echo's doppler_hz must lie within +/-fs/2 (see `metrics._doppler_grid`).
-    An echo delay or a window of more samples than one array can hold is
-    refused as `signal._sample_count` refuses it, naming the delay or window_s.
+    An echo delay or a window of samples above the cap is refused as
+    `signal._sample_count` refuses it, naming the delay or window_s.
     """
     check_number("seed", seed, integer=True, minimum=0)
     fs = waveform.sample_rate_hz
@@ -194,14 +187,14 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
     Raises:
         InvalidInputError: if the sample rates differ, the Doppler grid is
             refused (see `metrics._doppler_grid`), the replica waveform has
-            zero energy, or the received series is identically zero.
+            zero energy, the map's rows x lags are above the cap (naming
+            dopplers_hz), or the received series is identically zero.
     """
     if received.sample_rate_hz != waveform.sample_rate_hz:
         raise InvalidInputError("received and waveform sample rates differ")
     dopplers = _doppler_grid(dopplers_hz, received.sample_rate_hz)
     energy = _signal_energy(waveform, "replica waveform")
-    span = _map_lags(waveform.num_samples, received.num_samples)
-    lags = np.arange(span.start, span.stop)
+    lags = np.arange(1 - waveform.num_samples, received.num_samples)  # every overlap
     rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)
     peak = rows.max()

@@ -22,17 +22,19 @@ from .errors import InvalidInputError, check_number
 DB_FLOOR = -120.0
 DB_LIMIT = 1000.0  # largest |level| in dB: 10**(DB_LIMIT/20) = 1e50 leaves float headroom
 MAX_RATE_HZ = 1e100  # highest sample rate: squared frequencies stay far inside float range
-# The most complex128 samples one numpy array can hold: intp-max bytes.
-_MAX_ARRAY_SAMPLES = np.iinfo(np.intp).max // 16
+# The most samples, or cells, of any one array that wavekit sizes from its
+# inputs: 2^26, 1 GiB of complex128.
+_MAX_SAMPLES = 1 << 26
 
 
-def _sample_count(name: str, count: float) -> int:
-    """round(count) as an int, the samples that name asks for; a count that
-    is not finite or that no numpy array can hold (_MAX_ARRAY_SAMPLES) is an
-    InvalidInputError naming it, raised before anything is allocated."""
-    if not count <= _MAX_ARRAY_SAMPLES:  # NaN and inf fail too
-        raise InvalidInputError(f"{name} asks for {count:.6g} samples, more than one array "
-                                f"can hold ({_MAX_ARRAY_SAMPLES})")
+def _sample_count(name: str, count) -> int:
+    """round(count) as an int, the samples or cells that name asks of one array.
+    A count that is not finite, or whose round is above _MAX_SAMPLES, is an
+    InvalidInputError naming it, raised before anything is allocated.  count
+    may be inf (seconds times fs that overflows) or an int of any size."""
+    if not count <= _MAX_SAMPLES + 0.5:  # NaN and inf fail; round takes the even cap's half down
+        size = f"{count:.6g}" if isinstance(count, float) or count < 1e308 else "1e308 or more"
+        raise InvalidInputError(f"{name} asks for {size} samples, above the cap of {_MAX_SAMPLES}")
     return int(round(count))
 
 
@@ -210,7 +212,7 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
 
     Args:
         signal: input signal.
-        zero_pad_factor: int >= 1 controlling frequency resolution.
+        zero_pad_factor: int >= 1 controlling frequency resolution, times N within the cap.
 
     Returns:
         Spectrum whose frequency axis spans [-fs/2, fs/2) and whose
@@ -218,7 +220,7 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """
     zero_pad_factor = check_number("zero_pad_factor", zero_pad_factor, integer=True, minimum=1)
     fs = signal.sample_rate_hz
-    nfft = _fft_length(zero_pad_factor * signal.num_samples)
+    nfft = _fft_length(_sample_count("zero_pad_factor", zero_pad_factor * signal.num_samples))
     mag = np.abs(np.fft.fftshift(np.fft.fft(signal.samples, nfft))) / np.sqrt(fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     return Spectrum(freqs_hz=freqs, magnitude=mag)
@@ -264,7 +266,7 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
 
     Args:
         signal: input signal.
-        window_len: analysis window length in samples (<= signal length).
+        window_len: window length in samples (<= signal length), times frames within the cap.
         overlap: fractional window overlap in [0, 1).
 
     Returns:
@@ -277,6 +279,7 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
         raise InvalidInputError("overlap must be in [0, 1)")
     fs = signal.sample_rate_hz
     hop = max(1, int(round(window_len * (1.0 - overlap))))
+    _sample_count("window_len", ((n - window_len) // hop + 1) * window_len)  # frames x window
     # Symmetric Hann keeps the window even about its center, which makes
     # the time-reversal identity of the spectrogram exact on the frame grid.
     win = np.hanning(window_len) if window_len > 2 else np.ones(window_len)

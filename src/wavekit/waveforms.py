@@ -58,7 +58,9 @@ def _sample_grid(duration_s: float, sample_rate_hz: float, multiple_of: int = 1)
 
 
 def _harmonic_basis(t: np.ndarray, num_harmonics: int, duration_s: float):
-    """cos and sin of 2*pi*k*t/T for k = 1..K, one row per time, one column per k."""
+    """cos and sin of 2*pi*k*t/T for k = 1..K, one row per time, one column per k;
+    len(t) * K above the cap is refused naming num_harmonics (`_sample_count`)."""
+    _sample_count("num_harmonics", np.size(t) * num_harmonics)
     k = np.arange(1, num_harmonics + 1)
     arg = 2.0 * np.pi * np.outer(np.asarray(t, dtype=float), k) / duration_s
     return np.cos(arg), np.sin(arg)
@@ -292,10 +294,14 @@ def synth_geometric_comb(num_tones: int, ratio: float, bandwidth_hz: float,
     FM-class waveforms.
 
     Raises:
-        InvalidInputError: if any tone exceeds Nyquist, or as `comb_tone_frequencies`.
+        InvalidInputError: if N x num_tones is above the cap (`_sample_count`),
+            any tone exceeds Nyquist, or as `comb_tone_frequencies`.
     """
+    n = _sample_count("'duration_s' * 'sample_rate_hz'",
+                      _grid_rate(duration_s, sample_rate_hz) * duration_s)
+    _sample_count("num_tones", n * check_number("num_tones", num_tones, integer=True))
     freqs = comb_tone_frequencies(num_tones, ratio, bandwidth_hz)
-    if freqs[-1] >= _grid_rate(duration_s, sample_rate_hz) / 2.0:
+    if freqs[-1] >= sample_rate_hz / 2.0:
         raise InvalidInputError("comb tones exceed the Nyquist frequency")
     _, _, t = _sample_grid(duration_s, sample_rate_hz)
     samples = np.exp(2j * np.pi * np.outer(t, freqs)).sum(axis=1)
@@ -331,7 +337,8 @@ class WaveformSpec:
     sweep center; must exceed B/2 so the sweep stays positive).
 
     The spec owns every rule that needs no sample rate (Costas and P4
-    bandwidths fixed at N^2/T and N/T, num_tones >= 2, tone_ratio > 1, and
+    bandwidths fixed at N^2/T and N/T, a P4's num_chips within the sample cap
+    of `signal._sample_count`, num_tones >= 2, tone_ratio > 1, and
     tone_ratio ** (num_tones - 1) within the float range);
     fs >= 4B and comb tones below Nyquist stay with the synth functions.
     """
@@ -363,8 +370,9 @@ class WaveformSpec:
             if self.costas is None:
                 raise InvalidInputError("costas_fsk kind requires a CostasCode")
             band = len(self.costas) * (len(self.costas) / self.duration_s)
-        if self.kind == "p4":
-            chips = check_number("num_chips", self.num_chips, integer=True, minimum=2)
+        if self.kind == "p4":  # a chip needs a sample
+            chips = _sample_count("num_chips", check_number("num_chips", self.num_chips,
+                                                            integer=True, minimum=2))
             band = chips / self.duration_s
         if band is not None and abs(self.bandwidth_hz - band) > 1e-3 * band:
             raise InvalidInputError(f"{self.kind} bandwidth is fixed at {band} Hz by N and T")

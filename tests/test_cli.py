@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import resource
 import stat
 import subprocess
@@ -16,10 +17,12 @@ from scipy.io import wavfile
 
 import wavekit as wk
 import wavekit.cli as wk_cli
+import wavekit.metrics as wk_metrics
 from wavekit import config
 from wavekit.cli import main
 from wavekit.config import load_mtsfm_coefficients
-from wavekit.scene import _map_lags, _window_samples
+from wavekit.scene import _window_samples
+from wavekit.signal import _MAX_SAMPLES
 
 from conftest import child_env
 
@@ -707,7 +710,7 @@ def test_coefficients_file_descriptor_number_exits_2(tmp_path, value):
                          ids=["past_the_library_cap", "first_prime_past_the_sample_cap",
                               "p_100003"])
 def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path, prime):
-    """A code of p - 1 chips past config._MAX_SAMPLES is refused before it is
+    """A code of p - 1 chips past the sample cap is refused before it is
     built: trial division of the first prime would take about 5e8 steps, and
     building and checking the code of p = 100003 about 15 minutes.  A child
     process with a timeout, so that a run which starts either fails instead
@@ -726,10 +729,10 @@ def test_costas_prime_above_the_cap_exits_2_at_once(tmp_path, prime):
 
 def test_config_prime_cap_is_the_largest_code_within_the_sample_cap(monkeypatch):
     """N chips need 4N^2 samples, so N = 4096 (prime 4097, or a 4096-entry
-    code) is the largest code within config._MAX_SAMPLES: it reaches the
+    code) is the largest code within the sample cap: it reaches the
     builder, and one chip more is refused before it."""
     chips = 4096
-    assert 4 * chips**2 == config._MAX_SAMPLES
+    assert 4 * chips**2 == _MAX_SAMPLES
     built = []
     monkeypatch.setattr(config, "CostasCode", lambda sequence: built.append(len(sequence)))
     monkeypatch.setattr(config, "generate_welch_costas", lambda p, g: built.append(p - 1))
@@ -739,8 +742,10 @@ def test_config_prime_cap_is_the_largest_code_within_the_sample_cap(monkeypatch)
             if n == chips:
                 config._parse_costas_code(tree)
             else:
-                with pytest.raises(wk.ConfigError, match=f"a code of {n} chips, 4N\\^2 = "
-                                   f"{4 * n * n} samples, above the cap"):
+                key = next(iter(waveform))
+                with pytest.raises(wk.ConfigError, match=re.escape(
+                        f"waveform: '{key}' ({n} chips, 4N^2 samples) asks for "
+                        f"{4 * n * n:.6g} samples, above the cap of {_MAX_SAMPLES}")):
                     config._parse_costas_code(tree)
     assert built == [chips, chips]
 
@@ -763,63 +768,63 @@ def test_costas_code_above_the_cap_exits_2_before_it_is_built(tmp_path, capsys, 
         "kind": "costas_fsk", "duration_s": 1.0, **waveform}})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: waveform: {key} makes a code of ")
-    assert f"above the cap of {config._MAX_SAMPLES}" in err
+    assert err.startswith(f"error: waveform: {key} (")
+    assert "chips, 4N^2 samples) asks for " in err
+    assert f"above the cap of {_MAX_SAMPLES}" in err
     assert not (tmp_path / "o").exists()
 
 
 _LFM = {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}
 
 
-@pytest.mark.parametrize("doc, context, span", [
-    ({"command": "analyze", "waveform": {**_LFM, "duration_s": 1e12}},
-     "config", "'duration_s'"),
-    ({"command": "synth", "waveform": _LFM, "sample_rate_hz": 1e30}, "config", "'duration_s'"),
+@pytest.mark.parametrize("doc, prefix", [
+    ({"command": "analyze", "waveform": {**_LFM, "duration_s": 1e12}}, "config: 'duration_s'"),
+    ({"command": "synth", "waveform": _LFM, "sample_rate_hz": 1e30}, "config: 'duration_s'"),
     ({"command": "optimize", "problem": {"duration_s": 1.0, "bandwidth_hz": 256.0,
                                          "sample_rate_hz": 1e30, "budget": 1}},
-     "problem", "'duration_s'"),
+     "problem: 'duration_s'"),
     ({"command": "compare", "sample_rate_hz": 1e30,
       "waveforms": [{"name": "a", "waveform": _LFM}, {"name": "b", "waveform": _LFM}]},
-     "waveforms[0]", "'duration_s'"),
+     "waveforms[0]: 'duration_s'"),
     ({"command": "simulate", "waveform": {**_LFM, "duration_s": 1e-9},
       "scene": {"benchmark_bandwidth_hz": 256.0}, "dopplers_hz": [0.0]},
-     "config", "the 'scene' delays"),
+     "scene.echoes[0].delay_s asks for 8e+09 samples"),
     ({"command": "simulate", "waveform": _LFM, "window_s": 1e6,
       "scene": {"benchmark_bandwidth_hz": 256.0}, "dopplers_hz": [0.0]},
-     "config", "'window_s'"),
+     "window_s asks for 2.048e+09 samples"),
     ({"command": "simulate", "waveform": _LFM, "dopplers_hz": [0.0],
       "scene": {"echoes": [{"delay_s": 1e308, "level_db": 0.0}]}},
-     "config", "the 'scene' delays"),
+     "scene.echoes[0].delay_s asks for inf samples"),
 ], ids=["lfm_duration_1e12", "sample_rate_1e30", "problem_sample_rate_1e30",
         "compare_sample_rate_1e30", "duration_1e-9_default_rate", "window_1e6",
         "echo_delay_overflows"])
-def test_sample_count_above_the_cap_exits_2(tmp_path, capsys, doc, context, span):
-    """N = round(fs*T) above config._MAX_SAMPLES is refused where the rate is
-    resolved, naming the subtree that holds 'sample_rate_hz'.  A duration of
-    1e-9 s at the default rate, 256/T, is 256 samples, but the default
-    received window, the scene's 0.19 s, is 4.8e10 of them.  A delay whose
-    sample count overflows to inf is refused too."""
+def test_sample_count_above_the_cap_exits_2(tmp_path, capsys, doc, prefix):
+    """N = round(fs*T) above the sample cap is refused where the rate is
+    resolved, naming the subtree that holds 'sample_rate_hz'.  A `simulate`
+    window is refused by `simulate_returns`, naming what set it: a duration
+    of 1e-9 s at the default rate, 256/T, is 256 samples, but the scene's
+    first echo delay, 1/32 s, is 8e9 of them.  A delay whose sample count
+    overflows to inf is refused too."""
     cfg = _config(tmp_path, doc)
     assert main([doc["command"], "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {context}: {span}")
-    assert f"above the cap of {config._MAX_SAMPLES}" in err
+    assert err.startswith(f"error: {prefix}")
+    assert f"above the cap of {_MAX_SAMPLES}" in err
     assert not (tmp_path / "o").exists()
 
 
 def test_sample_count_at_the_cap_is_resolved():
     """The cap itself passes; one sample more is refused.  No samples are made."""
-    assert config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES, "config") == 2.0**26
-    with pytest.raises(wk.ConfigError, match="above the cap"):
-        config.resolve_sample_rate(1.0, 1.0, config._MAX_SAMPLES + 1, "config")
+    assert config.resolve_sample_rate(1.0, 1.0, _MAX_SAMPLES, "config") == 2.0**26
+    with pytest.raises(wk.ConfigError, match="^config: 'duration_s' .* above the cap"):
+        config.resolve_sample_rate(1.0, 1.0, _MAX_SAMPLES + 1, "config")
 
 
 _SIM_LFM = {"command": "simulate", "waveform": _LFM, "sample_rate_hz": 2048.0,
             "scene": {"benchmark_bandwidth_hz": 256.0}}
 # The scene's last echo sits at 48/B = 384 samples, so the received window is
 # 384 + 2048 samples and the map has 2432 + 2048 - 1 = 4479 lags.
-_SIM_LAGS = len(_map_lags(2048, int(_window_samples(
-    2048, 2048.0, config.parse_scene(_SIM_LFM["scene"])))))
+_SIM_LAGS = int(_window_samples(2048, 2048.0, config.parse_scene(_SIM_LFM["scene"]))) + 2047
 
 
 def _cap_address_space():
@@ -842,25 +847,30 @@ def _run_capped(command, cfg, out):
         env={**child_env(), **_ONE_BLAS_THREAD}, preexec_fn=_cap_address_space, timeout=60)
 
 
-@pytest.mark.parametrize("keys, key", [
-    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000_000}, "num_dopplers"),
-    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000}, "num_dopplers"),
-    ({"dopplers_hz": [0.0] * (config._MAX_SAMPLES // _SIM_LAGS + 1)}, "dopplers_hz"),
+@pytest.mark.parametrize("keys, message", [
+    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000_000},
+     "config: 'num_dopplers' asks for 1e+08 samples"),
+    ({"doppler_span_hz": 40.0, "num_dopplers": 100_000}, "dopplers_hz asks for 4.479e+08 samples"),
+    ({"dopplers_hz": [0.0] * (_MAX_SAMPLES // _SIM_LAGS + 1)},
+     f"dopplers_hz asks for {(_MAX_SAMPLES // _SIM_LAGS + 1) * _SIM_LAGS:.6g} samples"),
 ], ids=["num_dopplers_1e8", "num_dopplers_1e5", "dopplers_hz_one_row_over"])
-def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, key):
-    """A matched-filter map of more than config._MAX_SAMPLES cells (Doppler
-    rows x lags) exits 2 naming the key that sets the rows, with no traceback
-    and no output.  1e8 rows is a 3.26 TiB map and 1e5 rows a 3.3 GiB one,
-    which the 1 GiB address-space cap of the child would refuse as a
-    MemoryError if the config check missed it."""
+def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, message):
+    """A Doppler grid of more rows than the sample cap exits 2 naming
+    num_dopplers before the grid is built; a matched-filter map of more
+    cells (Doppler rows x lags) than the cap exits 2 from `mf_bank`, naming
+    its dopplers_hz.  No traceback and no output either way.  1e8 rows is a
+    3.26 TiB map and 1e5 rows a 3.3 GiB one, which the 1 GiB address-space
+    cap of the child would refuse as a MemoryError if the check missed it."""
     cfg = _config(tmp_path, {**_SIM_LFM, **keys})
     out = tmp_path / "o"
     proc = _run_capped("simulate", cfg, out)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(f"error: config: '{key}' asks for ")
-    assert f"above the cap of {config._MAX_SAMPLES}" in proc.stderr
+    assert proc.stderr.startswith(f"error: {message}, above the cap of {_MAX_SAMPLES}")
     assert not out.exists()
+
+
+_CAP = f", above the cap of {_MAX_SAMPLES}"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -873,13 +883,35 @@ def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, key):
      "below 'num_chips' 512"),
     ({"command": "analyze", "sample_rate_hz": 100.0,
       "waveform": {"kind": "p4", "num_chips": 10**9, "duration_s": 1.0}},
-     "error: each chip needs a sample: round('duration_s' * 'sample_rate_hz') = 100 is "
-     "below 'num_chips' 1000000000"),
-], ids=["nlfm_nbar_1e5", "p4_512_chips_at_256_hz", "p4_1e9_chips_at_100_hz"])
+     "error: waveform: 'num_chips' asks for 1e+09 samples" + _CAP),
+    ({"command": "synth", "waveform": _LFM, "sample_rate_hz": 2048.0, "zero_pad_factor": 10**9},
+     "error: zero_pad_factor asks for 2.048e+12 samples" + _CAP),
+    ({"command": "analyze", "waveform": _LFM, "sample_rate_hz": 2048.0,
+      "ambiguity": {"num_delays": 100000, "num_dopplers": 100000}},
+     "error: num_delays * num_dopplers asks for 1.00002e+10 samples" + _CAP),
+    ({"command": "synth", "waveform": {"kind": "geometric_comb", "num_tones": 10**8,
+                                       "tone_ratio": 1.0000001, "bandwidth_hz": 64.0,
+                                       "duration_s": 1.0}},
+     "error: num_tones asks for 5.12e+10 samples" + _CAP),
+    ({"command": "optimize", "problem": {"duration_s": 1.0, "bandwidth_hz": 64.0, "budget": 5,
+                                         "sample_rate_hz": 512.0, "num_harmonics": 4 * 10**7}},
+     "error: num_harmonics asks for 8e+07 samples" + _CAP),
+    ({"command": "compare", "num_doppler_points": 10**10,
+      "waveforms": [{"name": "a", "waveform": _LFM}, {"name": "b", "waveform": _LFM}]},
+     "error: config: 'num_doppler_points' asks for 1e+10 samples" + _CAP),
+    ({"command": "analyze", "waveform": {"kind": "p4", "num_chips": 10**400, "duration_s": 1.0}},
+     "error: waveform: 'num_chips' asks for 1e308 or more samples" + _CAP),
+], ids=["nlfm_nbar_1e5", "p4_512_chips_at_256_hz", "p4_1e9_chips_at_100_hz",
+        "zero_pad_factor_1e9", "ambiguity_1e5_by_1e5", "comb_1e8_tones",
+        "num_harmonics_4e7", "num_doppler_points_1e10", "p4_1e400_chips"])
 def test_oversized_config_exits_2_under_a_memory_cap(tmp_path, doc, message):
-    """A Taylor table of 8192 x (nbar - 1) cells past the cap, and a P4 with
-    fewer samples than chips, exit 2 before any work: nbar 1e5 ran for over
-    a minute, and 1e9 chips at 100 Hz asked for a 7.45 GiB grid.
+    """Sizes past the cap exit 2 before any work, each refused by the check
+    of the array it would size: a Taylor table of 8192 x (nbar - 1) cells, a
+    P4 with fewer samples than chips or more chips than the cap, a 29.8 TiB
+    transform, 1.53 GiB of ambiguity rows, a comb's N x tones table, 2K
+    coefficients and compare's Doppler grid.  nbar 1e5 ran for over a minute,
+    1e9 chips at 100 Hz asked for a 7.45 GiB grid, and each of the last six
+    exited 1 with a MemoryError or an OverflowError before its check.
     A child under a 1 GiB address-space cap and a timeout, as for the map."""
     out = tmp_path / "o"
     proc = _run_capped(doc["command"], _config(tmp_path, doc), out)
@@ -904,13 +936,33 @@ def test_nelder_mead_budget_below_the_simplex_runs(tmp_path):
 @pytest.mark.parametrize("doc", [lambda rows: {"dopplers_hz": [0.0] * rows},
                                  lambda rows: {"doppler_span_hz": 40.0, "num_dopplers": rows}],
                          ids=["dopplers_hz", "num_dopplers"])
-def test_map_at_the_cap_is_parsed_and_one_row_more_is_refused(doc):
-    """The most rows whose map fits the cap pass; one more is refused.  Only
-    the Doppler grid is built, never the map."""
-    rows = config._MAX_SAMPLES // _SIM_LAGS
-    assert config.parse_dopplers(config._Tree(doc(rows), "config"), _SIM_LAGS).size == rows
-    with pytest.raises(wk.ConfigError, match=f"{rows + 1} Doppler rows of {_SIM_LAGS} lags"):
-        config.parse_dopplers(config._Tree(doc(rows + 1), "config"), _SIM_LAGS)
+def test_map_at_the_cap_is_parsed_and_one_row_more_is_refused(tmp_path, capsys, monkeypatch,
+                                                              doc):
+    """The most rows whose map fits the cap reach the row kernel; one more is
+    refused by `mf_bank`, naming dopplers_hz.  The kernel is replaced by a
+    recorder that stops the run, so no map is built."""
+    class Reached(Exception):
+        pass
+
+    def record(num_rows, num_lags, nfft):
+        started.append((num_rows, num_lags))
+        raise Reached  # in place of the blocks of the map
+
+    started = []
+    monkeypatch.setattr(wk_metrics, "_block_rows", record)
+    rows = _MAX_SAMPLES // _SIM_LAGS
+    for count in (rows, rows + 1):
+        cfg = _config(tmp_path, {**_SIM_LFM, **doc(count)})
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        if count == rows:
+            with pytest.raises(Reached):
+                main(argv)
+        else:
+            assert main(argv) == 2
+    assert started == [(rows, _SIM_LAGS)]
+    assert capsys.readouterr().err == (f"error: dopplers_hz asks for {(rows + 1) * _SIM_LAGS:.6g}"
+                                       f" samples, above the cap of {_MAX_SAMPLES}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze", "compare"])

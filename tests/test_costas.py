@@ -1,6 +1,7 @@
 """Costas code generation and verification against a brute-force oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import wavekit as wk
 from wavekit import costas
 from wavekit.errors import InvalidInputError
-from wavekit.signal import DB_FLOOR
+from wavekit.signal import _MAX_SAMPLES, DB_FLOOR
 
 from oracles import costas_autocorr_mag, costas_brute_force
 
@@ -43,10 +44,11 @@ def test_welch_prime_above_the_cap_is_refused_before_trial_division(monkeypatch)
 
 
 def test_welch_prime_cap_is_the_largest_synthesizable_chip_count():
-    """N = p - 1 chips need fs*T >= 4N^2 complex128 samples (16 bytes each),
-    and numpy's largest array holds intp-max bytes.  is_prime has no cap."""
+    """N = p - 1 chips need fs*T >= 4N^2 samples, within the 2^26 sample cap:
+    p <= isqrt(2^26 / 4) + 1 = 4097.  is_prime has no cap."""
+    assert costas._MAX_WELCH_PRIME == math.isqrt(_MAX_SAMPLES // 4) + 1 == 4097
     n_max = costas._MAX_WELCH_PRIME - 1
-    assert 64 * n_max**2 <= np.iinfo(np.intp).max < 64 * (n_max + 1) ** 2
+    assert 4 * n_max**2 <= _MAX_SAMPLES < 4 * (n_max + 1) ** 2
     assert wk.is_prime(2**31 - 1)
 
 

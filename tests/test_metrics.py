@@ -93,6 +93,14 @@ def test_correlation_at_a_tight_5_smooth_length():
     np.testing.assert_allclose(row, direct_xcorr_mag(a, b), atol=1e-9)
 
 
+def test_correlation_transform_above_the_cap_is_refused():
+    """One row at lag 2^26 needs a transform of 2^26 + 4 points, past the cap,
+    though the row holds a single cell: refused before anything is transformed."""
+    with pytest.raises(InvalidInputError, match="^the correlation transform asks for "
+                       "6.71089e\\+07 samples, above the cap of 67108864$"):
+        _replica_rows(np.ones(4, dtype=complex), 4, 1, None, np.array([2**26]))
+
+
 @pytest.mark.parametrize("lo, hi", [(-480, 599), (-480, -300), (-7, 7), (150, 170),
                                     (590, 599)],
                          ids=["full", "negative", "around_zero", "positive", "last"])

@@ -1100,9 +1100,9 @@ def test_nlfm_start_is_bitwise_the_scipy_window_start(monkeypatch, k, sll, nbar)
 
 
 def test_nlfm_nbar_cap_is_the_largest_taylor_table_within_the_sample_cap(monkeypatch):
-    """nbar = 8193 makes 8192 x 8192 = config._MAX_SAMPLES cells and reaches
+    """nbar = 8193 makes 8192 x 8192 = 2^26 cells, the sample cap, and reaches
     the Taylor work; one more is refused before it."""
-    from wavekit import config
+    from wavekit.signal import _MAX_SAMPLES
 
     class Reached(Exception):
         pass
@@ -1116,10 +1116,23 @@ def test_nlfm_nbar_cap_is_the_largest_taylor_table_within_the_sample_cap(monkeyp
     monkeypatch.setattr(optimize, "_taylor_window", record)
     with pytest.raises(Reached):
         nlfm_initial_parameters(64.0, 1.0, 4, 512.0, nbar=8193)
-    assert started == [8193] and optimize._TAYLOR_POINTS * 8192 == config._MAX_SAMPLES
+    assert started == [8193] and optimize._TAYLOR_POINTS * 8192 == _MAX_SAMPLES
     with pytest.raises(InvalidInputError, match="^nbar must be <= 8193$"):
         nlfm_initial_parameters(64.0, 1.0, 4, 512.0, nbar=8194)
     assert started == [8193]
+
+
+def test_nelder_mead_simplex_above_the_cap_is_refused():
+    """K = 4100 gives a simplex of 8201 x 8200 cells, past 2^26: refused before
+    it is built, naming num_harmonics.  The start and its workspace are small."""
+    initial = default_initial_parameters(16.0, 1.0, 4100, seed=7)
+    problem = OptimizationProblem(
+        initial=initial, region=wk.default_region(16.0, 1.0), objective="isl",
+        bandwidth_target_hz=4.0, bandwidth_tolerance=0.4, penalty_weight=1.0,
+        budget=10, seed=3, sample_rate_hz=64.0)
+    with pytest.raises(InvalidInputError, match="^num_harmonics asks for 6.72482e\\+07 "
+                       "samples, above the cap of 67108864$"):
+        minimize_nelder_mead(problem)
 
 
 def test_result_to_dict_keys():

@@ -8,7 +8,7 @@ import pytest
 
 import wavekit as wk
 from wavekit.errors import InvalidInputError
-from wavekit.signal import _MAX_ARRAY_SAMPLES, DB_FLOOR, _sample_count
+from wavekit.signal import _MAX_SAMPLES, DB_FLOOR, _sample_count
 
 from oracles import dirichlet_magnitude
 
@@ -345,13 +345,50 @@ def test_to_db_matches_the_plain_formula_and_leaves_its_input():
 
 
 def test_sample_count_cap_is_the_largest_complex_array():
-    """_MAX_ARRAY_SAMPLES complex128 samples fill numpy's intp-max bytes.  The
-    largest float count at or below it passes as its int; the next float,
-    2^59, and inf and NaN are refused naming the count's source."""
-    assert 16 * _MAX_ARRAY_SAMPLES <= np.iinfo(np.intp).max < 16 * (_MAX_ARRAY_SAMPLES + 1)
-    below = np.nextafter(float(_MAX_ARRAY_SAMPLES), 0.0)
-    assert _sample_count("x", below) == int(below) == 2**59 - 64
+    """The one cap is 2^26 samples, 1 GiB of complex128.  A count whose round
+    is at most the cap passes as that int (the half-way point rounds to the
+    even cap); one more, inf, NaN and an int past the float range are refused
+    naming the count's source."""
+    assert _MAX_SAMPLES == 2**26
+    assert _sample_count("x", 2**26) == _sample_count("x", 2.0**26 + 0.5) == 2**26
     assert _sample_count("x", 2.5) == 2
-    for count in (2.0**59, np.inf, np.nan):
-        with pytest.raises(InvalidInputError, match="^span asks for .* samples, more than"):
+    for count, shown in ((2**26 + 1, "6.71089e+07"), (2.0**26 + 0.75, "6.71089e+07"),
+                         (np.inf, "inf"), (np.nan, "nan"), (10**400, "1e308 or more")):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                f"span asks for {shown} samples, above the cap of {2**26}") + "$"):
             _sample_count("span", count)
+
+
+_LFM_2048 = wk.synth_lfm(256.0, 1.0, 2048.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: wk.spectrum(_LFM_2048, 10**9), "zero_pad_factor asks for 2.048e+12"),
+    (lambda: wk.spectrogram(wk.synth_lfm(2048.0, 1.0, 16384.0), 8192, 0.9999),
+     "window_len asks for 6.71171e+07"),
+    (lambda: wk.ambiguity_function(_LFM_2048, 0.5, 10.0, 10**5, 10**5),
+     "num_delays * num_dopplers asks for 1.00002e+10"),
+    (lambda: wk.synth_geometric_comb(10**8, 1.0000001, 64.0, 1.0, 512.0),
+     "num_tones asks for 5.12e+10"),
+    (lambda: wk.default_initial_parameters(64.0, 1.0, 4 * 10**7, 0),
+     "num_harmonics asks for 8e+07"),
+    (lambda: wk.nlfm_initial_parameters(64.0, 1.0, 2**18, 512.0),
+     "num_harmonics asks for 1.34218e+08"),
+    (lambda: wk.swept_bandwidth(wk.MtsfmParameters(np.zeros(2**14 + 1), np.zeros(2**14 + 1), 1.0)),
+     f"num_harmonics asks for {4096 * (2**14 + 1):.6g}"),
+    (lambda: wk.WaveformSpec(kind="p4", num_chips=10**400, bandwidth_hz=1.0, duration_s=1.0),
+     "num_chips asks for 1e308 or more"),
+    (lambda: wk.mf_bank(wk.SampledSignal(np.ones(2432), 2048.0), _LFM_2048,
+                        np.zeros(_MAX_SAMPLES // 4479 + 1)),
+     f"dopplers_hz asks for {(_MAX_SAMPLES // 4479 + 1) * 4479:.6g}"),
+    (lambda: wk.doppler_tolerance_curve(_LFM_2048, np.zeros(_MAX_SAMPLES // 4095 + 1)),
+     f"dopplers_hz asks for {(_MAX_SAMPLES // 4095 + 1) * 4095:.6g}"),
+], ids=["spectrum", "spectrogram", "ambiguity", "comb", "default_start", "nlfm_start",
+        "swept_bandwidth", "p4_spec", "mf_bank", "doppler_curve"])
+def test_library_size_above_the_cap_is_invalid_input(call, message):
+    """Each array wavekit sizes from its inputs is checked against the one cap
+    before it is allocated, and the refusal names the argument that set it:
+    none of these calls builds more than a few MB."""
+    with pytest.raises(InvalidInputError, match="^" + re.escape(
+            f"{message} samples, above the cap of {_MAX_SAMPLES}") + "$"):
+        call()

@@ -201,11 +201,16 @@ def test_geometric_comb_validation():
     (lambda: wk.synth_hfm(1e6, 2e6, 1e4, 1e6), "HFM requires fs >= 4"),
     (lambda: wk.synth_costas_fsk(wk.generate_welch_costas(5, 2), 1.0, 10.0),
      "Costas FSK requires fs >= 4B"),
-    (lambda: wk.synth_geometric_comb(4, 1.5, 1e6, 1e4, 1e6), "Nyquist"),
-], ids=["lfm", "hfm", "costas", "comb"])
+    (lambda: wk.synth_geometric_comb(4, 1.5, 1e6, 16.0, 1e6), "Nyquist"),
+    (lambda: wk.synth_geometric_comb(4, 1.5, 1e6, 1e4, 1e6),
+     "^'duration_s' \\* 'sample_rate_hz' asks for 1e\\+10 samples, above the cap"),
+], ids=["lfm", "hfm", "costas", "comb", "comb_above_the_cap"])
 def test_undersampling_is_refused_before_the_sample_grid(monkeypatch, synth, message):
     """The sampling relation is checked before the time grid is built, so a
-    refused request of 1e10 samples allocates nothing."""
+    refused request of 1e10 samples allocates nothing.  A comb checks its
+    N x num_tones tone table against the sample cap first, so its 1e10
+    samples are refused by the cap, and its Nyquist rule is checked at
+    1.6e7 samples (a tone table of 6.4e7 cells, within the cap)."""
     def no_grid(*args, **kwargs):
         raise AssertionError("sample grid built for a refused request")
 

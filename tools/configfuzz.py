@@ -5,8 +5,10 @@ Run from the repository root (not part of the test suite; a few minutes):
     PYTHONPATH=src python tools/configfuzz.py [--seed 0] [--count 200]
 
 It imports the five `CLI_CONFIGS` (and `CLI_FLAGS`) of tools/golden.py and
-makes `--count` mutants.  Each mutant applies one to three mutations at
-random places in one config: a number scaled by 10^k for k in +-1..12, a
+makes `--count` mutants.  Half the mutants first insert one entry of
+`ABSENT_KEYS`, keys their command reads that its config lacks, so that the
+mutations can reach them.  Each mutant then applies one to three mutations
+at random places in one config: a number scaled by 10^k for k in +-1..12, a
 key dropped, or a value swapped for one of another JSON type.  Mutants run
 one at a time through `python -m wavekit.cli`, each in a child under a
 1 GiB RLIMIT_AS set in its own preexec_fn, with one BLAS thread, so that a
@@ -34,6 +36,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 1 << 30
 TIMEOUT_S = 60
 _SWAPS = (None, True, "x", [], {}, 0, -1, 2.5, [1.0])
+# Valid keys each command reads that its CLI_CONFIGS entry lacks; a mutant may
+# merge one entry into its config before it mutates.
+ABSENT_KEYS = {
+    "synth": [{"zero_pad_factor": 4},
+              {"waveform": {"kind": "geometric_comb", "num_tones": 8, "tone_ratio": 1.2}}],
+    "analyze": [{"zero_pad_factor": 4}, {"ambiguity": {"num_delays": 129, "num_dopplers": 129}},
+                {"spectrogram": {"window_len_samples": 64}}],
+    "optimize": [{"problem": {"initial": "nlfm", "nlfm_nbar": 10}}],
+    "simulate": [{"window_s": 2.0}],
+    "compare": [{"zero_pad_factor": 4}],
+}
 
 
 def _places(doc, path=()):
@@ -45,9 +58,23 @@ def _places(doc, path=()):
             yield from _places(value, path + (key,))
 
 
-def mutate(doc: dict, rng: random.Random) -> list:
-    """Apply one to three random mutations to doc in place; their descriptions."""
+def _merge(doc: dict, entry: dict) -> None:
+    """Merge entry into doc in place, subtree by subtree."""
+    for key, value in entry.items():
+        if isinstance(value, dict) and isinstance(doc.get(key), dict):
+            _merge(doc[key], value)
+        else:
+            doc[key] = copy.deepcopy(value)
+
+
+def mutate(doc: dict, rng: random.Random, absent: list) -> list:
+    """Merge one entry of absent into doc half the time, then apply one to
+    three random mutations to doc in place; their descriptions."""
     done = []
+    if rng.random() < 0.5:
+        entry = rng.choice(absent)
+        _merge(doc, entry)
+        done.append(f"insert {json.dumps(entry)}")
     for _ in range(rng.randint(1, 3)):
         places = [p for p in _places(doc) if p[2] != ("command",)]
         if not places:  # every key but the command is gone
@@ -109,7 +136,7 @@ def main(argv=None) -> int:
     for i in range(args.count):
         command = rng.choice(sorted(configs))
         doc = copy.deepcopy(configs[command])
-        mutations = mutate(doc, rng)
+        mutations = mutate(doc, rng, ABSENT_KEYS[command])
         with tempfile.TemporaryDirectory(prefix="configfuzz-") as tmp:
             status, stderr, out_left = run_mutant(command, doc, flags.get(command, []),
                                                   pathlib.Path(tmp))
