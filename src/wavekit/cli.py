@@ -3,13 +3,17 @@
 Each run is driven by one JSON config document (see `wavekit.config`);
 the --out, --format and (optimize, simulate) --seed flags override the
 corresponding config fields.  A run reads its config, computes its
-artifacts (a dict keyed by file name), encodes every one to bytes, then
-writes them, so a run that exits 2 writes nothing.
+artifacts (a dict keyed by file name), then streams each one, block by
+block, into its own temp file in --out and renames them all into place
+once every one is complete (`fileio._publish`).  So a run that exits 2
+or 3 publishes nothing and leaves no temp file or directory of its own,
+and each artifact holds at most one encoded block in memory.
 Exit codes: 0 success (including non-converged optimizations, which are
 reported, not fatal), 2 config/validation error, 3 I/O error.
 
-`wavekit.optimize` is imported inside the optimize command alone, so synth,
-analyze, simulate and compare never load the optimizer.
+`wavekit.optimize` is imported inside the optimize command alone, and
+`wavekit.scene` inside simulate (and `config.parse_scene`) alone, so the
+other commands never load them.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import numpy as np
 from .config import (_as_config_error, _take_coefficients, _Tree, load_config, parse_dopplers,
                      parse_region, parse_scene, parse_waveform, resolve_sample_rate)
 from .errors import ConfigError, InvalidInputError, OutputError
-from .fileio import _atomic_write_bytes, encode_csv, encode_json, encode_wav
+from .fileio import _encode, _Grid, _publish
 from .metrics import (ambiguity_function, autocorrelation, doppler_tolerance_curve,
                       metrics_report, rms_bandwidth)
-from .scene import mf_bank, resolvability_report, simulate_returns
 from .signal import (DB_LIMIT, SampledSignal, _sample_count, spectrogram, spectrum, to_db,
                      to_passband)
 from .waveforms import MtsfmParameters, synth_mtsfm, synth_waveform
@@ -80,11 +83,6 @@ def _take_waveform(tree: _Tree, context: str = "waveform", default_fs=None) -> t
         "sample_rate_hz", default=default_fs, positive=True), tree.context)
 
 
-def _grid_columns(outer, inner, values) -> tuple:
-    """(outer, inner, value) columns of a len(outer) x len(inner) grid, outer-major."""
-    return np.repeat(outer, len(inner)), np.tile(inner, len(outer)), np.ravel(values)
-
-
 def _default_window(num_samples: int) -> int:
     window = min(256, max(16, num_samples // 8))
     return max(2, min(window, num_samples))
@@ -120,14 +118,15 @@ def _analysis_csvs(formats, signal: SampledSignal, zpf: int, window_len,
     gram = spectrogram(signal, wlen, overlap)
     ac = autocorrelation(signal)
     af = ambiguity_function(signal, **af_opts)
-    nu, tau, af_db = _grid_columns(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T)
     return {
         "spectrum.csv": (("f_hz", "db"),
                          (spec.freqs_hz, to_db(spec.magnitude / spec.magnitude.max()))),
         "spectrogram.csv": (("t_s", "f_hz", "db"),
-                            _grid_columns(gram.times_s, gram.freqs_hz, gram.magnitude_db)),
+                            _Grid(gram.times_s, gram.freqs_hz, gram.magnitude_db)),
         "autocorrelation.csv": (("lag_s", "db"), (ac.lags_s, ac.magnitude_db)),
-        "ambiguity.csv": (("tau_s", "nu_hz", "db"), (tau, nu, af_db)),
+        "ambiguity.csv": (("tau_s", "nu_hz", "db"),
+                          _Grid(af.dopplers_hz, af.delays_s, to_db(af.magnitude).T,
+                                inner_first=True)),
     }
 
 
@@ -265,6 +264,8 @@ def cmd_optimize(tree: _Tree, args, formats) -> dict:
 
 
 def cmd_simulate(tree: _Tree, args, formats) -> dict:
+    from .scene import mf_bank, resolvability_report, simulate_returns
+
     spec, fs = _take_waveform(tree)
     scene = parse_scene(tree.take("scene"))
     margin = tree.take_number("margin_db", default=6.0, positive=True)
@@ -278,8 +279,9 @@ def cmd_simulate(tree: _Tree, args, formats) -> dict:
     report = resolvability_report(rd, scene, spec.bandwidth_hz, margin_db=margin)
     artifacts = {}
     if "csv" in formats:
-        nu, tau, db = _grid_columns(rd.dopplers_hz, rd.delays_s, rd.magnitude_db)
-        artifacts["range_doppler.csv"] = (("tau_s", "nu_hz", "db"), (tau, nu, db))
+        artifacts["range_doppler.csv"] = (("tau_s", "nu_hz", "db"),
+                                          _Grid(rd.dopplers_hz, rd.delays_s, rd.magnitude_db,
+                                                inner_first=True))
         artifacts["zero_doppler_cut.csv"] = (("lag_s", "db"),
                                              (rd.delays_s, rd.zero_doppler_cut()))
     if "json" in formats:
@@ -401,13 +403,9 @@ def main(argv=None) -> int:
     try:
         tree = load_config(args.config, args.cmd)
         out_dir, formats = _resolve_run_options(tree, args)
-        # {file name: CSV (header, columns), JSON document or WAV (samples, rate)}
-        payloads = {name: (encode_csv(*content) if name.endswith(".csv")
-                           else encode_json(content) if name.endswith(".json")
-                           else encode_wav(*content))
-                    for name, content in _COMMANDS[args.cmd](tree, args, formats).items()}
-        for name, payload in payloads.items():
-            _atomic_write_bytes(os.path.join(out_dir, name), payload)
+        artifacts = _COMMANDS[args.cmd](tree, args, formats)
+        _publish({os.path.join(out_dir, name): _encode(name, content)
+                  for name, content in artifacts.items()})
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

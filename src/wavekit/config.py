@@ -19,7 +19,6 @@ from .costas import CostasCode, generate_welch_costas
 from .errors import ConfigError, InvalidInputError, check_number
 from .fileio import read_json
 from .metrics import RegionSpec, default_region
-from .scene import Echo, EchoScene, benchmark_scene
 from .signal import DB_LIMIT, _sample_count
 from .waveforms import _KINDS, MtsfmParameters, WaveformSpec, swept_bandwidth
 
@@ -208,6 +207,8 @@ def parse_region(data, bandwidth_hz: float, duration_s: float) -> RegionSpec:
 
 def parse_scene(data) -> EchoScene:
     """Echo-scene subtree: explicit echo list or the six-echo benchmark."""
+    from .scene import Echo, EchoScene, benchmark_scene
+
     tree = _Tree(data, "scene")
     bench_bw = tree.take_number("benchmark_bandwidth_hz", default=None, positive=True)
     if bench_bw is not None:

@@ -147,7 +147,6 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
         n_win = _sample_count("window_s", _window_samples(n_pulse, fs, scene, window_s))
         if needed > n_win:
             raise InvalidInputError("echo delay plus pulse length exceeds the window")
-    t = (np.arange(n_win) + 0.5) / fs
     received = np.zeros(n_win, dtype=np.complex128)
     scaler = None
     for echo, shift in zip(scene.echoes, shifts):
@@ -157,14 +156,14 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
             scaler = scaler or _time_scaler(waveform)
             replica = scaler(np.array([echo.time_scale]))[0]
         amp = 10.0 ** (echo.level_db / 20.0)
-        segment = slice(shift, shift + n_pulse)
-        received[segment] += amp * replica * np.exp(2j * np.pi * echo.doppler_hz * t[segment])
+        t = (np.arange(shift, shift + n_pulse) + 0.5) / fs  # the window's grid, over the echo
+        received[shift:shift + n_pulse] += amp * replica * np.exp(2j * np.pi * echo.doppler_hz * t)
     if scene.noise_level_db is not None:
         rng = np.random.default_rng(seed)
         sigma = 10.0 ** (scene.noise_level_db / 20.0) / np.sqrt(n_pulse)
         noise = rng.standard_normal(n_win) + 1j * rng.standard_normal(n_win)
         received += sigma * noise / np.sqrt(2.0)
-    return SampledSignal(samples=received, sample_rate_hz=fs,
+    return SampledSignal(samples=_Owned(received), sample_rate_hz=fs,
                          center_freq_hz=waveform.center_freq_hz)
 
 
@@ -194,7 +193,9 @@ def mf_bank(received: SampledSignal, waveform: SampledSignal,
         raise InvalidInputError("received and waveform sample rates differ")
     dopplers = _doppler_grid(dopplers_hz, received.sample_rate_hz)
     energy = _signal_energy(waveform, "replica waveform")
-    lags = np.arange(1 - waveform.num_samples, received.num_samples)  # every overlap
+    num_lags = received.num_samples + waveform.num_samples - 1  # every overlap
+    _sample_count("dopplers_hz", dopplers.size * num_lags)  # before the lag axis is built
+    lags = np.arange(1 - waveform.num_samples, received.num_samples)
     rows = _doppler_rows(received.samples, waveform.samples, waveform.sample_rate_hz,
                          dopplers, lags)
     peak = rows.max()

@@ -17,6 +17,7 @@ from scipy.io import wavfile
 
 import wavekit as wk
 import wavekit.cli as wk_cli
+import wavekit.fileio as wk_fileio
 import wavekit.metrics as wk_metrics
 from wavekit import config
 from wavekit.cli import main
@@ -853,14 +854,19 @@ def _run_capped(command, cfg, out):
     ({"doppler_span_hz": 40.0, "num_dopplers": 100_000}, "dopplers_hz asks for 4.479e+08 samples"),
     ({"dopplers_hz": [0.0] * (_MAX_SAMPLES // _SIM_LAGS + 1)},
      f"dopplers_hz asks for {(_MAX_SAMPLES // _SIM_LAGS + 1) * _SIM_LAGS:.6g} samples"),
-], ids=["num_dopplers_1e8", "num_dopplers_1e5", "dopplers_hz_one_row_over"])
+    ({"doppler_span_hz": 40.0, "num_dopplers": 201, "window_s": 2e4},
+     "dopplers_hz asks for 8.23337e+09 samples"),
+], ids=["num_dopplers_1e8", "num_dopplers_1e5", "dopplers_hz_one_row_over", "window_2e4_s"])
 def test_simulate_map_above_the_cap_exits_2(tmp_path, keys, message):
     """A Doppler grid of more rows than the sample cap exits 2 naming
     num_dopplers before the grid is built; a matched-filter map of more
     cells (Doppler rows x lags) than the cap exits 2 from `mf_bank`, naming
     its dopplers_hz.  No traceback and no output either way.  1e8 rows is a
     3.26 TiB map and 1e5 rows a 3.3 GiB one, which the 1 GiB address-space
-    cap of the child would refuse as a MemoryError if the check missed it."""
+    cap of the child would refuse as a MemoryError if the check missed it.
+    A 2e4 s window is 625 MiB of received samples, which fit the cap only
+    once: with no full-window time grid beside them, no copy of them, and
+    its 201 rows x 4.1e7 lags refused before `mf_bank` builds its lag axis."""
     cfg = _config(tmp_path, {**_SIM_LFM, **keys})
     out = tmp_path / "o"
     proc = _run_capped("simulate", cfg, out)
@@ -1035,8 +1041,8 @@ def _nan_json(tree, args, formats):
 ], ids=["wav_rate_beyond_the_header", "nan_in_json"])
 def test_artifact_that_cannot_be_encoded_leaves_no_output(tmp_path, capsys, monkeypatch,
                                                           config, command, code, message):
-    """Every artifact is encoded before the first is written, so one that
-    cannot be (listed after others that can) leaves no --out."""
+    """An artifact that cannot be encoded, listed after others that can,
+    fails the run before any is published, and the --out it made goes."""
     if command is not None:
         monkeypatch.setitem(wk_cli._COMMANDS, "synth", command)
     cfg = _config(tmp_path, config)
@@ -1044,6 +1050,64 @@ def test_artifact_that_cannot_be_encoded_leaves_no_output(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+class _UnreadableAfterOneBlock:
+    """A column of 3 cells whose rows past the first block cannot be read.
+    Before it refuses, it records the files then in the output directory."""
+
+    def __init__(self, directory, seen):
+        self.directory, self.seen = directory, seen
+
+    def __len__(self):
+        return 3
+
+    def __getitem__(self, rows):
+        if rows.start:
+            self.seen.append(sorted(os.listdir(self.directory)))
+            raise wk.InvalidInputError("rows past the first block cannot be read")
+        return [1.0] * len(range(*rows.indices(3)))
+
+
+@pytest.mark.parametrize("out", ["existing", os.path.join("new", "nested")])
+def test_failure_in_the_last_artifact_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, out):
+    """The last artifact fails after its first block went into its temp
+    file, beside the other two artifacts' complete temp files.  The run
+    exits 2 and leaves the tree as it was: no artifact, no temp file, no
+    directory of its own, and the file already in an existing --out kept."""
+    seen = []
+    column = _UnreadableAfterOneBlock(str(tmp_path / out), seen)
+
+    def fails_in_its_last_artifact(tree, args, formats):
+        tree.finish()
+        return {"a.csv": (("x",), ([1.0, 2.0, 3.0],)), "b.json": {"a": 1},
+                "c.csv": (("x",), (column,))}
+
+    monkeypatch.setitem(wk_cli._COMMANDS, "synth", fails_in_its_last_artifact)
+    monkeypatch.setattr(wk_fileio, "_BLOCK_ROWS", 2)
+    (tmp_path / "existing").mkdir()
+    (tmp_path / "existing" / "keep.txt").write_text("kept")
+    cfg = _config(tmp_path, {"command": "synth"})
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == "error: rows past the first block cannot be read\n"
+    assert len(seen) == 1 and [n.startswith(".wavekit-") for n in seen[0]].count(True) == 3
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_os_error_while_publishing_exits_3_and_leaves_no_temp_file(tmp_path, capsys,
+                                                                   monkeypatch):
+    """Every rename is refused, after every temp file is complete."""
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    (tmp_path / "o").mkdir()
+    cfg = _config(tmp_path, CW_SYNTH)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Permission denied" in err
+    assert os.listdir(tmp_path / "o") == []
 
 
 def test_unknown_format_exits_2(tmp_path):

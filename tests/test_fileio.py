@@ -2,7 +2,9 @@
 
 The CSV writers are checked against `oracles.percent_csv`, which formats
 one cell at a time with %, on fuzzed columns and on every CSV artifact
-the five CLI commands write.
+the five CLI commands write.  A grid CSV (`fileio._Grid`) is checked
+against `encode_csv` of its columns built in full with np.repeat and
+np.tile, and its encoding's memory against one block.
 """
 
 import io
@@ -10,6 +12,7 @@ import json
 import os
 import stat
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -189,38 +192,140 @@ _CLI_RUNS = {
 }
 
 
-def test_every_cli_csv_artifact_matches_the_percent_oracle(tmp_path, monkeypatch):
-    """Each CSV the five commands write equals the oracle's file of the
-    columns the command returned for that file name."""
-    handed = {}  # "<command>/<file name>" -> the (header, columns) returned for it
+def _cli_artifacts(tmp_path, monkeypatch) -> dict:
+    """Run the five commands; "<command>/<file name>" -> the content each
+    command returned for that file (CSV (header, columns or `_Grid`), JSON
+    document or WAV (samples, rate)), checked to be every file written."""
+    handed = {}
 
-    def keep_columns(command, run):
+    def keep_content(command, run):
         def run_and_keep(tree, args, formats):
             artifacts = run(tree, args, formats)
             for name, content in artifacts.items():
-                if name.endswith(".csv"):
-                    handed[os.path.join(command, name)] = content
+                handed[os.path.join(command, name)] = content
             return artifacts
         return run_and_keep
 
     for command, run in list(cli._COMMANDS.items()):
-        monkeypatch.setitem(cli._COMMANDS, command, keep_columns(command, run))
+        monkeypatch.setitem(cli._COMMANDS, command, keep_content(command, run))
     for command, (config, extra) in _CLI_RUNS.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps({"command": command, **config}))
         assert cli.main([command, "--config", str(path),
                          "--out", str(tmp_path / command), *extra]) == 0
     assert sorted(handed) == sorted(str(p.relative_to(tmp_path))
-                                    for p in tmp_path.glob("*/*.csv"))
+                                    for p in tmp_path.glob("*/*.*"))
+    return handed
+
+
+def _columns_of(columns):
+    """A `_Grid`'s three columns in header order, its axes repeated and
+    tiled out to one cell per row; any other columns as they are."""
+    if not isinstance(columns, fileio._Grid):
+        return columns
+    outer = np.repeat(columns.outer, len(columns.inner))
+    inner = np.tile(columns.inner, len(columns.outer))
+    axes = (inner, outer) if columns.inner_first else (outer, inner)
+    return (*axes, np.ravel(columns.values))
+
+
+def test_every_cli_csv_artifact_matches_the_percent_oracle(tmp_path, monkeypatch):
+    """Each CSV the five commands write equals the oracle's file of the
+    columns the command returned for that file name, a grid's in full."""
+    handed = {name: content for name, content in _cli_artifacts(tmp_path, monkeypatch).items()
+              if name.endswith(".csv")}
     assert len(handed) == 14
     for name, (header, columns) in handed.items():
-        assert (tmp_path / name).read_bytes() == percent_csv(header, columns), name
+        assert (tmp_path / name).read_bytes() == percent_csv(header, _columns_of(columns)), name
     range_doppler = handed[os.path.join("simulate", "range_doppler.csv")][1]
-    assert len(range_doppler[0]) > 2 * fileio._BLOCK_ROWS
+    assert range_doppler.values.size > 2 * fileio._BLOCK_ROWS
     assert np.abs(handed[os.path.join("analyze", "spectrum.csv")][1][0]).max() >= 1000
 
 
-@pytest.mark.parametrize("num_samples", [1, 2, 5, 2048])
+def test_row_writers_give_the_cli_bytes(tmp_path, monkeypatch):
+    """write_csv (fed rows), write_json and write_wav re-write every artifact
+    of the five commands byte for byte, each into a directory they make."""
+    handed = _cli_artifacts(tmp_path, monkeypatch)
+    assert {os.path.splitext(name)[1] for name in handed} == {".csv", ".json", ".wav"}
+    for name, content in handed.items():
+        copy = str(tmp_path / "copies" / name)
+        if name.endswith(".csv"):
+            header, columns = content
+            write_csv(copy, header, zip(*_columns_of(columns)))
+        elif name.endswith(".json"):
+            write_json(copy, content)
+        else:
+            write_wav(copy, *content)
+        assert (tmp_path / "copies" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert not list(tmp_path.glob("**/.wavekit-*"))
+
+
+_TIES = [(2 * m + 1) / 128 for m in (-3, 0, 1, 2)]  # x * 10**6 ends in .5 exactly
+_GRIDS = {  # name: (outer axis, inner axis, values as outer x inner)
+    "signed_zero_and_ties": ([-0.0, 1 / 128, -3 / 128], [0.0, -1e-9, 5 / 128, 2.5e-6],
+                             [_TIES, [-0.0, 0.0, -5e-7, 4e-7], [-1 / 128] * 4]),
+    "digit_groups": ([1000.0, -123456.5 / 128, 2.0**33 - 1], [0.25, -999.9999995, 1e6, 7.0],
+                     [[1234567.891011, -1e9, 999.9999996, -0.0]] * 3),
+    "large_and_nonfinite_values": ([-20.0, 0.0, 20.0], [0.5, 1.5, 2.5, 3.5],
+                                   [[1.0, 2.0**33, 3.0, 4.0], [5.0, np.nan, np.inf, -np.inf],
+                                    [-1.0, -2.0, -3.0, -4.0]]),
+    "large_axis": ([1.0, -2.0**40, 3.0], [0.0, 1.0, 2.0, 3.0], np.arange(12.0).reshape(3, 4)),
+    "one_point_outer": ([7.5], [0.0, 0.1, 0.2, 0.3, 0.4], [[-1.0, -2.0, -3.0, -4.0, -5.0]]),
+    "one_point_inner": ([1.0, 2.0, 3.0, 4.0], [-0.5], [[-1.0], [-2.0], [-3.0], [-4.0]]),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 5, 8192])
+@pytest.mark.parametrize("inner_first", [True, False], ids=["inner_first", "outer_first"])
+@pytest.mark.parametrize("name", sorted(_GRIDS))
+def test_grid_prints_as_its_full_columns(name, inner_first, block_rows):
+    """Signed zeros, half-even ties, several digit groups, values and axes
+    from 2**33 up (a % block) and NaN or infinities in a block, one-point
+    axes, both column orders (range-Doppler and ambiguity put the inner
+    axis first, the spectrogram the outer), and blocks of 3 and 5 rows
+    that split inside and across outer rows of 4 cells."""
+    outer, inner, values = (np.array(a, dtype=float) for a in _GRIDS[name])
+    grid = fileio._Grid(outer, inner, values, inner_first=inner_first)
+    header = ("a", "b", "db")
+    with mock.patch.object(fileio, "_BLOCK_ROWS", block_rows):
+        data = encode_csv(header, grid)
+        assert data == encode_csv(header, _columns_of(grid))
+    assert data == percent_csv(header, _columns_of(grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_grids_print_as_their_full_columns(data):
+    shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    outer, inner, values = (np.array(data.draw(st.lists(_FLOAT_CELLS, min_size=n, max_size=n)))
+                            for n in (shape[0], shape[1], shape[0] * shape[1]))
+    grid = fileio._Grid(outer, inner, values.reshape(shape), inner_first=data.draw(st.booleans()))
+    with mock.patch.object(fileio, "_BLOCK_ROWS", data.draw(st.integers(1, 12))):
+        assert encode_csv(("a", "b", "c"), grid) == percent_csv(("a", "b", "c"), _columns_of(grid))
+
+
+def test_grid_encoding_memory_is_one_block_not_the_table():
+    """A 201 x 4479 grid, the benchmark's range-Doppler map (900279 rows,
+    27.5 MB of CSV), encodes within a few encoded blocks' bytes under
+    tracemalloc (about 7: the block's int64 and float64 temporaries), not
+    within the table's.  Building its columns in full and joining the
+    file's blocks peaked at 69.4 MB."""
+    rng = np.random.default_rng(0)
+    grid = fileio._Grid(np.linspace(-20.0, 20.0, 201), (np.arange(4479) - 2047) / 2048.0,
+                        -120.0 * rng.random((201, 4479)), inner_first=True)
+    fileio._pieces()  # the shared, cached piece table
+    tracemalloc.start()
+    try:
+        size = sum(len(chunk) for chunk in fileio._csv_chunks(("tau_s", "nu_hz", "db"), grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = size * fileio._BLOCK_ROWS / grid.values.size  # the bytes of one encoded block
+    assert size > 25e6
+    assert peak < 12 * block, (peak, block)
+
+
+@pytest.mark.parametrize("num_samples", [1, 2, 5, 2048, 20000])  # 20000: three blocks
 @pytest.mark.parametrize("rate", [2048, 44100, 2047.6])
 def test_write_wav_matches_scipy_bytes(tmp_path, num_samples, rate):
     samples = np.random.default_rng(num_samples).standard_normal(num_samples)

@@ -4,8 +4,9 @@ they use.
 No command and no optimizer loads scipy: Nelder-Mead and L-BFGS are
 numpy loops, and the wideband Doppler curve and time-scaled echoes use a
 numpy spline.  scipy stays a test oracle only.  `import wavekit` loads no
-submodule, only the `optimize` command loads `wavekit.optimize`, and no
-command loads `numpy.ma`, which numpy's unique and median would import.
+submodule, only the `optimize` command loads `wavekit.optimize`, only
+`simulate` loads `wavekit.scene`, and no command loads `numpy.ma`, which
+numpy's unique and median would import.
 
 Each check runs in a fresh interpreter, since this test process has
 scipy loaded already.  The child prints the scipy, wavekit and numpy.ma
@@ -93,6 +94,14 @@ def test_cli_commands_without_an_optimizer_load_no_scipy(tmp_path):
     for i in range(len(CLI_RUNS)):
         assert any((tmp_path / f"out{i}").iterdir())
     assert (tmp_path / "out0" / "waveform.wav").exists()
+
+
+@pytest.mark.parametrize("run", CLI_RUNS + [(OPTIMIZE, [])],
+                         ids=lambda run: run[0]["command"])
+def test_only_simulate_loads_the_scene_module(tmp_path, run):
+    """Each command in its own interpreter."""
+    loaded = _modules_after(_cli_runs(tmp_path, [run]))
+    assert ("wavekit.scene" in loaded) == (run[0]["command"] == "simulate")
 
 
 WIDEBAND = """
