@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidInputError, check_number
 from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _fft_length,
-                     _freeze_grid, _sample_count, _signal_energy, _total_power, p99_bandwidth,
-                     spectrum, to_db)
+                     _freeze_grid, _Owned, _sample_count, _signal_energy, _total_power,
+                     p99_bandwidth, spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,9 @@ class DopplerTolerancePoint:
 
 # Least complex transform points per block of Doppler rows (see `_block_rows`).
 _BLOCK_POINTS = 1 << 15
-# Most worker threads of `_replica_rows`.  Two is the count whose speed-up
-# has been measured; past two, blocks of these sizes are not known to gain.
+# Most worker threads of `_replica_rows` and of `scene.mf_bank`'s dB pass.  Two
+# is the count whose speed-up has been measured; past two, blocks of these
+# sizes are not known to gain.
 _MAX_WORKERS = 2
 
 
@@ -153,6 +154,12 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _workers(tasks: int) -> int:
+    """Workers for `tasks` pieces of work: the least of `_MAX_WORKERS`,
+    `_worker_count` and tasks."""
+    return min(_MAX_WORKERS, _worker_count(), tasks)
 
 
 def _run_workers(count: int, work) -> None:
@@ -248,7 +255,7 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     step = _block_rows(num_rows, lags.size, nfft)
     width = min(replica_size, nfft)
     starts = range(0, num_rows, step)
-    workers = min(_MAX_WORKERS, _worker_count(), len(starts))
+    workers = _workers(len(starts))
 
     def work(index):
         buffer = np.empty((step, nfft), dtype=complex)
@@ -280,11 +287,11 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
     b times the block's `_phase_ramps`; each worker's ramps take at most
     its block buffer again.  At two workers, the most there are on any
     number of CPUs, the 257 x 257 surface at N = 8192 peaks under
-    tracemalloc near 2.6 MB when an earlier call has run in the process,
-    and near 3.7 MB on the first call in a fresh one, which also loads
-    numpy.fft; 0.5 MB of either is the surface and 1 MB the two workers'
-    buffers.  Each row is bitwise the one-row result at its nu, at any
-    worker count.
+    tracemalloc near 2.3 MB when an earlier call has run in the process,
+    and near 2.5 MB on the first call in a fresh one, which also loads
+    numpy.fft (numpy 2.4); 0.5 MB of either is the surface, 0.27 MB its
+    129 transformed rows and 1 MB the two workers' buffers.  Each row is
+    bitwise the one-row result at its nu, at any worker count.
     """
     def ramped(block, out):
         ramps = _phase_ramps(dopplers[block], b.size, fs)
@@ -293,6 +300,12 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
         np.multiply(b[:out.shape[1]], ramps[:, :out.shape[1]], out=out)
 
     return _replica_rows(a, b.size, dopplers.size, ramped, lags)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of an already sorted array, which it equals bitwise without
+    loading numpy.ma."""
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _doppler_grid(dopplers_hz, sample_rate_hz: float) -> np.ndarray:
@@ -339,19 +352,27 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
                        num_dopplers: int = 129) -> AmbiguitySurface:
     """Narrowband ambiguity surface chi(tau, nu) = integral s(t) s*(t+tau) e^{j2 pi nu t} dt.
 
-    Delay samples lie on the signal's lag lattice; both axes are
-    symmetric about zero and always include zero (odd grid sizes are
-    enforced), so the surface can be peak-normalized at (0,0).
+    Delay samples lie on the signal's lag lattice: np.unique of the rounded
+    linspace over +/-max_delay.  Both axes include zero (odd grid sizes are
+    enforced), so the surface can be peak-normalized at (0,0).  The Doppler
+    axis is linspace(0, max_doppler, n//2 + 1) with its negation prepended,
+    exactly antisymmetric for every max_doppler, with the zero exactly 0.0.
 
-    Each Doppler column is a `_doppler_rows` row at the mirrored lags:
-    the correlation of s against s e^{-j2 pi nu t} has magnitude
-    |chi(-tau, nu)|.  Rows go through the FFT in blocks on up to two
-    worker threads, one buffer each (see `_replica_rows` for the blocks,
-    the workers and their buffers, and `_doppler_rows` for the peak
-    memory), and keep only these lags, so the surface is the only
-    full-size array.  The surface does not depend on the CPU count.  The
-    transform length follows the delay window: N + max_delay*fs points,
-    rounded up to a 5-smooth length, not 2N.
+    |chi(-tau, -nu)| = |chi(tau, nu)| for any waveform, so only the
+    ceil(n/2) Doppler rows nu >= 0 go through the FFT: 129 of a 257-row
+    grid.  Row nu is a `_doppler_rows` row, the correlation of s against
+    s e^{-j2 pi nu t}, whose magnitude at lag -tau is |chi(tau, nu)|; it is
+    read at -tau for its own column and at +tau for its mirror at -nu.  The
+    zero-Doppler column is its own mirror and reads lag -|tau|.  The surface
+    is therefore exactly point-symmetric: cell (tau, nu) equals cell
+    (-tau, -nu) bitwise wherever -tau is on the delay axis.  The rows go
+    through the FFT in blocks on up to two worker threads, one buffer each
+    (see `_replica_rows` for the blocks, the workers and their buffers, and
+    `_doppler_rows` for the peak memory), and keep only the lags read, so
+    the surface and the half of it that is transformed are the only large
+    arrays.  The surface does not depend on the CPU count.  The transform
+    length follows the delay window: N + max_delay*fs points, rounded up to
+    a 5-smooth length, not 2N.
 
     Args:
         signal: unit-energy waveform; zero energy is refused.
@@ -371,16 +392,22 @@ def ambiguity_function(signal: SampledSignal, max_delay_s: float,
     _sample_count("num_delays * num_dopplers", num_delays * num_dopplers)
     s = signal.samples
     max_lag = min(s.size - 1, int(round(max_delay_s * fs)))
-    lag_idx = np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int)
-    # Sorted already, so dropping adjacent repeats is np.unique, which loads numpy.ma.
-    lag_idx = lag_idx[np.concatenate(([True], lag_idx[1:] != lag_idx[:-1]))]
-    dopplers = np.linspace(-max_doppler_hz, max_doppler_hz, num_dopplers)
-    surface = _doppler_rows(s, s, fs, -dopplers, -lag_idx).T
-    i0 = int(np.where(lag_idx == 0)[0][0])
-    j0 = int(np.argmin(np.abs(dopplers)))
-    surface /= surface[i0, j0]
+    lag_idx = _distinct(np.round(np.linspace(-max_lag, max_lag, num_delays)).astype(int))
+    half = np.linspace(0.0, max_doppler_hz, num_dopplers // 2 + 1)
+    dopplers = np.concatenate((-half[:0:-1], half))
+    # Row nu >= 0 is read at -tau for its own column and at +tau for its mirror.
+    lags = _distinct(np.sort(np.concatenate((-lag_idx, lag_idx))))
+    rows = _doppler_rows(s, s, fs, -half, lags)
+    own, mirror = np.searchsorted(lags, -lag_idx), np.searchsorted(lags, lag_idx)
+    h = half.size - 1
+    surface = np.empty((num_dopplers, lag_idx.size))
+    np.take(rows, own, axis=1, out=surface[h:])
+    np.take(rows[:0:-1], mirror, axis=1, out=surface[:h])
+    # The zero-Doppler column is its own mirror: it reads lag -|tau| at +/-tau.
+    np.take(rows[0], np.minimum(own, mirror), out=surface[h])
+    surface /= surface[h, np.searchsorted(lag_idx, 0)]
     return AmbiguitySurface(delays_s=lag_idx / fs, dopplers_hz=dopplers,
-                            magnitude=surface)
+                            magnitude=_Owned(surface.T))
 
 
 def psl_region(resp: CorrelationResponse, region: RegionSpec) -> float:

@@ -8,10 +8,14 @@ must match within golden.json's tolerance, so the test never skips.  A
 change that means to alter outputs regenerates golden.json with the tool.
 """
 
+import copy
+import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,3 +52,31 @@ def test_artifact_matches_golden(computed, name):
             assert column == expected
         else:
             np.testing.assert_allclose(column, expected, **GOLDEN["tolerance"])
+
+
+@pytest.fixture(scope="module")
+def golden_tool():
+    """tools/golden.py as a module; its BLAS pin writes to a copy of os.environ."""
+    spec = importlib.util.spec_from_file_location("golden_tool", ROOT / "tools" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(os, "environ", dict(os.environ)):
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_lists_each_moved_artifact(computed, golden_tool):
+    """`golden.py --diff` names every artifact whose sha256 or summary moved,
+    with the largest summary change, and every artifact only one side has."""
+    golden = golden_tool.golden_document(computed)
+    assert golden_tool.diff(computed, golden) == []
+    numeric, sha_only, renamed = sorted(computed["artifacts"])[-3:]
+    moved = copy.deepcopy(golden)
+    moved["digests"][computed["key"]][sha_only] = "0" * 64
+    moved["digests"][computed["key"]][numeric] = "0" * 64
+    moved["summaries"][numeric]["columns"][0][-1] += 0.5
+    moved["summaries"]["extra"] = moved["summaries"].pop(renamed)
+    assert golden_tool.diff(computed, moved) == [
+        "extra: only in golden.json",
+        f"{numeric}: sha256 and summary moved, max |delta| 0.5",
+        f"{sha_only}: sha256 moved, summary holds",
+        f"{renamed}: not in golden.json"]

@@ -276,8 +276,8 @@ def test_block_buffers_are_one_per_worker(monkeypatch, workers):
 
 
 def _row_kernel_outputs():
-    """mf_bank, ambiguity_function and both tolerance curves of an N = 512
-    HFM, as bytes."""
+    """mf_bank on 11-, 1- and 2-row grids, ambiguity_function at 8 and 10/3 Hz
+    and both tolerance curves of an N = 512 HFM, as bytes."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     rx = wk.simulate_returns(sig, wk.EchoScene(echoes=(wk.Echo(0.1, 3.0, 0.0),
                                                        wk.Echo(0.3, -1.5, -6.0))), 0)
@@ -285,15 +285,18 @@ def _row_kernel_outputs():
     curves = [[(p.doppler_hz, p.peak_loss_db, p.peak_shift_s)
                for p in wk.doppler_tolerance_curve(sig, grid, mode)]
               for mode in ("narrowband", "wideband")]
-    return [wk.mf_bank(rx, sig, grid).magnitude_db.tobytes(),
-            wk.ambiguity_function(sig, 0.5, 8.0, 65, 11).magnitude.tobytes(),
+    return [*(wk.mf_bank(rx, sig, dopplers).magnitude_db.tobytes()
+              for dopplers in (grid, np.array([3.0]), np.array([-1.5, 3.0]))),
+            *(wk.ambiguity_function(sig, 0.5, nu, 65, 11).magnitude.tobytes()
+              for nu in (8.0, 10.0 / 3.0)),
             *(np.array(curve).tobytes() for curve in curves)]
 
 
 def test_row_kernels_do_not_depend_on_the_worker_count():
     """One to four workers give bitwise the same outputs.  At 3000 points per
-    two-worker block the 11 rows of each call go in blocks of one to three
-    rows, an uneven number of blocks per worker."""
+    two-worker block the 11-row calls go in blocks of one to three rows, an
+    uneven number of blocks per worker.  A map's dB pass takes one row slice
+    per worker, never more slices than rows: one for the 1-row map."""
     with mock.patch.object(wk_metrics, "_BLOCK_POINTS", 3000):
         assert wk_metrics._block_rows(11, 1023, 1024) == 2  # 6 blocks, last of 1
         results = []
@@ -520,11 +523,32 @@ def test_ambiguity_lag_grid_is_np_unique(max_delay_s, num_delays):
     assert af.magnitude.shape == (lags.size, 5)
 
 
-def test_ambiguity_point_symmetry():
-    """|chi(-tau, -nu)| = |chi(tau, nu)| on the symmetric grid."""
+@pytest.mark.parametrize("max_lag, num_delays, max_doppler_hz, num_dopplers, "
+                         "rounding_symmetric, lags_symmetric", [
+    (256, 65, 20.0, 65, True, True), (256, 65, 10.0 / 3.0, 129, True, True),
+    (5, 117, 20.0, 33, False, True), (21, 37, 20.0, 33, False, False)],
+    ids=["symmetric", "doppler_10_3", "rounding_asymmetric", "lags_asymmetric"])
+def test_ambiguity_point_symmetry(max_lag, num_delays, max_doppler_hz, num_dopplers,
+                                  rounding_symmetric, lags_symmetric):
+    """|chi(-tau, -nu)| = |chi(tau, nu)| exactly.  The Doppler axis is
+    antisymmetric by construction, also at 10/3 Hz, where linspace(-m, m, n)
+    is not.  The rounded delay linspace of 117 points over +/-5 lags is not
+    symmetric, but its distinct lags are; 37 points over +/-21 lags keep an
+    asymmetric delay axis, on which each delay whose negation is also there
+    mirrors it."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
-    af = wk.ambiguity_function(sig, 0.5, 20.0, 65, 65)
-    np.testing.assert_allclose(af.magnitude, af.magnitude[::-1, ::-1], atol=1e-9)
+    af = wk.ambiguity_function(sig, max_lag / 512.0, max_doppler_hz, num_delays, num_dopplers)
+    rounded = np.round(np.linspace(-max_lag, max_lag, num_delays))
+    assert np.array_equal(rounded, -rounded[::-1]) == rounding_symmetric
+    lags = np.round(af.delays_s * 512.0).astype(int)
+    assert np.array_equal(lags, -lags[::-1]) == lags_symmetric
+    assert np.array_equal(af.dopplers_hz, -af.dopplers_hz[::-1])
+    if lags_symmetric:
+        assert np.array_equal(af.magnitude, af.magnitude[::-1, ::-1])
+    mirror = np.searchsorted(lags, -lags)
+    paired = lags[np.minimum(mirror, lags.size - 1)] == -lags
+    assert paired.sum() > lags.size // 2
+    assert np.array_equal(af.magnitude[paired], af.magnitude[mirror[paired], ::-1])
 
 
 def test_ambiguity_zero_doppler_cut_is_autocorrelation():
@@ -569,13 +593,16 @@ def test_ambiguity_matches_direct_evaluation():
     np.testing.assert_allclose(af.magnitude, expected, atol=1e-9)
 
 
-@pytest.mark.parametrize("max_delay_s", [0.5, 0.25, 1.0 / 512.0],
-                         ids=["half", "quarter", "one_sample"])
-def test_windowed_ambiguity_matches_direct_evaluation(max_delay_s):
+@pytest.mark.parametrize("max_delay_s, num_delays", [
+    (0.5, 129), (0.25, 129), (1.0 / 512.0, 129), (21.0 / 512.0, 37)],
+    ids=["half", "quarter", "one_sample", "asymmetric_lags"])
+def test_windowed_ambiguity_matches_direct_evaluation(max_delay_s, num_delays):
     """N + max_lag is 768 and 640 (5-smooth, so the transform has no spare
-    point) at T/2 and T/4, and 513 (taken at 540) at one sample."""
+    point) at T/2 and T/4, and 513 (taken at 540) at one sample.  37 delays
+    over +/-21 lags are not symmetric, so the nu < 0 columns read lags that
+    the nu > 0 columns do not."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
-    af = wk.ambiguity_function(sig, max_delay_s, 20.0, 129, 33)
+    af = wk.ambiguity_function(sig, max_delay_s, 20.0, num_delays, 33)
     lag_indices = np.round(af.delays_s * 512.0).astype(int)
     assert lag_indices.max() == round(max_delay_s * 512.0)
     expected = direct_ambiguity_mag(sig.samples, 512.0, lag_indices, af.dopplers_hz)
@@ -586,16 +613,22 @@ def test_windowed_ambiguity_matches_direct_evaluation(max_delay_s):
 
 @pytest.mark.parametrize("num_delays, num_dopplers", [(65, 33), (2, 2), (1024, 9)])
 def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
-    """Columns kept by the lag window are bitwise those of full correlation rows."""
+    """The nu > 0 columns, and the zero-Doppler column at tau >= 0, are
+    bitwise the lags kept from full correlation rows; every other cell is
+    bitwise its point mirror."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     af = wk.ambiguity_function(sig, 1.0, 20.0, num_delays, num_dopplers)
     s = sig.samples
     lags = np.round(af.delays_s * 512.0).astype(int)
+    h = af.dopplers_hz.size // 2
     full = np.array([np.abs(linear_xcorr(s, s * ramp))
-                     for ramp in _phase_ramps(-af.dopplers_hz, s.size, 512.0)])
+                     for ramp in _phase_ramps(-af.dopplers_hz[h:], s.size, 512.0)])
     expected = full[:, (s.size - 1) - lags].T
-    expected /= expected[np.flatnonzero(lags == 0)[0], np.argmin(np.abs(af.dopplers_hz))]
-    assert np.array_equal(af.magnitude, expected)
+    expected /= expected[np.flatnonzero(lags == 0)[0], 0]
+    assert af.dopplers_hz[h] == 0.0 and np.array_equal(lags, -lags[::-1])
+    assert np.array_equal(af.magnitude[:, h + 1:], expected[:, 1:])
+    assert np.array_equal(af.magnitude[lags >= 0, h], expected[lags >= 0, 0])
+    assert np.array_equal(af.magnitude, af.magnitude[::-1, ::-1])
 
 
 _AMBIGUITY_PEAK = """

@@ -4,6 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tools/golden.py          # rewrite tests/golden.json
     PYTHONPATH=src python tools/golden.py --print  # print the digests as JSON
+    PYTHONPATH=src python tools/golden.py --diff   # list what moved; exit 1 if any
 
 Each artifact is one output of a fixed run:
 
@@ -261,10 +262,55 @@ def golden_document(computed: dict) -> dict:
                           for name, rec in artifacts.items()}}
 
 
+def _largest_change(got: dict, want: dict) -> str:
+    """The largest absolute change between two summaries, or how their shapes
+    or text columns differ."""
+    if (got["rows"], len(got["columns"])) != (want["rows"], len(want["columns"])):
+        return f"rows x columns {want['rows']} x {len(want['columns'])} -> " \
+               f"{got['rows']} x {len(got['columns'])}"
+    changes = []
+    for column, expected in zip(got["columns"], want["columns"]):
+        if expected[0] == "text" or column[0] == "text":
+            if column != expected:
+                return "a text column changed"
+        else:
+            changes.append(float(np.max(np.abs(np.subtract(column, expected)))))
+    return f"max |delta| {max(changes, default=0.0):.3g}"
+
+
+def diff(computed: dict, golden: dict) -> list:
+    """One line per artifact whose sha256 (under computed's key, if golden
+    has digests for it) or summary differs from golden's, or that only one
+    side has."""
+    artifacts = computed["artifacts"]
+    digests = golden["digests"].get(computed["key"], {})
+    lines = [f"{name}: only in golden.json" for name in sorted(golden["summaries"])
+             if name not in artifacts]
+    for name, rec in sorted(artifacts.items()):
+        want = golden["summaries"].get(name)
+        if want is None:
+            lines.append(f"{name}: not in golden.json")
+            continue
+        sha_moved = digests.get(name, rec["sha256"]) != rec["sha256"]
+        if want != {"rows": rec["rows"], "columns": rec["columns"]}:
+            both = "sha256 and " if sha_moved else ""
+            lines.append(f"{name}: {both}summary moved, {_largest_change(rec, want)}")
+        elif sha_moved:
+            lines.append(f"{name}: sha256 moved, summary holds")
+    return lines
+
+
 if __name__ == "__main__":
     computed = compute()
     if sys.argv[1:] == ["--print"]:
         print(json.dumps(computed))
+    elif sys.argv[1:] == ["--diff"]:
+        golden = json.loads(GOLDEN.read_text())
+        if computed["key"] not in golden["digests"]:
+            print(f"no sha256 values under {computed['key']!r}: summaries only")
+        moved = diff(computed, golden)
+        print("\n".join(moved) if moved else f"all {len(computed['artifacts'])} artifacts hold")
+        sys.exit(1 if moved else 0)
     else:
         GOLDEN.write_text(json.dumps(golden_document(computed), indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(computed['artifacts'])} artifacts under {computed['key']!r} "
