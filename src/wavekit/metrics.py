@@ -214,20 +214,18 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     the linear correlation of a against r_i: a copy of r_i delayed by k
     samples inside a peaks at lag k.
 
-    fill(block, out) writes the replicas r_i, i in the slice block, into the
-    rows of out, each cut to out's width; it may run on several threads at
-    once, each with its own block and out.  fill None takes a itself as the
-    replica, and fa as its spectrum, so an autocorrelation transforms a
-    once.  Lags lie in
-    -(replica_size-1)..len(a)-1.  Circular lag k also holds the linear lags
-    k +/- nfft, which fall outside that range, and so hold nothing, for every
-    requested k once nfft >= len(a) - min(lags) and
-    nfft >= max(lags) + replica_size.  The transform takes
-    `signal._fft_length` of that bound, so a narrow lag window gets a short
-    transform and the full lag range -(replica_size-1)..len(a)-1 gets
-    len(a) + replica_size - 1, rounded up to a 5-smooth length.  (A
-    replica longer than nfft is cut by the FFT only past the samples those
-    lags reach.)
+    fill(block, out), the one replica path, writes the replicas r_i, i in
+    the slice block, into the rows of out, replica_size samples wide; it may
+    run on several threads at once, each with its own block and out.  Lags
+    lie in -(replica_size-1)..len(a)-1, and at least one is >= 0.  Circular
+    lag k also holds the linear lags k +/- nfft, which fall outside that
+    range, and so hold nothing, for every requested k once
+    nfft >= len(a) - min(lags) and nfft >= max(lags) + replica_size.  The
+    transform takes `signal._fft_length` of that bound, so a narrow lag
+    window gets a short transform and the full lag range
+    -(replica_size-1)..len(a)-1 gets len(a) + replica_size - 1, rounded up
+    to a 5-smooth length.  With a lag >= 0 the bound is at least
+    replica_size, so every replica fits.
 
     a is transformed once.  Rows go in blocks of `_block_rows` rows: 6
     rows for the 201-row bank of a long pulse (N = 8192, 16875 points), 2
@@ -253,7 +251,6 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
     gathers = _lag_gathers(lags, nfft)
     rows = np.empty((num_rows, lags.size))
     step = _block_rows(num_rows, lags.size, nfft)
-    width = min(replica_size, nfft)
     starts = range(0, num_rows, step)
     workers = _workers(len(starts))
 
@@ -262,12 +259,9 @@ def _replica_rows(a: np.ndarray, replica_size: int, num_rows: int, fill,
         for start in starts[index::workers]:
             block = slice(start, min(start + step, num_rows))
             spec = buffer[:block.stop - start]
-            if fill is None:
-                spec[:] = fa
-            else:
-                spec[:, width:] = 0.0
-                fill(block, spec[:, :width])
-                np.fft.fft(spec, axis=1, out=spec)
+            spec[:, replica_size:] = 0.0
+            fill(block, spec[:, :replica_size])
+            np.fft.fft(spec, axis=1, out=spec)
             np.conjugate(spec, out=spec)
             np.multiply(fa, spec, out=spec)
             np.fft.ifft(spec, axis=1, out=spec)
@@ -297,7 +291,7 @@ def _doppler_rows(a: np.ndarray, b: np.ndarray, fs: float,
         ramps = _phase_ramps(dopplers[block], b.size, fs)
         # b * ramp, not ramp * b: an FMA complex product is not bitwise
         # commutative, and each row stays bitwise the correlation against b * ramp.
-        np.multiply(b[:out.shape[1]], ramps[:, :out.shape[1]], out=out)
+        np.multiply(b, ramps, out=out)
 
     return _replica_rows(a, b.size, dopplers.size, ramped, lags)
 
@@ -324,9 +318,10 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
     """Cross-correlation magnitude of two signals, normalized by sqrt(Ea*Eb).
 
     Lags run from -(len(b)-1) to len(a)-1 samples; a delayed copy of b inside
-    a peaks at the delay.  The magnitude is one `_replica_rows` row with b as
-    the replica, so it shares the Doppler rows' kernel and transform length;
-    when b's samples are a's, the kernel transforms them once.
+    a peaks at the delay.  The magnitude is one `_replica_rows` row with b
+    copied in as the replica, the one replica path every correlation takes,
+    so it shares the Doppler rows' kernel and transform length.  The lags
+    include 0, as the kernel requires.
 
     Raises:
         InvalidInputError: if the sample rates differ, a signal has zero energy
@@ -337,8 +332,9 @@ def cross_correlation(a: SampledSignal, b: SampledSignal) -> CorrelationResponse
     ea, eb = _signal_energy(a), _signal_energy(b)
     norm = np.sqrt(ea * eb) or np.sqrt(ea) * np.sqrt(eb)  # the product may underflow
     lags = np.arange(-(b.num_samples - 1), a.num_samples)
-    fill = None if b.samples is a.samples else lambda block, out: np.copyto(out, b.samples)
-    row = _replica_rows(a.samples, b.num_samples, 1, fill, lags, "cross_correlation")[0]
+    row = _replica_rows(a.samples, b.num_samples, 1,
+                        lambda block, out: np.copyto(out, b.samples), lags,
+                        "cross_correlation")[0]
     return CorrelationResponse(lags_s=lags / a.sample_rate_hz, magnitude_db=to_db(row / norm))
 
 

@@ -98,7 +98,8 @@ def test_correlation_transform_above_the_cap_is_refused():
     though the row holds a single cell: refused before anything is transformed."""
     with pytest.raises(InvalidInputError, match="^the correlation transform asks for "
                        "6.71089e\\+07 samples, above the cap of 67108864$"):
-        _replica_rows(np.ones(4, dtype=complex), 4, 1, None, np.array([2**26]))
+        _replica_rows(np.ones(4, dtype=complex), 4, 1, lambda block, out: None,
+                      np.array([2**26]))
 
 
 @pytest.mark.parametrize("lo, hi", [(-480, 599), (-480, -300), (-7, 7), (150, 170),
@@ -415,21 +416,43 @@ def test_cross_correlation_of_signal_with_itself_is_autocorrelation():
     np.testing.assert_allclose(a.lags_s, b.lags_s, atol=0)
 
 
-def test_autocorrelation_takes_one_forward_transform(monkeypatch):
-    """The kernel's spectrum of s serves as the replica's: bitwise the
-    two-transform result of a copy, and one forward transform per call."""
+def test_autocorrelation_is_bitwise_the_cross_correlation_of_a_copy():
+    """An autocorrelation fills its replica as every caller does: bitwise the
+    cross-correlation against a copy of the signal."""
     sig = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
     copy = wk.SampledSignal(sig.samples.copy(), sig.sample_rate_hz, sig.center_freq_hz)
     assert np.array_equal(wk.autocorrelation(sig).magnitude_db,
                           wk.cross_correlation(sig, copy).magnitude_db)
-    calls = []
-    fft = np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
-    sig = wk.synth_lfm(64.0, 1.0, 512.0)
-    wk.autocorrelation(sig)
-    assert len(calls) == 1
-    wk.metrics_report(sig, 64.0)
-    assert len(calls) == 1 + 2
+
+
+_LFM_64 = wk.synth_lfm(64.0, 1.0, 512.0)
+_HFM_64 = wk.synth_hfm(40.0, 80.0, 1.0, 512.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wk.autocorrelation(_LFM_64),
+    lambda: wk.cross_correlation(_LFM_64, wk.synth_lfm(64.0, 1.5, 512.0)),
+    lambda: wk.ambiguity_function(_LFM_64, 1.0 / 512.0, 8.0, 3, 3),
+    lambda: wk.doppler_tolerance_curve(_HFM_64, [-4.0, 0.0, 4.0]),
+    lambda: wk.doppler_tolerance_curve(_HFM_64, [-4.0, 0.0, 4.0], "wideband"),
+    lambda: wk.mf_bank(wk.simulate_returns(_LFM_64, wk.EchoScene(
+        echoes=(wk.Echo(0.0, 0.0, 0.0),)), seed=0, window_s=1.0), _LFM_64, [-8.0, 0.0, 8.0]),
+], ids=["autocorrelation", "cross_longer_b", "ambiguity_one_sample_3x3",
+        "tolerance_narrowband", "tolerance_wideband", "mf_bank_window_is_pulse"])
+def test_every_caller_asks_the_kernel_for_a_lag_at_or_above_zero(monkeypatch, call):
+    """`_replica_rows` writes each replica replica_size samples wide, which fits
+    its transform only because nfft >= max(lags) + replica_size >= replica_size:
+    every public caller's lag set holds a lag >= 0."""
+    maxima = []
+    kernel = wk_metrics._replica_rows
+
+    def recording(a, replica_size, num_rows, fill, lags, *args):
+        maxima.append(int(lags.max()))
+        return kernel(a, replica_size, num_rows, fill, lags, *args)
+
+    monkeypatch.setattr(wk_metrics, "_replica_rows", recording)
+    call()
+    assert len(maxima) == 1 and maxima[0] >= 0, maxima
 
 
 _RNG_PAIR = np.random.default_rng(8)
