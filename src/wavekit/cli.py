@@ -43,8 +43,8 @@ def _resolve_run_options(tree: _Tree, args) -> tuple:
     out_dir = tree.take("output_dir", default=".")
     if args.out is not None:
         out_dir = args.out
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"{tree.context}: 'output_dir' must be a string")
+    if not isinstance(out_dir, str) or "\0" in out_dir:
+        raise ConfigError(f"{tree.context}: 'output_dir' must be a string without NUL")
     formats = tree.take("formats", default=["csv", "json"])
     if args.format is not None:
         formats = [f.strip() for f in args.format.split(",") if f.strip()]

@@ -89,17 +89,20 @@ def _publish(files: dict) -> None:
 
 def _make_directory(directory: str, made: list) -> None:
     """Make the absolute path directory and its missing parents, appending
-    to made each one made here, outermost first."""
-    parent = os.path.dirname(directory)
-    if parent != directory and not os.path.isdir(parent):
-        _make_directory(parent, made)
-    try:
-        os.mkdir(directory)
-    except FileExistsError:
-        if not os.path.isdir(directory):
-            raise
-    else:
-        made.append(directory)
+    to made each one made here, outermost first.  One walk up finds the
+    first existing directory, so a path of any depth takes no recursion."""
+    missing = []
+    while not os.path.isdir(directory) and os.path.dirname(directory) != directory:
+        missing.append(directory)
+        directory = os.path.dirname(directory)
+    for path in reversed(missing):
+        try:
+            os.mkdir(path)
+        except FileExistsError:
+            if not os.path.isdir(path):
+                raise
+        else:
+            made.append(path)
 
 
 def _encode(name: str, content):
@@ -342,11 +345,12 @@ def _wav_header(data_bytes: int, rate: int) -> bytes:
 
 
 def read_json(path: str) -> dict:
-    """Load a JSON document: OutputError if unreadable, ConfigError if malformed."""
+    """Load a JSON document: OutputError if unreadable, ConfigError if malformed
+    or nested deeper than the parser's recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise OutputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc

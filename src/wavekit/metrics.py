@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_number
-from .signal import (DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite, _fft_length,
-                     _freeze_grid, _Owned, _sample_count, _signal_energy, _total_power,
-                     p99_bandwidth, spectrum, to_db)
+from .signal import (_BLOCK_POINTS, DB_FLOOR, SampledSignal, Spectrum, _axis_step, _check_finite,
+                     _fft_length, _freeze_grid, _Owned, _sample_count, _signal_energy,
+                     _total_power, p99_bandwidth, spectrum, to_db)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,6 @@ class DopplerTolerancePoint:
     peak_shift_s: float
 
 
-# Least complex transform points per block of Doppler rows (see `_block_rows`).
-_BLOCK_POINTS = 1 << 15
 # Most worker threads of `_replica_rows` and of `scene.mf_bank`'s dB pass.  Two
 # is the count whose speed-up has been measured; past two, blocks of these
 # sizes are not known to gain.

@@ -128,8 +128,9 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     largest delay plus the pulse length; pass window_s to fix it (every
     echo must still fit, else invalid input).  seed is a nonnegative int.
     Each echo's doppler_hz must lie within +/-fs/2 (see `metrics._doppler_grid`).
-    An echo delay or a window of samples above the cap is refused as
-    `signal._sample_count` refuses it, naming the delay or window_s.
+    A delay or window above the sample cap is refused by `signal._sample_count`, naming it.
+    The call holds its result plus the larger of a real window-length array (a noise draw)
+    and about 3.5 complex pulse-length arrays (an echo's time grid, replica, phase and exp).
     """
     check_number("seed", seed, integer=True, minimum=0)
     fs = waveform.sample_rate_hz
@@ -161,8 +162,9 @@ def simulate_returns(waveform: SampledSignal, scene: EchoScene, seed: int,
     if scene.noise_level_db is not None:
         rng = np.random.default_rng(seed)
         sigma = 10.0 ** (scene.noise_level_db / 20.0) / np.sqrt(n_pulse)
-        noise = rng.standard_normal(n_win) + 1j * rng.standard_normal(n_win)
-        received += sigma * noise / np.sqrt(2.0)
+        for part in (received.real, received.imag):
+            # numpy divides a complex array by a real scalar as a product with its reciprocal
+            part += rng.standard_normal(n_win) * sigma * (1.0 / np.sqrt(2.0))
     return SampledSignal(samples=_Owned(received), sample_rate_hz=fs,
                          center_freq_hz=waveform.center_freq_hz)
 

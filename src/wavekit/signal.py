@@ -25,6 +25,8 @@ MAX_RATE_HZ = 1e100  # highest sample rate: squared frequencies stay far inside 
 # The most samples, or cells, of any one array that wavekit sizes from its
 # inputs: 2^26, 1 GiB of complex128.
 _MAX_SAMPLES = 1 << 26
+# Least complex transform points per block of `spectrogram` frames or of Doppler rows.
+_BLOCK_POINTS = 1 << 15
 
 
 def _sample_count(name: str, count) -> int:
@@ -270,7 +272,8 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
         overlap: fractional window overlap in [0, 1).
 
     Returns:
-        Spectrogram with magnitudes floored at -120 dB.
+        Spectrogram with magnitudes floored at -120 dB.  The call holds it plus about two
+        complex blocks of frames (each at most `_BLOCK_POINTS` points, or one frame).
     """
     n = signal.num_samples
     if check_number("window_len", window_len, integer=True, minimum=2) > n:
@@ -283,17 +286,16 @@ def spectrogram(signal: SampledSignal, window_len: int, overlap: float) -> Spect
     # Symmetric Hann keeps the window even about its center, which makes
     # the time-reversal identity of the spectrogram exact on the frame grid.
     win = np.hanning(window_len) if window_len > 2 else np.ones(window_len)
-    starts = np.arange(0, n - window_len + 1, hop)
-    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_len)[starts]
-    spec = np.fft.fftshift(np.fft.fft(frames * win, axis=1), axes=1)
-    mag = np.abs(spec)
-    peak = mag.max()
-    if peak == 0.0:
-        peak = 1.0
-    db = to_db(mag / peak)
-    times = (starts + window_len / 2.0) / fs
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, window_len)[::hop]
+    mag = np.empty(frames.shape)
+    block = max(1, _BLOCK_POINTS // window_len)
+    for first in range(0, len(mag), block):
+        rows = slice(first, first + block)
+        np.abs(np.fft.fftshift(np.fft.fft(frames[rows] * win, axis=1), axes=1), out=mag[rows])
+    mag /= mag.max() or 1.0
+    times = (np.arange(len(mag)) * hop + window_len / 2.0) / fs
     freqs = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / fs))
-    return Spectrogram(times_s=times, freqs_hz=freqs, magnitude_db=db)
+    return Spectrogram(times_s=times, freqs_hz=freqs, magnitude_db=_Owned(to_db(mag, out=mag)))
 
 
 def to_passband(signal: SampledSignal) -> np.ndarray:

@@ -6,6 +6,8 @@ shared by the optimizer regression tests and the acceptance suite.
 
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,28 @@ def child_env() -> dict:
     imports this checkout's wavekit, as the suite does."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def traced_peak(setup: str, call: str, *argv: str, field: str | None = None) -> tuple[int, int]:
+    """(peak, size) of one library call, measured in a fresh interpreter.
+
+    The child imports numpy as np, sys and wavekit as wk, takes argv as
+    sys.argv[1:] and runs the statements setup untraced (a small warm-up
+    there keeps a module's first import out of the reading).  It then
+    evaluates the expression call under tracemalloc.  peak is the most
+    bytes traced during the call; size is the bytes of the result's array
+    field named field or, by default, of every array field it holds.
+    """
+    size = (f"result.{field}.nbytes" if field else
+            "sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))")
+    script = "\n".join([
+        "import sys", "import tracemalloc", "import numpy as np", "import wavekit as wk", setup,
+        "tracemalloc.start()", f"result = {call}", "peak = tracemalloc.get_traced_memory()[1]",
+        f"print(peak, {size})"])
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    peak, size = map(int, proc.stdout.split())
+    return peak, size
 
 
 # One-line verdicts appended by the acceptance tests and echoed after

@@ -191,6 +191,38 @@ def superposed_echo_mag(samples, sample_rate_hz, delays_s, levels_db, lags):
         for m in lags])
 
 
+def whole_array_spectrogram(samples, sample_rate_hz, window_len, overlap):
+    """(times_s, freqs_hz, magnitude_db) of the Hann spectrogram, built over
+    all frames at once: the frames gathered by their start indices, one
+    windowed copy, one FFT, |.| over the global peak (1 if all zero), then
+    20*log10 of that ratio floored at -120 dB."""
+    n = len(samples)
+    hop = max(1, int(round(window_len * (1.0 - overlap))))
+    win = np.hanning(window_len) if window_len > 2 else np.ones(window_len)
+    starts = np.arange(0, n - window_len + 1, hop)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, window_len)[starts]
+    mag = np.abs(np.fft.fftshift(np.fft.fft(frames * win, axis=1), axes=1))
+    peak = mag.max()
+    if peak == 0.0:
+        peak = 1.0
+    db = 20.0 * np.log10(np.maximum(mag / peak, 10.0 ** (-120.0 / 20.0)))
+    times = (starts + window_len / 2.0) / sample_rate_hz
+    freqs = np.fft.fftshift(np.fft.fftfreq(window_len, d=1.0 / sample_rate_hz))
+    return times, freqs, db
+
+
+def add_complex_noise(received, noise_level_db, pulse_samples, seed):
+    """received plus seeded complex white noise of noise_level_db over a
+    pulse of pulse_samples: one complex array from two full-length draws
+    (every real part, then every imaginary part), scaled, then divided by
+    sqrt(2)."""
+    n = len(received)
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** (noise_level_db / 20.0) / np.sqrt(pulse_samples)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return received + sigma * noise / np.sqrt(2.0)
+
+
 def percent_csv(header, columns) -> bytes:
     """A CSV file of equal-length columns, formatted one cell at a time:
     integers %d, floats %.6f, anything else (bools, strings) str()."""

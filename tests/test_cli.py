@@ -615,6 +615,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
      None, "echoes"),
     ({**_compare_name("b"), "waveforms": _compare_name("b")["waveforms"][:1]}, None, "waveforms"),
     (_problem(initial="lfm"), None, "initial"),
+    (b"[" * 100000, None, None),
+    (_FROM_COEFFICIENTS, b"[" * 100000, None),
 ], ids=["truncated_config", "non_utf8_config", "non_utf8_coefficients",
         "truncated_coefficients", "costas_code_string", "costas_code_float",
         "costas_code_bool", "initial_alpha_string", "initial_alpha_number",
@@ -634,7 +636,8 @@ _COEFFICIENTS_K_MISMATCH = (b'{"num_harmonics": 2, "alpha": [0.1], "beta": [0.2]
         "noise_level_db_power_overflow", "costas_tiny_duration_huge_rate",
         "duration_disagrees_with_coefficients", "missing_required_key",
         "subtree_not_an_object", "optional_subtree_not_an_object", "kind_not_a_string", "inline_mtsfm_without_duration",
-        "echoes_not_a_list", "compare_single_waveform", "unknown_initial"])
+        "echoes_not_a_list", "compare_single_waveform", "unknown_initial",
+        "config_nested_past_the_parser_limit", "coefficients_nested_past_the_parser_limit"])
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, config, coefficients, key):
     monkeypatch.chdir(tmp_path)
     if coefficients is not None:
@@ -681,7 +684,8 @@ def test_config_messages_name_a_subtree_by_its_path(tmp_path, capsys, config, me
                                     "noise_level_db": -30.0}},
      ["--out", "o", "--seed", "-2"], "seed"),
     ({**CW_SYNTH, "output_dir": 5}, [], "output_dir"),
-], ids=["optimize_seed_flag", "noisy_simulate_seed_flag", "output_dir_number"])
+    ({**CW_SYNTH, "output_dir": "o\u0000x"}, [], "output_dir"),
+], ids=["optimize_seed_flag", "noisy_simulate_seed_flag", "output_dir_number", "output_dir_nul"])
 def test_malformed_run_option_exits_2(tmp_path, capsys, monkeypatch, config, flags, key):
     monkeypatch.chdir(tmp_path)
     path = _config(tmp_path, config)
@@ -1017,6 +1021,38 @@ def test_unwritable_output_directory_exits_3(tmp_path):
     cfg = _config(tmp_path, CW_SYNTH)
     assert main(["synth", "--config", cfg,
                  "--out", str(blocker / "nested")]) == 3
+
+
+def test_deep_output_directory_is_made(tmp_path, capsys, monkeypatch):
+    """1200 missing directories, more than the interpreter's recursion limit,
+    are made one walk up and one pass down.  The tree is removed level by
+    level, deepest first, since a recursive removal would reach that limit."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, CW_SYNTH)
+    try:
+        assert main(["synth", "--config", cfg, "--out", "a/" * 1200]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(os.listdir("a/" * 1200)) == ["metrics.json", "waveform.csv"]
+    finally:
+        for level in range(1200, 0, -1):
+            if os.path.isdir("a/" * level):
+                for name in os.listdir("a/" * level):
+                    if name != "a":
+                        os.unlink("a/" * level + name)
+                os.rmdir("a/" * level)
+
+
+def test_output_path_longer_than_path_max_exits_3_and_leaves_no_directory(tmp_path, capsys,
+                                                                           monkeypatch):
+    """The directories below the length limit are made, the next mkdir is
+    refused as too long, and every directory the run made is removed."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, CW_SYNTH)
+    out = "a/" * (os.pathconf(tmp_path, "PC_PATH_MAX") // 2 + 1)
+    assert main(["synth", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_wav_rate_beyond_the_header_exits_3(tmp_path, capsys):

@@ -1,10 +1,10 @@
-"""Every executable line of src/wavekit/metrics.py is reached by its tests.
+"""Every executable line of the traced modules of src/wavekit is reached by their tests.
 
-The test modules that reach metrics.py run in a child interpreter under
+The test modules that reach them run once, in a child interpreter under
 `tools.linetrace`, which prints each unreached line of src/wavekit as
-`path:line: source`.  The allow-list of metrics.py lines left unreached is
-empty: a line no test reaches gets a test or is deleted.  This module is not
-in the child's run, so the child does not start itself again.
+`path:line: source`.  The allow-list of lines left unreached in a traced
+module is empty: a line no test reaches gets a test or is deleted.  This
+module is not in the child's run, so the child does not start itself again.
 """
 
 import pathlib
@@ -17,12 +17,15 @@ from conftest import child_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # test_scene.py reaches the one-dimension check of `metrics._doppler_grid`
-# (a 2-D Doppler grid given to mf_bank); test_metrics.py reaches the rest.
-MODULES = ("tests/test_metrics.py", "tests/test_scene.py")
+# (a 2-D Doppler grid given to mf_bank) and test_numeric_rule.py `to_db`'s NaN
+# refusal; with test_metrics.py and test_signal.py they reach every line of the three.
+MODULES = ("tests/test_metrics.py", "tests/test_scene.py", "tests/test_signal.py",
+           "tests/test_numeric_rule.py")
+TRACED = ("metrics.py", "scene.py", "signal.py")
 
 
-@pytest.mark.slow
-def test_every_metrics_line_is_reached():
+@pytest.fixture(scope="module")
+def unreached_lines():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-p", "tools.linetrace", *MODULES],
@@ -30,6 +33,10 @@ def test_every_metrics_line_is_reached():
         env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     assert "unreached lines of src/wavekit" in proc.stdout, proc.stdout[-4000:]
-    unreached = [line for line in proc.stdout.splitlines()
-                 if line.startswith("src/wavekit/metrics.py:")]
-    assert unreached == []
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("module", TRACED)
+def test_every_line_is_reached(unreached_lines, module):
+    assert [line for line in unreached_lines if line.startswith(f"src/wavekit/{module}:")] == []

@@ -2,8 +2,6 @@
 
 import contextlib
 import os
-import subprocess
-import sys
 import threading
 from unittest import mock
 
@@ -21,7 +19,7 @@ from wavekit.metrics import (_block_rows, _doppler_rows, _lag_gathers, _not_a_kn
                              _time_scaler)
 from wavekit.signal import _fft_length
 
-from conftest import child_env
+from conftest import traced_peak
 from oracles import (cw_triangle, dirichlet_magnitude, direct_ambiguity_mag,
                      direct_corr_at_lag, direct_xcorr_mag, is_5_smooth, linear_xcorr,
                      spectral_moment_rms)
@@ -654,17 +652,11 @@ def test_ambiguity_equals_the_full_row_result(num_delays, num_dopplers):
     assert np.array_equal(af.magnitude, af.magnitude[::-1, ::-1])
 
 
-_AMBIGUITY_PEAK = """
-import sys
-import tracemalloc
-import wavekit as wk
-if len(sys.argv) > 1:
-    wk.metrics._worker_count = lambda: int(sys.argv[1])
-sig = wk.synth_lfm(1024.0, 1.0, 8192.0)
-tracemalloc.start()
-wk.ambiguity_function(sig, 0.5, 10.0, 257, 257)
-print(tracemalloc.get_traced_memory()[1])
-"""
+# The surface at N = 8192 on a machine of argv[1] CPUs, if given.
+_AMBIGUITY_PEAK = ("if len(sys.argv) > 1:\n"
+                   "    wk.metrics._worker_count = lambda: int(sys.argv[1])\n"
+                   "sig = wk.synth_lfm(1024.0, 1.0, 8192.0)",
+                   "wk.ambiguity_function(sig, 0.5, 10.0, 257, 257)")
 
 
 def test_ambiguity_memory_is_bounded_by_the_surface():
@@ -673,17 +665,13 @@ def test_ambiguity_memory_is_bounded_by_the_surface():
     Measured in a fresh interpreter, where the first FFT also loads numpy.fft
     under the tracer, as it does for a caller that has not used np.fft yet.
     """
-    proc = subprocess.run([sys.executable, "-c", _AMBIGUITY_PEAK], capture_output=True,
-                          text=True, env=child_env(), check=True)
-    assert int(proc.stdout) < 4e6
+    assert traced_peak(*_AMBIGUITY_PEAK)[0] < 4e6
 
 
 def test_ambiguity_memory_holds_on_many_cpus():
     """On a machine of 8 CPUs the call still runs at most two workers, each
     with one block buffer, so the surface's peak stays under the same bound."""
-    proc = subprocess.run([sys.executable, "-c", _AMBIGUITY_PEAK, "8"], capture_output=True,
-                          text=True, env=child_env(), check=True)
-    assert int(proc.stdout) < 4e6
+    assert traced_peak(*_AMBIGUITY_PEAK, "8")[0] < 4e6
 
 
 def test_ambiguity_validation():

@@ -1,8 +1,5 @@
 """Echo-scene synthesis, matched-filter bank, and resolvability checks."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import wavekit as wk
@@ -13,8 +10,8 @@ from wavekit.scene import (Echo, EchoScene, RangeDopplerMap, _median, _window_sa
                            benchmark_scene, mf_bank, resolvability_report, simulate_returns)
 from wavekit.signal import DB_FLOOR, _Owned
 
-from conftest import child_env
-from oracles import direct_xcorr_mag, linear_xcorr, superposed_echo_mag
+from conftest import traced_peak
+from oracles import add_complex_noise, direct_xcorr_mag, linear_xcorr, superposed_echo_mag
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +112,54 @@ def test_noise_level_sets_collected_energy(lfm):
     assert np.mean(rng_energy) == pytest.approx(0.1, rel=0.2)
 
 
+@pytest.mark.parametrize("window", [2, 4479, 100003])
+def test_noisy_returns_are_bitwise_the_whole_array_formula(window):
+    """Noise added in place, real parts then imaginary parts, gives the bits
+    of one complex noise array scaled and divided by sqrt(2), at every level
+    and seed.  A 2-sample window is the least a signal holds: a 2-sample
+    pulse, its one echo at delay 0."""
+    fs = 2048.0
+    if window == 2:
+        pulse = wk.SampledSignal(samples=np.array([0.6, 0.8j]), sample_rate_hz=fs)
+        echoes = (Echo(0.0, 0.0, 0.0),)
+    else:
+        pulse = wk.synth_lfm(256.0, 1.0, fs)
+        echoes = (Echo(0.0, 0.0, 0.0), Echo(300.0 / fs, 5.0, -20.0))
+    for seed in (0, 1, 2**40 + 3):
+        clean = simulate_returns(pulse, EchoScene(echoes), seed, window_s=window / fs)
+        for level in (-60.0, -23.5, 0.0, 17.0, 40.0):
+            noisy = simulate_returns(pulse, EchoScene(echoes, level), seed, window_s=window / fs)
+            expected = add_complex_noise(clean.samples, level, pulse.num_samples, seed)
+            assert noisy.num_samples == window
+            assert noisy.samples.tobytes() == expected.tobytes()
+
+
+def test_noisy_returns_hold_their_result_plus_one_real_window():
+    """A 1e6-sample window with noise on: a 16 MB result, and one real draw
+    of the window's length (8 MB) at a time.  One complex noise array with
+    its scaled copies held about 3 results.  A warm-up draw loads
+    numpy.random untraced."""
+    peak, size = traced_peak("sig = wk.synth_lfm(64.0, 1.0, 512.0)\n"
+                             "scene = wk.EchoScene((wk.Echo(0.0, 0.0, 0.0),), -20.0)\n"
+                             "np.random.default_rng(0).standard_normal(2)",
+                             "wk.simulate_returns(sig, scene, 0, window_s=1e6 / 512.0)")
+    assert size == 16_000_000 and peak < 2 * size
+
+
+def test_returns_of_a_window_near_the_pulse_hold_its_echo_temporaries():
+    """A 2^17-sample pulse, its echo Doppler-shifted, in a window 10 samples
+    longer: each echo's time grid (8 bytes a sample), the scaled replica,
+    the phase and its exponential (16 each) are about 3.5 complex arrays of
+    the pulse's length, which outweigh the noise's real window array.  The
+    docstring states the larger of the two; 3.5 read 3.50 here."""
+    n = 1 << 17
+    peak, size = traced_peak(f"sig = wk.synth_lfm({n / 8}, 1.0, {float(n)})\n"
+                             "scene = wk.EchoScene((wk.Echo(0.0, 100.0, 0.0),), -20.0)\n"
+                             "np.random.default_rng(0).standard_normal(2)",
+                             f"wk.simulate_returns(sig, scene, 0, window_s={(n + 10) / n})")
+    assert size == (n + 10) * 16 and peak < size + 4 * n * 16
+
+
 def test_window_must_hold_every_echo(lfm):
     with pytest.raises(InvalidInputError):
         simulate_returns(lfm, _single(delay_s=1.5), seed=0, window_s=2.0)
@@ -191,20 +236,6 @@ def test_range_doppler_map_validation():
 
 # ------------------------------------------------------------------- mf_bank
 
-_MF_BANK_PEAK = """
-import tracemalloc
-import numpy as np
-import wavekit as wk
-sig = wk.synth_lfm(256.0, 1.0, 2048.0)
-rx = wk.simulate_returns(sig, wk.benchmark_scene(256.0), 0, window_s=2.0)
-grid = np.linspace(-50.0, 50.0, 201)
-wk.mf_bank(rx, sig, grid[:2])
-tracemalloc.start()
-rd = wk.mf_bank(rx, sig, grid)
-print(tracemalloc.get_traced_memory()[1] / rd.magnitude_db.nbytes)
-"""
-
-
 def test_mf_bank_holds_at_most_two_maps():
     """201 rows at N = 2048 (a 9.9 MB map): the rows turn to dB in place and
     the map keeps them, so the call holds one map and its workers' block
@@ -212,9 +243,14 @@ def test_mf_bank_holds_at_most_two_maps():
     would read 2.14x.  A small warm-up call loads numpy.fft before the
     tracer starts.  Measured in a fresh interpreter.
     """
-    proc = subprocess.run([sys.executable, "-c", _MF_BANK_PEAK], capture_output=True,
-                          text=True, env=child_env(), check=True)
-    assert float(proc.stdout) <= 1.5
+    peak, size = traced_peak("sig = wk.synth_lfm(256.0, 1.0, 2048.0)\n"
+                             "rx = wk.simulate_returns(sig, wk.benchmark_scene(256.0), 0, "
+                             "window_s=2.0)\n"
+                             "grid = np.linspace(-50.0, 50.0, 201)\n"
+                             "wk.mf_bank(rx, sig, grid[:2])",
+                             "wk.mf_bank(rx, sig, grid)", field="magnitude_db")
+    assert peak <= 1.5 * size
+
 
 def test_mf_identity_row_is_the_autocorrelation(lfm):
     rx = simulate_returns(lfm, _single(), seed=0)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import wavekit as wk
+import wavekit.signal as wk_signal
 from wavekit.errors import InvalidInputError
 from wavekit.signal import _MAX_SAMPLES, DB_FLOOR, _sample_count
 
-from oracles import dirichlet_magnitude
+from conftest import traced_peak
+from oracles import dirichlet_magnitude, whole_array_spectrogram
 
 
 def test_midpoint_time_grid():
@@ -293,6 +295,64 @@ def test_spectrogram_validation():
         wk.spectrogram(sig, 65, 0.5)
     with pytest.raises(InvalidInputError):
         wk.spectrogram(sig, 16, 1.0)
+
+
+def _assert_same_bits(gram, expected):
+    for got, want in zip((gram.times_s, gram.freqs_hz, gram.magnitude_db), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_RNG = np.random.default_rng(5)
+_SIGNALS = {
+    "lfm": wk.synth_lfm(512.0, 1.0, 4096.0),
+    "noise": wk.SampledSignal(samples=_RNG.standard_normal(3001) + 1j * _RNG.standard_normal(3001),
+                              sample_rate_hz=3001.0),
+    "zero": wk.SampledSignal(samples=np.zeros(1000, dtype=complex), sample_rate_hz=1000.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIGNALS))
+@pytest.mark.parametrize("window_len", [2, 3, 64, 255, 256])
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 0.5, 0.75, 0.9])
+def test_spectrogram_is_bitwise_the_whole_array_formula(name, window_len, overlap):
+    """Frames read through a strided view and transformed block by block into
+    one output give the bits of the formula over all frames at once."""
+    sig = _SIGNALS[name]
+    _assert_same_bits(wk.spectrogram(sig, window_len, overlap),
+                      whole_array_spectrogram(sig.samples, sig.sample_rate_hz, window_len, overlap))
+
+
+@pytest.mark.parametrize("block_points", [1, 255, 700, 4099])
+@pytest.mark.parametrize("window_len", [3, 64, 256])
+def test_spectrogram_blocks_do_not_change_a_bit(monkeypatch, block_points, window_len):
+    """Blocks of one frame, of several and a short last block: each frame's
+    transform and magnitude are the same bits in any block."""
+    monkeypatch.setattr(wk_signal, "_BLOCK_POINTS", block_points)
+    sig = _SIGNALS["noise"]
+    _assert_same_bits(wk.spectrogram(sig, window_len, 0.6),
+                      whole_array_spectrogram(sig.samples, sig.sample_rate_hz, window_len, 0.6))
+
+
+def test_spectrogram_memory_is_its_output_plus_one_block():
+    """131072 samples, a 256-sample window at 0.75 overlap: a 4.2 MB output,
+    where one block of frames is 0.5 MB.  The whole-array formula held about
+    7.1 outputs (the gathered frames, their windowed copy, the spectrum and its
+    shifted copy, the magnitudes, their ratio, the dB values and the copy
+    `Spectrogram` kept).  A small warm-up call loads numpy.fft untraced."""
+    peak, size = traced_peak("sig = wk.synth_lfm(16384.0, 1.0, 131072.0)\n"
+                             "wk.spectrogram(wk.synth_lfm(8.0, 1.0, 64.0), 16, 0.5)",
+                             "wk.spectrogram(sig, 256, 0.75)")
+    assert peak < 1.5 * size
+
+
+def test_spectrogram_memory_is_its_output_plus_two_blocks():
+    """At overlap 0 the 1 MB output of 512 frames is twice one complex block
+    of 128 frames, so the blocks' temporaries show: the transform and its
+    shifted copy, about two blocks, as the docstring states."""
+    peak, size = traced_peak("sig = wk.synth_lfm(16384.0, 1.0, 131072.0)\n"
+                             "wk.spectrogram(wk.synth_lfm(8.0, 1.0, 64.0), 16, 0.5)",
+                             "wk.spectrogram(sig, 256, 0.0)")
+    assert peak < size + 3 * wk_signal._BLOCK_POINTS * 16
 
 
 def test_to_passband_baseband_is_real_part():
