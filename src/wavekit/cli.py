@@ -14,11 +14,19 @@ reported, not fatal), 2 config/validation error, 3 I/O error.
 `wavekit.optimize` is imported inside the optimize command alone, and
 `wavekit.scene` inside simulate (and `config.parse_scene`) alone, so the
 other commands never load them.
+
+Both `python -m wavekit.cli` and the installed `wavekit` script end
+through `run()`: once `main()` returns, the exit handlers run, stdout and
+stderr are flushed and the process ends with `os._exit`, skipping the
+interpreter's final collection and module teardown, which do no work for
+the user (see `run()` for why that is safe).  Tests and library callers
+use `main()`, which returns its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from dataclasses import replace
@@ -415,5 +423,31 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run `main()` and end the process with its exit code, without teardown.
+
+    After `main()` returns, the registered exit handlers run
+    (`atexit._run_exitfuncs`), stdout and stderr are flushed, and
+    `os._exit` ends the process, skipping the interpreter's final garbage
+    collection and module teardown.  That is safe because by then nothing
+    is left open or running that the teardown would finish:
+
+    - `fileio._publish` closes every artifact before it returns, so its
+      bytes are with the operating system, which `os._exit` keeps; nothing
+      in wavekit uses fsync, so there was no flush to disk left to do;
+    - `metrics._run_workers` joins every thread it starts;
+    - wavekit registers no exit handler of its own, and the handlers others
+      register (logging's, say) still run here.
+
+    A SystemExit from argparse (--help, a bad flag) and an uncaught
+    exception leave through the normal interpreter exit.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -218,14 +218,23 @@ def spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
 
     Returns:
         Spectrum whose frequency axis spans [-fs/2, fs/2) and whose
-        energy matches the time-domain energy.
+        energy matches the time-domain energy.  The call peaks at its
+        transform plus the magnitude, 3x the magnitude's bytes.
     """
     zero_pad_factor = check_number("zero_pad_factor", zero_pad_factor, integer=True, minimum=1)
     fs = signal.sample_rate_hz
     nfft = _fft_length(_sample_count("zero_pad_factor", zero_pad_factor * signal.num_samples))
-    mag = np.abs(np.fft.fftshift(np.fft.fft(signal.samples, nfft))) / np.sqrt(fs)
-    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
-    return Spectrum(freqs_hz=freqs, magnitude=mag)
+    spec = np.fft.fft(signal.samples, nfft)
+    half = nfft // 2  # fftshift moves bin k to (k + half) mod nfft
+    mag = np.empty(nfft)
+    np.abs(spec[nfft - half:], out=mag[:half])
+    np.abs(spec[:nfft - half], out=mag[half:])
+    del spec  # freed before the axis is built
+    mag /= np.sqrt(fs)
+    # fftshift(fftfreq(nfft, 1 / fs)): the same bins times the same step, in one array
+    freqs = np.arange(-half, nfft - half, dtype=float)
+    freqs *= 1.0 / (nfft * (1.0 / fs))
+    return Spectrum(freqs_hz=_Owned(freqs), magnitude=_Owned(mag))
 
 
 def _total_power(power: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .costas import CostasCode
 from .errors import InvalidInputError, check_number
-from .signal import MAX_RATE_HZ, SampledSignal, _freeze_field, _sample_count
+from .signal import MAX_RATE_HZ, SampledSignal, _freeze_field, _Owned, _sample_count
 
 _SWEEP_POINTS = 4096
 
@@ -83,8 +83,15 @@ def _unit_modulus(phase: np.ndarray) -> np.ndarray:
 
 def _unit_fm(phase: np.ndarray, sample_rate_hz: float,
              center_freq_hz: float = 0.0) -> SampledSignal:
-    """Wrap a phase function into a unit-energy constant-amplitude signal."""
-    return SampledSignal(samples=_unit_modulus(phase), sample_rate_hz=sample_rate_hz,
+    """Wrap a phase function into a unit-energy constant-amplitude signal.
+
+    The samples are built here and handed over (`signal._Owned`), not
+    copied.  The synthesis then peaks at 2.5x its output for LFM, HFM and
+    P4: the samples, the phase, its + 0.0 temporary and one more real array
+    of the caller's (the time grid of LFM and HFM).  Costas FSK, whose chip
+    index is live too, peaks at 3x.
+    """
+    return SampledSignal(samples=_Owned(_unit_modulus(phase)), sample_rate_hz=sample_rate_hz,
                          center_freq_hz=center_freq_hz)
 
 

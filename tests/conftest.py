@@ -4,10 +4,12 @@ The expensive sidelobe-optimization run is computed once per session and
 shared by the optimizer regression tests and the acceptance suite.
 """
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +46,17 @@ def traced_peak(setup: str, call: str, *argv: str, field: str | None = None) -> 
                           env=child_env(), check=True)
     peak, size = map(int, proc.stdout.split())
     return peak, size
+
+
+@pytest.fixture(scope="session")
+def golden_tool():
+    """tools/golden.py as a module; its BLAS pin writes to a copy of os.environ."""
+    spec = importlib.util.spec_from_file_location("golden_tool",
+                                                  SRC.parent / "tools" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(os, "environ", dict(os.environ)):
+        spec.loader.exec_module(module)
+    return module
 
 
 # One-line verdicts appended by the acceptance tests and echoed after

@@ -191,6 +191,14 @@ def superposed_echo_mag(samples, sample_rate_hz, delays_s, levels_db, lags):
         for m in lags])
 
 
+def whole_array_spectrum(samples, sample_rate_hz, nfft):
+    """(freqs_hz, magnitude) of the two-sided spectrum in one expression each:
+    |fftshift(FFT of nfft points)| / sqrt(fs), and fftshift(fftfreq)."""
+    mag = np.abs(np.fft.fftshift(np.fft.fft(samples, nfft))) / np.sqrt(sample_rate_hz)
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / sample_rate_hz))
+    return freqs, mag
+
+
 def whole_array_spectrogram(samples, sample_rate_hz, window_len, overlap):
     """(times_s, freqs_hz, magnitude_db) of the Hann spectrogram, built over
     all frames at once: the frames gathered by their start indices, one

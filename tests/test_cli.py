@@ -8,6 +8,7 @@ import resource
 import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1168,6 +1169,122 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "waveform.csv").exists()
     assert (out / "metrics.json").exists()
+
+
+# A child script that calls cli.run() once per case, in its own process,
+# with os._exit replaced by a raise.  sys.stderr is a buffered wrapper over a
+# BytesIO, so what reached the BytesIO when os._exit was called is what a
+# flush had written.  An exit handler registered before each call reports
+# each of its runs on fd 1, so a second run at the child's own exit shows too.
+_RUN_CASES = r"""
+import atexit, io, json, os, sys
+import wavekit.cli as cli
+
+class Exited(Exception):
+    pass
+
+def fake_exit(code):
+    raise Exited(code, sys.stderr.buffer.getvalue().decode())
+
+os._exit = fake_exit
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    calls = []
+    atexit.register(lambda name=name: (calls.append(name), os.write(1, f"ran {name}\n".encode())))
+    sys.argv = ["wavekit", *argv]
+    sys.stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    try:
+        cli.run()
+    except Exited as exc:
+        results[name] = {"code": exc.args[0], "stderr": exc.args[1], "calls": len(calls)}
+    sys.stderr = sys.__stderr__
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def run_cases(tmp_path_factory):
+    """({case: code given to os._exit, stderr flushed by then, handler runs
+    by then}, the handler runs over the child's whole life, tmp) for exits 0,
+    2 and 3.  atexit._run_exitfuncs runs and clears every handler of the
+    interpreter that calls it, so the cases run in a child, not under pytest."""
+    tmp = tmp_path_factory.mktemp("run")
+    cfg = _config(tmp, CW_SYNTH)
+    bad = _config(tmp, {**CW_SYNTH, "bogus": 1}, "bad.json")
+    cases = {"0": ["synth", "--config", cfg, "--out", str(tmp / "o")],
+             "2": ["synth", "--config", bad, "--out", str(tmp / "o2")],
+             "3": ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o3")]}
+    proc = subprocess.run([sys.executable, "-c", _RUN_CASES, json.dumps(cases)],
+                          capture_output=True, text=True, stdin=subprocess.DEVNULL,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    results = [line for line in lines if line.startswith("{")]
+    assert len(results) == 1, proc.stdout
+    return json.loads(results[0]), [line for line in lines if line.startswith("ran ")], tmp
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_run_exits_with_mains_code_after_the_handlers_and_a_flush(run_cases, code):
+    results, ran, tmp = run_cases
+    case = results[str(code)]
+    assert case["code"] == code
+    assert case["calls"] == 1 and ran.count(f"ran {code}") == 1
+    if code == 0:
+        assert case["stderr"] == ""
+        assert sorted(os.listdir(tmp / "o")) == ["metrics.json", "waveform.csv"]
+    else:
+        assert case["stderr"].startswith("error: ") and case["stderr"].endswith("\n")
+    if code == 2:
+        assert "bogus" in case["stderr"]
+
+
+@pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "stdout"),
+                                                 (["synth", "--bogus"], 2, "stderr")],
+                         ids=["help", "bad_flag"])
+def test_argparse_exit_leaves_through_the_normal_exit(argv, code, stream):
+    """run() reaches os._exit only after main() returns; argparse's
+    SystemExit leaves through the interpreter's own exit, output flushed."""
+    proc = subprocess.run([sys.executable, "-m", "wavekit.cli", *argv], capture_output=True,
+                          text=True, stdin=subprocess.DEVNULL, env=child_env(), timeout=60)
+    assert proc.returncode == code
+    assert getattr(proc, stream).startswith("usage: wavekit")
+
+
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "optimize", "simulate", "compare"])
+def test_main_leaves_no_thread_or_descriptor_open(tmp_path, golden_tool, command):
+    """What run()'s skipped teardown would otherwise close: after main()
+    returns, the threads and file descriptors are those before it."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    cfg = _config(tmp_path, golden_tool.CLI_CONFIGS[command])
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"),
+            *golden_tool.CLI_FLAGS.get(command, [])]
+    threads, descriptors = threading.active_count(), _open_descriptors()
+    assert main(argv) == 0
+    assert threading.active_count() == threads
+    assert _open_descriptors() == descriptors
+
+
+def test_module_run_writes_the_bytes_main_writes(tmp_path, golden_tool):
+    """`python -m wavekit.cli simulate`, which ends through run(), writes
+    every artifact byte for byte as an in-process main() with the same seed."""
+    cfg = _config(tmp_path, golden_tool.CLI_CONFIGS["simulate"])
+    flags = golden_tool.CLI_FLAGS["simulate"]
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "main"), *flags]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavekit.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "module"), *flags],
+        capture_output=True, text=True, stdin=subprocess.DEVNULL, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(tmp_path / "main"))
+    assert names == sorted(os.listdir(tmp_path / "module")) and len(names) == 3
+    for name in names:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 def _readme_configs():

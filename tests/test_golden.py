@@ -9,13 +9,10 @@ change that means to alter outputs regenerates golden.json with the tool.
 """
 
 import copy
-import importlib.util
 import json
-import os
 import pathlib
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,16 +49,6 @@ def test_artifact_matches_golden(computed, name):
             assert column == expected
         else:
             np.testing.assert_allclose(column, expected, **GOLDEN["tolerance"])
-
-
-@pytest.fixture(scope="module")
-def golden_tool():
-    """tools/golden.py as a module; its BLAS pin writes to a copy of os.environ."""
-    spec = importlib.util.spec_from_file_location("golden_tool", ROOT / "tools" / "golden.py")
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.object(os, "environ", dict(os.environ)):
-        spec.loader.exec_module(module)
-    return module
 
 
 def test_diff_lists_each_moved_artifact(computed, golden_tool):

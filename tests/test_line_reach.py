@@ -18,10 +18,11 @@ from conftest import child_env
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # test_scene.py reaches the one-dimension check of `metrics._doppler_grid`
 # (a 2-D Doppler grid given to mf_bank) and test_numeric_rule.py `to_db`'s NaN
-# refusal; with test_metrics.py and test_signal.py they reach every line of the three.
+# refusal; test_waveforms.py and test_costas.py reach the refusals of their
+# own modules.  Together they reach every line of the six.
 MODULES = ("tests/test_metrics.py", "tests/test_scene.py", "tests/test_signal.py",
-           "tests/test_numeric_rule.py")
-TRACED = ("metrics.py", "scene.py", "signal.py")
+           "tests/test_numeric_rule.py", "tests/test_waveforms.py", "tests/test_costas.py")
+TRACED = ("metrics.py", "scene.py", "signal.py", "waveforms.py", "costas.py", "errors.py")
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 import wavekit as wk
 from wavekit.errors import InvalidInputError
 
+from conftest import traced_peak
+
+FM_MTSFM_PARAMS = wk.MtsfmParameters(alpha=np.array([0.3, -0.1]), beta=np.array([12.0, 1.5]),
+                                     duration_s=1.0)
 FM_SYNTHS = {
     "cw": lambda fs: wk.synth_cw(1.0, fs),
     "lfm": lambda fs: wk.synth_lfm(fs / 8.0, 1.0, fs),
@@ -17,9 +21,7 @@ FM_SYNTHS = {
     "costas": lambda fs: wk.synth_costas_fsk(wk.generate_welch_costas(5, 2),
                                              1.0, fs),
     "p4": lambda fs: wk.synth_p4(8, 1.0, fs),
-    "mtsfm": lambda fs: wk.synth_mtsfm(
-        wk.MtsfmParameters(alpha=np.array([0.3, -0.1]),
-                           beta=np.array([12.0, 1.5]), duration_s=1.0), fs),
+    "mtsfm": lambda fs: wk.synth_mtsfm(FM_MTSFM_PARAMS, fs),
 }
 
 
@@ -276,6 +278,15 @@ def test_waveform_spec_dispatch_matches_direct_synthesis():
         (wk.WaveformSpec(kind="p4", bandwidth_hz=8.0, duration_s=1.0,
                          num_chips=8),
          wk.synth_p4(8, 1.0, 512.0)),
+        (wk.WaveformSpec(kind="costas_fsk", bandwidth_hz=16.0, duration_s=1.0,
+                         costas=wk.generate_welch_costas(5, 2)),
+         wk.synth_costas_fsk(wk.generate_welch_costas(5, 2), 1.0, 512.0)),
+        (wk.WaveformSpec(kind="geometric_comb", bandwidth_hz=64.0, duration_s=1.0,
+                         num_tones=4, tone_ratio=1.5),
+         wk.synth_geometric_comb(4, 1.5, 64.0, 1.0, 512.0)),
+        (wk.WaveformSpec(kind="mtsfm", bandwidth_hz=64.0, duration_s=1.0,
+                         mtsfm=FM_MTSFM_PARAMS, center_freq_hz=100.0),
+         wk.synth_mtsfm(FM_MTSFM_PARAMS, 512.0, center_freq_hz=100.0)),
     ]
     for spec, direct in cases:
         via_spec = wk.synth_waveform(spec, 512.0)
@@ -298,6 +309,8 @@ def test_waveform_spec_validation():
         wk.WaveformSpec(kind="chirp", bandwidth_hz=1.0, duration_s=1.0)
     with pytest.raises(InvalidInputError):
         wk.WaveformSpec(kind="mtsfm", bandwidth_hz=1.0, duration_s=1.0)
+    with pytest.raises(InvalidInputError, match="disagrees with the mtsfm duration"):
+        wk.WaveformSpec(kind="mtsfm", bandwidth_hz=1.0, duration_s=2.0, mtsfm=FM_MTSFM_PARAMS)
     with pytest.raises(InvalidInputError, match="requires a CostasCode"):
         wk.WaveformSpec(kind="costas_fsk", bandwidth_hz=16.0, duration_s=1.0)
     with pytest.raises(InvalidInputError):
@@ -372,6 +385,18 @@ def test_autocorrelation_magnitude_is_symmetric_in_lag(sig):
     """R(-tau) = conj R(tau) for any signal, so |R| is symmetric in lag."""
     mag = wk.autocorrelation(sig).magnitude_linear()
     np.testing.assert_allclose(mag, mag[::-1], atol=1e-10)
+
+
+@pytest.mark.parametrize("call, outputs", [
+    ("wk.synth_lfm(256.0, 1e6 / 2048.0, 2048.0)", 2.5),
+    ("wk.synth_costas_fsk(wk.generate_welch_costas(17, 3), 1e6 / 4096.0, 4096.0)", 3.0),
+], ids=["lfm", "costas_fsk"])
+def test_synthesis_peak_is_the_docstrings(call, outputs):
+    """1e6 samples, a 16 MB output: `_unit_fm` hands its samples over, so the
+    peak is the one its docstring states.  A copy of the samples when the
+    signal is made held 0.625 outputs more (3.125 and 3.625)."""
+    peak, size = traced_peak("wk.synth_lfm(8.0, 1.0, 64.0)", call, field="samples")
+    assert peak < (outputs + 0.1) * size
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
