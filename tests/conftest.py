@@ -1,8 +1,18 @@
-"""Shared fixtures: the TBP-256 reference design and the Costas baseline.
+"""Shared fixtures: the TBP-256 reference design and the Costas baseline,
+and the line tracer every run goes under.
 
 The expensive sidelobe-optimization run is computed once per session and
 shared by the optimizer regression tests and the acceptance suite.
+
+`tools.linetrace` is imported before wavekit, and tracing starts on that
+import, so it records every line of src/wavekit the session runs,
+module-level lines included.  It is the module that `-p tools.linetrace`
+loads, so the command-line report and tests/test_line_reach.py read one
+record.  The collection hook below runs that test last, and
+`subset_reason` tells it when the run holds less than the whole suite.
 """
+
+import tools.linetrace  # noqa: F401  (first: it starts tracing on import)
 
 import importlib.util
 import os
@@ -17,6 +27,36 @@ import pytest
 import wavekit as wk
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# Why this run collected less than the whole suite, as hooks see it.
+_SUBSET = []
+
+
+def pytest_deselected(items):
+    _SUBSET.append(f"{len(items)} tests deselected")
+
+
+def pytest_collectreport(report):
+    if report.failed:
+        _SUBSET.append(f"{report.nodeid} failed to collect")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    # The line-reach test reads what every other test ran.
+    items.sort(key=lambda item: getattr(item, "originalname", None) == "test_every_line_is_reached")
+
+
+def subset_reason(config) -> str | None:
+    """Why this run holds less than the whole suite, or None: a path other
+    than the repository or tests/, --lf, --ignore, a deselected test or a
+    collection error."""
+    whole = {SRC.parent, SRC.parent / "tests"}
+    reasons = [f"path {arg}" for arg in config.args
+               if (config.invocation_params.dir / arg).resolve() not in whole]
+    reasons += [flag for flag, dest in (("--lf", "lf"), ("--ignore", "ignore"),
+                                        ("--ignore-glob", "ignore_glob"))
+                if config.getoption(dest, None)]
+    return "; ".join(reasons + _SUBSET) or None
 
 
 def child_env() -> dict:

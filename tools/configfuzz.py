@@ -2,7 +2,7 @@
 
 Run from the repository root (not part of the test suite; a few minutes):
 
-    PYTHONPATH=src python tools/configfuzz.py [--seed 0] [--count 200]
+    python tools/configfuzz.py [--seed 0] [--count 200]
 
 It imports the five `CLI_CONFIGS` (and `CLI_FLAGS`) of tools/golden.py and
 makes `--count` mutants.  Half the mutants first insert one entry of

@@ -2,9 +2,11 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tools/golden.py          # rewrite tests/golden.json
-    PYTHONPATH=src python tools/golden.py --print  # print the digests as JSON
-    PYTHONPATH=src python tools/golden.py --diff   # list what moved; exit 1 if any
+    python tools/golden.py          # rewrite tests/golden.json
+    python tools/golden.py --print  # print the digests as JSON
+    python tools/golden.py --diff   # list what moved; exit 1 if any
+
+It imports wavekit from this checkout's src/, with no install or PYTHONPATH.
 
 Each artifact is one output of a fixed run:
 
@@ -33,16 +35,18 @@ script, and its CHANGES.md entry names each changed artifact and why.
 """
 
 import os
+import pathlib
+import sys
 
 # Before numpy loads: one BLAS/OpenMP thread (see the module docstring).
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's wavekit, as conftest.child_env gives
 
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import pathlib  # noqa: E402
 import platform  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -50,7 +54,7 @@ import numpy as np  # noqa: E402
 import wavekit as wk  # noqa: E402
 from wavekit.cli import main as cli_main  # noqa: E402
 
-GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden.json"
+GOLDEN = ROOT / "tests" / "golden.json"
 TOLERANCE = {"rtol": 1e-6, "atol": 1e-4}
 
 _LFM = {"kind": "lfm", "bandwidth_hz": 256.0, "duration_s": 1.0}
